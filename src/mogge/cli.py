@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .em import FitOptions, FitResult, fit_em
+from .em import FitOptions, fit_em
 from .em_lasso import PenaltyConfig, fit_em_lasso
 from .metrics import (
     adjusted_rand_index,
@@ -35,7 +35,6 @@ from .model import (
     DegenerateComponentError,
     FitFailedError,
     NotPositiveDefiniteError,
-    Responsibilities,
     UnsupportedConfigError,
 )
 from .selection import GridSpec, SelectionError, grid_search
@@ -348,17 +347,7 @@ def cmd_lasso_path(args) -> int:
                 fit = warm
             else:
                 # relabel toward the previous point so the path stays smooth
-                order = match_components(prev_params, fit.params)
-                fit = FitResult(
-                    params=fit.params.permuted(order),
-                    loglik_trace=fit.loglik_trace,
-                    responsibilities=Responsibilities(
-                        tau=fit.responsibilities.tau[:, order]
-                    ),
-                    n_iter=fit.n_iter,
-                    converged=fit.converged,
-                    objective=fit.objective,
-                )
+                fit = fit.permuted(match_components(prev_params, fit.params))
         prev_params = fit.params
         rows.extend(_path_rows(lam, gamma, fit.params))
         points.append({
@@ -504,7 +493,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with defaults for any option")
     p.add_argument("--out-dir", dest="out_dir", help="output directory")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--jobs", type=int, help="parallel replicate workers")
+    p.add_argument("--jobs", type=int,
+                   help="parallel replicate workers (used by simulate and "
+                        "evaluate; fit, select and lasso-path run serially)")
 
 
 def _add_fit_options(p: argparse.ArgumentParser, ca: bool = True) -> None:

@@ -85,17 +85,33 @@ def write_dataset_csv(path, data: DataSet, labels=None) -> None:
     atomic_write_text(path, dataset_csv_text(data, labels))
 
 
+def _numbered_columns(path, header: list[str], prefix: str) -> list[int]:
+    """Positions of the columns ``<prefix>1..<prefix>m`` in numeric order;
+    the numbers must run from 1 without gaps or repeats."""
+    found: dict[int, int] = {}
+    for i, h in enumerate(header):
+        if h.startswith(prefix) and h[len(prefix):].isdecimal():
+            j = int(h[len(prefix):])
+            if j in found:
+                raise ValueError(f"{path}: column {prefix}{j} appears twice")
+            found[j] = i
+    numbers = sorted(found)
+    if numbers != list(range(1, len(numbers) + 1)):
+        raise ValueError(
+            f"{path}: {prefix} columns must be numbered 1..{len(numbers)} "
+            f"without gaps, got {', '.join(f'{prefix}{j}' for j in numbers)}"
+        )
+    return [found[j] for j in numbers]
+
+
 def read_dataset_csv(path) -> tuple[DataSet, np.ndarray | None]:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     header = lines[0].split(",")
-    x_cols = [i for i, h in enumerate(header) if h.startswith("x") and h[1:].isdigit()]
-    y_cols = [
-        i for i, h in enumerate(header)
-        if h == "y" or (h.startswith("y") and h[1:].isdigit())
-    ]
+    x_cols = _numbered_columns(path, header, "x")
+    y_cols = _numbered_columns(path, ["y1" if h == "y" else h for h in header], "y")
     label_col = header.index("label") if "label" in header else None
     if not x_cols or not y_cols:
         raise ValueError(f"{path}: header must contain x1..xp and y columns")

@@ -1,15 +1,19 @@
-"""Maximum-likelihood EM for the Gaussian-gated mixture of experts.
+"""Maximum-likelihood EM for the Gaussian-gated mixture of experts, and
+the EM core shared with the penalized fit.
 
 The E-step computes posterior responsibilities; the M-step has closed
 forms: weighted Gaussian-mixture moments for the gating network and
-weighted linear regressions for the experts.  Multi-start with
-best-objective selection; any start whose components collapse is
-abandoned and diagnosed rather than reinitialized mid-run.
+weighted linear regressions for the experts.  The iteration loop and
+the multi-start driver also run :mod:`mogge.em_lasso`, which supplies its
+own M-step and objective.  Multi-start with best-objective selection;
+any start whose components collapse is abandoned and diagnosed rather
+than reinitialized mid-run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +27,7 @@ from .model import (
     MoggeParams,
     NotPositiveDefiniteError,
     Responsibilities,
-    joint_loglik,
-    posterior_responsibilities,
+    _e_step,
 )
 
 INIT_STRATEGIES = ("random-partition", "kmeans-on-x")
@@ -78,6 +81,16 @@ class FitResult:
     n_iter: int
     converged: bool
     objective: float
+
+    def permuted(self, order) -> "FitResult":
+        """Relabeled copy: component k and responsibility column k are the
+        old ones at ``order[k]``; trace, objective and counts are kept."""
+        order = list(order)
+        return replace(
+            self,
+            params=self.params.permuted(order),
+            responsibilities=Responsibilities(tau=self.responsibilities.tau[:, order]),
+        )
 
 
 def start_seeds(seed: int, n_starts: int) -> list[int]:
@@ -182,12 +195,13 @@ def init_params(data: DataSet, K: int, strategy: str = "random-partition",
     )
 
 
-def _check_component_masses(nk: np.ndarray, n: int) -> None:
-    for k, mass in enumerate(nk):
+def _check_component_masses(nk, n: int, first: int = 1) -> None:
+    """Raise if a mass ``nk[i]`` (of component ``first + i``) is negligible."""
+    for k, mass in enumerate(nk, start=first):
         if mass <= DEGENERACY_FRACTION * n:
             raise DegenerateComponentError(
-                k + 1,
-                f"component {k + 1} is degenerate: responsibility mass "
+                k,
+                f"component {k} is degenerate: responsibility mass "
                 f"{mass:.3e} of n={n}",
             )
 
@@ -239,27 +253,72 @@ def _relative_change(new: float, old: float) -> float:
     return abs(new - old) / max(abs(old), np.finfo(float).tiny)
 
 
-def _em_single(data: DataSet, params: MoggeParams, opts: FitOptions,
-               diagonal: bool) -> FitResult:
-    trace = [joint_loglik(data, params)]
+def _ml_m_step(data: DataSet, tau: Responsibilities, params: MoggeParams,
+               diagonal: bool) -> MoggeParams:
+    gating = m_step_gating(data, tau, diagonal=diagonal)
+    experts = m_step_experts(data, tau, params.experts)
+    return MoggeParams(gating=tuple(gating), experts=tuple(experts))
+
+
+def _run_em(data: DataSet, params: MoggeParams, opts: FitOptions,
+            m_step: Callable, objective: Callable) -> FitResult:
+    """EM iterations from ``params`` until the relative objective change
+    drops below ``opts.tol`` or ``opts.max_iter`` is reached.
+
+    ``m_step(data, tau, params)`` returns the updated parameters and
+    ``objective(loglik, params)`` the trace entry.  One E-step per
+    iteration yields both the objective of the current parameters and the
+    responsibilities the next M-step uses.
+    """
+    loglik, tau = _e_step(data, params)
+    trace = [objective(loglik, params)]
     converged = False
     for _ in range(opts.max_iter):
-        tau = posterior_responsibilities(data, params)
-        gating = m_step_gating(data, tau, diagonal=diagonal)
-        experts = m_step_experts(data, tau, params.experts)
-        params = MoggeParams(gating=tuple(gating), experts=tuple(experts))
-        trace.append(joint_loglik(data, params))
+        params = m_step(data, tau, params)
+        loglik, tau = _e_step(data, params)
+        trace.append(objective(loglik, params))
         if _relative_change(trace[-1], trace[-2]) < opts.tol:
             converged = True
             break
     return FitResult(
         params=params,
         loglik_trace=np.array(trace),
-        responsibilities=posterior_responsibilities(data, params),
+        responsibilities=tau,
         n_iter=len(trace) - 1,
         converged=converged,
         objective=trace[-1],
     )
+
+
+def _multistart(data: DataSet, K: int, opts: FitOptions, m_step: Callable,
+                objective: Callable, diagonal_gating: bool,
+                warm_start: MoggeParams | None = None) -> FitResult:
+    """Best run over the seeded starts, or the one run from ``warm_start``."""
+    seeds = ([None] if warm_start is not None
+             else start_seeds(opts.seed, opts.n_starts))
+    best: FitResult | None = None
+    diagnoses: list[str] = []
+    for s, seed in enumerate(seeds):
+        try:
+            if seed is None:
+                params0 = warm_start
+            else:
+                params0 = init_params(
+                    data, K, strategy=opts.init_strategy, seed=seed,
+                    diagonal_gating=diagonal_gating,
+                )
+            result = _run_em(data, params0, opts, m_step, objective)
+        except (DegenerateComponentError, NotPositiveDefiniteError,
+                FitFailedError, np.linalg.LinAlgError) as exc:
+            diagnoses.append(f"start {s}: {type(exc).__name__}: {exc}")
+            continue
+        if best is None or result.objective > best.objective:
+            best = result
+    if best is None:
+        raise FitFailedError(
+            f"all {len(seeds)} starts failed", diagnoses=diagnoses
+        )
+    return best
 
 
 def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
@@ -270,24 +329,9 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     dropped with a diagnosis; if every start fails a
     :class:`~mogge.model.FitFailedError` carries all diagnoses.
     """
-    opts = opts or FitOptions()
-    best: FitResult | None = None
-    diagnoses: list[str] = []
-    for s, seed in enumerate(start_seeds(opts.seed, opts.n_starts)):
-        try:
-            params0 = init_params(
-                data, K, strategy=opts.init_strategy, seed=seed,
-                diagonal_gating=diagonal_gating,
-            )
-            result = _em_single(data, params0, opts, diagonal_gating)
-        except (DegenerateComponentError, NotPositiveDefiniteError,
-                FitFailedError, np.linalg.LinAlgError) as exc:
-            diagnoses.append(f"start {s}: {type(exc).__name__}: {exc}")
-            continue
-        if best is None or result.objective > best.objective:
-            best = result
-    if best is None:
-        raise FitFailedError(
-            f"all {opts.n_starts} starts failed", diagnoses=diagnoses
-        )
-    return best
+    return _multistart(
+        data, K, opts or FitOptions(),
+        lambda data, tau, params: _ml_m_step(data, tau, params, diagonal_gating),
+        lambda loglik, params: loglik,
+        diagonal_gating,
+    )

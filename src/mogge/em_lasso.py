@@ -1,15 +1,17 @@
 """L1-regularized EM for the univariate-response model with diagonal
 gating covariances.
 
-The E-step is the same posterior-responsibility computation as the plain
-EM.  The M-step keeps the closed-form mixing-weight update and replaces
-the mean/coefficient updates with cyclic coordinate ascent on the
-penalized Q-functions, each coordinate having a closed soft-threshold
-form.  Thresholds use the lagged variances (previous EM iteration), and
-the expert intercept stays lagged inside the coordinate loop; both are
-refreshed once per EM iteration afterwards.  Coefficients zeroed by
-soft-thresholding are stored as exact ``0.0`` so that downstream
-degrees-of-freedom and zero-recovery computations can test equality.
+The fit runs the EM loop and multi-start driver of :mod:`mogge.em` with
+its own M-step and the penalized objective.  The M-step keeps the
+closed-form mixing-weight update and replaces the mean/coefficient
+updates with soft-threshold updates of the penalized Q-functions: one
+closed-form soft-threshold per gating mean, cyclic coordinate ascent for
+the expert coefficients.  Thresholds use the lagged variances
+(previous EM iteration), and the expert intercept stays lagged inside
+the coordinate loop; both are refreshed once per EM iteration
+afterwards.  Coefficients zeroed by soft-thresholding are stored as
+exact ``0.0`` so that downstream degrees-of-freedom and zero-recovery
+computations can test equality.
 """
 
 from __future__ import annotations
@@ -18,28 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import (
-    DEGENERACY_FRACTION,
-    FitOptions,
-    FitResult,
-    _check_component_masses,
-    _relative_change,
-    init_params,
-    start_seeds,
-)
+from .em import FitOptions, FitResult, _check_component_masses, _multistart
 from .model import (
     VARIANCE_FLOOR,
     DataSet,
-    DegenerateComponentError,
     ExpertComponent,
-    FitFailedError,
     GatingComponent,
     MoggeParams,
-    NotPositiveDefiniteError,
     Responsibilities,
     UnsupportedConfigError,
-    penalized_loglik,
-    posterior_responsibilities,
+    _penalize,
 )
 
 
@@ -68,10 +58,14 @@ class PenaltyConfig:
 def soft_threshold(u, eta):
     """Soft-thresholding ``sign(u) * max(|u| - eta, 0)``.
 
-    Scalar in, float out; array in, array out.  Zeroed values compare
-    equal to ``0.0`` (negative zero is normalized away).
+    Scalar in, float out; array in, array out.  ``eta`` may be a scalar
+    or an array broadcasting against ``u``.  Zeroed values compare equal
+    to ``0.0`` (negative zero is normalized away).
     """
-    if eta < 0.0:
+    # a scalar threshold skips the array reduction: the coordinate-ascent
+    # loop calls this once per coordinate
+    negative = (eta < 0.0).any() if isinstance(eta, np.ndarray) else eta < 0.0
+    if negative:
         raise ValueError("threshold must be nonnegative")
     u = np.asarray(u, dtype=float)
     out = np.sign(u) * np.maximum(np.abs(u) - eta, 0.0) + 0.0
@@ -82,43 +76,23 @@ def soft_threshold(u, eta):
 
 def ca_update_gating_means(data: DataSet, tau: Responsibilities,
                            gating_prev: tuple[GatingComponent, ...],
-                           gamma: float, ca_max_iter: int = 100,
-                           ca_tol: float = 1e-7) -> list[np.ndarray]:
-    """Coordinate-ascent update of all gating mean vectors.
+                           gamma: float) -> list[np.ndarray]:
+    """Closed-form update of all gating mean vectors.
 
-    Each coordinate has the closed form
-    ``S(X_j' tau_k; gamma * nu2_kj) / sum(tau_k)`` with the lagged
-    variances ``nu2_kj``.  With diagonal covariances the coordinates are
-    decoupled, so the first sweep already lands on the fixed point; the
-    cyclic loop is kept and terminates on the penalized Q-function change.
+    Each coordinate is ``S(X_j' tau_k; gamma * nu2_kj) / sum(tau_k)`` with
+    the lagged variances ``nu2_kj``.  With diagonal covariances the
+    coordinates of the penalized Q-function are decoupled, so this is its
+    exact maximizer: one soft-threshold per component, no iteration.
     """
     if gating_prev[0].R.ndim != 1:
         raise UnsupportedConfigError("gating means update requires diagonal covariances")
     T = tau.tau
     nk = T.sum(axis=0)
     _check_component_masses(nk, data.n)
-    out = []
-    for k, g in enumerate(gating_prev):
-        w = T[:, k]
-        s = nk[k]
-        nu2 = g.R
-        colsum = data.X.T @ w
-        mu = g.mu.copy()
-
-        def q_value(m):
-            quad = float(np.sum(w @ ((data.X - m) ** 2 / nu2)))
-            return -0.5 * quad - gamma * float(np.sum(np.abs(m)))
-
-        q_prev = q_value(mu)
-        for _ in range(ca_max_iter):
-            for j in range(data.p):
-                mu[j] = soft_threshold(colsum[j], gamma * nu2[j]) / s
-            q_new = q_value(mu)
-            if abs(q_new - q_prev) < ca_tol:
-                break
-            q_prev = q_new
-        out.append(mu)
-    return out
+    return [
+        soft_threshold(data.X.T @ T[:, k], gamma * g.R) / nk[k]
+        for k, g in enumerate(gating_prev)
+    ]
 
 
 def update_gating_variances(data: DataSet, tau: Responsibilities,
@@ -135,16 +109,6 @@ def update_gating_variances(data: DataSet, tau: Responsibilities,
     return out
 
 
-def _check_mass_single(tau_k: np.ndarray, n: int, component: int) -> None:
-    mass = float(np.sum(tau_k))
-    if mass <= DEGENERACY_FRACTION * n:
-        raise DegenerateComponentError(
-            component,
-            f"component {component} is degenerate: responsibility mass "
-            f"{mass:.3e} of n={n}",
-        )
-
-
 def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
                             expert_prev: ExpertComponent, lam: float,
                             ca_max_iter: int = 100, ca_tol: float = 1e-7,
@@ -158,7 +122,7 @@ def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
     """
     if data.d != 1 or expert_prev.d != 1:
         raise UnsupportedConfigError("expert coefficient update requires d = 1")
-    _check_mass_single(tau_k, data.n, component)
+    _check_component_masses([float(np.sum(tau_k))], data.n, first=component)
     w = np.asarray(tau_k, dtype=float)
     y = data.y1
     X = data.X
@@ -199,7 +163,7 @@ def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
     freshly updated coefficient vector."""
     if data.d != 1:
         raise UnsupportedConfigError("intercept/variance update requires d = 1")
-    _check_mass_single(tau_k, data.n, component)
+    _check_component_masses([float(np.sum(tau_k))], data.n, first=component)
     w = np.asarray(tau_k, dtype=float)
     s = float(np.sum(w))
     resid = data.y1 - data.X @ beta_new
@@ -208,52 +172,35 @@ def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
     return b0, max(sigma2, VARIANCE_FLOOR)
 
 
-def _em_lasso_single(data: DataSet, params: MoggeParams,
-                     penalty: PenaltyConfig, opts: FitOptions) -> FitResult:
-    lam, gamma = penalty.lam, penalty.gamma
-    trace = [penalized_loglik(data, params, lam, gamma)]
-    converged = False
-    for _ in range(opts.max_iter):
-        tau = posterior_responsibilities(data, params)
-        T = tau.tau
-        nk = T.sum(axis=0)
-        _check_component_masses(nk, data.n)
-        alphas = nk / nk.sum()
-        mus = ca_update_gating_means(
-            data, tau, params.gating, gamma,
-            ca_max_iter=penalty.ca_max_iter, ca_tol=penalty.ca_tol,
-        )
-        nus = update_gating_variances(data, tau, mus)
-        gating = tuple(
-            GatingComponent(alpha=float(alphas[k]), mu=mus[k], R=nus[k])
-            for k in range(params.K)
-        )
-        experts = []
-        for k in range(params.K):
-            beta = ca_update_expert_coeffs(
-                data, T[:, k], params.experts[k], lam,
-                ca_max_iter=penalty.ca_max_iter, ca_tol=penalty.ca_tol,
-                component=k + 1,
-            )
-            b0, s2 = update_expert_intercept_variance(
-                data, T[:, k], beta, component=k + 1
-            )
-            experts.append(
-                ExpertComponent(intercept=[b0], coeffs=beta[:, None], cov=[[s2]])
-            )
-        params = MoggeParams(gating=gating, experts=tuple(experts))
-        trace.append(penalized_loglik(data, params, lam, gamma))
-        if _relative_change(trace[-1], trace[-2]) < opts.tol:
-            converged = True
-            break
-    return FitResult(
-        params=params,
-        loglik_trace=np.array(trace),
-        responsibilities=posterior_responsibilities(data, params),
-        n_iter=len(trace) - 1,
-        converged=converged,
-        objective=trace[-1],
+def _lasso_m_step(data: DataSet, tau: Responsibilities, params: MoggeParams,
+                  penalty: PenaltyConfig) -> MoggeParams:
+    """Closed-form mixing weights, soft-threshold gating means, floored
+    gating variances, then per expert the coordinate-ascent coefficients
+    and the intercept and variance that go with them."""
+    T = tau.tau
+    nk = T.sum(axis=0)
+    _check_component_masses(nk, data.n)
+    alphas = nk / nk.sum()
+    mus = ca_update_gating_means(data, tau, params.gating, penalty.gamma)
+    nus = update_gating_variances(data, tau, mus)
+    gating = tuple(
+        GatingComponent(alpha=float(alphas[k]), mu=mus[k], R=nus[k])
+        for k in range(params.K)
     )
+    experts = []
+    for k in range(params.K):
+        beta = ca_update_expert_coeffs(
+            data, T[:, k], params.experts[k], penalty.lam,
+            ca_max_iter=penalty.ca_max_iter, ca_tol=penalty.ca_tol,
+            component=k + 1,
+        )
+        b0, s2 = update_expert_intercept_variance(
+            data, T[:, k], beta, component=k + 1
+        )
+        experts.append(
+            ExpertComponent(intercept=[b0], coeffs=beta[:, None], cov=[[s2]])
+        )
+    return MoggeParams(gating=gating, experts=tuple(experts))
 
 
 def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
@@ -268,7 +215,6 @@ def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
     """
     if data.d != 1:
         raise UnsupportedConfigError("penalized fitting requires d = 1")
-    opts = opts or FitOptions()
     if warm_start is not None:
         if not warm_start.has_diagonal_gating:
             raise UnsupportedConfigError(
@@ -276,34 +222,9 @@ def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
             )
         if warm_start.K != K or warm_start.p != data.p or warm_start.d != 1:
             raise ValueError("warm start dimensions do not match the request")
-        starts = [warm_start]
-    else:
-        starts = None
-
-    best: FitResult | None = None
-    diagnoses: list[str] = []
-    if starts is not None:
-        seeds = [None] * len(starts)
-    else:
-        seeds = start_seeds(opts.seed, opts.n_starts)
-    for s, seed in enumerate(seeds):
-        try:
-            if starts is not None:
-                params0 = starts[s]
-            else:
-                params0 = init_params(
-                    data, K, strategy=opts.init_strategy, seed=seed,
-                    diagonal_gating=True,
-                )
-            result = _em_lasso_single(data, params0, penalty, opts)
-        except (DegenerateComponentError, NotPositiveDefiniteError,
-                FitFailedError, np.linalg.LinAlgError) as exc:
-            diagnoses.append(f"start {s}: {type(exc).__name__}: {exc}")
-            continue
-        if best is None or result.objective > best.objective:
-            best = result
-    if best is None:
-        raise FitFailedError(
-            f"all {len(seeds)} starts failed", diagnoses=diagnoses
-        )
-    return best
+    return _multistart(
+        data, K, opts or FitOptions(),
+        lambda data, tau, params: _lasso_m_step(data, tau, params, penalty),
+        lambda loglik, params: _penalize(loglik, params, penalty.lam, penalty.gamma),
+        diagonal_gating=True, warm_start=warm_start,
+    )

@@ -448,10 +448,19 @@ def conditional_density(y, x, params: MoggeParams) -> float:
     return float(logsumexp(lg + le))
 
 
+def _e_step(data: DataSet, params: MoggeParams) -> tuple[float, Responsibilities]:
+    """Joint log-likelihood and posterior responsibilities from one
+    evaluation of the log-joint matrix: the row log-sum-exps are summed
+    for the former and subtracted from the rows for the latter."""
+    M = _log_joint_matrix(data, params)
+    lse = logsumexp(M, axis=1)
+    M -= lse[:, None]
+    return float(np.sum(lse)), Responsibilities(tau=np.exp(M))
+
+
 def joint_loglik(data: DataSet, params: MoggeParams) -> float:
     """Joint log-likelihood of the sample: one log-sum-exp per observation."""
-    M = _log_joint_matrix(data, params)
-    return float(np.sum(logsumexp(M, axis=1)))
+    return _e_step(data, params)[0]
 
 
 def penalized_loglik(data: DataSet, params: MoggeParams,
@@ -470,13 +479,16 @@ def penalized_loglik(data: DataSet, params: MoggeParams,
         raise UnsupportedConfigError(
             "penalized objective requires diagonal gating covariances"
         )
+    return _penalize(joint_loglik(data, params), params, lam, gamma)
+
+
+def _penalize(loglik: float, params: MoggeParams, lam: float, gamma: float) -> float:
+    """``loglik`` minus the L1 penalty on expert coefficients and gating means."""
     pen_beta = sum(float(np.sum(np.abs(e.beta))) for e in params.experts)
     pen_mu = sum(float(np.sum(np.abs(g.mu))) for g in params.gating)
-    return joint_loglik(data, params) - lam * pen_beta - gamma * pen_mu
+    return loglik - lam * pen_beta - gamma * pen_mu
 
 
 def posterior_responsibilities(data: DataSet, params: MoggeParams) -> Responsibilities:
     """Posterior membership probabilities, rows normalized by log-sum-exp."""
-    M = _log_joint_matrix(data, params)
-    M -= logsumexp(M, axis=1, keepdims=True)
-    return Responsibilities(tau=np.exp(M))
+    return _e_step(data, params)[1]

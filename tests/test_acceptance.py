@@ -211,7 +211,7 @@ def test_criterion_5_kkt_certification():
         )
         tau = posterior_responsibilities(data, fit.params)
         mus = ca_update_gating_means(
-            data, tau, fit.params.gating, gamma, ca_max_iter=50_000, ca_tol=1e-16
+            data, tau, fit.params.gating, gamma
         )
         for k, g in enumerate(fit.params.gating):
             res = kkt_residuals_gate(data.X, tau.tau[:, k], mus[k], g.R, gamma)

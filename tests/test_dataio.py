@@ -62,6 +62,27 @@ class TestDatasetCsv:
         with pytest.raises(ValueError):
             dataio.read_dataset_csv(path)
 
+    def test_columns_ordered_by_number(self, tmp_path):
+        canonical = tmp_path / "canonical.csv"
+        canonical.write_text("x1,x2,y,label\n1.0,2.0,3.0,1\n4.0,5.0,6.0,2\n")
+        permuted = tmp_path / "permuted.csv"
+        permuted.write_text("label,y,x2,x1\n1,3.0,2.0,1.0\n2,6.0,5.0,4.0\n")
+        data, labels = dataio.read_dataset_csv(canonical)
+        back, back_labels = dataio.read_dataset_csv(permuted)
+        assert np.array_equal(back.X, data.X)
+        assert np.array_equal(back.Y, data.Y)
+        assert np.array_equal(back_labels, labels)
+
+    @pytest.mark.parametrize(
+        "header", ["x1,x3,y", "x1,x1,y", "x2,x3,y", "x1,x2,y,y1", "x1,y1,y3"]
+    )
+    def test_gaps_and_duplicates_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        cells = ",".join("1.0" for _ in header.split(","))
+        path.write_text(f"{header}\n{cells}\n")
+        with pytest.raises(ValueError):
+            dataio.read_dataset_csv(path)
+
 
 class TestParamsJson:
     def test_roundtrip_diagonal_and_full(self, tmp_path):

@@ -58,6 +58,12 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
 
+    def test_array_threshold(self):
+        out = soft_threshold(np.array([3.0, -3.0, 0.5]), np.array([1.0, 2.0, 1.0]))
+        assert np.array_equal(out, np.array([2.0, -1.0, 0.0]))
+        with pytest.raises(ValueError):
+            soft_threshold(np.ones(2), np.array([1.0, -0.1]))
+
 
 def _diag_params(rng, p, K=2):
     return random_params(rng, K=K, p=p, d=1, diagonal=True)
@@ -313,6 +319,18 @@ class TestUpdateExpertInterceptVariance:
         assert b0 == pytest.approx(b0_direct, rel=1e-13)
         assert s2 == pytest.approx(s2_direct, rel=1e-13)
 
+    def test_expert_updates_name_the_degenerate_component(self):
+        rng = np.random.default_rng(5)
+        data = DataSet(X=rng.normal(size=(6, 2)), Y=rng.normal(size=6))
+        w = np.full(6, 1e-12)
+        expert = _diag_params(rng, 2).experts[0]
+        with pytest.raises(DegenerateComponentError) as err:
+            ca_update_expert_coeffs(data, w, expert, lam=1.0, component=2)
+        assert err.value.component == 2
+        with pytest.raises(DegenerateComponentError) as err:
+            update_expert_intercept_variance(data, w, expert.beta, component=3)
+        assert err.value.component == 3
+
 
 class TestFitEmLasso:
     def test_rejects_multivariate_response(self):
@@ -409,7 +427,7 @@ class TestFitEmLasso:
         # result must satisfy the subgradient conditions of its subproblem
         tau = posterior_responsibilities(data, fit.params)
         mus = ca_update_gating_means(
-            data, tau, fit.params.gating, gamma, ca_max_iter=50000, ca_tol=1e-14
+            data, tau, fit.params.gating, gamma
         )
         for k, g in enumerate(fit.params.gating):
             res = kkt_residuals_gate(data.X, tau.tau[:, k], mus[k], g.R, gamma)
