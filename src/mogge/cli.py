@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .em import FitOptions, fit_em
+from .em import INIT_STRATEGIES, FitOptions, fit_em
 from .em_lasso import PenaltyConfig, fit_em_lasso
 from .metrics import (
     adjusted_rand_index,
@@ -106,6 +106,14 @@ def _fit_options(cfg) -> FitOptions:
     )
 
 
+# Defaults of the fitting knobs that fit, select and lasso-path share.
+_FIT_KNOB_DEFAULTS = {
+    "n_starts": FitOptions.n_starts, "max_iter": FitOptions.max_iter,
+    "tol": FitOptions.tol, "init": FitOptions.init_strategy,
+    "ca_max_iter": PenaltyConfig.ca_max_iter, "ca_tol": PenaltyConfig.ca_tol,
+}
+
+
 def _run_parallel(fn, items: list, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -180,8 +188,7 @@ def cmd_simulate(args) -> int:
 FIT_DEFAULTS = {
     "out_dir": ".", "seed": 0, "jobs": 1,
     "data": None, "k": 2, "lam": None, "gamma": None,
-    "n_starts": 10, "max_iter": 1000, "tol": 1e-6, "init": "random-partition",
-    "diagonal_gating": False, "ca_max_iter": 100, "ca_tol": 1e-7,
+    "diagonal_gating": False, **_FIT_KNOB_DEFAULTS,
 }
 
 
@@ -226,8 +233,7 @@ SELECT_DEFAULTS = {
     "data": None, "ks": [2],
     "lambdas": [float(v) for v in range(26)],
     "gammas": [float(v) for v in range(26)],
-    "n_starts": 10, "max_iter": 1000, "tol": 1e-6, "init": "random-partition",
-    "ca_max_iter": 100, "ca_tol": 1e-7, "cold_start": False,
+    "cold_start": False, **_FIT_KNOB_DEFAULTS,
 }
 
 
@@ -274,8 +280,7 @@ PATH_DEFAULTS = {
     "data": None, "k": 2,
     "penalties": None, "lambdas": None, "gammas": None,
     "lam": None, "gamma": None, "ratios": None, "max_penalty": None,
-    "n_starts": 10, "max_iter": 1000, "tol": 1e-6, "init": "random-partition",
-    "ca_max_iter": 100, "ca_tol": 1e-7,
+    **_FIT_KNOB_DEFAULTS,
 }
 
 
@@ -498,14 +503,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "evaluate; fit, select and lasso-path run serially)")
 
 
-def _add_fit_options(p: argparse.ArgumentParser, ca: bool = True) -> None:
+def _add_fit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-starts", dest="n_starts", type=int)
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--init", choices=("random-partition", "kmeans-on-x"))
-    if ca:
-        p.add_argument("--ca-max-iter", dest="ca_max_iter", type=int)
-        p.add_argument("--ca-tol", dest="ca_tol", type=float)
+    p.add_argument("--init", choices=INIT_STRATEGIES)
+    p.add_argument("--ca-max-iter", dest="ca_max_iter", type=int)
+    p.add_argument("--ca-tol", dest="ca_tol", type=float)
 
 
 def _build_parser() -> argparse.ArgumentParser:

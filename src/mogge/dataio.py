@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def _numbered_columns(path, header: list[str], prefix: str) -> list[int]:
     the numbers must run from 1 without gaps or repeats."""
     found: dict[int, int] = {}
     for i, h in enumerate(header):
-        if h.startswith(prefix) and h[len(prefix):].isdecimal():
+        if h.startswith(prefix):
             j = int(h[len(prefix):])
             if j in found:
                 raise ValueError(f"{path}: column {prefix}{j} appears twice")
@@ -109,7 +110,13 @@ def read_dataset_csv(path) -> tuple[DataSet, np.ndarray | None]:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
+    header = [h.strip() for h in lines[0].split(",")]
+    unknown = [h for h in header if not re.fullmatch(r"x[0-9]+|y[0-9]*|label", h)]
+    if unknown:
+        raise ValueError(
+            f"{path}: unrecognised header cells {unknown}; "
+            "expected x<j>, y, y<j> or label"
+        )
     x_cols = _numbered_columns(path, header, "x")
     y_cols = _numbered_columns(path, ["y1" if h == "y" else h for h in header], "y")
     label_col = header.index("label") if "label" in header else None

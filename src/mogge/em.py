@@ -73,6 +73,8 @@ class FitResult:
     ``loglik_trace[0]`` is the objective at initialization and one entry is
     appended after each EM iteration, so ``len(loglik_trace) == n_iter + 1``.
     For the penalized fit the trace holds the penalized objective.
+    ``loglik`` is the unpenalized joint log-likelihood at ``params``; for
+    :func:`fit_em` it equals ``objective``.
     """
 
     params: MoggeParams
@@ -81,6 +83,7 @@ class FitResult:
     n_iter: int
     converged: bool
     objective: float
+    loglik: float
 
     def permuted(self, order) -> "FitResult":
         """Relabeled copy: component k and responsibility column k are the
@@ -287,6 +290,7 @@ def _run_em(data: DataSet, params: MoggeParams, opts: FitOptions,
         n_iter=len(trace) - 1,
         converged=converged,
         objective=trace[-1],
+        loglik=loglik,
     )
 
 

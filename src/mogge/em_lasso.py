@@ -111,7 +111,8 @@ def update_gating_variances(data: DataSet, tau: Responsibilities,
 
 def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
                             expert_prev: ExpertComponent, lam: float,
-                            ca_max_iter: int = 100, ca_tol: float = 1e-7,
+                            ca_max_iter: int = PenaltyConfig.ca_max_iter,
+                            ca_tol: float = PenaltyConfig.ca_tol,
                             component: int = 1) -> np.ndarray:
     """Coordinate-ascent solve of one expert's weighted lasso problem.
 
@@ -179,7 +180,6 @@ def _lasso_m_step(data: DataSet, tau: Responsibilities, params: MoggeParams,
     and the intercept and variance that go with them."""
     T = tau.tau
     nk = T.sum(axis=0)
-    _check_component_masses(nk, data.n)
     alphas = nk / nk.sum()
     mus = ca_update_gating_means(data, tau, params.gating, penalty.gamma)
     nus = update_gating_variances(data, tau, mus)

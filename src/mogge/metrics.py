@@ -12,7 +12,6 @@ nonzero.  Zeroness always means equality to ``0.0``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,32 @@ from .model import (
     posterior_responsibilities,
 )
 
-MAX_PERMUTATION_K = 8
+
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in the least-cost assignment of a square matrix:
+    the Hungarian method (Kuhn, 1955), adding one row at a time along a
+    shortest augmenting path.  ``scipy.optimize.linear_sum_assignment``
+    solves the same problem, but importing it adds about 17 MB of memory."""
+    K = cost.shape[0]
+    u, v = np.zeros(K + 1), np.zeros(K + 1)  # row and column potentials
+    row = np.zeros(K + 1, dtype=int)  # 1-based row on column j, 0 if free
+    way = np.zeros(K + 1, dtype=int)
+    for i in range(1, K + 1):
+        row[0], j = i, 0  # column 0 holds the row being added
+        slack, used = np.full(K + 1, np.inf), np.zeros(K + 1, dtype=bool)
+        while row[j] != 0:
+            used[j] = True
+            reduced = np.r_[np.inf, cost[row[j] - 1] - u[row[j]] - v[1:]]
+            closer = ~used & (reduced < slack)
+            slack[closer], way[closer] = reduced[closer], j
+            j = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[j]
+            u[row[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while j != 0:
+            row[j], j = row[way[j]], way[j]
+    return np.argsort(row[1:])
 
 
 def bayes_labels(data: DataSet, params: MoggeParams) -> np.ndarray:
@@ -51,29 +75,19 @@ def best_label_permutation(true_labels, est_labels, K: int):
     """Agreement-maximizing relabeling of the estimated partition.
 
     Returns ``(rate, perm)`` where ``perm[j - 1]`` is the true-side label
-    assigned to estimated label ``j``.  Exhaustive over all K!
-    permutations, so K is capped at 8.
+    assigned to estimated label ``j``.  The assignment maximizing the
+    agreement counts is found by the Hungarian method (Kuhn, 1955).
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    if K > MAX_PERMUTATION_K:
-        raise UnsupportedConfigError(
-            f"permutation matching supports K <= {MAX_PERMUTATION_K}, got {K}"
-        )
     t = _validate_labels(true_labels, K, "true_labels")
     e = _validate_labels(est_labels, K, "est_labels")
     if t.shape != e.shape:
         raise ValueError("label vectors must have equal length")
     counts = np.zeros((K, K), dtype=np.int64)
-    np.add.at(counts, (t - 1, e - 1), 1)
-    best_rate, best_perm = -1.0, None
-    for perm in itertools.permutations(range(K)):
-        agree = sum(counts[perm[j], j] for j in range(K))
-        rate = agree / t.size
-        if rate > best_rate:
-            best_rate = rate
-            best_perm = tuple(q + 1 for q in perm)
-    return best_rate, best_perm
+    np.add.at(counts, (e - 1, t - 1), 1)
+    true = _min_cost_assignment(-counts)
+    return counts[np.arange(K), true].sum() / t.size, tuple(int(q) + 1 for q in true)
 
 
 def classification_rate(true_labels, est_labels, K: int) -> float:
@@ -174,31 +188,22 @@ def _match_components(true_params: MoggeParams, est_params: MoggeParams,
     """For each true component k (0-based), the matched estimated index.
 
     With evaluation data the match comes from the agreement-maximizing
-    label permutation; otherwise from the parameter-distance-minimizing
-    permutation over (mu, beta) blocks.
+    label permutation; otherwise from the assignment minimizing the
+    squared distance between the (mu, beta) blocks.
     """
     K = true_params.K
     if data is not None and true_labels is not None:
         est_labels = bayes_labels(data, est_params)
         _, perm = best_label_permutation(true_labels, est_labels, K)
         # perm[j-1] is the true label for estimated label j: invert it
-        matched = [0] * K
-        for j in range(K):
-            matched[perm[j] - 1] = j
-        return matched
-    best_cost, best_order = np.inf, None
-    for order in itertools.permutations(range(K)):
-        cost = 0.0
-        for k, m in enumerate(order):
-            cost += float(
-                np.sum((true_params.gating[k].mu - est_params.gating[m].mu) ** 2)
-            )
-            cost += float(
-                np.sum((true_params.experts[k].beta - est_params.experts[m].beta) ** 2)
-            )
-        if cost < best_cost:
-            best_cost, best_order = cost, order
-    return list(best_order)
+        return np.argsort(perm).tolist()
+    blocks = [
+        np.array([np.concatenate([g.mu, e.beta])
+                  for g, e in zip(params.gating, params.experts)])
+        for params in (true_params, est_params)
+    ]
+    cost = np.sum((blocks[0][:, None, :] - blocks[1][None, :, :]) ** 2, axis=2)
+    return _min_cost_assignment(cost).tolist()
 
 
 def match_components(reference: MoggeParams, est: MoggeParams) -> list[int]:

@@ -7,6 +7,12 @@ log-sum-exp, so that high-dimensional Gaussian factors never underflow.
 Every function here is a pure function of its inputs and safe to call
 concurrently on shared read-only data.
 
+The component constructors are the only check on a parameter set: they
+test every variance against the floor and factor every full covariance
+once, keep the lower Cholesky factor for the density evaluation, and
+store read-only copies of their arrays, so neither the caller's arrays
+nor later writes can change a checked component.
+
 Component layout conventions:
 
 - gating covariances are either a full ``(p, p)`` SPD matrix or a length-p
@@ -19,7 +25,7 @@ Component layout conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -57,11 +63,13 @@ class FitFailedError(RuntimeError):
 
 
 def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+    """Read-only float copy of ``a``, checked for dimension and finiteness."""
+    arr = np.array(a, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
+    arr.flags.writeable = False
     return arr
 
 
@@ -114,18 +122,27 @@ class DataSet:
         return self.Y[:, 0]
 
 
-def _validate_spd(cov: np.ndarray, what: str) -> None:
-    """Positive-definiteness test by Cholesky factorization."""
-    if not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12):
+def _validate_spd(cov: np.ndarray, what: str) -> np.ndarray | None:
+    """Check a covariance and return its read-only lower Cholesky factor.
+
+    A vector holds the variances of a diagonal covariance and has no
+    factor; a matrix must be symmetric and pass the factorization.  Either
+    way every variance must reach the floor.
+    """
+    if cov.ndim == 2 and not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12):
         raise NotPositiveDefiniteError(f"{what} is not symmetric")
-    if np.any(np.diag(cov) < VARIANCE_FLOOR):
+    if np.any((cov if cov.ndim == 1 else np.diag(cov)) < VARIANCE_FLOOR):
         raise NotPositiveDefiniteError(
-            f"{what} has a diagonal entry below the variance floor {VARIANCE_FLOOR:g}"
+            f"{what} has a variance below the floor {VARIANCE_FLOOR:g}"
         )
+    if cov.ndim == 1:
+        return None
     try:
-        cholesky(cov, lower=True)
+        L = cholesky(cov, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
+    L.flags.writeable = False
+    return L
 
 
 @dataclass(frozen=True)
@@ -141,30 +158,18 @@ class GatingComponent:
     alpha: float
     mu: np.ndarray
     R: np.ndarray
+    _chol: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = float(self.alpha)
         if not (0.0 < alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         mu = _as_float_array(self.mu, "mu", 1)
-        R = np.asarray(self.R, dtype=float)
-        if R.ndim == 1:
-            if R.shape[0] != mu.shape[0]:
-                raise ValueError("diagonal R must have the same length as mu")
-            if not np.all(np.isfinite(R)):
-                raise ValueError("R contains non-finite entries")
-            if np.any(R < VARIANCE_FLOOR):
-                raise NotPositiveDefiniteError(
-                    f"gating variance below the floor {VARIANCE_FLOOR:g}"
-                )
-        elif R.ndim == 2:
-            if R.shape != (mu.shape[0], mu.shape[0]):
-                raise ValueError(f"full R must be {mu.shape[0]}x{mu.shape[0]}")
-            if not np.all(np.isfinite(R)):
-                raise ValueError("R contains non-finite entries")
-            _validate_spd(R, "gating covariance")
-        else:
-            raise ValueError("R must be a vector (diagonal) or a square matrix")
+        R = _as_float_array(self.R, "R", np.ndim(self.R))
+        p = mu.shape[0]
+        if R.shape not in ((p,), (p, p)):
+            raise ValueError(f"R must be a length-{p} vector (diagonal) or {p}x{p}")
+        object.__setattr__(self, "_chol", _validate_spd(R, "gating covariance"))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "R", R)
@@ -190,24 +195,21 @@ class ExpertComponent:
     intercept: np.ndarray
     coeffs: np.ndarray
     cov: np.ndarray
+    _chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        intercept = np.atleast_1d(np.asarray(self.intercept, dtype=float))
+        intercept = _as_float_array(np.atleast_1d(self.intercept), "intercept", 1)
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if intercept.ndim != 1:
-            raise ValueError("intercept must be a vector")
+        coeffs = _as_float_array(coeffs, "coeffs", 2)
+        cov = _as_float_array(np.atleast_2d(self.cov), "cov", 2)
         d = intercept.shape[0]
-        if coeffs.ndim != 2 or coeffs.shape[1] != d:
+        if coeffs.shape[1] != d:
             raise ValueError(f"coeffs must have shape (p, {d}), got {coeffs.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        for arr, name in ((intercept, "intercept"), (coeffs, "coeffs"), (cov, "cov")):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-        _validate_spd(cov, "expert covariance")
+        object.__setattr__(self, "_chol", _validate_spd(cov, "expert covariance"))
         object.__setattr__(self, "intercept", intercept)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "cov", cov)
@@ -324,29 +326,23 @@ class Responsibilities:
 # ---------------------------------------------------------------------------
 
 def _log_gauss_rows(V: np.ndarray, mean: np.ndarray, cov: np.ndarray,
-                    what: str = "covariance") -> np.ndarray:
+                    chol: np.ndarray | None) -> np.ndarray:
     """Row-wise Gaussian log-density.
 
-    ``V`` is ``(n, m)``; ``mean`` is ``(m,)`` or ``(n, m)``; ``cov`` is a
-    full ``(m, m)`` matrix or a length-m vector of variances.
+    ``V`` is ``(n, m)``; ``mean`` is ``(m,)`` or ``(n, m)``; ``cov`` and
+    ``chol`` come from :func:`_validate_spd`: a length-m vector of
+    variances with ``chol`` None, or a full matrix with its lower
+    Cholesky factor.
     """
     diff = V - mean
     m = V.shape[1]
-    if cov.ndim == 1:
-        if np.any(cov < VARIANCE_FLOOR):
-            raise NotPositiveDefiniteError(
-                f"{what} has a variance below the floor {VARIANCE_FLOOR:g}"
-            )
+    if chol is None:
         quad = np.sum(diff * diff / cov, axis=1)
         logdet = float(np.sum(np.log(cov)))
     else:
-        try:
-            L = cholesky(cov, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
-        Z = solve_triangular(L, diff.T, lower=True)
+        Z = solve_triangular(chol, diff.T, lower=True)
         quad = np.sum(Z * Z, axis=0)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (m * LOG_2PI + logdet + quad)
 
 
@@ -358,8 +354,9 @@ def gaussian_logpdf(v, mean, cov) -> float:
     v, mean : array_like, shape (m,)
         Evaluation point and mean.
     cov : array_like
-        Full ``(m, m)`` SPD covariance matrix, or a length-m vector of
-        variances for a diagonal covariance.
+        Full ``(m, m)`` symmetric positive definite covariance matrix, or a
+        length-m vector of variances for a diagonal covariance; checked
+        like a component covariance.
 
     Returns
     -------
@@ -370,19 +367,12 @@ def gaussian_logpdf(v, mean, cov) -> float:
     mean = _as_float_array(np.atleast_1d(mean), "mean", 1)
     if v.shape != mean.shape:
         raise ValueError(f"v has shape {v.shape} but mean has shape {mean.shape}")
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim == 0:
-        cov = cov[None]
-    if cov.ndim == 1 and cov.shape[0] != v.shape[0]:
-        raise ValueError("diagonal cov must have the same length as v")
-    if cov.ndim == 2 and cov.shape != (v.shape[0], v.shape[0]):
-        raise ValueError("cov must be square with the dimension of v")
-    return float(_log_gauss_rows(v[None, :], mean, cov)[0])
-
-
-def _expert_means(X: np.ndarray, expert: ExpertComponent) -> np.ndarray:
-    """Per-observation expert mean ``a_k + B_k^T x_i`` as an (n, d) matrix."""
-    return expert.intercept + X @ expert.coeffs
+    cov = np.atleast_1d(cov)
+    cov = _as_float_array(cov, "cov", cov.ndim)
+    m = v.shape[0]
+    if cov.shape not in ((m,), (m, m)):
+        raise ValueError(f"cov must be a length-{m} vector (diagonal) or {m}x{m}")
+    return float(_log_gauss_rows(v[None, :], mean, cov, _validate_spd(cov, "cov"))[0])
 
 
 def _log_gate_matrix(X: np.ndarray, params: MoggeParams) -> np.ndarray:
@@ -390,9 +380,7 @@ def _log_gate_matrix(X: np.ndarray, params: MoggeParams) -> np.ndarray:
     n = X.shape[0]
     out = np.empty((n, params.K))
     for k, g in enumerate(params.gating):
-        out[:, k] = np.log(g.alpha) + _log_gauss_rows(
-            X, g.mu, g.R, what=f"gating component {k + 1} covariance"
-        )
+        out[:, k] = np.log(g.alpha) + _log_gauss_rows(X, g.mu, g.R, g._chol)
     return out
 
 
@@ -406,10 +394,8 @@ def _log_joint_matrix(data: DataSet, params: MoggeParams) -> np.ndarray:
         )
     out = _log_gate_matrix(data.X, params)
     for k, e in enumerate(params.experts):
-        out[:, k] += _log_gauss_rows(
-            data.Y, _expert_means(data.X, e), e.cov,
-            what=f"expert component {k + 1} covariance",
-        )
+        mean = e.intercept + data.X @ e.coeffs  # a_k + B_k' x_i for every row
+        out[:, k] += _log_gauss_rows(data.Y, mean, e.cov, e._chol)
     return out
 
 
@@ -429,23 +415,11 @@ def gating_probs(x, params: MoggeParams) -> np.ndarray:
 
 
 def conditional_density(y, x, params: MoggeParams) -> float:
-    """Log conditional density ``log f(y | x)`` of the mixture."""
-    x = _as_float_array(np.atleast_1d(x), "x", 1)
-    y = _as_float_array(np.atleast_1d(y), "y", 1)
-    if x.shape[0] != params.p:
-        raise ValueError(f"x has length {x.shape[0]} but the model has p={params.p}")
-    if y.shape[0] != params.d:
-        raise ValueError(f"y has length {y.shape[0]} but the model has d={params.d}")
-    lg = _log_gate_matrix(x[None, :], params)[0]
-    lg -= logsumexp(lg)
-    le = np.empty(params.K)
-    X1 = x[None, :]
-    for k, e in enumerate(params.experts):
-        le[k] = _log_gauss_rows(
-            y[None, :], _expert_means(X1, e), e.cov,
-            what=f"expert component {k + 1} covariance",
-        )[0]
-    return float(logsumexp(lg + le))
+    """Log conditional density ``log f(y | x)`` of the mixture: the joint
+    log-density of ``(x, y)`` minus the marginal log-density of ``x``."""
+    pair = DataSet(X=np.reshape(x, (1, -1)), Y=np.reshape(y, (1, -1)))
+    joint = logsumexp(_log_joint_matrix(pair, params)[0])
+    return float(joint - logsumexp(_log_gate_matrix(pair.X, params)[0]))
 
 
 def _e_step(data: DataSet, params: MoggeParams) -> tuple[float, Responsibilities]:

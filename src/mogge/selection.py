@@ -25,7 +25,7 @@ from .model import (
     MoggeParams,
     NotPositiveDefiniteError,
     UnsupportedConfigError,
-    joint_loglik,
+    _e_step,
 )
 
 
@@ -101,11 +101,11 @@ def count_df(params: MoggeParams) -> int:
 
 
 def modified_bic(data: DataSet, fit: FitResult) -> float:
-    """Unpenalized joint log-likelihood at the estimate minus
+    """Unpenalized joint log-likelihood of ``data`` at the estimate minus
     ``count_df * log(n) / 2``."""
     if not fit.converged:
         raise ValueError("BIC is only defined for a converged fit")
-    return joint_loglik(data, fit.params) - count_df(fit.params) * math.log(data.n) / 2.0
+    return _e_step(data, fit.params)[0] - count_df(fit.params) * math.log(data.n) / 2.0
 
 
 def _selection_order(rows: list[SelectionRow]) -> int:
@@ -122,7 +122,8 @@ def _selection_order(rows: list[SelectionRow]) -> int:
 
 
 def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
-                ca_max_iter: int = 100, ca_tol: float = 1e-7,
+                ca_max_iter: int = PenaltyConfig.ca_max_iter,
+                ca_tol: float = PenaltyConfig.ca_tol,
                 warm_start: bool = True) -> SelectionTable:
     """Fit every (K, lambda, gamma) triplet and select the max-BIC one.
 
@@ -160,11 +161,10 @@ def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
                 ))
                 fits.append(None)
                 continue
-            loglik = joint_loglik(data, fit.params)
             df = count_df(fit.params)
             rows.append(SelectionRow(
-                K=K, lam=lam, gamma=gamma, loglik=loglik, df=df,
-                bic=loglik - df * logn_half, converged=fit.converged,
+                K=K, lam=lam, gamma=gamma, loglik=fit.loglik, df=df,
+                bic=fit.loglik - df * logn_half, converged=fit.converged,
             ))
             fits.append(fit)
             if warm_start:

@@ -73,6 +73,19 @@ class TestDatasetCsv:
         assert np.array_equal(back.Y, data.Y)
         assert np.array_equal(back_labels, labels)
 
+    def test_header_cells_are_stripped(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("x1, x2,y\n1.0,2.0,3.0\n")
+        data, _ = dataio.read_dataset_csv(path)
+        assert data.p == 2
+        assert np.array_equal(data.X, [[1.0, 2.0]])
+
+    def test_unknown_header_cell_rejected(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        path.write_text("x1,id,y\n1.0,7,3.0\n")
+        with pytest.raises(ValueError, match="'id'"):
+            dataio.read_dataset_csv(path)
+
     @pytest.mark.parametrize(
         "header", ["x1,x3,y", "x1,x1,y", "x2,x3,y", "x1,x2,y,y1", "x1,y1,y3"]
     )

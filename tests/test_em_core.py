@@ -1,7 +1,8 @@
 """The EM core shared by ``fit_em`` and ``fit_em_lasso``: one log-joint
-evaluation per iteration, objectives and responsibilities that are exactly
-those of the returned parameters, and the multi-start driver's failure
-reporting."""
+evaluation per iteration, one factorization per covariance, objectives,
+log-likelihoods and responsibilities that are exactly those of the
+returned parameters, read-only parameter arrays, and the multi-start
+driver's failure reporting."""
 
 import numpy as np
 import pytest
@@ -31,18 +32,23 @@ def _instance(seed, n=60, p=3):
     return data
 
 
+def _count_calls(monkeypatch, name):
+    """Replace ``mogge.model.<name>`` by a wrapper counting its calls."""
+    calls = [0]
+    original = getattr(model, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, name, counted)
+    return calls
+
+
 class TestOneEStepPerIteration:
     @pytest.fixture
     def counter(self, monkeypatch):
-        calls = [0]
-        original = model._log_joint_matrix
-
-        def counted(data, params):
-            calls[0] += 1
-            return original(data, params)
-
-        monkeypatch.setattr(model, "_log_joint_matrix", counted)
-        return calls
+        return _count_calls(monkeypatch, "_log_joint_matrix")
 
     def test_fit_em(self, counter):
         fit = fit_em(_instance(1), K=2, opts=FitOptions(n_starts=1, seed=3))
@@ -57,12 +63,58 @@ class TestOneEStepPerIteration:
         assert counter[0] == fit.n_iter + 1
 
 
+class TestOneFactorizationPerCovariance:
+    """Each parameter set of a fit (the initial one and one per iteration)
+    factors each full covariance once: the constructors check it and keep
+    the factor, and the E-step reuses it."""
+
+    @pytest.mark.parametrize("diagonal, full_per_component", [(False, 2), (True, 1)])
+    def test_fit_em(self, monkeypatch, diagonal, full_per_component):
+        data = _instance(1)
+        calls = _count_calls(monkeypatch, "cholesky")
+        fit = fit_em(
+            data, K=2, opts=FitOptions(n_starts=1, seed=3), diagonal_gating=diagonal
+        )
+        assert fit.n_iter > 1
+        assert calls[0] == full_per_component * 2 * (fit.n_iter + 1)
+
+    def test_fit_em_lasso(self, monkeypatch):
+        data = _instance(2)
+        calls = _count_calls(monkeypatch, "cholesky")
+        fit = fit_em_lasso(
+            data, K=2, penalty=PENALTY, opts=FitOptions(n_starts=1, seed=3)
+        )
+        assert fit.n_iter > 1
+        assert calls[0] == 2 * (fit.n_iter + 1)
+
+
+class TestReadOnlyParameters:
+    def test_fitted_arrays_reject_writes(self):
+        fit = fit_em(_instance(7), K=2, opts=FitOptions(n_starts=1, seed=0))
+        with pytest.raises(ValueError):
+            fit.params.gating[0].R[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            fit.params.experts[0].coeffs[0, 0] = 1.0
+
+    def test_caller_arrays_are_copied(self):
+        mu, R = np.zeros(2), np.eye(2)
+        coeffs, cov = np.zeros((2, 1)), np.ones((1, 1))
+        g = GatingComponent(alpha=1.0, mu=mu, R=R)
+        e = ExpertComponent(intercept=[0.0], coeffs=coeffs, cov=cov)
+        mu[0] = R[0, 0] = coeffs[0, 0] = cov[0, 0] = 5.0
+        assert np.array_equal(g.mu, np.zeros(2))
+        assert np.array_equal(g.R, np.eye(2))
+        assert np.array_equal(e.coeffs, np.zeros((2, 1)))
+        assert np.array_equal(e.cov, np.ones((1, 1)))
+
+
 class TestExactness:
     """The returned objective and responsibilities are bit-identical to a
     fresh evaluation at the returned parameters."""
 
     def _check(self, data, fit, objective):
         assert fit.objective == objective(data, fit.params)
+        assert fit.loglik == joint_loglik(data, fit.params)
         assert fit.loglik_trace[-1] == fit.objective
         fresh = posterior_responsibilities(data, fit.params).tau
         assert np.array_equal(fit.responsibilities.tau, fresh)

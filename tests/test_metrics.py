@@ -6,6 +6,7 @@ from mogge.metrics import (
     bayes_labels,
     best_label_permutation,
     classification_rate,
+    match_components,
     sensitivity_specificity,
 )
 from mogge.model import (
@@ -13,7 +14,6 @@ from mogge.model import (
     ExpertComponent,
     GatingComponent,
     MoggeParams,
-    UnsupportedConfigError,
 )
 from mogge.simulate import default_scenario, sample_dataset
 
@@ -99,9 +99,13 @@ class TestClassificationRate:
             assert classification_rate(perm_t[t - 1], e, K) == pytest.approx(base)
             assert classification_rate(t, perm_e[e - 1], K) == pytest.approx(base)
 
-    def test_k_cap_and_label_range(self):
-        with pytest.raises(UnsupportedConfigError):
-            classification_rate([1], [1], K=9)
+    def test_no_k_cap_and_label_range(self):
+        true = np.repeat(np.arange(1, 10), 2)
+        # relabel[k - 1] is the estimated label of true label k
+        relabel = np.array([3, 1, 4, 9, 5, 2, 6, 8, 7])
+        rate, perm = best_label_permutation(true, relabel[true - 1], K=9)
+        assert rate == 1.0
+        assert perm == tuple(int(k) + 1 for k in np.argsort(relabel))
         with pytest.raises(ValueError):
             classification_rate([0, 1], [1, 1], K=2)
         with pytest.raises(ValueError):
@@ -185,6 +189,12 @@ class TestSensitivitySpecificity:
         report = sensitivity_specificity(s.true_params, swapped)
         for block in report.blocks:
             assert block.s1 == 1.0 and block.s2 == 1.0
+
+    def test_parameter_distance_matching_beyond_eight_components(self):
+        reference = random_params(np.random.default_rng(9), K=9, p=2)
+        order = [4, 0, 7, 2, 8, 1, 6, 3, 5]
+        matched = match_components(reference, reference.permuted(order))
+        assert matched == np.argsort(order).tolist()
 
     def test_matching_with_data_uses_label_permutation(self):
         s = default_scenario(seed=21)

@@ -88,6 +88,10 @@ class TestGaussianLogpdf:
         with pytest.raises(NotPositiveDefiniteError):
             gaussian_logpdf([0.0], [0.0], [1e-12])
 
+    def test_asymmetric_full_matrix_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian_logpdf([0.0, 0.0], [0.0, 0.0], [[1.0, 5.0], [0.0, 1.0]])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             gaussian_logpdf([0.0, 1.0], [0.0], [1.0, 1.0])

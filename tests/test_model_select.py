@@ -148,6 +148,22 @@ class TestGridSearch:
         pairs = [(r.lam, r.gamma) for r in table.rows]
         assert pairs == [(4.0, 4.0), (4.0, 0.0), (0.0, 4.0), (0.0, 0.0)]
 
+    def test_row_loglik_is_the_fits_own(self, monkeypatch):
+        data = small_instance(seed=6)
+        real_fit = selection.fit_em_lasso
+        fits = []
+
+        def recorded(*args, **kwargs):
+            fits.append(real_fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(selection, "fit_em_lasso", recorded)
+        grid = GridSpec(Ks=(2,), lambdas=(0.0, 4.0), gammas=(0.0, 4.0))
+        table = grid_search(data, grid, opts=FitOptions(n_starts=2, seed=0))
+        assert len(fits) == len(table.rows)
+        for row, fit in zip(table.rows, fits):
+            assert row.loglik == joint_loglik(data, fit.params)
+
     def test_nested_grids_never_lower_selected_bic_cold(self):
         data = small_instance(seed=7)
         opts = FitOptions(n_starts=2, seed=0)
