@@ -164,9 +164,9 @@ def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
     freshly updated coefficient vector."""
     if data.d != 1:
         raise UnsupportedConfigError("intercept/variance update requires d = 1")
-    _check_component_masses([float(np.sum(tau_k))], data.n, first=component)
     w = np.asarray(tau_k, dtype=float)
     s = float(np.sum(w))
+    _check_component_masses([s], data.n, first=component)
     resid = data.y1 - data.X @ beta_new
     b0 = float(w @ resid) / s
     sigma2 = float(w @ (resid - b0) ** 2) / s

@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.special import logsumexp
+from numpy.linalg import cholesky
 
 # Variances and covariance eigenvalues below this floor are rejected at
 # validation time; fitting code floors its updates at exactly this value.
@@ -78,27 +77,21 @@ class DataSet:
     """Observed sample of n predictor/response pairs.
 
     ``X`` has shape ``(n, p)`` and ``Y`` shape ``(n, d)``; a 1-d response
-    vector is accepted and stored as a single column.
+    vector is accepted and stored as a single column.  Both are kept as
+    read-only copies, like the component arrays.
     """
 
     X: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
+        X = _as_float_array(self.X, "X", 2)
         Y = np.asarray(self.Y, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        if Y.ndim != 2:
-            raise ValueError(f"Y must be a vector or 2-d matrix, got shape {Y.shape}")
+        Y = _as_float_array(Y[:, None] if Y.ndim == 1 else Y, "Y", 2)
         if X.shape[0] != Y.shape[0]:
             raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
         if X.shape[0] < 1 or X.shape[1] < 1 or Y.shape[1] < 1:
             raise ValueError("n, p and d must all be at least 1")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-            raise ValueError("data contains NaN or Inf entries")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -138,7 +131,7 @@ def _validate_spd(cov: np.ndarray, what: str) -> np.ndarray | None:
     if cov.ndim == 1:
         return None
     try:
-        L = cholesky(cov, lower=True)
+        L = cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
     L.flags.writeable = False
@@ -340,7 +333,7 @@ def _log_gauss_rows(V: np.ndarray, mean: np.ndarray, cov: np.ndarray,
         quad = np.sum(diff * diff / cov, axis=1)
         logdet = float(np.sum(np.log(cov)))
     else:
-        Z = solve_triangular(chol, diff.T, lower=True)
+        Z = np.linalg.solve(chol, diff.T)
         quad = np.sum(Z * Z, axis=0)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (m * LOG_2PI + logdet + quad)
@@ -409,27 +402,35 @@ def gating_probs(x, params: MoggeParams) -> np.ndarray:
     x = _as_float_array(np.atleast_1d(x), "x", 1)
     if x.shape[0] != params.p:
         raise ValueError(f"x has length {x.shape[0]} but the model has p={params.p}")
-    lg = _log_gate_matrix(x[None, :], params)[0]
-    lg -= logsumexp(lg)
-    return np.exp(lg)
+    return _log_normalize(_log_gate_matrix(x[None, :], params))[1][0]
 
 
 def conditional_density(y, x, params: MoggeParams) -> float:
     """Log conditional density ``log f(y | x)`` of the mixture: the joint
     log-density of ``(x, y)`` minus the marginal log-density of ``x``."""
     pair = DataSet(X=np.reshape(x, (1, -1)), Y=np.reshape(y, (1, -1)))
-    joint = logsumexp(_log_joint_matrix(pair, params)[0])
-    return float(joint - logsumexp(_log_gate_matrix(pair.X, params)[0]))
+    joint = _log_normalize(_log_joint_matrix(pair, params))[0]
+    marginal = _log_normalize(_log_gate_matrix(pair.X, params))[0]
+    return float(joint[0] - marginal[0])
+
+
+def _log_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-sum-exps of a log-weight matrix and the rows normalized to
+    weights that sum to 1, from one ``exp`` of the matrix shifted by each
+    row's largest term.  A row needs at least one finite entry."""
+    top = M.max(axis=1, keepdims=True)
+    W = np.exp(M - top)
+    total = W.sum(axis=1, keepdims=True)
+    W /= total
+    return (top + np.log(total))[:, 0], W
 
 
 def _e_step(data: DataSet, params: MoggeParams) -> tuple[float, Responsibilities]:
     """Joint log-likelihood and posterior responsibilities from one
     evaluation of the log-joint matrix: the row log-sum-exps are summed
-    for the former and subtracted from the rows for the latter."""
-    M = _log_joint_matrix(data, params)
-    lse = logsumexp(M, axis=1)
-    M -= lse[:, None]
-    return float(np.sum(lse)), Responsibilities(tau=np.exp(M))
+    for the former and the normalized rows are the latter."""
+    lse, tau = _log_normalize(_log_joint_matrix(data, params))
+    return float(np.sum(lse)), Responsibilities(tau=tau)
 
 
 def joint_loglik(data: DataSet, params: MoggeParams) -> float:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
+from mogge import model
 from mogge.model import (
     DataSet,
     ExpertComponent,
@@ -95,6 +99,30 @@ class TestGaussianLogpdf:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             gaussian_logpdf([0.0, 1.0], [0.0], [1.0, 1.0])
+
+
+@st.composite
+def log_weight_rows(draw):
+    """Log-weight matrices with entries in [-1e3, 1e3] and some -inf
+    entries, never a whole row of them."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    M = draw(arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+    dropped = draw(arrays(bool, shape))
+    dropped[:, draw(st.integers(0, shape[1] - 1))] = False
+    M[dropped] = -np.inf
+    return M
+
+
+class TestLogNormalize:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(log_weight_rows())
+    def test_matches_scipy_logsumexp(self, M):
+        lse, W = model._log_normalize(M)
+        oracle = logsumexp(M, axis=1)
+        # relative, with an absolute floor for row sums near 0
+        np.testing.assert_allclose(lse, oracle, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(W, np.exp(M - oracle[:, None]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(W.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestGatingProbs:
@@ -345,6 +373,17 @@ class TestContainers:
         d = DataSet(X=[[1.0, 2.0]], Y=[0.5])
         assert (d.n, d.p, d.d) == (1, 2, 1)
         assert d.y1 == pytest.approx([0.5])
+
+    def test_dataset_keeps_read_only_copies(self):
+        x, y = np.zeros((3, 2)), np.zeros(3)
+        data = DataSet(X=x, Y=y)
+        x[0, 0] = 7.0
+        y[0] = 7.0
+        assert data.X[0, 0] == 0.0 and data.Y[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            data.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            data.Y[0, 0] = 1.0
 
     def test_mixing_weights_must_sum_to_one(self):
         g1 = GatingComponent(alpha=0.5, mu=np.zeros(1), R=np.ones(1))
