@@ -508,8 +508,11 @@ def _add_fit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--init", choices=INIT_STRATEGIES)
-    p.add_argument("--ca-max-iter", dest="ca_max_iter", type=int)
-    p.add_argument("--ca-tol", dest="ca_tol", type=float)
+    p.add_argument("--ca-max-iter", dest="ca_max_iter", type=int,
+                   help="most coordinate-ascent sweeps per expert lasso solve")
+    p.add_argument("--ca-tol", dest="ca_tol", type=float,
+                   help="stop once a sweep moves no fitted value by this "
+                        "many expert standard deviations")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,12 +6,15 @@ its own M-step and the penalized objective.  The M-step keeps the
 closed-form mixing-weight update and replaces the mean/coefficient
 updates with soft-threshold updates of the penalized Q-functions: one
 closed-form soft-threshold per gating mean, cyclic coordinate ascent for
-the expert coefficients.  Thresholds use the lagged variances
-(previous EM iteration), and the expert intercept stays lagged inside
-the coordinate loop; both are refreshed once per EM iteration
-afterwards.  Coefficients zeroed by soft-thresholding are stored as
-exact ``0.0`` so that downstream degrees-of-freedom and zero-recovery
-computations can test equality.
+the expert coefficients.  The coordinate ascent works on the weighted
+Gram matrix of the predictors, formed once per call, so a coordinate
+update costs O(p) whatever n is; it stops when a full sweep moves no
+fitted value by ``ca_tol`` expert standard deviations or more.
+Thresholds use the lagged variances (previous EM iteration), and the
+expert intercept stays lagged inside the coordinate loop; both are
+refreshed once per EM iteration afterwards.  Coefficients zeroed by
+soft-thresholding are stored as exact ``0.0`` so that downstream
+degrees-of-freedom and zero-recovery computations can test equality.
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ class PenaltyConfig:
     """Penalty weights and coordinate-ascent stopping rule.
 
     ``lam`` scales the L1 penalty on expert coefficient vectors, ``gamma``
-    the one on gating mean vectors.
+    the one on gating mean vectors.  The expert coordinate ascent stops
+    after ``ca_max_iter`` sweeps, or after the first sweep in which every
+    change of fitted values ``sqrt(G_jj / n_k) * |delta beta_kj| / sigma_k``
+    (weighted RMS, in expert standard deviations) is below ``ca_tol``; this
+    means the same at any n and any scale of X and y.
     """
 
     lam: float
@@ -62,8 +69,13 @@ def soft_threshold(u, eta):
     or an array broadcasting against ``u``.  Zeroed values compare equal
     to ``0.0`` (negative zero is normalized away).
     """
-    # a scalar threshold skips the array reduction: the coordinate-ascent
-    # loop calls this once per coordinate
+    if isinstance(u, float) and not isinstance(eta, np.ndarray):
+        # plain float arithmetic: the coordinate-ascent loop calls this
+        # once per coordinate per sweep
+        u, eta = float(u), float(eta)
+        if eta < 0.0:
+            raise ValueError("threshold must be nonnegative")
+        return ((u > 0.0) - (u < 0.0)) * max(abs(u) - eta, 0.0) + 0.0
     negative = (eta < 0.0).any() if isinstance(eta, np.ndarray) else eta < 0.0
     if negative:
         raise ValueError("threshold must be nonnegative")
@@ -116,44 +128,44 @@ def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
                             component: int = 1) -> np.ndarray:
     """Coordinate-ascent solve of one expert's weighted lasso problem.
 
-    Cycles ``beta_kj <- S(X_j' W r_kj; lam * sigma2) / (X_j' W X_j)`` with
-    the partial residual ``r_kj`` excluding coordinate j; the intercept and
-    variance stay at their lagged values throughout the loop.  Coordinates
-    whose weighted column norm vanishes are forced to 0.
+    Cycles ``beta_kj <- S(c_j - G_j' beta + G_jj beta_kj; lam * sigma2) / G_jj``
+    with the weighted Gram matrix ``G = X' W X`` and ``c = X' W (y - b0)``,
+    both formed once per call (the covariance updates of Friedman, Hastie
+    and Tibshirani, 2010), so a coordinate update costs O(p), not O(n).
+    The intercept ``b0`` and variance ``sigma2`` stay lagged throughout;
+    coordinates with ``G_jj == 0`` are forced to 0.  Sweeps stop by the
+    n-free rule of :class:`PenaltyConfig` (``n_k = sum(tau_k)``).
     """
     if data.d != 1 or expert_prev.d != 1:
         raise UnsupportedConfigError("expert coefficient update requires d = 1")
-    _check_component_masses([float(np.sum(tau_k))], data.n, first=component)
     w = np.asarray(tau_k, dtype=float)
-    y = data.y1
-    X = data.X
-    b0 = float(expert_prev.intercept[0])
+    nk = float(np.sum(w))
+    _check_component_masses([nk], data.n, first=component)
+    WX = data.X * w[:, None]
+    G = WX.T @ data.X
+    rows = list(G)
+    c = (WX.T @ (data.y1 - float(expert_prev.intercept[0]))).tolist()
     sigma2 = expert_prev.variance
     eta = lam * sigma2
+    # change in fitted values, in units of sigma, per unit change of beta_j
+    scale = np.sqrt(G.diagonal() / (nk * sigma2)).tolist()
+    g = G.diagonal().tolist()
     beta = expert_prev.beta.copy()
-    wXsq = w @ (X * X)
-
-    def q_value(r):
-        return -0.5 * float(w @ (r * r)) / sigma2 - lam * float(np.sum(np.abs(beta)))
-
-    r = y - b0 - X @ beta
-    q_prev = q_value(r)
+    b = beta.tolist()  # float copy of beta for the scalar reads
     for _ in range(ca_max_iter):
-        r = y - b0 - X @ beta
+        change = 0.0
         for j in range(data.p):
-            if wXsq[j] <= 0.0:
-                # weighted column is identically zero, so is the numerator
-                r += beta[j] * X[:, j]
-                beta[j] = 0.0
-                continue
-            num = X[:, j] @ (w * r) + beta[j] * wXsq[j]
-            new_bj = soft_threshold(num, eta) / wXsq[j]
-            r += (beta[j] - new_bj) * X[:, j]
-            beta[j] = new_bj
-        q_new = q_value(r)
-        if abs(q_new - q_prev) < ca_tol:
+            old = b[j]
+            if g[j] <= 0.0:
+                new = 0.0
+            else:
+                new = soft_threshold(c[j] - rows[j] @ beta + g[j] * old, eta) / g[j]
+            beta[j] = b[j] = new
+            d = scale[j] * abs(new - old)
+            if d > change:
+                change = d
+        if change < ca_tol:
             break
-        q_prev = q_new
     return beta
 
 

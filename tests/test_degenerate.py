@@ -2,12 +2,22 @@
 collinear columns, duplicated rows, extreme scales, n <= p, and no more
 distinct rows than components.  Only finiteness and convergence are
 asserted; iteration counts on these inputs move with the last bits of
-the linear algebra."""
+the linear algebra.  With more components than distinct rows, or a
+component left holding one or two outlying rows, a fit may also fail,
+but only as ``FitFailedError`` with one diagnosis per start."""
 
 import numpy as np
 import pytest
 
-from mogge import FitOptions, PenaltyConfig, default_scenario, fit_em, fit_em_lasso, sample_dataset
+from mogge import (
+    FitFailedError,
+    FitOptions,
+    PenaltyConfig,
+    default_scenario,
+    fit_em,
+    fit_em_lasso,
+    sample_dataset,
+)
 from mogge.model import DataSet
 
 OPTS = FitOptions(n_starts=3, seed=0)
@@ -31,6 +41,20 @@ CASES = {
 }
 
 
+def _with_outliers(X, y, m):
+    """Append copies of the first m rows with x and y shifted by +50."""
+    return np.vstack([X, X[:m] + 50.0]), np.concatenate([y, y[:m] + 50.0])
+
+
+# fitted with K=3: more components than distinct rows, or a third
+# component left for one or two outlying rows
+K3_CASES = {
+    "n6-two-distinct-rows": lambda X, y: (X[[0, 1] * 3], y[[0, 1] * 3]),
+    "one-outlying-row": lambda X, y: _with_outliers(X, y, 1),
+    "two-outlying-rows": lambda X, y: _with_outliers(X, y, 2),
+}
+
+
 @pytest.fixture(scope="module")
 def default_data():
     data, _ = sample_dataset(default_scenario(n=300, seed=42))
@@ -38,20 +62,15 @@ def default_data():
 
 
 FITTERS = {
-    "em-full": lambda data: fit_em(data, K=2, opts=OPTS),
-    "em-diagonal": lambda data: fit_em(data, K=2, opts=OPTS, diagonal_gating=True),
-    "em-lasso": lambda data: fit_em_lasso(
-        data, K=2, penalty=PenaltyConfig(lam=5.0, gamma=5.0), opts=OPTS
+    "em-full": lambda data, K: fit_em(data, K=K, opts=OPTS),
+    "em-diagonal": lambda data, K: fit_em(data, K=K, opts=OPTS, diagonal_gating=True),
+    "em-lasso": lambda data, K: fit_em_lasso(
+        data, K=K, penalty=PenaltyConfig(lam=5.0, gamma=5.0), opts=OPTS
     ),
 }
 
 
-@pytest.mark.parametrize("fitter", sorted(FITTERS))
-@pytest.mark.parametrize("case", list(CASES))
-def test_degenerate_input_fits_finite(default_data, case, fitter):
-    X, y = CASES[case](*default_data)
-    fit = FITTERS[fitter](DataSet(X=X, Y=y))
-    assert fit.converged
+def _assert_finite(fit):
     arrays = [fit.responsibilities.tau, fit.loglik_trace]
     for g in fit.params.gating:
         arrays += [g.mu, g.R]
@@ -59,3 +78,24 @@ def test_degenerate_input_fits_finite(default_data, case, fitter):
         arrays += [e.intercept, e.coeffs, e.cov]
     assert all(np.all(np.isfinite(a)) for a in arrays)
     assert np.isfinite(fit.objective) and np.isfinite(fit.loglik)
+
+
+@pytest.mark.parametrize("fitter", sorted(FITTERS))
+@pytest.mark.parametrize("case", list(CASES))
+def test_degenerate_input_fits_finite(default_data, case, fitter):
+    X, y = CASES[case](*default_data)
+    fit = FITTERS[fitter](DataSet(X=X, Y=y), 2)
+    assert fit.converged
+    _assert_finite(fit)
+
+
+@pytest.mark.parametrize("fitter", sorted(FITTERS))
+@pytest.mark.parametrize("case", list(K3_CASES))
+def test_three_components_fit_finite_or_fail_per_start(default_data, case, fitter):
+    X, y = K3_CASES[case](*default_data)
+    try:
+        fit = FITTERS[fitter](DataSet(X=X, Y=y), 3)
+    except FitFailedError as err:
+        assert len(err.diagnoses) == OPTS.n_starts
+    else:
+        _assert_finite(fit)

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mogge import em_lasso
 from mogge.em import FitOptions, fit_em, init_params, m_step_gating
 from mogge.em_lasso import (
     PenaltyConfig,
@@ -24,6 +28,7 @@ from mogge.model import (
 )
 
 from _oracles import (
+    ca_sweeps_residual_form,
     kkt_residuals_expert,
     kkt_residuals_gate,
     penalized_gate_mean_grid,
@@ -63,6 +68,23 @@ class TestSoftThreshold:
         assert np.array_equal(out, np.array([2.0, -1.0, 0.0]))
         with pytest.raises(ValueError):
             soft_threshold(np.ones(2), np.array([1.0, -0.1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=st.floats(allow_nan=False, allow_infinity=False),
+           eta=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+           scalar=st.sampled_from([float, np.float64]))
+    def test_scalar_path_is_the_array_path(self, u, eta, scalar):
+        out = soft_threshold(scalar(u), scalar(eta))
+        assert type(out) is float
+        assert np.float64(out).tobytes() == soft_threshold(np.array([u]), eta)[0].tobytes()
+        assert math.copysign(1.0, out) == 1.0 or out < 0.0  # never -0.0
+
+    @given(u=st.floats(allow_nan=False),
+           eta=st.floats(max_value=0.0, exclude_max=True, allow_nan=False),
+           scalar=st.sampled_from([float, np.float64]))
+    def test_scalar_path_rejects_negative_threshold(self, u, eta, scalar):
+        with pytest.raises(ValueError):
+            soft_threshold(scalar(u), scalar(eta))
 
 
 def _diag_params(rng, p, K=2):
@@ -282,6 +304,67 @@ class TestCaUpdateExpertCoeffs:
         )
         beta = ca_update_expert_coeffs(data, np.ones(10), prev, lam=50.0)
         assert beta.tolist() == [0.0, 0.0, 0.0]
+
+
+def _lasso_case(name):
+    """Data, weights, lagged expert and lambda for the Gram-form checks."""
+    rng = np.random.default_rng(40)
+    n, p = (200, 40) if name == "n200-p40" else (30, 5)
+    X = rng.normal(size=(n, p))
+    y = X[:, :3] @ np.array([1.5, -2.0, 0.7]) + rng.normal(size=n)
+    w = rng.uniform(0.05, 1.0, size=n)
+    if name == "zero-weighted-column":
+        w[:10] = 0.0
+        X[10:, 2] = 0.0
+    prev = ExpertComponent(
+        intercept=[0.3], coeffs=rng.normal(size=(p, 1)), cov=[[1.7]]
+    )
+    lam = {"lam0": 0.0, "n200-p40": 2.0}.get(name, 5.0)
+    return DataSet(X=X, Y=y), w, prev, lam
+
+
+class TestGramFormCoordinateAscent:
+    @pytest.mark.parametrize("sweeps", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "case", ["lam0", "lam-zeroes-some", "zero-weighted-column", "n200-p40"]
+    )
+    def test_matches_residual_form_sweeps(self, case, sweeps):
+        data, w, prev, lam = _lasso_case(case)
+        beta = ca_update_expert_coeffs(
+            data, w, prev, lam=lam, ca_max_iter=sweeps,
+            ca_tol=np.finfo(float).tiny,
+        )
+        ref = ca_sweeps_residual_form(
+            data.X, data.y1, w, float(prev.intercept[0]), prev.variance, lam,
+            prev.beta, sweeps,
+        )
+        np.testing.assert_allclose(beta, ref, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(beta == 0.0, ref == 0.0)
+        if case != "lam0":
+            assert 0 < np.count_nonzero(beta == 0.0) < data.p
+
+    @pytest.mark.parametrize("case", ["lam0", "lam-zeroes-some", "n200-p40"])
+    def test_stopping_rule_free_of_n(self, monkeypatch, case):
+        # doubling every row doubles the loss term, so with lambda doubled
+        # too it is the same lasso problem at twice the n
+        data, w, prev, lam = _lasso_case(case)
+        doubled = DataSet(X=np.vstack([data.X, data.X]),
+                          Y=np.concatenate([data.y1, data.y1]))
+        calls = []
+
+        def counted(u, eta):
+            calls.append(1)
+            return soft_threshold(u, eta)
+
+        monkeypatch.setattr(em_lasso, "soft_threshold", counted)
+        beta = ca_update_expert_coeffs(data, w, prev, lam=lam)
+        sweeps = len(calls) / data.p
+        calls.clear()
+        beta2 = ca_update_expert_coeffs(
+            doubled, np.concatenate([w, w]), prev, lam=2.0 * lam
+        )
+        assert len(calls) / data.p == sweeps < PenaltyConfig.ca_max_iter
+        np.testing.assert_allclose(beta2, beta, rtol=1e-12, atol=1e-12)
 
 
 class TestUpdateExpertInterceptVariance:
