@@ -9,7 +9,7 @@ replicates).
 Every option can also come from a JSON file via ``--config``; explicit
 flags win over the file, which wins over built-in defaults.  Outputs are
 written atomically, embed the resolved configuration and seeds, and are
-byte-identical across reruns with the same inputs.
+byte-identical across reruns with the same inputs, whatever ``--jobs``.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ from .metrics import (
     match_components,
     sensitivity_specificity,
 )
-from .model import (
-    DegenerateComponentError,
-    FitFailedError,
-    NotPositiveDefiniteError,
-    UnsupportedConfigError,
-)
+from .model import FitFailedError
 from .selection import GridSpec, SelectionError, grid_search
 from .simulate import (
     INTERCEPT_CONVENTIONS,
@@ -46,11 +41,7 @@ from .simulate import (
     sample_dataset,
 )
 
-_HANDLED_ERRORS = (
-    ValueError, OSError, KeyError,
-    FitFailedError, SelectionError, UnsupportedConfigError,
-    NotPositiveDefiniteError, DegenerateComponentError,
-)
+_HANDLED_ERRORS = (ValueError, OSError, KeyError, FitFailedError, SelectionError)
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +65,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _public_config(cfg: dict) -> dict:
-    """Config echo for manifests; output location is rerun-irrelevant."""
-    return {k: v for k, v in cfg.items() if k != "out_dir"}
+    """Config echo for manifests, without the output location and the
+    worker count, so outputs are byte-identical across both."""
+    return {k: v for k, v in cfg.items() if k not in ("out_dir", "jobs")}
 
 
 def _float_list(value) -> list[float]:
@@ -186,7 +178,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 FIT_DEFAULTS = {
-    "out_dir": ".", "seed": 0, "jobs": 1,
+    "out_dir": ".", "seed": 0,
     "data": None, "k": 2, "lam": None, "gamma": None,
     "diagonal_gating": False, **_FIT_KNOB_DEFAULTS,
 }
@@ -229,7 +221,7 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 SELECT_DEFAULTS = {
-    "out_dir": ".", "seed": 0, "jobs": 1,
+    "out_dir": ".", "seed": 0,
     "data": None, "ks": [2],
     "lambdas": [float(v) for v in range(26)],
     "gammas": [float(v) for v in range(26)],
@@ -276,7 +268,7 @@ def cmd_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 PATH_DEFAULTS = {
-    "out_dir": ".", "seed": 0, "jobs": 1,
+    "out_dir": ".", "seed": 0,
     "data": None, "k": 2,
     "penalties": None, "lambdas": None, "gammas": None,
     "lam": None, "gamma": None, "ratios": None, "max_penalty": None,
@@ -378,7 +370,7 @@ def cmd_lasso_path(args) -> int:
 # ---------------------------------------------------------------------------
 
 EVALUATE_DEFAULTS = {
-    "out_dir": ".", "seed": 0, "jobs": 1,
+    "out_dir": ".", "jobs": 1,
     "params": None, "data": None, "true_params": None,
 }
 
@@ -494,13 +486,14 @@ def cmd_evaluate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed: bool = True,
+                jobs: bool = False) -> None:
     p.add_argument("--config", help="JSON file with defaults for any option")
     p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--jobs", type=int,
-                   help="parallel replicate workers (used by simulate and "
-                        "evaluate; fit, select and lasso-path run serially)")
+    if seed:
+        p.add_argument("--seed", type=int, help="master seed")
+    if jobs:
+        p.add_argument("--jobs", type=int, help="parallel replicate workers")
 
 
 def _add_fit_options(p: argparse.ArgumentParser) -> None:
@@ -524,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate", help="write replicate datasets from a scenario")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--default-scenario", dest="default_scenario",
                    action="store_true", default=None,
                    help="use the built-in two-component benchmark scenario")
@@ -574,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lasso_path)
 
     p = sub.add_parser("evaluate", help="clustering / zero-pattern metrics")
-    _add_common(p)
+    _add_common(p, seed=False, jobs=True)
     p.add_argument("--params", action="append", help="fitted params JSON (repeatable)")
     p.add_argument("--data", action="append", help="dataset CSV (repeatable)")
     p.add_argument("--true-params", dest="true_params",

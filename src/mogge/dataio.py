@@ -23,6 +23,8 @@ from .simulate import Scenario
 
 def fmt(value) -> str:
     """Shortest round-trip representation for CSV cells."""
+    if isinstance(value, float):  # np.float64 too: the common cell goes first
+        return repr(float(value))
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -68,17 +70,13 @@ def dataset_csv_text(data: DataSet, labels=None) -> str:
     trailing 1-based ``label`` column."""
     header = [f"x{j + 1}" for j in range(data.p)]
     header += ["y"] if data.d == 1 else [f"y{j + 1}" for j in range(data.d)]
+    rows = np.hstack([data.X, data.Y]).tolist()
     if labels is not None:
         labels = np.asarray(labels, dtype=int)
         if labels.shape != (data.n,):
             raise ValueError("labels must have one entry per observation")
         header.append("label")
-        rows = (
-            list(data.X[i]) + list(data.Y[i]) + [int(labels[i])]
-            for i in range(data.n)
-        )
-    else:
-        rows = (list(data.X[i]) + list(data.Y[i]) for i in range(data.n))
+        rows = [row + [label] for row, label in zip(rows, labels.tolist())]
     return _csv_text(header, rows)
 
 
@@ -122,17 +120,21 @@ def read_dataset_csv(path) -> tuple[DataSet, np.ndarray | None]:
     label_col = header.index("label") if "label" in header else None
     if not x_cols or not y_cols:
         raise ValueError(f"{path}: header must contain x1..xp and y columns")
-    X, Y, labels = [], [], []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: row with {len(cells)} cells, expected {len(header)}")
-        X.append([float(cells[i]) for i in x_cols])
-        Y.append([float(cells[i]) for i in y_cols])
-        if label_col is not None:
-            labels.append(int(cells[label_col]))
-    data = DataSet(X=np.array(X), Y=np.array(Y))
-    return data, (np.array(labels) if label_col is not None else None)
+    if len(lines) < 2:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        block = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        # labels parse as integers, so a cell such as 1.0 is rejected
+        labels = None if label_col is None else np.loadtxt(
+            lines[1:], delimiter=",", comments=None, usecols=label_col,
+            dtype=np.int64, ndmin=1,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if block.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {block.shape[1]} cells, expected {len(header)}")
+    # take() copies row-major: products on a column-major X round differently
+    return DataSet(X=block.take(x_cols, axis=1), Y=block.take(y_cols, axis=1)), labels
 
 
 def params_to_dict(params: MoggeParams) -> dict:

@@ -6,8 +6,8 @@ forms: weighted Gaussian-mixture moments for the gating network and
 weighted linear regressions for the experts.  The iteration loop and
 the multi-start driver also run :mod:`mogge.em_lasso`, which supplies its
 own M-step and objective.  Multi-start with best-objective selection;
-any start whose components collapse is abandoned and diagnosed rather
-than reinitialized mid-run.
+any start whose components collapse, or whose arithmetic overflows, is
+abandoned and diagnosed rather than reinitialized mid-run.
 """
 
 from __future__ import annotations
@@ -297,23 +297,29 @@ def _run_em(data: DataSet, params: MoggeParams, opts: FitOptions,
 def _multistart(data: DataSet, K: int, opts: FitOptions, m_step: Callable,
                 objective: Callable, diagonal_gating: bool,
                 warm_start: MoggeParams | None = None) -> FitResult:
-    """Best run over the seeded starts, or the one run from ``warm_start``."""
+    """Best run over the seeded starts, or the one run from ``warm_start``.
+
+    The one place where a start's numerical trouble (a degenerate
+    component, a failed covariance check, a singular solve, an overflow or
+    invalid operation) becomes a diagnosis; underflow is routine."""
     seeds = ([None] if warm_start is not None
              else start_seeds(opts.seed, opts.n_starts))
     best: FitResult | None = None
     diagnoses: list[str] = []
     for s, seed in enumerate(seeds):
         try:
-            if seed is None:
-                params0 = warm_start
-            else:
-                params0 = init_params(
-                    data, K, strategy=opts.init_strategy, seed=seed,
-                    diagonal_gating=diagonal_gating,
-                )
-            result = _run_em(data, params0, opts, m_step, objective)
+            with np.errstate(over="raise", invalid="raise"):
+                if seed is None:
+                    params0 = warm_start
+                else:
+                    params0 = init_params(
+                        data, K, strategy=opts.init_strategy, seed=seed,
+                        diagonal_gating=diagonal_gating,
+                    )
+                result = _run_em(data, params0, opts, m_step, objective)
         except (DegenerateComponentError, NotPositiveDefiniteError,
-                FitFailedError, np.linalg.LinAlgError) as exc:
+                FitFailedError, np.linalg.LinAlgError,
+                FloatingPointError) as exc:
             diagnoses.append(f"start {s}: {type(exc).__name__}: {exc}")
             continue
         if best is None or result.objective > best.objective:
@@ -329,9 +335,9 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
            diagonal_gating: bool = False) -> FitResult:
     """Fit by EM with multiple starts; returns the best-objective run.
 
-    Starts that hit a degenerate component or a covariance failure are
-    dropped with a diagnosis; if every start fails a
-    :class:`~mogge.model.FitFailedError` carries all diagnoses.
+    Starts that hit a degenerate component, a covariance failure or a
+    floating-point overflow are dropped with a diagnosis; if every start
+    fails a :class:`~mogge.model.FitFailedError` carries all diagnoses.
     """
     return _multistart(
         data, K, opts or FitOptions(),

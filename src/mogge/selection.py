@@ -20,10 +20,8 @@ from .em import FitOptions, FitResult
 from .em_lasso import PenaltyConfig, fit_em_lasso
 from .model import (
     DataSet,
-    DegenerateComponentError,
     FitFailedError,
     MoggeParams,
-    NotPositiveDefiniteError,
     UnsupportedConfigError,
     _e_step,
 )
@@ -131,8 +129,9 @@ def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
     decreasing (lambda, gamma) order, starting every fit from the
     previous point's solution; only the first point per K runs the full
     multi-start.  ``warm_start=False`` refits every point cold.  Triplets
-    whose fits fail or do not converge are recorded with
-    ``converged=False`` and excluded from selection.
+    whose fits raise :class:`~mogge.model.FitFailedError` or do not
+    converge are recorded with ``converged=False`` and excluded from
+    selection.
     """
     opts = opts or FitOptions()
     rows: list[SelectionRow] = []
@@ -153,8 +152,7 @@ def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
                     data, K, penalty, opts,
                     warm_start=prev_params if warm_start else None,
                 )
-            except (FitFailedError, DegenerateComponentError,
-                    NotPositiveDefiniteError, np.linalg.LinAlgError):
+            except FitFailedError:
                 rows.append(SelectionRow(
                     K=K, lam=lam, gamma=gamma, loglik=float("nan"), df=0,
                     bic=float("nan"), converged=False,

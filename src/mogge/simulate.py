@@ -100,11 +100,9 @@ def sample_dataset(scenario: Scenario) -> tuple[DataSet, np.ndarray]:
         if g.is_diagonal:
             X[idx] = g.mu + eps_x[idx] * np.sqrt(g.R)
         else:
-            L = np.linalg.cholesky(g.R)
-            X[idx] = g.mu + eps_x[idx] @ L.T
+            X[idx] = g.mu + eps_x[idx] @ g._chol.T
         mean = e.intercept + X[idx] @ e.coeffs
-        Ly = np.linalg.cholesky(e.cov)
-        Y[idx] = mean + eps_y[idx] @ Ly.T
+        Y[idx] = mean + eps_y[idx] @ e._chol.T
     return DataSet(X=X, Y=Y), z + 1
 
 

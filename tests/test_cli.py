@@ -1,10 +1,19 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from mogge import dataio
-from mogge.cli import main
+from mogge.cli import (
+    EVALUATE_DEFAULTS,
+    FIT_DEFAULTS,
+    PATH_DEFAULTS,
+    SELECT_DEFAULTS,
+    SIMULATE_DEFAULTS,
+    _build_parser,
+    main,
+)
 from mogge.model import ExpertComponent, GatingComponent, MoggeParams
 from mogge.simulate import Scenario
 
@@ -22,6 +31,14 @@ def small_data(tmp_path):
         "--n", "80", "--seed", "7", "--out-dir", str(out),
     ) == 0
     return out / "data_0001.csv"
+
+
+def assert_same_files(a, b):
+    """Both directories hold the same file names with the same bytes."""
+    names = sorted(f.name for f in a.iterdir())
+    assert names == sorted(f.name for f in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def separated_scenario_json(tmp_path):
@@ -87,9 +104,22 @@ class TestSimulate:
                 "--n", "30", "--seed", "5"]
         assert run(*base, "--jobs", "1", "--out-dir", str(a)) == 0
         assert run(*base, "--jobs", "3", "--out-dir", str(b)) == 0
+        assert_same_files(a, b)
+        assert len(list(a.glob("data_*.csv"))) == 3
+
+        params_path = tmp_path / "est.json"
+        scenario = dataio.read_json(a / "scenario.json")
+        dataio.write_json(params_path, scenario["true_params"])
+        pairs = []
         for i in (1, 2, 3):
-            name = f"data_{i:04d}.csv"
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+            pairs += ["--params", str(params_path),
+                      "--data", str(a / f"data_{i:04d}.csv")]
+        base = ["evaluate", *pairs, "--true-params", str(a / "scenario.json")]
+        ea, eb = tmp_path / "eval_a", tmp_path / "eval_b"
+        assert run(*base, "--jobs", "1", "--out-dir", str(ea)) == 0
+        assert run(*base, "--jobs", "3", "--out-dir", str(eb)) == 0
+        assert_same_files(ea, eb)
+        assert {f.name for f in ea.iterdir()} == {"metrics.json", "metrics.csv"}
 
 
 class TestFit:
@@ -297,5 +327,45 @@ class TestConfigPrecedence:
             "--out-dir", str(tmp_path),
         ) == 1
 
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "jobs"), ("select", "jobs"), ("lasso-path", "jobs"),
+        ("evaluate", "seed"),
+    ])
+    def test_removed_config_key_rejected(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        assert run(command, "--config", str(cfg), "--out-dir", str(tmp_path)) == 1
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+
     def test_no_command_prints_help(self):
         assert run() == 2
+
+
+class TestParserSurface:
+    """Each command accepts exactly the options its defaults name."""
+
+    DEFAULTS = {
+        "simulate": SIMULATE_DEFAULTS, "fit": FIT_DEFAULTS,
+        "select": SELECT_DEFAULTS, "lasso-path": PATH_DEFAULTS,
+        "evaluate": EVALUATE_DEFAULTS,
+    }
+
+    def test_options_match_the_defaults(self):
+        sub = next(
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == set(self.DEFAULTS)
+        for command, parser in sub.choices.items():
+            dests = {a.dest for a in parser._actions} - {"help", "config"}
+            assert dests == set(self.DEFAULTS[command]), command
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--jobs", "2"], ["select", "--jobs", "2"],
+        ["lasso-path", "--jobs", "2"], ["evaluate", "--seed", "2"],
+    ])
+    def test_unread_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mogge import dataio
 from mogge.model import DataSet
@@ -95,6 +99,63 @@ class TestDatasetCsv:
         path.write_text(f"{header}\n{cells}\n")
         with pytest.raises(ValueError):
             dataio.read_dataset_csv(path)
+
+
+    @pytest.mark.parametrize("body", [
+        "1.0,2.0,3.0,1\n",            # row wider than the header
+        "1.0,,1\n",                   # empty cell
+        "1.0,abc,1\n",                # non-numeric cell
+        "1.0,2.0,1.0\n",              # label that is not an integer
+        "",                            # header only
+    ])
+    def test_bad_body_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,y,label\n" + body)
+        with pytest.raises(ValueError, match="bad.csv"):
+            dataio.read_dataset_csv(path)
+
+
+# finite float64 cells, with the edge values a CSV writer may get wrong
+CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, np.finfo(float).tiny, 1e308, -1e308]
+)
+
+
+@st.composite
+def datasets(draw):
+    n, p, d = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    block = draw(arrays(np.float64, (n, p + d), elements=CELLS))
+    labels = draw(st.none() | arrays(
+        np.int64, n, elements=st.integers(-2 ** 62, 2 ** 62)
+    ))
+    return DataSet(X=block[:, :p], Y=block[:, p:]), labels
+
+
+class TestDatasetCsvRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(datasets())
+    def test_bytes_and_bits(self, case):
+        data, labels = case
+        text = dataio.dataset_csv_text(data, labels)
+        rows = np.hstack([data.X, data.Y])
+        expected = [
+            ",".join([repr(float(v)) for v in row]
+                     + ([] if labels is None else [str(int(labels[i]))]))
+            for i, row in enumerate(rows)
+        ]
+        assert text.splitlines()[1:] == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_text(text)
+            back, back_labels = dataio.read_dataset_csv(path)
+        assert back.X.tobytes() == data.X.tobytes()
+        assert back.Y.tobytes() == data.Y.tobytes()
+        # row-major like the original, so fits on it round the same way
+        assert back.X.flags.c_contiguous and back.Y.flags.c_contiguous
+        if labels is None:
+            assert back_labels is None
+        else:
+            assert back_labels.tolist() == labels.tolist()
 
 
 class TestParamsJson:

@@ -2,9 +2,11 @@
 collinear columns, duplicated rows, extreme scales, n <= p, and no more
 distinct rows than components.  Only finiteness and convergence are
 asserted; iteration counts on these inputs move with the last bits of
-the linear algebra.  With more components than distinct rows, or a
-component left holding one or two outlying rows, a fit may also fail,
-but only as ``FitFailedError`` with one diagnosis per start."""
+the linear algebra.  With more components than distinct rows, a
+component left holding one or two outlying rows, or data so large that
+its moments overflow, a fit may also fail, but only as
+``FitFailedError`` with one diagnosis per start (``SelectionError`` for
+a grid search)."""
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ import pytest
 from mogge import (
     FitFailedError,
     FitOptions,
+    GridSpec,
     PenaltyConfig,
+    SelectionError,
     default_scenario,
     fit_em,
     fit_em_lasso,
+    grid_search,
     sample_dataset,
 )
 from mogge.model import DataSet
@@ -99,3 +104,31 @@ def test_three_components_fit_finite_or_fail_per_start(default_data, case, fitte
         assert len(err.diagnoses) == OPTS.n_starts
     else:
         _assert_finite(fit)
+
+
+# scales at which the second moments of the data overflow float64
+OVERFLOW_SCALES = (1e160, 1e300)
+
+
+@pytest.mark.parametrize("fitter", sorted(FITTERS))
+@pytest.mark.parametrize("scale", OVERFLOW_SCALES)
+def test_overflowing_scale_fits_finite_or_fails_per_start(default_data, scale, fitter):
+    X, y = default_data
+    try:
+        fit = FITTERS[fitter](DataSet(X=X * scale, Y=y * scale), 2)
+    except FitFailedError as err:
+        assert len(err.diagnoses) == OPTS.n_starts
+    else:
+        _assert_finite(fit)
+
+
+@pytest.mark.parametrize("scale", OVERFLOW_SCALES)
+def test_overflowing_scale_grid_search_selects_or_raises(default_data, scale):
+    X, y = default_data
+    grid = GridSpec(Ks=(2,), lambdas=(0.0, 5.0), gammas=(0.0, 5.0))
+    try:
+        table = grid_search(DataSet(X=X * scale, Y=y * scale), grid, opts=OPTS)
+    except SelectionError:
+        return
+    assert table.selected_row.converged
+    _assert_finite(table.best_fit)

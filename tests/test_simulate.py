@@ -78,6 +78,29 @@ class TestSampleDataset:
         pred = 0.5 + data.X @ beta
         assert np.max(np.abs(data.y1 - pred)) < 1e-4
 
+    @pytest.mark.parametrize("full_gating", [False, True])
+    def test_uses_the_components_factors(self, monkeypatch, full_gating):
+        params = default_scenario().true_params
+        if full_gating:
+            params = MoggeParams(
+                gating=tuple(
+                    GatingComponent(alpha=g.alpha, mu=g.mu, R=np.diag(g.R) + 0.1)
+                    for g in params.gating
+                ),
+                experts=params.experts,
+            )
+        calls = [0]
+        original = np.linalg.cholesky
+
+        def counted(a):
+            calls[0] += 1
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        data, _ = sample_dataset(Scenario(true_params=params, n=50, seed=4))
+        assert data.n == 50
+        assert calls[0] == 0
+
     def test_label_frequencies_match_mixing_weights(self):
         n = 100_000
         _, labels = sample_dataset(default_scenario(n=n, seed=5))
