@@ -587,6 +587,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _HANDLED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        failure = exc if isinstance(exc, FitFailedError) else exc.__cause__
+        for diagnosis in getattr(failure, "diagnoses", ()):
+            print(f"  {diagnosis}", file=sys.stderr)
         return 1
 
 

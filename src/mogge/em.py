@@ -28,6 +28,7 @@ from .model import (
     NotPositiveDefiniteError,
     Responsibilities,
     _e_step,
+    _Stack,
 )
 
 INIT_STRATEGIES = ("random-partition", "kmeans-on-x")
@@ -108,15 +109,13 @@ def start_seeds(seed: int, n_starts: int) -> list[int]:
 
 
 def _floor_spd(S: np.ndarray) -> np.ndarray:
-    """Symmetrize and floor eigenvalues at the variance floor."""
-    S = 0.5 * (S + S.T)
-    if S.shape == (1, 1):
-        return np.array([[max(S[0, 0], VARIANCE_FLOOR)]])
+    """Symmetrize a matrix, or a stack of matrices along the leading axes,
+    and floor the eigenvalues of each at the variance floor."""
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
     vals, vecs = np.linalg.eigh(S)
-    if vals[0] >= VARIANCE_FLOOR:
-        return S
-    vals = np.maximum(vals, VARIANCE_FLOOR)
-    return (vecs * vals) @ vecs.T
+    floored = vecs * np.maximum(vals, VARIANCE_FLOOR)[..., None, :]
+    floored = floored @ np.swapaxes(vecs, -1, -2)
+    return np.where(vals[..., :1, None] >= VARIANCE_FLOOR, S, floored)
 
 
 def _kmeans_labels(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,37 +197,56 @@ def init_params(data: DataSet, K: int, strategy: str = "random-partition",
     )
 
 
-def _check_component_masses(nk, n: int, first: int = 1) -> None:
-    """Raise if a mass ``nk[i]`` (of component ``first + i``) is negligible."""
-    for k, mass in enumerate(nk, start=first):
+def _component_masses(T: np.ndarray, n: int) -> np.ndarray:
+    """Column sums ``nk`` of the (n, K) responsibilities ``T``; raise if the
+    mass ``nk[k - 1]`` of a component k is negligible."""
+    nk = T.sum(axis=0)
+    for k, mass in enumerate(nk, start=1):
         if mass <= DEGENERACY_FRACTION * n:
             raise DegenerateComponentError(
                 k,
                 f"component {k} is degenerate: responsibility mass "
                 f"{mass:.3e} of n={n}",
             )
+    return nk
+
+
+def _gating_moments(X: np.ndarray, T: np.ndarray, nk: np.ndarray,
+                    diagonal: bool) -> tuple[np.ndarray, ...]:
+    """Stacked gating update from the (n, K) responsibilities ``T`` and their
+    sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p)."""
+    Tk = T.T[:, None, :]  # (K, 1, n): row k holds the weights of component k
+    mu = (Tk @ X)[:, 0, :] / nk[:, None]
+    diff = X - mu[:, None, :]
+    if diagonal:
+        diff *= diff  # in place: a second (K, n, p) temporary costs more than the product
+        R = (Tk @ diff)[:, 0, :] / nk[:, None] + COV_JITTER
+    else:
+        R = np.swapaxes(diff * T.T[:, :, None], 1, 2) @ diff / nk[:, None, None]
+        R = 0.5 * (R + np.swapaxes(R, 1, 2)) + COV_JITTER * np.eye(X.shape[1])
+    return nk / nk.sum(), mu, R
+
+
+def _expert_regressions(data: DataSet, T: np.ndarray, nk: np.ndarray,
+                        B_prev: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stacked expert update in the coupled order: intercepts (K, d) from
+    the previous coefficients ``B_prev`` (K, p, d), coefficients (K, p, d)
+    from the new intercepts, floored covariances (K, d, d) from both."""
+    X, Y, W = data.X, data.Y, T.T[:, :, None]  # W: (K, n, 1)
+    a = (T.T[:, None, :] @ (Y - X @ B_prev))[:, 0, :] / nk[:, None]
+    G = X.T @ (W * X) + GRAM_RIDGE * np.eye(X.shape[1])
+    B = np.linalg.solve(G, X.T @ (W * (Y - a[:, None, :])))
+    resid = Y - a[:, None, :] - X @ B
+    return a, B, _floor_spd(np.swapaxes(resid, 1, 2) @ (W * resid) / nk[:, None, None])
 
 
 def m_step_gating(data: DataSet, tau: Responsibilities,
                   diagonal: bool = False) -> list[GatingComponent]:
     """Closed-form gating update: weighted mixing weights, means and
     covariances (with jitter added to the covariance)."""
-    T = tau.tau
-    nk = T.sum(axis=0)
-    _check_component_masses(nk, data.n)
-    alphas = nk / nk.sum()
-    out = []
-    for k in range(tau.K):
-        w = T[:, k]
-        mu = w @ data.X / nk[k]
-        diff = data.X - mu
-        if diagonal:
-            R = w @ (diff * diff) / nk[k] + COV_JITTER
-        else:
-            R = (diff * w[:, None]).T @ diff / nk[k]
-            R = 0.5 * (R + R.T) + COV_JITTER * np.eye(data.p)
-        out.append(GatingComponent(alpha=float(alphas[k]), mu=mu, R=R))
-    return out
+    nk = _component_masses(tau.tau, data.n)
+    alpha, mu, R = _gating_moments(data.X, tau.tau, nk, diagonal)
+    return list(map(GatingComponent, alpha.tolist(), mu, R))
 
 
 def m_step_experts(data: DataSet, tau: Responsibilities,
@@ -236,57 +254,37 @@ def m_step_experts(data: DataSet, tau: Responsibilities,
     """Closed-form expert update in the coupled order: intercept from the
     previous coefficients, coefficients from the new intercept, covariance
     from both new values."""
-    T = tau.tau
-    nk = T.sum(axis=0)
-    _check_component_masses(nk, data.n)
-    out = []
-    for k in range(tau.K):
-        w = T[:, k]
-        a = w @ (data.Y - data.X @ experts_prev[k].coeffs) / nk[k]
-        G = data.X.T @ (w[:, None] * data.X) + GRAM_RIDGE * np.eye(data.p)
-        rhs = data.X.T @ (w[:, None] * (data.Y - a))
-        B = np.linalg.solve(G, rhs)
-        resid = data.Y - a - data.X @ B
-        cov = _floor_spd(resid.T @ (w[:, None] * resid) / nk[k])
-        out.append(ExpertComponent(intercept=a, coeffs=B, cov=cov))
-    return out
+    nk = _component_masses(tau.tau, data.n)
+    B_prev = np.stack([e.coeffs for e in experts_prev])
+    return list(map(ExpertComponent, *_expert_regressions(data, tau.tau, nk, B_prev)))
 
 
-def _relative_change(new: float, old: float) -> float:
-    return abs(new - old) / max(abs(old), np.finfo(float).tiny)
-
-
-def _ml_m_step(data: DataSet, tau: Responsibilities, params: MoggeParams,
-               diagonal: bool) -> MoggeParams:
-    gating = m_step_gating(data, tau, diagonal=diagonal)
-    experts = m_step_experts(data, tau, params.experts)
-    return MoggeParams(gating=tuple(gating), experts=tuple(experts))
-
-
-def _run_em(data: DataSet, params: MoggeParams, opts: FitOptions,
+def _run_em(data: DataSet, s: _Stack, opts: FitOptions,
             m_step: Callable, objective: Callable) -> FitResult:
-    """EM iterations from ``params`` until the relative objective change
-    drops below ``opts.tol`` or ``opts.max_iter`` is reached.
+    """EM iterations from the stack ``s`` until the relative objective
+    change drops below ``opts.tol`` or ``opts.max_iter`` is reached.
 
-    ``m_step(data, tau, params)`` returns the updated parameters and
-    ``objective(loglik, params)`` the trace entry.  One E-step per
-    iteration yields both the objective of the current parameters and the
-    responsibilities the next M-step uses.
+    ``m_step(data, T, nk, s)`` returns the next stack from the (n, K)
+    responsibilities ``T`` and their masses ``nk``, checked once per
+    iteration, and ``objective(loglik, s)`` the trace entry; one E-step per
+    iteration yields both.  Only the result becomes checked components.
     """
-    loglik, tau = _e_step(data, params)
-    trace = [objective(loglik, params)]
+    loglik, T = _e_step(data, s)
+    trace = [objective(loglik, s)]
     converged = False
     for _ in range(opts.max_iter):
-        params = m_step(data, tau, params)
-        loglik, tau = _e_step(data, params)
-        trace.append(objective(loglik, params))
-        if _relative_change(trace[-1], trace[-2]) < opts.tol:
+        nk = _component_masses(T, data.n)
+        s = m_step(data, T, nk, s)
+        loglik, T = _e_step(data, s)
+        trace.append(objective(loglik, s))
+        change = abs(trace[-1] - trace[-2])
+        if change / max(abs(trace[-2]), np.finfo(float).tiny) < opts.tol:
             converged = True
             break
     return FitResult(
-        params=params,
+        params=s.params(),
         loglik_trace=np.array(trace),
-        responsibilities=tau,
+        responsibilities=Responsibilities(tau=T),
         n_iter=len(trace) - 1,
         converged=converged,
         objective=trace[-1],
@@ -300,7 +298,7 @@ def _multistart(data: DataSet, K: int, opts: FitOptions, m_step: Callable,
     """Best run over the seeded starts, or the one run from ``warm_start``.
 
     The one place where a start's numerical trouble (a degenerate
-    component, a failed covariance check, a singular solve, an overflow or
+    component, a failed covariance check or factorization, an overflow or
     invalid operation) becomes a diagnosis; underflow is routine."""
     seeds = ([None] if warm_start is not None
              else start_seeds(opts.seed, opts.n_starts))
@@ -316,7 +314,7 @@ def _multistart(data: DataSet, K: int, opts: FitOptions, m_step: Callable,
                         data, K, strategy=opts.init_strategy, seed=seed,
                         diagonal_gating=diagonal_gating,
                     )
-                result = _run_em(data, params0, opts, m_step, objective)
+                result = _run_em(data, _Stack.of(params0), opts, m_step, objective)
         except (DegenerateComponentError, NotPositiveDefiniteError,
                 FitFailedError, np.linalg.LinAlgError,
                 FloatingPointError) as exc:
@@ -341,7 +339,10 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     """
     return _multistart(
         data, K, opts or FitOptions(),
-        lambda data, tau, params: _ml_m_step(data, tau, params, diagonal_gating),
-        lambda loglik, params: loglik,
+        lambda data, T, nk, s: _Stack(
+            *_gating_moments(data.X, T, nk, diagonal_gating),
+            *_expert_regressions(data, T, nk, s.B),
+        ),
+        lambda loglik, s: loglik,
         diagonal_gating,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import FitOptions, FitResult, _check_component_masses, _multistart
+from .em import FitOptions, FitResult, _component_masses, _multistart
 from .model import (
     VARIANCE_FLOOR,
     DataSet,
@@ -33,6 +33,7 @@ from .model import (
     Responsibilities,
     UnsupportedConfigError,
     _penalize,
+    _Stack,
 )
 
 
@@ -86,75 +87,38 @@ def soft_threshold(u, eta):
     return out
 
 
-def ca_update_gating_means(data: DataSet, tau: Responsibilities,
-                           gating_prev: tuple[GatingComponent, ...],
-                           gamma: float) -> list[np.ndarray]:
-    """Closed-form update of all gating mean vectors.
-
-    Each coordinate is ``S(X_j' tau_k; gamma * nu2_kj) / sum(tau_k)`` with
-    the lagged variances ``nu2_kj``.  With diagonal covariances the
-    coordinates of the penalized Q-function are decoupled, so this is its
-    exact maximizer: one soft-threshold per component, no iteration.
-    """
-    if gating_prev[0].R.ndim != 1:
-        raise UnsupportedConfigError("gating means update requires diagonal covariances")
-    T = tau.tau
-    nk = T.sum(axis=0)
-    _check_component_masses(nk, data.n)
-    return [
-        soft_threshold(data.X.T @ T[:, k], gamma * g.R) / nk[k]
-        for k, g in enumerate(gating_prev)
-    ]
+def _gating_means(X: np.ndarray, T: np.ndarray, nk: np.ndarray, R_prev: np.ndarray,
+                  gamma: float) -> np.ndarray:
+    """Stacked soft-threshold gating means (K, p), lagged variances ``R_prev``."""
+    return soft_threshold((X.T @ T.T[:, :, None])[:, :, 0], gamma * R_prev) / nk[:, None]
 
 
-def update_gating_variances(data: DataSet, tau: Responsibilities,
-                            mu_new: list[np.ndarray]) -> list[np.ndarray]:
-    """Weighted per-coordinate variances around the new means, floored."""
-    T = tau.tau
-    nk = T.sum(axis=0)
-    _check_component_masses(nk, data.n)
-    out = []
-    for k in range(tau.K):
-        diff = data.X - mu_new[k]
-        nu2 = T[:, k] @ (diff * diff) / nk[k]
-        out.append(np.maximum(nu2, VARIANCE_FLOOR))
-    return out
+def _gating_variances(X: np.ndarray, T: np.ndarray, nk: np.ndarray,
+                      mu: np.ndarray) -> np.ndarray:
+    """Stacked weighted per-coordinate variances (K, p) around ``mu``, floored."""
+    sq = X - mu[:, None, :]
+    sq *= sq
+    return np.maximum((T.T[:, None, :] @ sq)[:, 0, :] / nk[:, None], VARIANCE_FLOOR)
 
 
-def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
-                            expert_prev: ExpertComponent, lam: float,
-                            ca_max_iter: int = PenaltyConfig.ca_max_iter,
-                            ca_tol: float = PenaltyConfig.ca_tol,
-                            component: int = 1) -> np.ndarray:
-    """Coordinate-ascent solve of one expert's weighted lasso problem.
-
-    Cycles ``beta_kj <- S(c_j - G_j' beta + G_jj beta_kj; lam * sigma2) / G_jj``
-    with the weighted Gram matrix ``G = X' W X`` and ``c = X' W (y - b0)``,
-    both formed once per call (the covariance updates of Friedman, Hastie
-    and Tibshirani, 2010), so a coordinate update costs O(p), not O(n).
-    The intercept ``b0`` and variance ``sigma2`` stay lagged throughout;
-    coordinates with ``G_jj == 0`` are forced to 0.  Sweeps stop by the
-    n-free rule of :class:`PenaltyConfig` (``n_k = sum(tau_k)``).
-    """
-    if data.d != 1 or expert_prev.d != 1:
-        raise UnsupportedConfigError("expert coefficient update requires d = 1")
-    w = np.asarray(tau_k, dtype=float)
-    nk = float(np.sum(w))
-    _check_component_masses([nk], data.n, first=component)
-    WX = data.X * w[:, None]
-    G = WX.T @ data.X
+def _expert_coeffs(X: np.ndarray, y: np.ndarray, w: np.ndarray, nk: float,
+                   b0: float, sigma2: float, beta: np.ndarray, lam: float,
+                   ca_max_iter: int, ca_tol: float) -> np.ndarray:
+    """Coordinate ascent for one expert from ``beta`` with the lagged
+    intercept ``b0`` and variance ``sigma2``; ``nk = sum(w)``."""
+    WX = X * w[:, None]
+    G = WX.T @ X
     rows = list(G)
-    c = (WX.T @ (data.y1 - float(expert_prev.intercept[0]))).tolist()
-    sigma2 = expert_prev.variance
+    c = (WX.T @ (y - b0)).tolist()
     eta = lam * sigma2
     # change in fitted values, in units of sigma, per unit change of beta_j
     scale = np.sqrt(G.diagonal() / (nk * sigma2)).tolist()
     g = G.diagonal().tolist()
-    beta = expert_prev.beta.copy()
+    beta = beta.copy()
     b = beta.tolist()  # float copy of beta for the scalar reads
     for _ in range(ca_max_iter):
         change = 0.0
-        for j in range(data.p):
+        for j in range(X.shape[1]):
             old = b[j]
             if g[j] <= 0.0:
                 new = 0.0
@@ -169,50 +133,87 @@ def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
     return beta
 
 
+def _intercept_variance(X: np.ndarray, y: np.ndarray, w: np.ndarray, nk: float,
+                        beta: np.ndarray) -> tuple[float, float]:
+    """Weighted intercept and floored variance of one expert given ``beta``."""
+    resid = y - X @ beta
+    b0 = float(w @ resid) / nk
+    return b0, max(float(w @ (resid - b0) ** 2) / nk, VARIANCE_FLOOR)
+
+
+def ca_update_gating_means(data: DataSet, tau: Responsibilities,
+                           gating_prev: tuple[GatingComponent, ...],
+                           gamma: float) -> list[np.ndarray]:
+    """Closed-form update of all gating mean vectors.
+
+    Each coordinate is ``S(X_j' tau_k; gamma * nu2_kj) / sum(tau_k)`` with
+    the lagged variances ``nu2_kj``.  With diagonal covariances the
+    coordinates of the penalized Q-function are decoupled, so this is its
+    exact maximizer: one soft-threshold per component, no iteration.
+    """
+    if gating_prev[0].R.ndim != 1:
+        raise UnsupportedConfigError("gating means update requires diagonal covariances")
+    R_prev = np.stack([g.R for g in gating_prev])
+    return list(_gating_means(data.X, tau.tau, _component_masses(tau.tau, data.n),
+                              R_prev, gamma))
+
+
+def update_gating_variances(data: DataSet, tau: Responsibilities,
+                            mu_new: list[np.ndarray]) -> list[np.ndarray]:
+    """Weighted per-coordinate variances around the new means, floored."""
+    nk = _component_masses(tau.tau, data.n)
+    return list(_gating_variances(data.X, tau.tau, nk, np.stack(mu_new)))
+
+
+def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
+                            expert_prev: ExpertComponent, lam: float,
+                            ca_max_iter: int = PenaltyConfig.ca_max_iter,
+                            ca_tol: float = PenaltyConfig.ca_tol) -> np.ndarray:
+    """Coordinate-ascent solve of one expert's weighted lasso problem.
+
+    Cycles ``beta_kj <- S(c_j - G_j' beta + G_jj beta_kj; lam * sigma2) / G_jj``
+    with the weighted Gram matrix ``G = X' W X`` and ``c = X' W (y - b0)``,
+    both formed once per call (the covariance updates of Friedman, Hastie
+    and Tibshirani, 2010), so a coordinate update costs O(p), not O(n).
+    The intercept ``b0`` and variance ``sigma2`` stay lagged throughout;
+    coordinates with ``G_jj == 0`` are forced to 0.  Sweeps stop by the
+    n-free rule of :class:`PenaltyConfig` (``n_k = sum(tau_k)``).
+    """
+    if data.d != 1 or expert_prev.d != 1:
+        raise UnsupportedConfigError("expert coefficient update requires d = 1")
+    w = np.asarray(tau_k, dtype=float)
+    nk = _component_masses(w[:, None], data.n)[0]
+    return _expert_coeffs(data.X, data.y1, w, nk, expert_prev.intercept[0],
+                          expert_prev.variance, expert_prev.beta, lam,
+                          ca_max_iter, ca_tol)
+
+
 def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
-                                     beta_new: np.ndarray,
-                                     component: int = 1) -> tuple[float, float]:
+                                     beta_new: np.ndarray) -> tuple[float, float]:
     """Standard weighted intercept and (floored) variance updates given the
     freshly updated coefficient vector."""
     if data.d != 1:
         raise UnsupportedConfigError("intercept/variance update requires d = 1")
     w = np.asarray(tau_k, dtype=float)
-    s = float(np.sum(w))
-    _check_component_masses([s], data.n, first=component)
-    resid = data.y1 - data.X @ beta_new
-    b0 = float(w @ resid) / s
-    sigma2 = float(w @ (resid - b0) ** 2) / s
-    return b0, max(sigma2, VARIANCE_FLOOR)
+    nk = _component_masses(w[:, None], data.n)[0]
+    return _intercept_variance(data.X, data.y1, w, nk, beta_new)
 
 
-def _lasso_m_step(data: DataSet, tau: Responsibilities, params: MoggeParams,
-                  penalty: PenaltyConfig) -> MoggeParams:
+def _lasso_m_step(data: DataSet, T: np.ndarray, nk: np.ndarray, s: _Stack,
+                  penalty: PenaltyConfig) -> _Stack:
     """Closed-form mixing weights, soft-threshold gating means, floored
     gating variances, then per expert the coordinate-ascent coefficients
     and the intercept and variance that go with them."""
-    T = tau.tau
-    nk = T.sum(axis=0)
-    alphas = nk / nk.sum()
-    mus = ca_update_gating_means(data, tau, params.gating, penalty.gamma)
-    nus = update_gating_variances(data, tau, mus)
-    gating = tuple(
-        GatingComponent(alpha=float(alphas[k]), mu=mus[k], R=nus[k])
-        for k in range(params.K)
-    )
+    X, y = data.X, data.y1
+    mu = _gating_means(X, T, nk, s.R, penalty.gamma)
     experts = []
-    for k in range(params.K):
-        beta = ca_update_expert_coeffs(
-            data, T[:, k], params.experts[k], penalty.lam,
-            ca_max_iter=penalty.ca_max_iter, ca_tol=penalty.ca_tol,
-            component=k + 1,
-        )
-        b0, s2 = update_expert_intercept_variance(
-            data, T[:, k], beta, component=k + 1
-        )
-        experts.append(
-            ExpertComponent(intercept=[b0], coeffs=beta[:, None], cov=[[s2]])
-        )
-    return MoggeParams(gating=gating, experts=tuple(experts))
+    for k, w in enumerate(T.T):
+        beta = _expert_coeffs(X, y, w, nk[k], s.a[k, 0], s.Sigma[k, 0, 0], s.B[k, :, 0],
+                              penalty.lam, penalty.ca_max_iter, penalty.ca_tol)
+        experts.append((*_intercept_variance(X, y, w, nk[k], beta), beta))
+    b0, sigma2, beta = map(np.array, zip(*experts))
+    return _Stack(nk / nk.sum(), mu, _gating_variances(X, T, nk, mu),
+                  b0[:, None], beta[:, :, None], sigma2[:, None, None])
 
 
 def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
@@ -236,7 +237,7 @@ def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
             raise ValueError("warm start dimensions do not match the request")
     return _multistart(
         data, K, opts or FitOptions(),
-        lambda data, tau, params: _lasso_m_step(data, tau, params, penalty),
-        lambda loglik, params: _penalize(loglik, params, penalty.lam, penalty.gamma),
+        lambda data, T, nk, s: _lasso_m_step(data, T, nk, s, penalty),
+        lambda loglik, s: _penalize(loglik, s, penalty.lam, penalty.gamma),
         diagonal_gating=True, warm_start=warm_start,
     )

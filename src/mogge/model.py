@@ -8,10 +8,10 @@ Every function here is a pure function of its inputs and safe to call
 concurrently on shared read-only data.
 
 The component constructors are the only check on a parameter set: they
-test every variance against the floor and factor every full covariance
-once, keep the lower Cholesky factor for the density evaluation, and
-store read-only copies of their arrays, so neither the caller's arrays
-nor later writes can change a checked component.
+test every variance against the floor, factor every full covariance and
+store read-only copies of their arrays.  A fit checks only the edges of
+a run; inside it the EM loop iterates on :class:`_Stack`, kept valid by
+the M-step guards and the E-step's factorization (``LinAlgError``).
 
 Component layout conventions:
 
@@ -26,6 +26,7 @@ Component layout conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import cholesky
@@ -290,6 +291,30 @@ class MoggeParams:
         )
 
 
+class _Stack(NamedTuple):
+    """Unchecked parameters stacked over the K components, ``alpha`` (K,),
+    ``mu`` (K, p), ``R`` (K, p) or (K, p, p), ``a`` (K, d), ``B`` (K, p, d),
+    ``Sigma`` (K, d, d); :meth:`of` and :meth:`params` convert from and to
+    checked components."""
+
+    alpha: np.ndarray
+    mu: np.ndarray
+    R: np.ndarray
+    a: np.ndarray
+    B: np.ndarray
+    Sigma: np.ndarray
+
+    @classmethod
+    def of(cls, params: MoggeParams) -> "_Stack":
+        parts = [(g.mu, g.R, e.intercept, e.coeffs, e.cov)
+                 for g, e in zip(params.gating, params.experts)]
+        return cls(params.alphas, *map(np.stack, zip(*parts)))
+
+    def params(self) -> MoggeParams:
+        return MoggeParams(map(GatingComponent, self.alpha.tolist(), self.mu, self.R),
+                           map(ExpertComponent, self.a, self.B, self.Sigma))
+
+
 @dataclass(frozen=True)
 class Responsibilities:
     """Posterior component-membership probabilities, one row per observation."""
@@ -318,25 +343,20 @@ class Responsibilities:
 # Log-density evaluation
 # ---------------------------------------------------------------------------
 
-def _log_gauss_rows(V: np.ndarray, mean: np.ndarray, cov: np.ndarray,
+def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
                     chol: np.ndarray | None) -> np.ndarray:
-    """Row-wise Gaussian log-density.
-
-    ``V`` is ``(n, m)``; ``mean`` is ``(m,)`` or ``(n, m)``; ``cov`` and
-    ``chol`` come from :func:`_validate_spd`: a length-m vector of
-    variances with ``chol`` None, or a full matrix with its lower
-    Cholesky factor.
-    """
-    diff = V - mean
-    m = V.shape[1]
+    """``(K, n)`` Gaussian log-densities of the deviations ``diff`` (K, n, m)
+    of the rows from the K means, under K variance vectors ``cov`` (K, m)
+    with ``chol`` None, or K full matrices with lower factors ``chol``."""
+    m = diff.shape[2]
     if chol is None:
-        quad = np.sum(diff * diff / cov, axis=1)
-        logdet = float(np.sum(np.log(cov)))
+        quad = np.sum(diff * diff / cov[:, None, :], axis=2)
+        logdet = np.sum(np.log(cov), axis=1)
     else:
-        Z = np.linalg.solve(chol, diff.T)
-        quad = np.sum(Z * Z, axis=0)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (m * LOG_2PI + logdet + quad)
+        Z = np.linalg.solve(chol, np.swapaxes(diff, 1, 2))
+        quad = np.sum(Z * Z, axis=1)
+        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return -0.5 * ((m * LOG_2PI + logdet)[:, None] + quad)
 
 
 def gaussian_logpdf(v, mean, cov) -> float:
@@ -365,31 +385,32 @@ def gaussian_logpdf(v, mean, cov) -> float:
     m = v.shape[0]
     if cov.shape not in ((m,), (m, m)):
         raise ValueError(f"cov must be a length-{m} vector (diagonal) or {m}x{m}")
-    return float(_log_gauss_rows(v[None, :], mean, cov, _validate_spd(cov, "cov"))[0])
+    chol = _validate_spd(cov, "cov")
+    L = None if chol is None else chol[None]
+    return float(_log_gauss_rows((v - mean)[None, None, :], cov[None], L)[0, 0])
 
 
-def _log_gate_matrix(X: np.ndarray, params: MoggeParams) -> np.ndarray:
-    """Unnormalized gating log-weights ``log alpha_k + log phi_p(x; mu_k, R_k)``."""
-    n = X.shape[0]
-    out = np.empty((n, params.K))
-    for k, g in enumerate(params.gating):
-        out[:, k] = np.log(g.alpha) + _log_gauss_rows(X, g.mu, g.R, g._chol)
-    return out
+def _log_gate_matrix(X: np.ndarray, s: _Stack) -> np.ndarray:
+    """``(K, n)`` unnormalized gating log-weights
+    ``log alpha_k + log phi_p(x_i; mu_k, R_k)``."""
+    chol = cholesky(s.R) if s.R.ndim == 3 else None
+    return np.log(s.alpha)[:, None] + _log_gauss_rows(X - s.mu[:, None, :], s.R, chol)
 
 
-def _log_joint_matrix(data: DataSet, params: MoggeParams) -> np.ndarray:
+def _log_joint_matrix(data: DataSet, s: _Stack) -> np.ndarray:
     """Per-observation, per-component joint log-terms
-    ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``."""
-    if params.p != data.p or params.d != data.d:
+    ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``, ``(n, K)``."""
+    p, d = s.B.shape[1:]
+    if p != data.p or d != data.d:
         raise ValueError(
-            f"parameter dimensions (p={params.p}, d={params.d}) do not match "
+            f"parameter dimensions (p={p}, d={d}) do not match "
             f"data (p={data.p}, d={data.d})"
         )
-    out = _log_gate_matrix(data.X, params)
-    for k, e in enumerate(params.experts):
-        mean = e.intercept + data.X @ e.coeffs  # a_k + B_k' x_i for every row
-        out[:, k] += _log_gauss_rows(data.Y, mean, e.cov, e._chol)
-    return out
+    mean = s.a[:, None, :] + data.X @ s.B  # a_k + B_k' x_i for every k and row
+    out = _log_gate_matrix(data.X, s)
+    out += _log_gauss_rows(data.Y - mean, s.Sigma, cholesky(s.Sigma))
+    # row-major (n, K): the M-step's weighted sums round differently on a view
+    return np.ascontiguousarray(out.T)
 
 
 def gating_probs(x, params: MoggeParams) -> np.ndarray:
@@ -402,15 +423,16 @@ def gating_probs(x, params: MoggeParams) -> np.ndarray:
     x = _as_float_array(np.atleast_1d(x), "x", 1)
     if x.shape[0] != params.p:
         raise ValueError(f"x has length {x.shape[0]} but the model has p={params.p}")
-    return _log_normalize(_log_gate_matrix(x[None, :], params))[1][0]
+    return _log_normalize(_log_gate_matrix(x[None, :], _Stack.of(params)).T)[1][0]
 
 
 def conditional_density(y, x, params: MoggeParams) -> float:
     """Log conditional density ``log f(y | x)`` of the mixture: the joint
     log-density of ``(x, y)`` minus the marginal log-density of ``x``."""
     pair = DataSet(X=np.reshape(x, (1, -1)), Y=np.reshape(y, (1, -1)))
-    joint = _log_normalize(_log_joint_matrix(pair, params))[0]
-    marginal = _log_normalize(_log_gate_matrix(pair.X, params))[0]
+    s = _Stack.of(params)
+    joint = _log_normalize(_log_joint_matrix(pair, s))[0]
+    marginal = _log_normalize(_log_gate_matrix(pair.X, s).T)[0]
     return float(joint[0] - marginal[0])
 
 
@@ -425,17 +447,16 @@ def _log_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (top + np.log(total))[:, 0], W
 
 
-def _e_step(data: DataSet, params: MoggeParams) -> tuple[float, Responsibilities]:
-    """Joint log-likelihood and posterior responsibilities from one
-    evaluation of the log-joint matrix: the row log-sum-exps are summed
-    for the former and the normalized rows are the latter."""
-    lse, tau = _log_normalize(_log_joint_matrix(data, params))
-    return float(np.sum(lse)), Responsibilities(tau=tau)
+def _e_step(data: DataSet, s: _Stack) -> tuple[float, np.ndarray]:
+    """Joint log-likelihood (the summed row log-sum-exps) and ``(n, K)``
+    responsibilities (the normalized rows) from one log-joint evaluation."""
+    lse, tau = _log_normalize(_log_joint_matrix(data, s))
+    return float(np.sum(lse)), tau
 
 
 def joint_loglik(data: DataSet, params: MoggeParams) -> float:
     """Joint log-likelihood of the sample: one log-sum-exp per observation."""
-    return _e_step(data, params)[0]
+    return _e_step(data, _Stack.of(params))[0]
 
 
 def penalized_loglik(data: DataSet, params: MoggeParams,
@@ -454,16 +475,15 @@ def penalized_loglik(data: DataSet, params: MoggeParams,
         raise UnsupportedConfigError(
             "penalized objective requires diagonal gating covariances"
         )
-    return _penalize(joint_loglik(data, params), params, lam, gamma)
+    s = _Stack.of(params)
+    return _penalize(_e_step(data, s)[0], s, lam, gamma)
 
 
-def _penalize(loglik: float, params: MoggeParams, lam: float, gamma: float) -> float:
+def _penalize(loglik: float, s: _Stack, lam: float, gamma: float) -> float:
     """``loglik`` minus the L1 penalty on expert coefficients and gating means."""
-    pen_beta = sum(float(np.sum(np.abs(e.beta))) for e in params.experts)
-    pen_mu = sum(float(np.sum(np.abs(g.mu))) for g in params.gating)
-    return loglik - lam * pen_beta - gamma * pen_mu
+    return loglik - lam * float(np.sum(np.abs(s.B))) - gamma * float(np.sum(np.abs(s.mu)))
 
 
 def posterior_responsibilities(data: DataSet, params: MoggeParams) -> Responsibilities:
     """Posterior membership probabilities, rows normalized by log-sum-exp."""
-    return _e_step(data, params)[1]
+    return Responsibilities(tau=_e_step(data, _Stack.of(params))[1])

@@ -23,7 +23,7 @@ from .model import (
     FitFailedError,
     MoggeParams,
     UnsupportedConfigError,
-    _e_step,
+    joint_loglik,
 )
 
 
@@ -103,10 +103,10 @@ def modified_bic(data: DataSet, fit: FitResult) -> float:
     ``count_df * log(n) / 2``."""
     if not fit.converged:
         raise ValueError("BIC is only defined for a converged fit")
-    return _e_step(data, fit.params)[0] - count_df(fit.params) * math.log(data.n) / 2.0
+    return joint_loglik(data, fit.params) - count_df(fit.params) * math.log(data.n) / 2.0
 
 
-def _selection_order(rows: list[SelectionRow]) -> int:
+def _selection_order(rows: list[SelectionRow], failures=()) -> int:
     """Index of the max-BIC converged row; ties prefer smaller df, then
     smaller K, then the larger combined penalty."""
     candidates = [
@@ -115,7 +115,10 @@ def _selection_order(rows: list[SelectionRow]) -> int:
         if r.converged and np.isfinite(r.bic)
     ]
     if not candidates:
-        raise SelectionError("no grid point produced a converged fit")
+        raise SelectionError(
+            f"no grid point produced a converged fit ({len(failures)} of "
+            f"{len(rows)} fits failed)"
+        ) from (failures[0] if failures else None)
     return min(candidates)[4]
 
 
@@ -131,11 +134,12 @@ def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
     multi-start.  ``warm_start=False`` refits every point cold.  Triplets
     whose fits raise :class:`~mogge.model.FitFailedError` or do not
     converge are recorded with ``converged=False`` and excluded from
-    selection.
+    selection; if none is left, the error is raised from the first failure.
     """
     opts = opts or FitOptions()
     rows: list[SelectionRow] = []
     fits: list[FitResult | None] = []
+    failures: list[FitFailedError] = []
     logn_half = math.log(data.n) / 2.0
     for K in grid.Ks:
         pairs = sorted(
@@ -152,7 +156,8 @@ def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
                     data, K, penalty, opts,
                     warm_start=prev_params if warm_start else None,
                 )
-            except FitFailedError:
+            except FitFailedError as exc:
+                failures.append(exc)
                 rows.append(SelectionRow(
                     K=K, lam=lam, gamma=gamma, loglik=float("nan"), df=0,
                     bic=float("nan"), converged=False,
@@ -167,7 +172,7 @@ def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
             fits.append(fit)
             if warm_start:
                 prev_params = fit.params
-    selected = _selection_order(rows)
+    selected = _selection_order(rows, failures)
     return SelectionTable(
         rows=tuple(rows), selected=selected, best_fit=fits[selected]
     )

@@ -14,8 +14,8 @@ from mogge.cli import (
     _build_parser,
     main,
 )
-from mogge.model import ExpertComponent, GatingComponent, MoggeParams
-from mogge.simulate import Scenario
+from mogge.model import DataSet, ExpertComponent, GatingComponent, MoggeParams
+from mogge.simulate import Scenario, default_scenario, sample_dataset
 
 
 def run(*argv) -> int:
@@ -177,6 +177,28 @@ class TestFit:
 
     def test_missing_data_flag(self, tmp_path):
         assert run("fit", "--out-dir", str(tmp_path)) == 1
+
+
+class TestFailureReport:
+    @pytest.mark.parametrize("command", [
+        ["fit"],
+        ["select", "--ks", "2", "--lambdas", "0,5", "--gammas", "0,5"],
+    ])
+    def test_every_start_diagnosis_printed(self, tmp_path, capsys, command):
+        data, labels = sample_dataset(default_scenario(n=300, seed=42))
+        path = tmp_path / "huge.csv"
+        dataio.write_dataset_csv(
+            path, DataSet(X=data.X * 1e160, Y=data.Y * 1e160), labels
+        )
+        assert run(
+            *command, "--data", str(path), "--n-starts", "3",
+            "--out-dir", str(tmp_path / "out"),
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: ")
+        diagnoses = [ln for ln in err[1:] if ln.startswith("  start ")]
+        assert len(diagnoses) == 3 == len(err) - 1
+        assert all("FloatingPointError" in ln for ln in diagnoses)
 
 
 class TestSelect:

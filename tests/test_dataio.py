@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mogge import dataio
-from mogge.model import DataSet
+from mogge.em import FitOptions
+from mogge.em_lasso import PenaltyConfig, fit_em_lasso
+from mogge.model import DataSet, ExpertComponent, GatingComponent, MoggeParams
 from mogge.selection import SelectionRow, SelectionTable
 from mogge.simulate import default_scenario, sample_dataset
 
@@ -159,18 +161,44 @@ class TestDatasetCsvRoundTrip:
 
 
 class TestParamsJson:
+    @staticmethod
+    def _with_edge_values(params):
+        """Copy with a -0.0 gating-mean entry and a subnormal coefficient."""
+        g0, e0 = params.gating[0], params.experts[0]
+        mu, coeffs = g0.mu.copy(), e0.coeffs.copy()
+        mu[0] = -0.0
+        coeffs[0, 0] = 5e-324
+        return MoggeParams(
+            gating=(GatingComponent(alpha=g0.alpha, mu=mu, R=g0.R),) + params.gating[1:],
+            experts=(ExpertComponent(intercept=e0.intercept, coeffs=coeffs, cov=e0.cov),)
+            + params.experts[1:],
+        )
+
     def test_roundtrip_diagonal_and_full(self, tmp_path):
         rng = np.random.default_rng(3)
-        for diagonal in (True, False):
-            params = random_params(rng, K=2, p=3, diagonal=diagonal)
-            path = tmp_path / f"params_{diagonal}.json"
+        cases = [
+            self._with_edge_values(random_params(rng, K=2, p=3, d=d, diagonal=diagonal))
+            for d in (1, 2) for diagonal in (True, False)
+        ]
+        data, _ = sample_dataset(default_scenario(n=120, seed=5))
+        fitted = fit_em_lasso(
+            data, 2, PenaltyConfig(lam=10.0, gamma=10.0), FitOptions(n_starts=1)
+        ).params
+        assert any(np.any(e.coeffs == 0.0) for e in fitted.experts)
+        cases.append(fitted)
+        for i, params in enumerate(cases):
+            path = tmp_path / f"params_{i}.json"
             dataio.write_json(path, dataio.params_to_dict(params))
             back = dataio.params_from_dict(dataio.read_json(path))
-            assert back.has_diagonal_gating == diagonal
-            for k in range(2):
-                assert np.array_equal(back.gating[k].mu, params.gating[k].mu)
-                assert np.array_equal(back.gating[k].R, params.gating[k].R)
-                assert np.array_equal(back.experts[k].coeffs, params.experts[k].coeffs)
+            assert back.has_diagonal_gating == params.has_diagonal_gating
+            for a, b in zip(back.gating, params.gating):
+                assert np.float64(a.alpha).tobytes() == np.float64(b.alpha).tobytes()
+                assert a.mu.tobytes() == b.mu.tobytes()
+                assert a.R.tobytes() == b.R.tobytes()
+            for a, b in zip(back.experts, params.experts):
+                assert a.intercept.tobytes() == b.intercept.tobytes()
+                assert a.coeffs.tobytes() == b.coeffs.tobytes()
+                assert a.cov.tobytes() == b.cov.tobytes()
 
     def test_exact_zeros_survive(self, tmp_path):
         s = default_scenario()

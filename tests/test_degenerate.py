@@ -128,7 +128,9 @@ def test_overflowing_scale_grid_search_selects_or_raises(default_data, scale):
     grid = GridSpec(Ks=(2,), lambdas=(0.0, 5.0), gammas=(0.0, 5.0))
     try:
         table = grid_search(DataSet(X=X * scale, Y=y * scale), grid, opts=OPTS)
-    except SelectionError:
+    except SelectionError as err:
+        assert isinstance(err.__cause__, FitFailedError)
+        assert len(err.__cause__.diagnoses) == OPTS.n_starts
         return
     assert table.selected_row.converged
     _assert_finite(table.best_fit)

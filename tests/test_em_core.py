@@ -1,15 +1,30 @@
 """The EM core shared by ``fit_em`` and ``fit_em_lasso``: one log-joint
-evaluation per iteration, one factorization per covariance, objectives,
-log-likelihoods and responsibilities that are exactly those of the
-returned parameters, read-only parameter arrays, and the multi-start
-driver's failure reporting."""
+evaluation per iteration, one factorization per covariance, checked
+parameters only where a run starts and ends, the same steps as the
+public layer functions, objectives, log-likelihoods and responsibilities
+that are exactly those of the returned parameters, read-only parameter
+arrays, and how ``_multistart`` reports failed starts."""
 
 import numpy as np
 import pytest
 
-from mogge import model
-from mogge.em import FitOptions, fit_em
-from mogge.em_lasso import PenaltyConfig, fit_em_lasso
+from mogge import em, em_lasso, model
+from mogge.em import (
+    FitOptions,
+    fit_em,
+    init_params,
+    m_step_experts,
+    m_step_gating,
+    start_seeds,
+)
+from mogge.em_lasso import (
+    PenaltyConfig,
+    ca_update_expert_coeffs,
+    ca_update_gating_means,
+    fit_em_lasso,
+    update_expert_intercept_variance,
+    update_gating_variances,
+)
 from mogge.model import (
     ExpertComponent,
     FitFailedError,
@@ -63,29 +78,168 @@ class TestOneEStepPerIteration:
         assert counter[0] == fit.n_iter + 1
 
 
+def _count_factored(monkeypatch):
+    """Replace ``mogge.model.cholesky`` by a wrapper counting the matrices
+    it factors: a stack of m matrices counts m."""
+    count = [0]
+    original = model.cholesky
+
+    def counted(a):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return original(a)
+
+    monkeypatch.setattr(model, "cholesky", counted)
+    return count
+
+
 class TestOneFactorizationPerCovariance:
-    """Each parameter set of a fit (the initial one and one per iteration)
-    factors each full covariance once: the constructors check it and keep
-    the factor, and the E-step reuses it."""
+    """Each E-step factors each full covariance once: 2K matrices with
+    full gating, K with diagonal gating or EM-Lasso (the expert
+    covariances).  A single cold start runs n_iter + 1 E-steps, and the
+    checked components built by ``init_params`` and those returned at the
+    end factor each full covariance once more, so the count is
+    ``full_per_component * K * (n_iter + 3)``."""
 
     @pytest.mark.parametrize("diagonal, full_per_component", [(False, 2), (True, 1)])
     def test_fit_em(self, monkeypatch, diagonal, full_per_component):
         data = _instance(1)
-        calls = _count_calls(monkeypatch, "cholesky")
+        calls = _count_factored(monkeypatch)
         fit = fit_em(
             data, K=2, opts=FitOptions(n_starts=1, seed=3), diagonal_gating=diagonal
         )
         assert fit.n_iter > 1
-        assert calls[0] == full_per_component * 2 * (fit.n_iter + 1)
+        assert calls[0] == full_per_component * 2 * (fit.n_iter + 3)
 
     def test_fit_em_lasso(self, monkeypatch):
         data = _instance(2)
-        calls = _count_calls(monkeypatch, "cholesky")
+        calls = _count_factored(monkeypatch)
         fit = fit_em_lasso(
             data, K=2, penalty=PENALTY, opts=FitOptions(n_starts=1, seed=3)
         )
         assert fit.n_iter > 1
-        assert calls[0] == 2 * (fit.n_iter + 1)
+        assert calls[0] == 2 * (fit.n_iter + 3)
+
+
+class TestRunEdges:
+    """A run checks its parameters where it starts and where it ends, not
+    per iteration: a cold start builds ``MoggeParams`` twice (the initial
+    parameters and the result), a warm start once (the result), and the
+    component masses are checked once per iteration."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        built, checked = [0], [0]
+        post_init = MoggeParams.__post_init__
+        check = em._component_masses
+
+        def counted_post_init(self):
+            built[0] += 1
+            post_init(self)
+
+        def counted_check(*args, **kwargs):
+            checked[0] += 1
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(MoggeParams, "__post_init__", counted_post_init)
+        for module in (em, em_lasso):
+            monkeypatch.setattr(module, "_component_masses", counted_check)
+        return built, checked
+
+    @pytest.mark.parametrize("fitter", [
+        lambda data, opts: fit_em(data, K=2, opts=opts),
+        lambda data, opts: fit_em(data, K=2, opts=opts, diagonal_gating=True),
+        lambda data, opts: fit_em_lasso(data, K=2, penalty=PENALTY, opts=opts),
+    ], ids=["em-full", "em-diagonal", "em-lasso"])
+    def test_cold_start(self, counts, fitter):
+        data = _instance(8)
+        built, checked = counts
+        built[0] = checked[0] = 0
+        fit = fitter(data, FitOptions(n_starts=1, seed=3))
+        assert fit.n_iter > 1
+        assert built[0] == 2
+        assert checked[0] == fit.n_iter
+
+    def test_warm_start(self, counts):
+        data = _instance(8)
+        cold = fit_em_lasso(data, K=2, penalty=PENALTY, opts=FitOptions(n_starts=1))
+        built, checked = counts
+        built[0] = checked[0] = 0
+        warm = fit_em_lasso(
+            data, K=2, penalty=PenaltyConfig(lam=2.0, gamma=1.0),
+            opts=FitOptions(seed=1), warm_start=cold.params,
+        )
+        assert warm.n_iter > 1
+        assert built[0] == 1
+        assert checked[0] == warm.n_iter
+
+
+def _assert_same_params(a, b):
+    """Equal to rtol 1e-12, with the same exact zeros."""
+    pairs = [(a.alphas, b.alphas)]
+    for ga, gb in zip(a.gating, b.gating):
+        pairs += [(ga.mu, gb.mu), (ga.R, gb.R)]
+    for ea, eb in zip(a.experts, b.experts):
+        pairs += [(ea.intercept, eb.intercept), (ea.coeffs, eb.coeffs), (ea.cov, eb.cov)]
+    for x, y in pairs:
+        np.testing.assert_allclose(x, y, rtol=1e-12, atol=0.0)
+        assert np.array_equal(x == 0.0, y == 0.0)
+
+
+class TestNoFork:
+    """The loop runs the same steps as the public layer functions: a
+    single start equals those functions composed by hand from the same
+    initial parameters."""
+
+    @staticmethod
+    def _start(data, opts, diagonal):
+        seed = start_seeds(opts.seed, 1)[0]
+        return init_params(
+            data, 2, strategy=opts.init_strategy, seed=seed, diagonal_gating=diagonal
+        )
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_fit_em(self, max_iter, diagonal):
+        data = _instance(9)
+        opts = FitOptions(n_starts=1, seed=2, max_iter=max_iter, tol=1e-300)
+        fit = fit_em(data, K=2, opts=opts, diagonal_gating=diagonal)
+        params = self._start(data, opts, diagonal)
+        for _ in range(max_iter):
+            tau = posterior_responsibilities(data, params)
+            params = MoggeParams(
+                gating=tuple(m_step_gating(data, tau, diagonal=diagonal)),
+                experts=tuple(m_step_experts(data, tau, params.experts)),
+            )
+        assert fit.n_iter == max_iter
+        _assert_same_params(fit.params, params)
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_fit_em_lasso(self, max_iter):
+        data = _instance(10)
+        penalty = PenaltyConfig(lam=4.0, gamma=3.0)
+        opts = FitOptions(n_starts=1, seed=2, max_iter=max_iter, tol=1e-300)
+        fit = fit_em_lasso(data, K=2, penalty=penalty, opts=opts)
+        params = self._start(data, opts, True)
+        for _ in range(max_iter):
+            tau = posterior_responsibilities(data, params)
+            nk = tau.tau.sum(axis=0)
+            mus = ca_update_gating_means(data, tau, params.gating, penalty.gamma)
+            nus = update_gating_variances(data, tau, mus)
+            experts = []
+            for k, prev in enumerate(params.experts):
+                beta = ca_update_expert_coeffs(data, tau.tau[:, k], prev, penalty.lam)
+                b0, s2 = update_expert_intercept_variance(data, tau.tau[:, k], beta)
+                experts.append(ExpertComponent(intercept=b0, coeffs=beta, cov=s2))
+            params = MoggeParams(
+                gating=tuple(
+                    GatingComponent(alpha=nk[k] / nk.sum(), mu=mus[k], R=nus[k])
+                    for k in range(2)
+                ),
+                experts=tuple(experts),
+            )
+        assert fit.n_iter == max_iter
+        assert any(np.any(e.beta == 0.0) for e in params.experts)
+        _assert_same_params(fit.params, params)
 
 
 class TestReadOnlyParameters:
@@ -163,6 +317,7 @@ class TestMultistart:
             )
         assert len(err.value.diagnoses) == 1
         assert "DegenerateComponentError" in err.value.diagnoses[0]
+        assert "component 2" in err.value.diagnoses[0]
 
 
 class TestFitResultPermuted:

@@ -408,11 +408,11 @@ class TestUpdateExpertInterceptVariance:
         w = np.full(6, 1e-12)
         expert = _diag_params(rng, 2).experts[0]
         with pytest.raises(DegenerateComponentError) as err:
-            ca_update_expert_coeffs(data, w, expert, lam=1.0, component=2)
-        assert err.value.component == 2
+            ca_update_expert_coeffs(data, w, expert, lam=1.0)
+        assert err.value.component == 1
         with pytest.raises(DegenerateComponentError) as err:
-            update_expert_intercept_variance(data, w, expert.beta, component=3)
-        assert err.value.component == 3
+            update_expert_intercept_variance(data, w, expert.beta)
+        assert err.value.component == 1
 
 
 class TestFitEmLasso:
