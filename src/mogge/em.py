@@ -5,7 +5,7 @@ The E-step computes posterior responsibilities; the M-step has closed
 forms: weighted Gaussian-mixture moments for the gating network and
 weighted linear regressions for the experts.  The iteration loop and
 the multi-start driver also run :mod:`mogge.em_lasso`, which supplies its
-own M-step and objective.  Multi-start with best-objective selection;
+own M-step and objective.  Multi-start in batches, best objective wins;
 any start whose components collapse, or whose arithmetic overflows, is
 abandoned and diagnosed rather than reinitialized mid-run.
 """
@@ -39,6 +39,12 @@ INIT_STRATEGIES = ("random-partition", "kmeans-on-x")
 GRAM_RIDGE = 1e-8
 COV_JITTER = 1e-10
 DEGENERACY_FRACTION = 1e-8
+
+# Most numbers in one (S, K, n, max(p, d)) temporary of a batch of S starts.
+_BATCH_ELEMENTS = 2 ** 20
+
+_START_FAILURES = (DegenerateComponentError, NotPositiveDefiniteError,
+                   np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,8 @@ def start_seeds(seed: int, n_starts: int) -> list[int]:
     """Per-start integer seeds derived from the master seed.
 
     Shared by both fitting loops so that runs configured identically see
-    identical initializations, and so that starts may run concurrently
-    without changing results.
+    identical initializations.  The starts of a fit then run together in
+    batches, and a start's result does not depend on the batch it runs in.
     """
     state = np.random.SeedSequence(seed).generate_state(n_starts, dtype=np.uint64)
     return [int(s) for s in state]
@@ -199,15 +205,16 @@ def init_params(data: DataSet, K: int, strategy: str = "random-partition",
 
 def _component_masses(T: np.ndarray, n: int) -> np.ndarray:
     """Column sums ``nk`` of the (n, K) responsibilities ``T``; raise if the
-    mass ``nk[k - 1]`` of a component k is negligible."""
-    nk = T.sum(axis=0)
-    for k, mass in enumerate(nk, start=1):
-        if mass <= DEGENERACY_FRACTION * n:
-            raise DegenerateComponentError(
-                k,
-                f"component {k} is degenerate: responsibility mass "
-                f"{mass:.3e} of n={n}",
-            )
+    mass ``nk[k - 1]`` of a component k (of any start) is negligible."""
+    nk = T.sum(axis=-2)
+    if nk.min() <= DEGENERACY_FRACTION * n:
+        bad = np.argwhere(nk <= DEGENERACY_FRACTION * n)[0]
+        k = int(bad[-1]) + 1
+        raise DegenerateComponentError(
+            k,
+            f"component {k} is degenerate: responsibility mass "
+            f"{nk[tuple(bad)]:.3e} of n={n}",
+        )
     return nk
 
 
@@ -215,16 +222,16 @@ def _gating_moments(X: np.ndarray, T: np.ndarray, nk: np.ndarray,
                     diagonal: bool) -> tuple[np.ndarray, ...]:
     """Stacked gating update from the (n, K) responsibilities ``T`` and their
     sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p)."""
-    Tk = T.T[:, None, :]  # (K, 1, n): row k holds the weights of component k
-    mu = (Tk @ X)[:, 0, :] / nk[:, None]
-    diff = X - mu[:, None, :]
+    Tt = np.swapaxes(T, -1, -2)  # (K, n): row k holds the weights of component k
+    mu = (Tt[..., None, :] @ X)[..., 0, :] / nk[..., None]
+    diff = X - mu[..., None, :]
     if diagonal:
         diff *= diff  # in place: a second (K, n, p) temporary costs more than the product
-        R = (Tk @ diff)[:, 0, :] / nk[:, None] + COV_JITTER
+        R = (Tt[..., None, :] @ diff)[..., 0, :] / nk[..., None] + COV_JITTER
     else:
-        R = np.swapaxes(diff * T.T[:, :, None], 1, 2) @ diff / nk[:, None, None]
-        R = 0.5 * (R + np.swapaxes(R, 1, 2)) + COV_JITTER * np.eye(X.shape[1])
-    return nk / nk.sum(), mu, R
+        R = np.swapaxes(diff * Tt[..., None], -1, -2) @ diff / nk[..., None, None]
+        R = 0.5 * (R + np.swapaxes(R, -1, -2)) + COV_JITTER * np.eye(X.shape[1])
+    return nk / nk.sum(axis=-1, keepdims=True), mu, R
 
 
 def _expert_regressions(data: DataSet, T: np.ndarray, nk: np.ndarray,
@@ -232,12 +239,12 @@ def _expert_regressions(data: DataSet, T: np.ndarray, nk: np.ndarray,
     """Stacked expert update in the coupled order: intercepts (K, d) from
     the previous coefficients ``B_prev`` (K, p, d), coefficients (K, p, d)
     from the new intercepts, floored covariances (K, d, d) from both."""
-    X, Y, W = data.X, data.Y, T.T[:, :, None]  # W: (K, n, 1)
-    a = (T.T[:, None, :] @ (Y - X @ B_prev))[:, 0, :] / nk[:, None]
+    X, Y, W = data.X, data.Y, np.swapaxes(T, -1, -2)[..., None]  # W: (K, n, 1)
+    a = (np.swapaxes(W, -1, -2) @ (Y - X @ B_prev))[..., 0, :] / nk[..., None]
     G = X.T @ (W * X) + GRAM_RIDGE * np.eye(X.shape[1])
-    B = np.linalg.solve(G, X.T @ (W * (Y - a[:, None, :])))
-    resid = Y - a[:, None, :] - X @ B
-    return a, B, _floor_spd(np.swapaxes(resid, 1, 2) @ (W * resid) / nk[:, None, None])
+    B = np.linalg.solve(G, X.T @ (W * (Y - a[..., None, :])))
+    resid = Y - a[..., None, :] - X @ B
+    return a, B, _floor_spd(np.swapaxes(resid, -1, -2) @ (W * resid) / nk[..., None, None])
 
 
 def m_step_gating(data: DataSet, tau: Responsibilities,
@@ -260,73 +267,91 @@ def m_step_experts(data: DataSet, tau: Responsibilities,
 
 
 def _run_em(data: DataSet, s: _Stack, opts: FitOptions,
-            m_step: Callable, objective: Callable) -> FitResult:
-    """EM iterations from the stack ``s`` until the relative objective
-    change drops below ``opts.tol`` or ``opts.max_iter`` is reached.
+            m_step: Callable, objective: Callable) -> list:
+    """EM iterations for the starts along the leading axis of ``s``, each
+    until its relative objective change drops below ``opts.tol`` or
+    ``opts.max_iter`` is reached; returns a FitResult or exception per start.
 
-    ``m_step(data, T, nk, s)`` returns the next stack from the (n, K)
+    ``m_step(data, T, nk, s)`` returns the next stack from the (S, n, K)
     responsibilities ``T`` and their masses ``nk``, checked once per
-    iteration, and ``objective(loglik, s)`` the trace entry; one E-step per
-    iteration yields both.  Only the result becomes checked components.
-    """
-    loglik, T = _e_step(data, s)
-    trace = [objective(loglik, s)]
-    converged = False
-    for _ in range(opts.max_iter):
-        nk = _component_masses(T, data.n)
-        s = m_step(data, T, nk, s)
+    iteration, and ``objective(loglik, s)`` the (S,) trace entries.  A step
+    that raises for the batch is redone for each start alone."""
+    def step(s, T):
+        if T is not None:
+            s = m_step(data, T, _component_masses(T, data.n), s)
         loglik, T = _e_step(data, s)
-        trace.append(objective(loglik, s))
-        change = abs(trace[-1] - trace[-2])
-        if change / max(abs(trace[-2]), np.finfo(float).tiny) < opts.tol:
-            converged = True
+        return s, T, loglik, objective(loglik, s)
+
+    out: list = [None] * len(s.alpha)
+    traces: list[list[float]] = [[] for _ in out]
+    live, T = np.arange(len(out)), None
+    for it in range(opts.max_iter + 1):
+        try:
+            s, T, loglik, obj = step(s, T)
+        except _START_FAILURES:
+            runs = []
+            for i, start in enumerate(live.tolist()):
+                try:
+                    runs.append(step(s.take([i]), T if T is None else T[[i]]))
+                except _START_FAILURES as exc:
+                    out[start] = exc
+            live = np.array([start for start in live if out[start] is None], int)
+            if not runs:
+                break
+            s = _Stack(*map(np.concatenate, zip(*(run[0] for run in runs))))
+            T, loglik, obj = map(np.concatenate, zip(*(run[1:] for run in runs)))
+        for i, (start, value) in enumerate(zip(live.tolist(), obj.tolist())):
+            trace = traces[start]
+            trace.append(value)
+            converged = it > 0 and abs(value - trace[-2]) / max(
+                abs(trace[-2]), np.finfo(float).tiny) < opts.tol
+            if converged or it == opts.max_iter:
+                try:
+                    out[start] = FitResult(
+                        s.take(i).params(), np.array(trace), Responsibilities(tau=T[i]),
+                        n_iter=it, converged=converged, objective=value,
+                        loglik=float(loglik[i]))
+                except _START_FAILURES as exc:
+                    out[start] = exc
+        keep = [out[start] is None for start in live.tolist()]
+        if not all(keep):  # compacting copies every array: about 30 us at S=1
+            live, s, T = live[keep], s.take(keep), T[keep]
+        if not len(live):
             break
-    return FitResult(
-        params=s.params(),
-        loglik_trace=np.array(trace),
-        responsibilities=Responsibilities(tau=T),
-        n_iter=len(trace) - 1,
-        converged=converged,
-        objective=trace[-1],
-        loglik=loglik,
-    )
+    return out
 
 
+@np.errstate(over="raise", invalid="raise")
 def _multistart(data: DataSet, K: int, opts: FitOptions, m_step: Callable,
                 objective: Callable, diagonal_gating: bool,
                 warm_start: MoggeParams | None = None) -> FitResult:
-    """Best run over the seeded starts, or the one run from ``warm_start``.
+    """Best run (the first with the largest objective) over the seeded
+    starts, or the one run from ``warm_start``.
 
-    The one place where a start's numerical trouble (a degenerate
-    component, a failed covariance check or factorization, an overflow or
-    invalid operation) becomes a diagnosis; underflow is routine."""
-    seeds = ([None] if warm_start is not None
-             else start_seeds(opts.seed, opts.n_starts))
-    best: FitResult | None = None
-    diagnoses: list[str] = []
-    for s, seed in enumerate(seeds):
+    Each start is initialized alone, then the starts run in batches of at
+    most ``_BATCH_ELEMENTS // (K n max(p, d))``.  The one place where a
+    start's numerical trouble (a degenerate component, a failed covariance
+    check or factorization, an overflow or invalid operation) becomes a
+    diagnosis; underflow is routine."""
+    seeds = [None] if warm_start is not None else start_seeds(opts.seed, opts.n_starts)
+    outcomes: dict = {}  # start -> initial stack, then FitResult or exception
+    for start, seed in enumerate(seeds):
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                if seed is None:
-                    params0 = warm_start
-                else:
-                    params0 = init_params(
-                        data, K, strategy=opts.init_strategy, seed=seed,
-                        diagonal_gating=diagonal_gating,
-                    )
-                result = _run_em(data, _Stack.of(params0), opts, m_step, objective)
-        except (DegenerateComponentError, NotPositiveDefiniteError,
-                FitFailedError, np.linalg.LinAlgError,
-                FloatingPointError) as exc:
-            diagnoses.append(f"start {s}: {type(exc).__name__}: {exc}")
-            continue
-        if best is None or result.objective > best.objective:
-            best = result
-    if best is None:
-        raise FitFailedError(
-            f"all {len(seeds)} starts failed", diagnoses=diagnoses
-        )
-    return best
+            outcomes[start] = _Stack.of(warm_start if seed is None else init_params(
+                data, K, opts.init_strategy, seed, diagonal_gating))
+        except (*_START_FAILURES, FitFailedError) as exc:
+            outcomes[start] = exc
+    ready = [start for start, s in outcomes.items() if isinstance(s, _Stack)]
+    size = max(1, _BATCH_ELEMENTS // (K * data.n * max(data.p, data.d)))
+    for batch in (ready[lo:lo + size] for lo in range(0, len(ready), size)):
+        stack = _Stack(*map(np.stack, zip(*(outcomes[start] for start in batch))))
+        outcomes.update(zip(batch, _run_em(data, stack, opts, m_step, objective)))
+    fits = [fit for fit in outcomes.values() if isinstance(fit, FitResult)]
+    if not fits:
+        raise FitFailedError(f"all {len(seeds)} starts failed", diagnoses=[
+            f"start {start}: {type(exc).__name__}: {exc}" for start, exc in outcomes.items()
+        ])
+    return max(fits, key=lambda fit: fit.objective)
 
 
 def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,

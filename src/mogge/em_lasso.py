@@ -90,15 +90,17 @@ def soft_threshold(u, eta):
 def _gating_means(X: np.ndarray, T: np.ndarray, nk: np.ndarray, R_prev: np.ndarray,
                   gamma: float) -> np.ndarray:
     """Stacked soft-threshold gating means (K, p), lagged variances ``R_prev``."""
-    return soft_threshold((X.T @ T.T[:, :, None])[:, :, 0], gamma * R_prev) / nk[:, None]
+    XtT = (X.T @ np.swapaxes(T, -1, -2)[..., None])[..., 0]
+    return soft_threshold(XtT, gamma * R_prev) / nk[..., None]
 
 
 def _gating_variances(X: np.ndarray, T: np.ndarray, nk: np.ndarray,
                       mu: np.ndarray) -> np.ndarray:
     """Stacked weighted per-coordinate variances (K, p) around ``mu``, floored."""
-    sq = X - mu[:, None, :]
+    sq = X - mu[..., None, :]
     sq *= sq
-    return np.maximum((T.T[:, None, :] @ sq)[:, 0, :] / nk[:, None], VARIANCE_FLOOR)
+    Tt = np.swapaxes(T, -1, -2)[..., None, :]  # (K, 1, n)
+    return np.maximum((Tt @ sq)[..., 0, :] / nk[..., None], VARIANCE_FLOOR)
 
 
 def _expert_coeffs(X: np.ndarray, y: np.ndarray, w: np.ndarray, nk: float,
@@ -202,18 +204,19 @@ def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
 def _lasso_m_step(data: DataSet, T: np.ndarray, nk: np.ndarray, s: _Stack,
                   penalty: PenaltyConfig) -> _Stack:
     """Closed-form mixing weights, soft-threshold gating means, floored
-    gating variances, then per expert the coordinate-ascent coefficients
-    and the intercept and variance that go with them."""
+    gating variances, then per expert of the (S, K) stack the
+    coordinate-ascent coefficients and the intercept and variance."""
     X, y = data.X, data.y1
     mu = _gating_means(X, T, nk, s.R, penalty.gamma)
-    experts = []
-    for k, w in enumerate(T.T):
-        beta = _expert_coeffs(X, y, w, nk[k], s.a[k, 0], s.Sigma[k, 0, 0], s.B[k, :, 0],
-                              penalty.lam, penalty.ca_max_iter, penalty.ca_tol)
-        experts.append((*_intercept_variance(X, y, w, nk[k], beta), beta))
-    b0, sigma2, beta = map(np.array, zip(*experts))
-    return _Stack(nk / nk.sum(), mu, _gating_variances(X, T, nk, mu),
-                  b0[:, None], beta[:, :, None], sigma2[:, None, None])
+    b0, sigma2, beta = np.empty_like(s.a), np.empty_like(s.Sigma), np.empty_like(s.B)
+    for i, k in np.ndindex(nk.shape):
+        w = T[i, :, k]
+        beta[i, k, :, 0] = _expert_coeffs(
+            X, y, w, nk[i, k], s.a[i, k, 0], s.Sigma[i, k, 0, 0], s.B[i, k, :, 0],
+            penalty.lam, penalty.ca_max_iter, penalty.ca_tol)
+        b0[i, k], sigma2[i, k] = _intercept_variance(X, y, w, nk[i, k], beta[i, k, :, 0])
+    return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu, _gating_variances(X, T, nk, mu),
+                  b0, beta, sigma2)
 
 
 def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,

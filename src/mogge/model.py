@@ -13,6 +13,10 @@ store read-only copies of their arrays.  A fit checks only the edges of
 a run; inside it the EM loop iterates on :class:`_Stack`, kept valid by
 the M-step guards and the E-step's factorization (``LinAlgError``).
 
+Kernel docstrings give shapes without leading axes: none in the public
+functions, a start axis S in the EM loop.  A start's result has the same
+bits in any batch, because every operation acts on one start at a time.
+
 Component layout conventions:
 
 - gating covariances are either a full ``(p, p)`` SPD matrix or a length-p
@@ -63,8 +67,8 @@ class FitFailedError(RuntimeError):
 
 
 def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
-    """Read-only float copy of ``a``, checked for dimension and finiteness."""
-    arr = np.array(a, dtype=float)
+    """Read-only row-major float copy of ``a``, checked for dimension and finiteness."""
+    arr = np.array(a, dtype=float, order="C")
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -294,8 +298,9 @@ class MoggeParams:
 class _Stack(NamedTuple):
     """Unchecked parameters stacked over the K components, ``alpha`` (K,),
     ``mu`` (K, p), ``R`` (K, p) or (K, p, p), ``a`` (K, d), ``B`` (K, p, d),
-    ``Sigma`` (K, d, d); :meth:`of` and :meth:`params` convert from and to
-    checked components."""
+    ``Sigma`` (K, d, d), or with a leading start axis S; :meth:`of` and
+    :meth:`params` convert from and to checked components, :meth:`take`
+    selects starts."""
 
     alpha: np.ndarray
     mu: np.ndarray
@@ -313,6 +318,9 @@ class _Stack(NamedTuple):
     def params(self) -> MoggeParams:
         return MoggeParams(map(GatingComponent, self.alpha.tolist(), self.mu, self.R),
                            map(ExpertComponent, self.a, self.B, self.Sigma))
+
+    def take(self, index) -> "_Stack":
+        return _Stack(*(field[index] for field in self))
 
 
 @dataclass(frozen=True)
@@ -347,16 +355,19 @@ def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
                     chol: np.ndarray | None) -> np.ndarray:
     """``(K, n)`` Gaussian log-densities of the deviations ``diff`` (K, n, m)
     of the rows from the K means, under K variance vectors ``cov`` (K, m)
-    with ``chol`` None, or K full matrices with lower factors ``chol``."""
-    m = diff.shape[2]
+    with ``chol`` None, or K full matrices with lower factors ``chol``,
+    whose m x m inverses multiply ``diff`` (no solve against n rows)."""
+    m = diff.shape[-1]
+    # squared in place: at large n a second (K, n, m) temporary sets the peak memory
     if chol is None:
-        quad = np.sum(diff * diff / cov[:, None, :], axis=2)
-        logdet = np.sum(np.log(cov), axis=1)
+        Z = diff * diff
+        Z /= cov[..., None, :]
+        logdet = np.sum(np.log(cov), axis=-1)
     else:
-        Z = np.linalg.solve(chol, np.swapaxes(diff, 1, 2))
-        quad = np.sum(Z * Z, axis=1)
-        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return -0.5 * ((m * LOG_2PI + logdet)[:, None] + quad)
+        Z = diff @ np.swapaxes(np.linalg.solve(chol, np.eye(m)), -1, -2)
+        Z *= Z
+        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return -0.5 * ((m * LOG_2PI + logdet)[..., None] + np.sum(Z, axis=-1))
 
 
 def gaussian_logpdf(v, mean, cov) -> float:
@@ -385,32 +396,30 @@ def gaussian_logpdf(v, mean, cov) -> float:
     m = v.shape[0]
     if cov.shape not in ((m,), (m, m)):
         raise ValueError(f"cov must be a length-{m} vector (diagonal) or {m}x{m}")
-    chol = _validate_spd(cov, "cov")
-    L = None if chol is None else chol[None]
-    return float(_log_gauss_rows((v - mean)[None, None, :], cov[None], L)[0, 0])
+    return float(_log_gauss_rows((v - mean)[None], cov, _validate_spd(cov, "cov"))[0])
 
 
 def _log_gate_matrix(X: np.ndarray, s: _Stack) -> np.ndarray:
     """``(K, n)`` unnormalized gating log-weights
     ``log alpha_k + log phi_p(x_i; mu_k, R_k)``."""
-    chol = cholesky(s.R) if s.R.ndim == 3 else None
-    return np.log(s.alpha)[:, None] + _log_gauss_rows(X - s.mu[:, None, :], s.R, chol)
+    chol = cholesky(s.R) if s.R.ndim > s.mu.ndim else None
+    return np.log(s.alpha)[..., None] + _log_gauss_rows(X - s.mu[..., None, :], s.R, chol)
 
 
 def _log_joint_matrix(data: DataSet, s: _Stack) -> np.ndarray:
     """Per-observation, per-component joint log-terms
     ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``, ``(n, K)``."""
-    p, d = s.B.shape[1:]
+    p, d = s.B.shape[-2:]
     if p != data.p or d != data.d:
         raise ValueError(
             f"parameter dimensions (p={p}, d={d}) do not match "
             f"data (p={data.p}, d={data.d})"
         )
-    mean = s.a[:, None, :] + data.X @ s.B  # a_k + B_k' x_i for every k and row
+    mean = s.a[..., None, :] + data.X @ s.B  # a_k + B_k' x_i for every k and row
     out = _log_gate_matrix(data.X, s)
     out += _log_gauss_rows(data.Y - mean, s.Sigma, cholesky(s.Sigma))
     # row-major (n, K): the M-step's weighted sums round differently on a view
-    return np.ascontiguousarray(out.T)
+    return np.ascontiguousarray(np.swapaxes(out, -1, -2))
 
 
 def gating_probs(x, params: MoggeParams) -> np.ndarray:
@@ -440,23 +449,23 @@ def _log_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row log-sum-exps of a log-weight matrix and the rows normalized to
     weights that sum to 1, from one ``exp`` of the matrix shifted by each
     row's largest term.  A row needs at least one finite entry."""
-    top = M.max(axis=1, keepdims=True)
+    top = M.max(axis=-1, keepdims=True)
     W = np.exp(M - top)
-    total = W.sum(axis=1, keepdims=True)
+    total = W.sum(axis=-1, keepdims=True)
     W /= total
-    return (top + np.log(total))[:, 0], W
+    return (top + np.log(total))[..., 0], W
 
 
-def _e_step(data: DataSet, s: _Stack) -> tuple[float, np.ndarray]:
+def _e_step(data: DataSet, s: _Stack) -> tuple[np.ndarray, np.ndarray]:
     """Joint log-likelihood (the summed row log-sum-exps) and ``(n, K)``
     responsibilities (the normalized rows) from one log-joint evaluation."""
     lse, tau = _log_normalize(_log_joint_matrix(data, s))
-    return float(np.sum(lse)), tau
+    return np.sum(lse, axis=-1), tau
 
 
 def joint_loglik(data: DataSet, params: MoggeParams) -> float:
     """Joint log-likelihood of the sample: one log-sum-exp per observation."""
-    return _e_step(data, _Stack.of(params))[0]
+    return float(_e_step(data, _Stack.of(params))[0])
 
 
 def penalized_loglik(data: DataSet, params: MoggeParams,
@@ -476,12 +485,12 @@ def penalized_loglik(data: DataSet, params: MoggeParams,
             "penalized objective requires diagonal gating covariances"
         )
     s = _Stack.of(params)
-    return _penalize(_e_step(data, s)[0], s, lam, gamma)
+    return float(_penalize(_e_step(data, s)[0], s, lam, gamma))
 
 
-def _penalize(loglik: float, s: _Stack, lam: float, gamma: float) -> float:
+def _penalize(loglik: np.ndarray, s: _Stack, lam: float, gamma: float) -> np.ndarray:
     """``loglik`` minus the L1 penalty on expert coefficients and gating means."""
-    return loglik - lam * float(np.sum(np.abs(s.B))) - gamma * float(np.sum(np.abs(s.mu)))
+    return loglik - lam * np.abs(s.B).sum((-3, -2, -1)) - gamma * np.abs(s.mu).sum((-2, -1))
 
 
 def posterior_responsibilities(data: DataSet, params: MoggeParams) -> Responsibilities:

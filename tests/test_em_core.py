@@ -3,7 +3,8 @@ evaluation per iteration, one factorization per covariance, checked
 parameters only where a run starts and ends, the same steps as the
 public layer functions, objectives, log-likelihoods and responsibilities
 that are exactly those of the returned parameters, read-only parameter
-arrays, and how ``_multistart`` reports failed starts."""
+arrays, how ``_multistart`` reports failed starts, and starts whose
+results do not depend on the batch they run in."""
 
 import numpy as np
 import pytest
@@ -26,16 +27,21 @@ from mogge.em_lasso import (
     update_gating_variances,
 )
 from mogge.model import (
+    DataSet,
+    DegenerateComponentError,
     ExpertComponent,
     FitFailedError,
     GatingComponent,
     MoggeParams,
+    Responsibilities,
+    _Stack,
     joint_loglik,
     penalized_loglik,
     posterior_responsibilities,
 )
+from mogge.simulate import default_scenario, sample_dataset
 
-from conftest import random_params, sample_from_params
+from conftest import random_params, random_tau, sample_from_params
 
 PENALTY = PenaltyConfig(lam=1.0, gamma=0.5)
 
@@ -342,3 +348,158 @@ class TestFitResultPermuted:
             assert np.array_equal(a.intercept, b.intercept)
             assert np.array_equal(a.coeffs, b.coeffs)
             assert np.array_equal(a.cov, b.cov)
+
+
+FITTERS = {
+    "em-full": lambda data, K, opts: fit_em(data, K=K, opts=opts),
+    "em-diagonal": lambda data, K, opts: fit_em(data, K=K, opts=opts, diagonal_gating=True),
+    "em-lasso": lambda data, K, opts: fit_em_lasso(
+        data, K=K, penalty=PenaltyConfig(lam=5.0, gamma=5.0), opts=opts
+    ),
+}
+
+RUN_EM = em._run_em
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Record every ``_run_em`` call: its arguments and its outcomes."""
+    calls = []
+
+    def recorded(*args):
+        out = RUN_EM(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(em, "_run_em", recorded)
+    return calls
+
+
+def _alone(args, i):
+    """The outcome of start i of a recorded batch, run as a batch of one."""
+    data, s, opts, m_step, objective = args
+    with np.errstate(over="raise", invalid="raise"):
+        (out,) = RUN_EM(data, s.take(slice(i, i + 1)), opts, m_step, objective)
+    return out
+
+
+def _assert_same_run(a, b):
+    """The same outcome to the last bit: fits with equal stacked parameters,
+    trace, responsibilities and counts, or failures of one type and text."""
+    if isinstance(b, Exception):
+        assert (type(a), str(a)) == (type(b), str(b))
+        return
+    for x, y in zip(_Stack.of(a.params), _Stack.of(b.params)):
+        assert np.array_equal(x, y)
+    assert np.array_equal(a.loglik_trace, b.loglik_trace)
+    assert np.array_equal(a.responsibilities.tau, b.responsibilities.tau)
+    assert (a.n_iter, a.converged, a.objective, a.loglik) == (
+        b.n_iter, b.converged, b.objective, b.loglik
+    )
+
+
+def _two_distinct_rows():
+    """Six rows, two distinct ones: with K=3 some starts collapse midway."""
+    data, _ = sample_dataset(default_scenario(n=300, seed=42))
+    rows = [0, 1] * 3
+    return DataSet(X=data.X[rows], Y=data.Y[rows])
+
+
+class TestBatchedStarts:
+    """All starts of a fit iterate in one batch, yet each start's outcome is
+    the one it has run alone (S=1), to the last bit."""
+
+    @pytest.mark.parametrize("fitter", sorted(FITTERS))
+    def test_each_start_equals_its_run_alone(self, batches, fitter):
+        data = _instance(11, n=80)
+        FITTERS[fitter](data, 2, FitOptions(n_starts=6, seed=4))
+        ((args, out),) = batches
+        assert len(out) == 6
+        assert len({fit.n_iter for fit in out}) > 1  # starts leave at different times
+        for i, fit in enumerate(out):
+            _assert_same_run(fit, _alone(args, i))
+
+    @pytest.mark.parametrize("fitter", sorted(FITTERS))
+    def test_one_start_per_batch_gives_the_same_fit(self, monkeypatch, batches, fitter):
+        data, opts = _instance(12, n=80), FitOptions(n_starts=5, seed=6)
+        together = FITTERS[fitter](data, 2, opts)
+        monkeypatch.setattr(em, "_BATCH_ELEMENTS", 1)
+        apart = FITTERS[fitter](data, 2, opts)
+        assert [len(out) for _, out in batches] == [5, 1, 1, 1, 1, 1]
+        _assert_same_run(apart, together)
+
+    @pytest.mark.parametrize("fitter, failed", [
+        ("em-full", 5), ("em-diagonal", 5), ("em-lasso", 9),
+    ])
+    def test_starts_failing_midway(self, monkeypatch, batches, fitter, failed):
+        data, opts = _two_distinct_rows(), FitOptions(n_starts=10, seed=0)
+        together = FITTERS[fitter](data, 3, opts)
+        ((args, out),) = batches
+        assert sum(isinstance(o, DegenerateComponentError) for o in out) == failed
+        for i, outcome in enumerate(out):
+            _assert_same_run(outcome, _alone(args, i))
+        monkeypatch.setattr(em, "_BATCH_ELEMENTS", 1)
+        _assert_same_run(FITTERS[fitter](data, 3, opts), together)
+        for outcome, (_, (alone,)) in zip(out, batches[1:]):
+            _assert_same_run(outcome, alone)
+
+    @pytest.mark.parametrize("fitter", ["em-full", "em-lasso"])
+    def test_diagnoses_in_start_order(self, monkeypatch, fitter):
+        data, opts = _two_distinct_rows(), FitOptions(n_starts=4, seed=2)
+        with pytest.raises(FitFailedError) as together:
+            FITTERS[fitter](data, 3, opts)
+        monkeypatch.setattr(em, "_BATCH_ELEMENTS", 1)
+        with pytest.raises(FitFailedError) as apart:
+            FITTERS[fitter](data, 3, opts)
+        assert together.value.diagnoses == apart.value.diagnoses
+        assert [d.split(":")[0] for d in together.value.diagnoses] == [
+            f"start {s}" for s in range(4)
+        ]
+
+    def test_one_indefinite_start_in_a_batch(self, batches):
+        data = _instance(13, n=80)
+        fit_em(data, K=2, opts=FitOptions(n_starts=3, seed=8))
+        ((args, _),) = batches
+        data, s, opts, m_step, objective = args
+        R = s.R.copy()
+        R[1, 0] = np.diag([1.0, -1.0, 1.0])
+        bad = s._replace(R=R)
+        with np.errstate(over="raise", invalid="raise"):
+            out = RUN_EM(data, bad, opts, m_step, objective)
+        assert [type(o).__name__ for o in out] == ["FitResult", "LinAlgError", "FitResult"]
+        for i in (0, 2):
+            _assert_same_run(out[i], _alone((data, bad, opts, m_step, objective), i))
+
+
+class TestRowMajorCopies:
+    """Checked containers keep row-major copies whatever the caller's memory
+    order, so the M-steps give the same bits for a Fortran-ordered ``tau``."""
+
+    def test_m_steps_ignore_the_memory_order_of_tau(self):
+        data = _instance(14, n=80)
+        tau = random_tau(np.random.default_rng(14), 80, 2)
+        c_tau = Responsibilities(tau=tau)
+        f_tau = Responsibilities(tau=np.asfortranarray(tau))
+        prev = init_params(data, 2, seed=1).experts
+        for diagonal in (False, True):
+            for a, b in zip(m_step_gating(data, c_tau, diagonal),
+                            m_step_gating(data, f_tau, diagonal)):
+                assert a.alpha == b.alpha
+                assert np.array_equal(a.mu, b.mu) and np.array_equal(a.R, b.R)
+        pairs = zip(m_step_experts(data, c_tau, prev), m_step_experts(data, f_tau, prev))
+        for a, b in pairs:
+            assert np.array_equal(a.intercept, b.intercept)
+            assert np.array_equal(a.coeffs, b.coeffs) and np.array_equal(a.cov, b.cov)
+
+    def test_arrays_are_c_contiguous(self):
+        rng = np.random.default_rng(15)
+        A = np.asfortranarray(rng.normal(size=(3, 3)))
+        data = DataSet(X=np.asfortranarray(rng.normal(size=(5, 3))),
+                       Y=np.asfortranarray(rng.normal(size=(5, 2))))
+        R = np.asfortranarray(A @ A.T + np.eye(3))
+        g = GatingComponent(alpha=1.0, mu=np.zeros(3), R=R)
+        e = ExpertComponent(intercept=np.zeros(2), coeffs=np.asfortranarray(A[:, :2]),
+                            cov=np.asfortranarray(np.eye(2)))
+        tau = Responsibilities(tau=np.asfortranarray(random_tau(rng, 5, 3)))
+        for arr in (data.X, data.Y, g.mu, g.R, e.intercept, e.coeffs, e.cov, tau.tau):
+            assert arr.flags.c_contiguous

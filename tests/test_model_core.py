@@ -417,3 +417,30 @@ class TestContainers:
         back = params.permuted([2, 0, 1]).permuted([1, 2, 0])
         for k in range(3):
             assert back.gating[k].mu == pytest.approx(params.gating[k].mu)
+
+
+class TestInverseFactorMahalanobis:
+    """The full-covariance quadratic form ``(x - mu)' R^-1 (x - mu)`` from
+    the inverse of the Cholesky factor is as accurate as the data allows,
+    also for a fitted covariance whose condition number exceeds 1e10."""
+
+    def test_collinear_fit_matches_mpmath(self):
+        from mogge import FitOptions, default_scenario, fit_em, sample_dataset
+
+        base, _ = sample_dataset(default_scenario(n=300, seed=42))
+        X = base.X.copy()
+        X[:, 2] = X[:, 0] + X[:, 1]
+        fit = fit_em(DataSet(X=X, Y=base.Y), K=2, opts=FitOptions(n_starts=3, seed=0))
+        mp.mp.dps = 50
+        for g in fit.params.gating:
+            assert np.linalg.cond(g.R) >= 1e10
+            chol = np.linalg.cholesky(g.R)
+            diff = X - g.mu
+            logdens = model._log_gauss_rows(diff, g.R, chol)
+            logdet = 2.0 * np.sum(np.log(np.diagonal(chol)))
+            quad = -2.0 * logdens - (X.shape[1] * model.LOG_2PI + logdet)
+            R_inv = mp.matrix(g.R.tolist()) ** -1
+            for row, value in zip(diff, quad):
+                v = mp.matrix(row.tolist())
+                exact = (v.T * R_inv * v)[0]
+                assert abs(mp.mpf(float(value)) - exact) <= 1e-14 * exact
