@@ -4,17 +4,22 @@ gating covariances.
 The fit runs the EM loop and multi-start driver of :mod:`mogge.em` with
 its own M-step and the penalized objective.  The M-step keeps the
 closed-form mixing-weight update and replaces the mean/coefficient
-updates with soft-threshold updates of the penalized Q-functions: one
-closed-form soft-threshold per gating mean, cyclic coordinate ascent for
-the expert coefficients.  The coordinate ascent works on the weighted
-Gram matrix of the predictors, formed once per call, so a coordinate
-update costs O(p) whatever n is; it stops when a full sweep moves no
-fitted value by ``ca_tol`` expert standard deviations or more.
-Thresholds use the lagged variances (previous EM iteration), and the
-expert intercept stays lagged inside the coordinate loop; both are
-refreshed once per EM iteration afterwards.  Coefficients zeroed by
-soft-thresholding are stored as exact ``0.0`` so that downstream
-degrees-of-freedom and zero-recovery computations can test equality.
+updates with maximizers of the penalized Q-functions: one closed-form
+soft-threshold per gating mean, and for the expert coefficients a
+weighted lasso solved on the weighted Gram matrix of the predictors,
+formed once per call for all experts of all starts.  Each expert first
+takes the exact minimizer on the support and signs of its incoming
+coefficients, one batched linear solve for all experts, kept when the
+KKT conditions certify it (Osborne, Presnell and Turlach, 2000).  Only
+the experts it does not certify run cyclic coordinate ascent from their
+incoming coefficients, at O(p) per coordinate update whatever n is; it
+stops when a full sweep moves no fitted value by ``ca_tol`` expert
+standard deviations or more.  Thresholds use the lagged variances
+(previous EM iteration), and the expert intercept stays lagged inside
+the coefficient update; both are refreshed once per EM iteration
+afterwards.  Zero coefficients are stored as exact ``0.0`` so that
+downstream degrees-of-freedom and zero-recovery computations can test
+equality.
 """
 
 from __future__ import annotations
@@ -42,11 +47,14 @@ class PenaltyConfig:
     """Penalty weights and coordinate-ascent stopping rule.
 
     ``lam`` scales the L1 penalty on expert coefficient vectors, ``gamma``
-    the one on gating mean vectors.  The expert coordinate ascent stops
-    after ``ca_max_iter`` sweeps, or after the first sweep in which every
-    change of fitted values ``sqrt(G_jj / n_k) * |delta beta_kj| / sigma_k``
-    (weighted RMS, in expert standard deviations) is below ``ca_tol``; this
-    means the same at any n and any scale of X and y.
+    the one on gating mean vectors.  ``ca_max_iter`` and ``ca_tol`` govern
+    the coordinate-ascent fallback of the expert update only; an expert
+    whose exact step on its incoming support is certified runs no sweep.
+    The coordinate ascent stops after ``ca_max_iter`` sweeps, or after the
+    first sweep in which every change of fitted values
+    ``sqrt(G_jj / n_k) * |delta beta_kj| / sigma_k`` (weighted RMS, in
+    expert standard deviations) is below ``ca_tol``; this means the same at
+    any n and any scale of X and y.
     """
 
     lam: float
@@ -103,16 +111,44 @@ def _gating_variances(X: np.ndarray, T: np.ndarray, nk: np.ndarray,
     return np.maximum((Tt @ sq)[..., 0, :] / nk[..., None], VARIANCE_FLOOR)
 
 
-def _expert_coeffs(X: np.ndarray, y: np.ndarray, w: np.ndarray, nk: float,
-                   b0: float, sigma2: float, beta: np.ndarray, lam: float,
-                   ca_max_iter: int, ca_tol: float) -> np.ndarray:
-    """Coordinate ascent for one expert from ``beta`` with the lagged
-    intercept ``b0`` and variance ``sigma2``; ``nk = sum(w)``."""
-    WX = X * w[:, None]
-    G = WX.T @ X
+def _certified_step(G: np.ndarray, c: np.ndarray, eta: np.ndarray,
+                    beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per expert, the lasso minimizer on the support and signs of ``beta``
+    (K, p), and (K,) whether the KKT conditions certify it.
+
+    Solves ``G_AA x_A = c_A - eta s_A`` with ``x = 0`` off the support A,
+    all experts in one solve (rows and columns off A replaced by the
+    identity).  Certified: the signs of ``x`` are ``s`` and
+    ``|c_j - G_j x| <= eta`` off A, exactly, and ``x`` is finite.  An
+    expert whose active block is exactly singular is not certified."""
+    s = np.sign(beta)
+    active = s != 0.0
+    M = np.where(active[..., :, None] & active[..., None, :], G, np.eye(G.shape[-1]))
+    rhs = np.where(active, c - eta[..., None] * s, 0.0)[..., None]
+    try:
+        x = np.linalg.solve(M, rhs)[..., 0]
+    except np.linalg.LinAlgError:  # one expert at a time; a singular one stays NaN
+        x = np.full_like(c, np.nan)
+        for i in np.ndindex(c.shape[:-1]):
+            try:
+                x[i] = np.linalg.solve(M[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    x = np.where(active, x, 0.0)  # +0.0 off A, whatever the solver's rounding
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = c - (G @ x[..., None])[..., 0]
+        kkt = (np.sign(x) == s) & (active | (np.abs(grad) <= eta[..., None]))
+    return x, kkt.all(axis=-1) & np.isfinite(x).all(axis=-1)
+
+
+def _coordinate_ascent(G: np.ndarray, c: np.ndarray, nk: float, sigma2: float,
+                       eta: float, beta: np.ndarray, ca_max_iter: int,
+                       ca_tol: float) -> np.ndarray:
+    """Cyclic coordinate ascent for one expert from ``beta`` on its Gram
+    matrix ``G`` (p, p) and ``c`` (p,), threshold ``eta``."""
     rows = list(G)
-    c = (WX.T @ (y - b0)).tolist()
-    eta = lam * sigma2
+    c = c.tolist()
+    eta = float(eta)
     # change in fitted values, in units of sigma, per unit change of beta_j
     scale = np.sqrt(G.diagonal() / (nk * sigma2)).tolist()
     g = G.diagonal().tolist()
@@ -120,7 +156,7 @@ def _expert_coeffs(X: np.ndarray, y: np.ndarray, w: np.ndarray, nk: float,
     b = beta.tolist()  # float copy of beta for the scalar reads
     for _ in range(ca_max_iter):
         change = 0.0
-        for j in range(X.shape[1]):
+        for j in range(len(b)):
             old = b[j]
             if g[j] <= 0.0:
                 new = 0.0
@@ -135,12 +171,34 @@ def _expert_coeffs(X: np.ndarray, y: np.ndarray, w: np.ndarray, nk: float,
     return beta
 
 
-def _intercept_variance(X: np.ndarray, y: np.ndarray, w: np.ndarray, nk: float,
-                        beta: np.ndarray) -> tuple[float, float]:
-    """Weighted intercept and floored variance of one expert given ``beta``."""
-    resid = y - X @ beta
-    b0 = float(w @ resid) / nk
-    return b0, max(float(w @ (resid - b0) ** 2) / nk, VARIANCE_FLOOR)
+def _expert_coeffs(X: np.ndarray, y: np.ndarray, T: np.ndarray, nk: np.ndarray,
+                   b0: np.ndarray, sigma2: np.ndarray, beta: np.ndarray, lam: float,
+                   ca_max_iter: int, ca_tol: float) -> np.ndarray:
+    """Lasso coefficients (K, p) of the experts weighted by ``T`` (n, K) with
+    masses ``nk``, from ``beta`` (K, p) with the lagged intercepts ``b0`` and
+    variances ``sigma2`` (K,): the certified step, and coordinate ascent from
+    ``beta`` for the experts it does not certify."""
+    Wt = np.swapaxes(T, -1, -2)  # (K, n)
+    G = X.T @ (Wt[..., None] * X)  # X' W X, (K, p, p)
+    c = ((Wt * (y - b0[..., None]))[..., None, :] @ X)[..., 0, :]  # X' W (y - b0)
+    eta = lam * sigma2
+    out, certified = _certified_step(G, c, eta, beta)
+    for i in map(tuple, np.argwhere(~certified)):
+        out[i] = _coordinate_ascent(G[i], c[i], nk[i], sigma2[i], eta[i], beta[i],
+                                    ca_max_iter, ca_tol)
+    return out
+
+
+def _intercepts_variances(X: np.ndarray, y: np.ndarray, T: np.ndarray,
+                          nk: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Weighted intercepts (K,) and floored variances (K,) of the experts
+    weighted by ``T`` (n, K), given their coefficients ``beta`` (K, p)."""
+    Wt = np.swapaxes(T, -1, -2)[..., None, :]  # (K, 1, n)
+    resid = y - (X @ beta[..., None])[..., 0]
+    b0 = (Wt @ resid[..., None])[..., 0, 0] / nk
+    resid -= b0[..., None]
+    resid *= resid
+    return b0, np.maximum((Wt @ resid[..., None])[..., 0, 0] / nk, VARIANCE_FLOOR)
 
 
 def ca_update_gating_means(data: DataSet, tau: Responsibilities,
@@ -171,23 +229,28 @@ def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
                             expert_prev: ExpertComponent, lam: float,
                             ca_max_iter: int = PenaltyConfig.ca_max_iter,
                             ca_tol: float = PenaltyConfig.ca_tol) -> np.ndarray:
-    """Coordinate-ascent solve of one expert's weighted lasso problem.
+    """Solve one expert's weighted lasso problem.
 
-    Cycles ``beta_kj <- S(c_j - G_j' beta + G_jj beta_kj; lam * sigma2) / G_jj``
-    with the weighted Gram matrix ``G = X' W X`` and ``c = X' W (y - b0)``,
-    both formed once per call (the covariance updates of Friedman, Hastie
-    and Tibshirani, 2010), so a coordinate update costs O(p), not O(n).
-    The intercept ``b0`` and variance ``sigma2`` stay lagged throughout;
-    coordinates with ``G_jj == 0`` are forced to 0.  Sweeps stop by the
-    n-free rule of :class:`PenaltyConfig` (``n_k = sum(tau_k)``).
+    Minimizes ``0.5 * sum_i w_i (y_i - b0 - x_i' beta)^2 + lam * sigma2 * |beta|_1``
+    with the lagged intercept ``b0`` and variance ``sigma2``, through the
+    weighted Gram matrix ``G = X' W X`` and ``c = X' W (y - b0)``, formed
+    once per call (the covariance updates of Friedman, Hastie and
+    Tibshirani, 2010).  First the exact minimizer on the support and signs
+    of the incoming coefficients: ``G_AA beta_A = c_A - lam sigma2 s_A``,
+    zero off A, returned as is when the KKT conditions certify it (signs
+    kept, ``|c_j - G_j' beta| <= lam sigma2`` off A), with no sweep.
+    Otherwise cyclic coordinate ascent from the incoming coefficients,
+    ``beta_kj <- S(c_j - G_j' beta + G_jj beta_kj; lam * sigma2) / G_jj``, at
+    O(p) per coordinate update; coordinates with ``G_jj == 0`` are forced to
+    0, and sweeps stop by the n-free rule of :class:`PenaltyConfig`
+    (``n_k = sum(tau_k)``).
     """
     if data.d != 1 or expert_prev.d != 1:
         raise UnsupportedConfigError("expert coefficient update requires d = 1")
-    w = np.asarray(tau_k, dtype=float)
-    nk = _component_masses(w[:, None], data.n)[0]
-    return _expert_coeffs(data.X, data.y1, w, nk, expert_prev.intercept[0],
-                          expert_prev.variance, expert_prev.beta, lam,
-                          ca_max_iter, ca_tol)
+    T = np.asarray(tau_k, dtype=float)[:, None]
+    return _expert_coeffs(data.X, data.y1, T, _component_masses(T, data.n),
+                          expert_prev.intercept, expert_prev.cov[0], expert_prev.beta[None],
+                          lam, ca_max_iter, ca_tol)[0]
 
 
 def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
@@ -196,33 +259,31 @@ def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
     freshly updated coefficient vector."""
     if data.d != 1:
         raise UnsupportedConfigError("intercept/variance update requires d = 1")
-    w = np.asarray(tau_k, dtype=float)
-    nk = _component_masses(w[:, None], data.n)[0]
-    return _intercept_variance(data.X, data.y1, w, nk, beta_new)
+    T = np.asarray(tau_k, dtype=float)[:, None]
+    b0, sigma2 = _intercepts_variances(data.X, data.y1, T, _component_masses(T, data.n),
+                                       np.asarray(beta_new, dtype=float)[None])
+    return float(b0[0]), float(sigma2[0])
 
 
 def _lasso_m_step(data: DataSet, T: np.ndarray, nk: np.ndarray, s: _Stack,
                   penalty: PenaltyConfig) -> _Stack:
     """Closed-form mixing weights, soft-threshold gating means, floored
-    gating variances, then per expert of the (S, K) stack the
-    coordinate-ascent coefficients and the intercept and variance."""
+    gating variances, then for all experts of the (S, K) stack at once the
+    lasso coefficients (certified step, coordinate ascent where it fails)
+    and the intercepts and variances."""
     X, y = data.X, data.y1
     mu = _gating_means(X, T, nk, s.R, penalty.gamma)
-    b0, sigma2, beta = np.empty_like(s.a), np.empty_like(s.Sigma), np.empty_like(s.B)
-    for i, k in np.ndindex(nk.shape):
-        w = T[i, :, k]
-        beta[i, k, :, 0] = _expert_coeffs(
-            X, y, w, nk[i, k], s.a[i, k, 0], s.Sigma[i, k, 0, 0], s.B[i, k, :, 0],
-            penalty.lam, penalty.ca_max_iter, penalty.ca_tol)
-        b0[i, k], sigma2[i, k] = _intercept_variance(X, y, w, nk[i, k], beta[i, k, :, 0])
+    beta = _expert_coeffs(X, y, T, nk, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
+                          penalty.lam, penalty.ca_max_iter, penalty.ca_tol)
+    b0, sigma2 = _intercepts_variances(X, y, T, nk, beta)
     return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu, _gating_variances(X, T, nk, mu),
-                  b0, beta, sigma2)
+                  b0[..., None], beta[..., None], sigma2[..., None, None])
 
 
 def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
                  opts: FitOptions | None = None,
                  warm_start: MoggeParams | None = None) -> FitResult:
-    """Fit the penalized model by EM with coordinate-ascent M-steps.
+    """Fit the penalized model by EM with soft-threshold and lasso M-steps.
 
     Multi-start like :func:`mogge.em.fit_em` (identically seeded starts,
     diagonal gating layout), unless ``warm_start`` parameters are given, in

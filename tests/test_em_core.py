@@ -471,6 +471,32 @@ class TestBatchedStarts:
             _assert_same_run(out[i], _alone((data, bad, opts, m_step, objective), i))
 
 
+    def test_one_singular_expert_in_a_batch(self):
+        # an all-zero column with a nonzero incoming coefficient on it in one
+        # expert of one start: that expert's active block is exactly
+        # singular, which must not change any other expert's bits
+        base = _instance(16, n=80)
+        X = base.X.copy()
+        X[:, 1] = 0.0
+        data = DataSet(X=X, Y=base.Y)
+        s = _Stack(*map(np.stack, zip(*(
+            _Stack.of(init_params(data, 2, seed=seed, diagonal_gating=True))
+            for seed in range(3)
+        ))))
+        B = s.B.copy()
+        B[:, :, 1] = 0.0
+        B[1, 0, 1] = 1.0
+        s = s._replace(B=B)
+        _, T = model._e_step(data, s)
+        nk = T.sum(axis=-2)
+        batch = em_lasso._lasso_m_step(data, T, nk, s, PENALTY)
+        for i in range(3):
+            alone = em_lasso._lasso_m_step(data, T[[i]], nk[[i]], s.take([i]), PENALTY)
+            for x, y in zip(batch, alone):
+                assert np.array_equal(x[i], y[0])
+        assert batch.B[1, 0, 1, 0] == 0.0  # coordinate ascent forces it to 0
+
+
 class TestRowMajorCopies:
     """Checked containers keep row-major copies whatever the caller's memory
     order, so the M-steps give the same bits for a Fortran-ordered ``tau``."""

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mogge import em_lasso
+from mogge import em_lasso, selection
 from mogge.em import FitOptions, fit_em, init_params, m_step_gating
 from mogge.em_lasso import (
     PenaltyConfig,
@@ -26,9 +27,12 @@ from mogge.model import (
     penalized_loglik,
     posterior_responsibilities,
 )
+from mogge.selection import GridSpec, grid_search
+from mogge.simulate import Scenario, default_scenario, sample_dataset
 
 from _oracles import (
     ca_sweeps_residual_form,
+    exact_weighted_lasso_on_active_set,
     kkt_residuals_expert,
     kkt_residuals_gate,
     penalized_gate_mean_grid,
@@ -367,6 +371,85 @@ class TestGramFormCoordinateAscent:
         np.testing.assert_allclose(beta2, beta, rtol=1e-12, atol=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "case", ["lam0", "lam-zeroes-some", "zero-weighted-column", "n200-p40"]
+    )
+    def test_cases_fail_the_certificate(self, monkeypatch, case):
+        # the incoming support and signs of every case above do not
+        # certify, so the comparisons above exercise coordinate ascent
+        data, w, prev, lam = _lasso_case(case)
+        calls = _count_soft_threshold(monkeypatch)
+        ca_update_expert_coeffs(data, w, prev, lam=lam)
+        assert len(calls) >= data.p
+
+
+def _count_soft_threshold(monkeypatch):
+    """Count the coordinate updates, which call ``em_lasso.soft_threshold``."""
+    calls = []
+
+    def counted(u, eta):
+        calls.append(1)
+        return soft_threshold(u, eta)
+
+    monkeypatch.setattr(em_lasso, "soft_threshold", counted)
+    return calls
+
+
+class TestCertifiedStep:
+    """When the incoming coefficients carry the support and signs of the
+    minimizer, the expert update is the exact minimizer on that support,
+    certified by the KKT conditions, with no coordinate sweep."""
+
+    @pytest.mark.parametrize("p", [8, 40])
+    def test_certified_result_is_the_active_set_solution(self, monkeypatch, p):
+        rng = np.random.default_rng(50 + p)
+        n = 300
+        X = rng.normal(size=(n, p))
+        y = 0.3 + X[:, :4] @ np.array([1.5, -2.0, 0.7, -0.4]) + rng.normal(size=n)
+        w = rng.uniform(0.05, 1.0, size=n)
+        lam, b0, sigma2 = 20.0, 0.3, 1.5
+        cold = ExpertComponent(intercept=[b0], coeffs=rng.normal(size=(p, 1)),
+                               cov=[[sigma2]])
+        data = DataSet(X=X, Y=y)
+        support = ca_update_expert_coeffs(
+            data, w, cold, lam=lam, ca_max_iter=100000, ca_tol=1e-15
+        )
+        warm = ExpertComponent(intercept=[b0], coeffs=support[:, None], cov=[[sigma2]])
+        calls = _count_soft_threshold(monkeypatch)
+        beta = ca_update_expert_coeffs(data, w, warm, lam=lam)
+        assert calls == []  # certified: no sweep
+        ref = exact_weighted_lasso_on_active_set(X, y, w, b0, sigma2, lam, beta)
+        np.testing.assert_allclose(beta, ref, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(beta == 0.0, ref == 0.0)
+        assert 0 < np.count_nonzero(beta == 0.0) < p
+        assert not np.signbit(beta[beta == 0.0]).any()  # zeros are +0.0
+        assert np.max(kkt_residuals_expert(X, y, w, beta, b0, sigma2, lam)) <= 1e-10
+
+    def test_overflowing_certificate_falls_back(self, monkeypatch):
+        # a nearly collinear active pair and a huge response: the exact
+        # step on the incoming signs overflows to +-inf with those very
+        # signs, and with every coordinate active no other condition fails
+        n = 50
+        rng = np.random.default_rng(8)
+        x1 = rng.normal(size=n)
+        X = np.column_stack([x1, x1 + 1e-8 * rng.normal(size=n), rng.normal(size=n)])
+        y = 1e300 * (X[:, 0] - X[:, 1] + rng.normal(size=n))
+        w = np.full(n, 0.5)
+        signs = np.array([-1.0, 1.0, -1.0])
+        G = X.T @ (w[:, None] * X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = np.linalg.solve(G, X.T @ (w * y) - signs)
+        assert not np.isfinite(exact).all()
+        assert np.array_equal(np.sign(exact), signs)
+        prev = ExpertComponent(intercept=[0.0], coeffs=signs[:, None], cov=[[1.0]])
+        calls = _count_soft_threshold(monkeypatch)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            beta = ca_update_expert_coeffs(DataSet(X=X, Y=y), w, prev, lam=1.0)
+        assert len(calls) >= 3  # coordinate ascent ran
+        assert np.isfinite(beta).all()
+
+
 class TestUpdateExpertInterceptVariance:
     def test_null_coefficients_give_mean_and_variance(self):
         rng = np.random.default_rng(15)
@@ -544,20 +627,62 @@ class TestFitEmLasso:
             assert mus[k] == pytest.approx(mu_mle, abs=1e-10)
             nu_mle = T[:, k] @ (data.X - mu_mle) ** 2 / s
             assert nus[k] == pytest.approx(nu_mle, abs=1e-10)
-            # a single zero-penalty sweep is exactly the Gauss-Seidel pass of
-            # the unpenalized weighted normal equations
+            # the incoming support certifies at zero penalty, so one call
+            # solves the unpenalized weighted normal equations exactly
             beta = ca_update_expert_coeffs(
                 data, T[:, k], params.experts[k], lam=0.0, ca_max_iter=1,
             )
             b0_lag = float(params.experts[k].intercept[0])
             w = T[:, k]
-            manual = params.experts[k].beta.copy()
-            for j in range(data.p):
-                resid_j = (
-                    data.y1 - b0_lag - data.X @ manual
-                    + manual[j] * data.X[:, j]
-                )
-                manual[j] = float(data.X[:, j] @ (w * resid_j)) / float(
-                    data.X[:, j] @ (w * data.X[:, j])
-                )
-            assert beta == pytest.approx(manual, abs=1e-10)
+            G = data.X.T @ (w[:, None] * data.X)
+            rhs = data.X.T @ (w * (data.y1 - b0_lag))
+            assert beta == pytest.approx(np.linalg.solve(G, rhs), abs=1e-10)
+
+
+def _padded_scenario(p, n, seed):
+    """The default scenario padded to p predictors with zero gating means,
+    unit gating variances and zero coefficients."""
+    base = default_scenario().true_params
+    pad = np.zeros(p - base.p)
+    truth = MoggeParams(
+        gating=tuple(GatingComponent(alpha=g.alpha, mu=np.concatenate([g.mu, pad]),
+                                     R=np.ones(p)) for g in base.gating),
+        experts=tuple(ExpertComponent(intercept=e.intercept,
+                                      coeffs=np.concatenate([e.beta, pad])[:, None],
+                                      cov=e.cov) for e in base.experts),
+    )
+    return Scenario(true_params=truth, n=n, seed=seed)
+
+
+class TestMonotoneTraces:
+    """Penalized traces never fall by more than 1e-8 per step beyond the
+    small instances of criterion 3: the M-step is an exact maximizer on
+    most calls, and coordinate ascent only where it is not."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_row_of_a_warm_grid(self, monkeypatch, seed):
+        traces = []
+
+        def recorded(*args, **kwargs):
+            fit = fit_em_lasso(*args, **kwargs)
+            traces.append(fit.loglik_trace)
+            return fit
+
+        monkeypatch.setattr(selection, "fit_em_lasso", recorded)
+        data, _ = sample_dataset(default_scenario(n=300, seed=seed))
+        values = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
+        grid_search(data, GridSpec(Ks=(2,), lambdas=values, gammas=values),
+                    opts=FitOptions(n_starts=5, seed=seed))
+        assert len(traces) == 36
+        for trace in traces:
+            assert np.all(np.diff(trace) >= -1e-8)
+
+    def test_padded_to_p40_at_n2000(self):
+        data, _ = sample_dataset(_padded_scenario(p=40, n=2000, seed=3))
+        fit = fit_em_lasso(
+            data, K=2, penalty=PenaltyConfig(lam=20.0, gamma=20.0),
+            opts=FitOptions(n_starts=2, seed=3, max_iter=3),
+        )
+        assert fit.n_iter == 3
+        assert any(np.any(e.beta == 0.0) for e in fit.params.experts)
+        assert np.all(np.diff(fit.loglik_trace) >= -1e-8)
