@@ -13,7 +13,7 @@ abandoned and diagnosed rather than reinitialized mid-run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .model import (
     NotPositiveDefiniteError,
     Responsibilities,
     _e_step,
+    _Sample,
     _Stack,
 )
 
@@ -40,7 +41,7 @@ GRAM_RIDGE = 1e-8
 COV_JITTER = 1e-10
 DEGENERACY_FRACTION = 1e-8
 
-# Most numbers in one (S, K, n, max(p, d)) temporary of a batch of S starts.
+# Most numbers in one (S, K, max(p, d), n) temporary of a batch of S starts.
 _BATCH_ELEMENTS = 2 ** 20
 
 _START_FAILURES = (DegenerateComponentError, NotPositiveDefiniteError,
@@ -203,10 +204,11 @@ def init_params(data: DataSet, K: int, strategy: str = "random-partition",
     )
 
 
-def _component_masses(T: np.ndarray, n: int) -> np.ndarray:
-    """Column sums ``nk`` of the (n, K) responsibilities ``T``; raise if the
+def _component_masses(T: np.ndarray) -> np.ndarray:
+    """Row sums ``nk`` of the (K, n) responsibilities ``T``; raise if the
     mass ``nk[k - 1]`` of a component k (of any start) is negligible."""
-    nk = T.sum(axis=-2)
+    n = T.shape[-1]
+    nk = T.sum(axis=-1)
     if nk.min() <= DEGENERACY_FRACTION * n:
         bad = np.argwhere(nk <= DEGENERACY_FRACTION * n)[0]
         k = int(bad[-1]) + 1
@@ -218,41 +220,47 @@ def _component_masses(T: np.ndarray, n: int) -> np.ndarray:
     return nk
 
 
-def _gating_moments(X: np.ndarray, T: np.ndarray, nk: np.ndarray,
+def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray,
                     diagonal: bool) -> tuple[np.ndarray, ...]:
-    """Stacked gating update from the (n, K) responsibilities ``T`` and their
+    """Stacked gating update from the (K, n) responsibilities ``T`` and their
     sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p)."""
-    Tt = np.swapaxes(T, -1, -2)  # (K, n): row k holds the weights of component k
-    mu = (Tt[..., None, :] @ X)[..., 0, :] / nk[..., None]
-    diff = X - mu[..., None, :]
+    mu = T @ sample.X / nk[..., None]
+    diff = sample.XT - mu[..., None]
     if diagonal:
-        diff *= diff  # in place: a second (K, n, p) temporary costs more than the product
-        R = (Tt[..., None, :] @ diff)[..., 0, :] / nk[..., None] + COV_JITTER
+        diff *= diff  # in place: a second (K, p, n) temporary costs more than the product
+        R = (diff @ T[..., None])[..., 0] / nk[..., None] + COV_JITTER
     else:
-        R = np.swapaxes(diff * Tt[..., None], -1, -2) @ diff / nk[..., None, None]
-        R = 0.5 * (R + np.swapaxes(R, -1, -2)) + COV_JITTER * np.eye(X.shape[1])
+        # weighted by the root of T, then times its own transpose: numpy's
+        # matmul runs syrk there, half the work of a general product
+        diff *= np.sqrt(T)[..., None, :]
+        R = diff @ np.swapaxes(diff, -1, -2) / nk[..., None, None]
+        R = 0.5 * (R + np.swapaxes(R, -1, -2)) + COV_JITTER * np.eye(mu.shape[-1])
     return nk / nk.sum(axis=-1, keepdims=True), mu, R
 
 
-def _expert_regressions(data: DataSet, T: np.ndarray, nk: np.ndarray,
+def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray,
                         B_prev: np.ndarray) -> tuple[np.ndarray, ...]:
     """Stacked expert update in the coupled order: intercepts (K, d) from
     the previous coefficients ``B_prev`` (K, p, d), coefficients (K, p, d)
     from the new intercepts, floored covariances (K, d, d) from both."""
-    X, Y, W = data.X, data.Y, np.swapaxes(T, -1, -2)[..., None]  # W: (K, n, 1)
-    a = (np.swapaxes(W, -1, -2) @ (Y - X @ B_prev))[..., 0, :] / nk[..., None]
-    G = X.T @ (W * X) + GRAM_RIDGE * np.eye(X.shape[1])
-    B = np.linalg.solve(G, X.T @ (W * (Y - a[..., None, :])))
-    resid = Y - a[..., None, :] - X @ B
-    return a, B, _floor_spd(np.swapaxes(resid, -1, -2) @ (W * resid) / nk[..., None, None])
+    X, XT, YT = sample
+    root = np.sqrt(T)[..., None, :]  # D W D' as (D root)(D root)': syrk, as for R
+    resid = YT - np.swapaxes(B_prev, -1, -2) @ XT  # (K, d, n)
+    a = (resid @ T[..., None])[..., 0] / nk[..., None]
+    XW = XT * root
+    G = XW @ np.swapaxes(XW, -1, -2) + GRAM_RIDGE * np.eye(X.shape[1])
+    B = np.linalg.solve(G, np.swapaxes((T[..., None, :] * (YT - a[..., None])) @ X, -1, -2))
+    resid = YT - a[..., None] - np.swapaxes(B, -1, -2) @ XT
+    resid *= root
+    return a, B, _floor_spd(resid @ np.swapaxes(resid, -1, -2) / nk[..., None, None])
 
 
 def m_step_gating(data: DataSet, tau: Responsibilities,
                   diagonal: bool = False) -> list[GatingComponent]:
     """Closed-form gating update: weighted mixing weights, means and
     covariances (with jitter added to the covariance)."""
-    nk = _component_masses(tau.tau, data.n)
-    alpha, mu, R = _gating_moments(data.X, tau.tau, nk, diagonal)
+    T = np.ascontiguousarray(tau.tau.T)  # (K, n): a strided view makes every pass slower
+    alpha, mu, R = _gating_moments(_Sample.of(data), T, _component_masses(T), diagonal)
     return list(map(GatingComponent, alpha.tolist(), mu, R))
 
 
@@ -261,25 +269,47 @@ def m_step_experts(data: DataSet, tau: Responsibilities,
     """Closed-form expert update in the coupled order: intercept from the
     previous coefficients, coefficients from the new intercept, covariance
     from both new values."""
-    nk = _component_masses(tau.tau, data.n)
+    T = np.ascontiguousarray(tau.tau.T)
     B_prev = np.stack([e.coeffs for e in experts_prev])
-    return list(map(ExpertComponent, *_expert_regressions(data, tau.tau, nk, B_prev)))
+    return list(map(ExpertComponent, *_expert_regressions(
+        _Sample.of(data), T, _component_masses(T), B_prev)))
 
 
-def _run_em(data: DataSet, s: _Stack, opts: FitOptions,
+class _Run(NamedTuple):
+    """A finished start before its check: its stack without the start
+    axis, objective trace, (K, n) responsibilities and counts."""
+
+    s: _Stack
+    trace: list
+    T: np.ndarray
+    n_iter: int
+    converged: bool
+    objective: float
+    loglik: float
+
+    def result(self) -> FitResult:
+        """The checked result; raises what a failing parameter check raises."""
+        return FitResult(self.s.params(), np.array(self.trace),
+                         Responsibilities(tau=self.T.T), n_iter=self.n_iter,
+                         converged=self.converged, objective=self.objective,
+                         loglik=self.loglik)
+
+
+def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
             m_step: Callable, objective: Callable) -> list:
     """EM iterations for the starts along the leading axis of ``s``, each
     until its relative objective change drops below ``opts.tol`` or
-    ``opts.max_iter`` is reached; returns a FitResult or exception per start.
+    ``opts.max_iter`` is reached; returns an unchecked :class:`_Run` or an
+    exception per start.
 
-    ``m_step(data, T, nk, s)`` returns the next stack from the (S, n, K)
-    responsibilities ``T`` and their masses ``nk``, checked once per
+    ``m_step(sample, T, nk, s)`` returns the next stack from the (S, K, n)
+    responsibilities ``T`` and their (S, K) masses ``nk``, checked once per
     iteration, and ``objective(loglik, s)`` the (S,) trace entries.  A step
     that raises for the batch is redone for each start alone."""
     def step(s, T):
         if T is not None:
-            s = m_step(data, T, _component_masses(T, data.n), s)
-        loglik, T = _e_step(data, s)
+            s = m_step(sample, T, _component_masses(T), s)
+        loglik, T = _e_step(sample, s)
         return s, T, loglik, objective(loglik, s)
 
     out: list = [None] * len(s.alpha)
@@ -306,13 +336,8 @@ def _run_em(data: DataSet, s: _Stack, opts: FitOptions,
             converged = it > 0 and abs(value - trace[-2]) / max(
                 abs(trace[-2]), np.finfo(float).tiny) < opts.tol
             if converged or it == opts.max_iter:
-                try:
-                    out[start] = FitResult(
-                        s.take(i).params(), np.array(trace), Responsibilities(tau=T[i]),
-                        n_iter=it, converged=converged, objective=value,
-                        loglik=float(loglik[i]))
-                except _START_FAILURES as exc:
-                    out[start] = exc
+                out[start] = _Run(s.take(i), trace, T[i].copy(), it, converged, value,
+                                  float(loglik[i]))
         keep = [out[start] is None for start in live.tolist()]
         if not all(keep):  # compacting copies every array: about 30 us at S=1
             live, s, T = live[keep], s.take(keep), T[keep]
@@ -329,12 +354,14 @@ def _multistart(data: DataSet, K: int, opts: FitOptions, m_step: Callable,
     starts, or the one run from ``warm_start``.
 
     Each start is initialized alone, then the starts run in batches of at
-    most ``_BATCH_ELEMENTS // (K n max(p, d))``.  The one place where a
-    start's numerical trouble (a degenerate component, a failed covariance
-    check or factorization, an overflow or invalid operation) becomes a
-    diagnosis; underflow is routine."""
+    most ``_BATCH_ELEMENTS // (K n max(p, d))``.  The finished runs are
+    checked best first until one passes, so only the returned run builds
+    its components.  The one place where a start's numerical trouble (a
+    degenerate component, a failed covariance check or factorization, an
+    overflow or invalid operation) becomes a diagnosis; underflow is
+    routine."""
     seeds = [None] if warm_start is not None else start_seeds(opts.seed, opts.n_starts)
-    outcomes: dict = {}  # start -> initial stack, then FitResult or exception
+    outcomes: dict = {}  # start -> initial stack, then an unchecked run or exception
     for start, seed in enumerate(seeds):
         try:
             outcomes[start] = _Stack.of(warm_start if seed is None else init_params(
@@ -342,16 +369,20 @@ def _multistart(data: DataSet, K: int, opts: FitOptions, m_step: Callable,
         except (*_START_FAILURES, FitFailedError) as exc:
             outcomes[start] = exc
     ready = [start for start, s in outcomes.items() if isinstance(s, _Stack)]
+    sample = _Sample.of(data)
     size = max(1, _BATCH_ELEMENTS // (K * data.n * max(data.p, data.d)))
     for batch in (ready[lo:lo + size] for lo in range(0, len(ready), size)):
         stack = _Stack(*map(np.stack, zip(*(outcomes[start] for start in batch))))
-        outcomes.update(zip(batch, _run_em(data, stack, opts, m_step, objective)))
-    fits = [fit for fit in outcomes.values() if isinstance(fit, FitResult)]
-    if not fits:
-        raise FitFailedError(f"all {len(seeds)} starts failed", diagnoses=[
-            f"start {start}: {type(exc).__name__}: {exc}" for start, exc in outcomes.items()
-        ])
-    return max(fits, key=lambda fit: fit.objective)
+        outcomes.update(zip(batch, _run_em(sample, stack, opts, m_step, objective)))
+    runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
+    for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
+        try:
+            return runs[start].result()
+        except _START_FAILURES as exc:
+            outcomes[start] = exc
+    raise FitFailedError(f"all {len(seeds)} starts failed", diagnoses=[
+        f"start {start}: {type(exc).__name__}: {exc}" for start, exc in outcomes.items()
+    ])
 
 
 def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
@@ -364,9 +395,9 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     """
     return _multistart(
         data, K, opts or FitOptions(),
-        lambda data, T, nk, s: _Stack(
-            *_gating_moments(data.X, T, nk, diagonal_gating),
-            *_expert_regressions(data, T, nk, s.B),
+        lambda sample, T, nk, s: _Stack(
+            *_gating_moments(sample, T, nk, diagonal_gating),
+            *_expert_regressions(sample, T, nk, s.B),
         ),
         lambda loglik, s: loglik,
         diagonal_gating,

@@ -38,6 +38,7 @@ from .model import (
     Responsibilities,
     UnsupportedConfigError,
     _penalize,
+    _Sample,
     _Stack,
 )
 
@@ -97,18 +98,18 @@ def soft_threshold(u, eta):
 
 def _gating_means(X: np.ndarray, T: np.ndarray, nk: np.ndarray, R_prev: np.ndarray,
                   gamma: float) -> np.ndarray:
-    """Stacked soft-threshold gating means (K, p), lagged variances ``R_prev``."""
-    XtT = (X.T @ np.swapaxes(T, -1, -2)[..., None])[..., 0]
-    return soft_threshold(XtT, gamma * R_prev) / nk[..., None]
+    """Stacked soft-threshold gating means (K, p) from the (K, n)
+    responsibilities ``T``, lagged variances ``R_prev``."""
+    return soft_threshold(T @ X, gamma * R_prev) / nk[..., None]
 
 
-def _gating_variances(X: np.ndarray, T: np.ndarray, nk: np.ndarray,
+def _gating_variances(XT: np.ndarray, T: np.ndarray, nk: np.ndarray,
                       mu: np.ndarray) -> np.ndarray:
-    """Stacked weighted per-coordinate variances (K, p) around ``mu``, floored."""
-    sq = X - mu[..., None, :]
+    """Stacked weighted per-coordinate variances (K, p) of the columns of
+    ``XT`` (p, n) around ``mu``, floored."""
+    sq = XT - mu[..., None]
     sq *= sq
-    Tt = np.swapaxes(T, -1, -2)[..., None, :]  # (K, 1, n)
-    return np.maximum((Tt @ sq)[..., 0, :] / nk[..., None], VARIANCE_FLOOR)
+    return np.maximum((sq @ T[..., None])[..., 0] / nk[..., None], VARIANCE_FLOOR)
 
 
 def _certified_step(G: np.ndarray, c: np.ndarray, eta: np.ndarray,
@@ -171,16 +172,16 @@ def _coordinate_ascent(G: np.ndarray, c: np.ndarray, nk: float, sigma2: float,
     return beta
 
 
-def _expert_coeffs(X: np.ndarray, y: np.ndarray, T: np.ndarray, nk: np.ndarray,
+def _expert_coeffs(sample: _Sample, T: np.ndarray, nk: np.ndarray,
                    b0: np.ndarray, sigma2: np.ndarray, beta: np.ndarray, lam: float,
                    ca_max_iter: int, ca_tol: float) -> np.ndarray:
-    """Lasso coefficients (K, p) of the experts weighted by ``T`` (n, K) with
+    """Lasso coefficients (K, p) of the experts weighted by ``T`` (K, n) with
     masses ``nk``, from ``beta`` (K, p) with the lagged intercepts ``b0`` and
     variances ``sigma2`` (K,): the certified step, and coordinate ascent from
     ``beta`` for the experts it does not certify."""
-    Wt = np.swapaxes(T, -1, -2)  # (K, n)
-    G = X.T @ (Wt[..., None] * X)  # X' W X, (K, p, p)
-    c = ((Wt * (y - b0[..., None]))[..., None, :] @ X)[..., 0, :]  # X' W (y - b0)
+    X, XT, YT = sample
+    G = (XT * T[..., None, :]) @ X  # X' W X, (K, p, p)
+    c = (T * (YT[0] - b0[..., None])) @ X  # X' W (y - b0)
     eta = lam * sigma2
     out, certified = _certified_step(G, c, eta, beta)
     for i in map(tuple, np.argwhere(~certified)):
@@ -189,16 +190,16 @@ def _expert_coeffs(X: np.ndarray, y: np.ndarray, T: np.ndarray, nk: np.ndarray,
     return out
 
 
-def _intercepts_variances(X: np.ndarray, y: np.ndarray, T: np.ndarray,
-                          nk: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, ...]:
+def _intercepts_variances(sample: _Sample, T: np.ndarray, nk: np.ndarray,
+                          beta: np.ndarray) -> tuple[np.ndarray, ...]:
     """Weighted intercepts (K,) and floored variances (K,) of the experts
-    weighted by ``T`` (n, K), given their coefficients ``beta`` (K, p)."""
-    Wt = np.swapaxes(T, -1, -2)[..., None, :]  # (K, 1, n)
-    resid = y - (X @ beta[..., None])[..., 0]
-    b0 = (Wt @ resid[..., None])[..., 0, 0] / nk
+    weighted by ``T`` (K, n), given their coefficients ``beta`` (K, p)."""
+    W = T[..., None, :]  # (K, 1, n)
+    resid = sample.YT[0] - beta @ sample.XT  # (K, n)
+    b0 = (W @ resid[..., None])[..., 0, 0] / nk
     resid -= b0[..., None]
     resid *= resid
-    return b0, np.maximum((Wt @ resid[..., None])[..., 0, 0] / nk, VARIANCE_FLOOR)
+    return b0, np.maximum((W @ resid[..., None])[..., 0, 0] / nk, VARIANCE_FLOOR)
 
 
 def ca_update_gating_means(data: DataSet, tau: Responsibilities,
@@ -214,15 +215,16 @@ def ca_update_gating_means(data: DataSet, tau: Responsibilities,
     if gating_prev[0].R.ndim != 1:
         raise UnsupportedConfigError("gating means update requires diagonal covariances")
     R_prev = np.stack([g.R for g in gating_prev])
-    return list(_gating_means(data.X, tau.tau, _component_masses(tau.tau, data.n),
-                              R_prev, gamma))
+    T = np.ascontiguousarray(tau.tau.T)
+    return list(_gating_means(data.X, T, _component_masses(T), R_prev, gamma))
 
 
 def update_gating_variances(data: DataSet, tau: Responsibilities,
                             mu_new: list[np.ndarray]) -> list[np.ndarray]:
     """Weighted per-coordinate variances around the new means, floored."""
-    nk = _component_masses(tau.tau, data.n)
-    return list(_gating_variances(data.X, tau.tau, nk, np.stack(mu_new)))
+    T = np.ascontiguousarray(tau.tau.T)
+    XT = np.ascontiguousarray(data.X.T)
+    return list(_gating_variances(XT, T, _component_masses(T), np.stack(mu_new)))
 
 
 def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
@@ -247,8 +249,8 @@ def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
     """
     if data.d != 1 or expert_prev.d != 1:
         raise UnsupportedConfigError("expert coefficient update requires d = 1")
-    T = np.asarray(tau_k, dtype=float)[:, None]
-    return _expert_coeffs(data.X, data.y1, T, _component_masses(T, data.n),
+    T = np.ascontiguousarray(tau_k, dtype=float)[None]
+    return _expert_coeffs(_Sample.of(data), T, _component_masses(T),
                           expert_prev.intercept, expert_prev.cov[0], expert_prev.beta[None],
                           lam, ca_max_iter, ca_tol)[0]
 
@@ -259,24 +261,24 @@ def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
     freshly updated coefficient vector."""
     if data.d != 1:
         raise UnsupportedConfigError("intercept/variance update requires d = 1")
-    T = np.asarray(tau_k, dtype=float)[:, None]
-    b0, sigma2 = _intercepts_variances(data.X, data.y1, T, _component_masses(T, data.n),
+    T = np.ascontiguousarray(tau_k, dtype=float)[None]
+    b0, sigma2 = _intercepts_variances(_Sample.of(data), T, _component_masses(T),
                                        np.asarray(beta_new, dtype=float)[None])
     return float(b0[0]), float(sigma2[0])
 
 
-def _lasso_m_step(data: DataSet, T: np.ndarray, nk: np.ndarray, s: _Stack,
+def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
                   penalty: PenaltyConfig) -> _Stack:
     """Closed-form mixing weights, soft-threshold gating means, floored
     gating variances, then for all experts of the (S, K) stack at once the
     lasso coefficients (certified step, coordinate ascent where it fails)
     and the intercepts and variances."""
-    X, y = data.X, data.y1
-    mu = _gating_means(X, T, nk, s.R, penalty.gamma)
-    beta = _expert_coeffs(X, y, T, nk, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
+    mu = _gating_means(sample.X, T, nk, s.R, penalty.gamma)
+    beta = _expert_coeffs(sample, T, nk, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
                           penalty.lam, penalty.ca_max_iter, penalty.ca_tol)
-    b0, sigma2 = _intercepts_variances(X, y, T, nk, beta)
-    return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu, _gating_variances(X, T, nk, mu),
+    b0, sigma2 = _intercepts_variances(sample, T, nk, beta)
+    return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu,
+                  _gating_variances(sample.XT, T, nk, mu),
                   b0[..., None], beta[..., None], sigma2[..., None, None])
 
 
@@ -301,7 +303,7 @@ def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
             raise ValueError("warm start dimensions do not match the request")
     return _multistart(
         data, K, opts or FitOptions(),
-        lambda data, T, nk, s: _lasso_m_step(data, T, nk, s, penalty),
+        lambda sample, T, nk, s: _lasso_m_step(sample, T, nk, s, penalty),
         lambda loglik, s: _penalize(loglik, s, penalty.lam, penalty.gamma),
         diagonal_gating=True, warm_start=warm_start,
     )

@@ -13,9 +13,16 @@ store read-only copies of their arrays.  A fit checks only the edges of
 a run; inside it the EM loop iterates on :class:`_Stack`, kept valid by
 the M-step guards and the E-step's factorization (``LinAlgError``).
 
-Kernel docstrings give shapes without leading axes: none in the public
-functions, a start axis S in the EM loop.  A start's result has the same
-bits in any batch, because every operation acts on one start at a time.
+The kernels are component-major: the log-joint matrix and the
+responsibilities are ``(K, n)`` and the deviations from the means
+``(K, m, n)``, so n is the contiguous axis of every elementwise pass and
+the log-sum-exp and the Mahalanobis sums reduce across rows of length n.
+They read the sample through :class:`_Sample`, which holds the row-major
+transposes of X and Y.  Kernel docstrings give shapes without leading
+axes: none in the public functions, a start axis S in the EM loop.  A
+start's result has the same bits in any batch, because every operation
+acts on one start at a time.  The public boundary keeps one row per
+observation: :class:`Responsibilities` holds ``(n, K)``.
 
 Component layout conventions:
 
@@ -118,6 +125,21 @@ class DataSet:
         if self.d != 1:
             raise UnsupportedConfigError("y1 requires a univariate response (d = 1)")
         return self.Y[:, 0]
+
+
+class _Sample(NamedTuple):
+    """A :class:`DataSet` as the EM kernels read it: ``X`` (n, p) and the
+    row-major transposes ``XT`` (p, n) and ``YT`` (d, n).  A fit builds it
+    once; the dataset does not keep it, because the transposes would
+    double the memory of every dataset held."""
+
+    X: np.ndarray
+    XT: np.ndarray
+    YT: np.ndarray
+
+    @classmethod
+    def of(cls, data: DataSet) -> "_Sample":
+        return cls(data.X, np.ascontiguousarray(data.X.T), np.ascontiguousarray(data.Y.T))
 
 
 def _validate_spd(cov: np.ndarray, what: str) -> np.ndarray | None:
@@ -353,21 +375,21 @@ class Responsibilities:
 
 def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
                     chol: np.ndarray | None) -> np.ndarray:
-    """``(K, n)`` Gaussian log-densities of the deviations ``diff`` (K, n, m)
-    of the rows from the K means, under K variance vectors ``cov`` (K, m)
+    """``(K, n)`` Gaussian log-densities of the deviations ``diff`` (K, m, n)
+    of n points from the K means, under K variance vectors ``cov`` (K, m)
     with ``chol`` None, or K full matrices with lower factors ``chol``,
-    whose m x m inverses multiply ``diff`` (no solve against n rows)."""
-    m = diff.shape[-1]
-    # squared in place: at large n a second (K, n, m) temporary sets the peak memory
+    whose m x m inverses multiply ``diff`` (no solve against n columns)."""
+    m = diff.shape[-2]
+    # squared in place: at large n a second (K, m, n) temporary sets the peak memory
     if chol is None:
         Z = diff * diff
-        Z /= cov[..., None, :]
+        Z /= cov[..., None]
         logdet = np.sum(np.log(cov), axis=-1)
     else:
-        Z = diff @ np.swapaxes(np.linalg.solve(chol, np.eye(m)), -1, -2)
+        Z = np.linalg.solve(chol, np.eye(m)) @ diff
         Z *= Z
         logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return -0.5 * ((m * LOG_2PI + logdet)[..., None] + np.sum(Z, axis=-1))
+    return -0.5 * ((m * LOG_2PI + logdet)[..., None] + np.sum(Z, axis=-2))
 
 
 def gaussian_logpdf(v, mean, cov) -> float:
@@ -396,30 +418,30 @@ def gaussian_logpdf(v, mean, cov) -> float:
     m = v.shape[0]
     if cov.shape not in ((m,), (m, m)):
         raise ValueError(f"cov must be a length-{m} vector (diagonal) or {m}x{m}")
-    return float(_log_gauss_rows((v - mean)[None], cov, _validate_spd(cov, "cov"))[0])
+    return float(_log_gauss_rows((v - mean)[:, None], cov, _validate_spd(cov, "cov"))[0])
 
 
-def _log_gate_matrix(X: np.ndarray, s: _Stack) -> np.ndarray:
+def _log_gate_matrix(XT: np.ndarray, s: _Stack) -> np.ndarray:
     """``(K, n)`` unnormalized gating log-weights
-    ``log alpha_k + log phi_p(x_i; mu_k, R_k)``."""
+    ``log alpha_k + log phi_p(x_i; mu_k, R_k)`` of the columns of ``XT`` (p, n)."""
     chol = cholesky(s.R) if s.R.ndim > s.mu.ndim else None
-    return np.log(s.alpha)[..., None] + _log_gauss_rows(X - s.mu[..., None, :], s.R, chol)
+    return np.log(s.alpha)[..., None] + _log_gauss_rows(XT - s.mu[..., None], s.R, chol)
 
 
-def _log_joint_matrix(data: DataSet, s: _Stack) -> np.ndarray:
-    """Per-observation, per-component joint log-terms
-    ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``, ``(n, K)``."""
+def _log_joint_matrix(sample: _Sample, s: _Stack) -> np.ndarray:
+    """Per-component, per-observation joint log-terms
+    ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``, ``(K, n)``."""
+    XT, YT = sample.XT, sample.YT
     p, d = s.B.shape[-2:]
-    if p != data.p or d != data.d:
+    if p != XT.shape[0] or d != YT.shape[0]:
         raise ValueError(
             f"parameter dimensions (p={p}, d={d}) do not match "
-            f"data (p={data.p}, d={data.d})"
+            f"data (p={XT.shape[0]}, d={YT.shape[0]})"
         )
-    mean = s.a[..., None, :] + data.X @ s.B  # a_k + B_k' x_i for every k and row
-    out = _log_gate_matrix(data.X, s)
-    out += _log_gauss_rows(data.Y - mean, s.Sigma, cholesky(s.Sigma))
-    # row-major (n, K): the M-step's weighted sums round differently on a view
-    return np.ascontiguousarray(np.swapaxes(out, -1, -2))
+    mean = s.a[..., None] + np.swapaxes(s.B, -1, -2) @ XT  # a_k + B_k' x_i, (K, d, n)
+    out = _log_gate_matrix(XT, s)
+    out += _log_gauss_rows(YT - mean, s.Sigma, cholesky(s.Sigma))
+    return out
 
 
 def gating_probs(x, params: MoggeParams) -> np.ndarray:
@@ -432,40 +454,41 @@ def gating_probs(x, params: MoggeParams) -> np.ndarray:
     x = _as_float_array(np.atleast_1d(x), "x", 1)
     if x.shape[0] != params.p:
         raise ValueError(f"x has length {x.shape[0]} but the model has p={params.p}")
-    return _log_normalize(_log_gate_matrix(x[None, :], _Stack.of(params)).T)[1][0]
+    return _log_normalize(_log_gate_matrix(x[:, None], _Stack.of(params)))[1][:, 0]
 
 
 def conditional_density(y, x, params: MoggeParams) -> float:
     """Log conditional density ``log f(y | x)`` of the mixture: the joint
     log-density of ``(x, y)`` minus the marginal log-density of ``x``."""
-    pair = DataSet(X=np.reshape(x, (1, -1)), Y=np.reshape(y, (1, -1)))
+    pair = _Sample.of(DataSet(X=np.reshape(x, (1, -1)), Y=np.reshape(y, (1, -1))))
     s = _Stack.of(params)
     joint = _log_normalize(_log_joint_matrix(pair, s))[0]
-    marginal = _log_normalize(_log_gate_matrix(pair.X, s).T)[0]
+    marginal = _log_normalize(_log_gate_matrix(pair.XT, s))[0]
     return float(joint[0] - marginal[0])
 
 
 def _log_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-sum-exps of a log-weight matrix and the rows normalized to
-    weights that sum to 1, from one ``exp`` of the matrix shifted by each
-    row's largest term.  A row needs at least one finite entry."""
-    top = M.max(axis=-1, keepdims=True)
+    """Column log-sum-exps of a log-weight matrix (K, n) and the columns
+    normalized to weights that sum to 1, from one ``exp`` of the matrix
+    shifted by each column's largest term.  A column needs at least one
+    finite entry."""
+    top = M.max(axis=-2, keepdims=True)
     W = np.exp(M - top)
-    total = W.sum(axis=-1, keepdims=True)
+    total = W.sum(axis=-2, keepdims=True)
     W /= total
-    return (top + np.log(total))[..., 0], W
+    return (top + np.log(total))[..., 0, :], W
 
 
-def _e_step(data: DataSet, s: _Stack) -> tuple[np.ndarray, np.ndarray]:
-    """Joint log-likelihood (the summed row log-sum-exps) and ``(n, K)``
-    responsibilities (the normalized rows) from one log-joint evaluation."""
-    lse, tau = _log_normalize(_log_joint_matrix(data, s))
+def _e_step(sample: _Sample, s: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """Joint log-likelihood (the summed column log-sum-exps) and ``(K, n)``
+    responsibilities (the normalized columns) from one log-joint evaluation."""
+    lse, tau = _log_normalize(_log_joint_matrix(sample, s))
     return np.sum(lse, axis=-1), tau
 
 
 def joint_loglik(data: DataSet, params: MoggeParams) -> float:
     """Joint log-likelihood of the sample: one log-sum-exp per observation."""
-    return float(_e_step(data, _Stack.of(params))[0])
+    return float(_e_step(_Sample.of(data), _Stack.of(params))[0])
 
 
 def penalized_loglik(data: DataSet, params: MoggeParams,
@@ -485,7 +508,7 @@ def penalized_loglik(data: DataSet, params: MoggeParams,
             "penalized objective requires diagonal gating covariances"
         )
     s = _Stack.of(params)
-    return float(_penalize(_e_step(data, s)[0], s, lam, gamma))
+    return float(_penalize(_e_step(_Sample.of(data), s)[0], s, lam, gamma))
 
 
 def _penalize(loglik: np.ndarray, s: _Stack, lam: float, gamma: float) -> np.ndarray:
@@ -495,4 +518,4 @@ def _penalize(loglik: np.ndarray, s: _Stack, lam: float, gamma: float) -> np.nda
 
 def posterior_responsibilities(data: DataSet, params: MoggeParams) -> Responsibilities:
     """Posterior membership probabilities, rows normalized by log-sum-exp."""
-    return Responsibilities(tau=_e_step(data, _Stack.of(params))[1])
+    return Responsibilities(tau=_e_step(_Sample.of(data), _Stack.of(params))[1].T)

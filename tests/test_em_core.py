@@ -130,7 +130,8 @@ class TestRunEdges:
     """A run checks its parameters where it starts and where it ends, not
     per iteration: a cold start builds ``MoggeParams`` twice (the initial
     parameters and the result), a warm start once (the result), and the
-    component masses are checked once per iteration."""
+    component masses are checked once per iteration.  Of several starts,
+    only the one returned builds its result."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -164,6 +165,13 @@ class TestRunEdges:
         assert fit.n_iter > 1
         assert built[0] == 2
         assert checked[0] == fit.n_iter
+
+    def test_only_the_returned_start_builds_its_result(self, counts):
+        data = _instance(8)
+        built, _ = counts
+        built[0] = 0
+        fit_em(data, K=2, opts=FitOptions(n_starts=10, seed=3))
+        assert built[0] == 10 + 1
 
     def test_warm_start(self, counts):
         data = _instance(8)
@@ -384,11 +392,13 @@ def _alone(args, i):
 
 
 def _assert_same_run(a, b):
-    """The same outcome to the last bit: fits with equal stacked parameters,
-    trace, responsibilities and counts, or failures of one type and text."""
+    """The same outcome to the last bit: fits (or runs, checked here) with
+    equal stacked parameters, trace, responsibilities and counts, or
+    failures of one type and text."""
     if isinstance(b, Exception):
         assert (type(a), str(a)) == (type(b), str(b))
         return
+    a, b = (run.result() if isinstance(run, em._Run) else run for run in (a, b))
     for x, y in zip(_Stack.of(a.params), _Stack.of(b.params)):
         assert np.array_equal(x, y)
     assert np.array_equal(a.loglik_trace, b.loglik_trace)
@@ -418,6 +428,19 @@ class TestBatchedStarts:
         assert len({fit.n_iter for fit in out}) > 1  # starts leave at different times
         for i, fit in enumerate(out):
             _assert_same_run(fit, _alone(args, i))
+
+    @pytest.mark.parametrize("fitter", ["em-full", "em-diagonal"])
+    def test_three_components_two_responses(self, batches, fitter):
+        # d > 1 runs the (K, d, n) residuals and the d x d expert covariances
+        rng = np.random.default_rng(17)
+        truth = random_params(rng, K=3, p=3, d=2, diagonal=True, spread=3.0)
+        data, _ = sample_from_params(rng, truth, n=120)
+        FITTERS[fitter](data, 3, FitOptions(n_starts=6, seed=4))
+        ((args, out),) = batches
+        assert len(out) == 6
+        assert len({run.n_iter for run in out}) > 1
+        for i, run in enumerate(out):
+            _assert_same_run(run, _alone(args, i))
 
     @pytest.mark.parametrize("fitter", sorted(FITTERS))
     def test_one_start_per_batch_gives_the_same_fit(self, monkeypatch, batches, fitter):
@@ -466,7 +489,7 @@ class TestBatchedStarts:
         bad = s._replace(R=R)
         with np.errstate(over="raise", invalid="raise"):
             out = RUN_EM(data, bad, opts, m_step, objective)
-        assert [type(o).__name__ for o in out] == ["FitResult", "LinAlgError", "FitResult"]
+        assert [type(o).__name__ for o in out] == ["_Run", "LinAlgError", "_Run"]
         for i in (0, 2):
             _assert_same_run(out[i], _alone((data, bad, opts, m_step, objective), i))
 
@@ -487,11 +510,12 @@ class TestBatchedStarts:
         B[:, :, 1] = 0.0
         B[1, 0, 1] = 1.0
         s = s._replace(B=B)
-        _, T = model._e_step(data, s)
-        nk = T.sum(axis=-2)
-        batch = em_lasso._lasso_m_step(data, T, nk, s, PENALTY)
+        sample = model._Sample.of(data)
+        _, T = model._e_step(sample, s)
+        nk = T.sum(axis=-1)
+        batch = em_lasso._lasso_m_step(sample, T, nk, s, PENALTY)
         for i in range(3):
-            alone = em_lasso._lasso_m_step(data, T[[i]], nk[[i]], s.take([i]), PENALTY)
+            alone = em_lasso._lasso_m_step(sample, T[[i]], nk[[i]], s.take([i]), PENALTY)
             for x, y in zip(batch, alone):
                 assert np.array_equal(x[i], y[0])
         assert batch.B[1, 0, 1, 0] == 0.0  # coordinate ascent forces it to 0
