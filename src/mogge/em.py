@@ -221,13 +221,14 @@ def _component_masses(T: np.ndarray) -> np.ndarray:
 
 
 def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray,
-                    diagonal: bool) -> tuple[np.ndarray, ...]:
+                    diagonal: bool, out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Stacked gating update from the (K, n) responsibilities ``T`` and their
-    sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p)."""
+    sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p).
+    The (K, p, n) deviations are written into ``out`` when given."""
     mu = T @ sample.X / nk[..., None]
-    diff = sample.XT - mu[..., None]
+    diff = np.subtract(sample.XT, mu[..., None], out=out)
     if diagonal:
-        diff *= diff  # in place: a second (K, p, n) temporary costs more than the product
+        diff *= diff
         R = (diff @ T[..., None])[..., 0] / nk[..., None] + COV_JITTER
     else:
         # weighted by the root of T, then times its own transpose: numpy's
@@ -239,15 +240,17 @@ def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray,
 
 
 def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray,
-                        B_prev: np.ndarray) -> tuple[np.ndarray, ...]:
+                        B_prev: np.ndarray,
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Stacked expert update in the coupled order: intercepts (K, d) from
     the previous coefficients ``B_prev`` (K, p, d), coefficients (K, p, d)
-    from the new intercepts, floored covariances (K, d, d) from both."""
+    from the new intercepts, floored covariances (K, d, d) from both.  The
+    (K, p, n) weighted predictors are written into ``out`` when given."""
     X, XT, YT = sample
     root = np.sqrt(T)[..., None, :]  # D W D' as (D root)(D root)': syrk, as for R
     resid = YT - np.swapaxes(B_prev, -1, -2) @ XT  # (K, d, n)
     a = (resid @ T[..., None])[..., 0] / nk[..., None]
-    XW = XT * root
+    XW = np.multiply(XT, root, out=out)
     G = XW @ np.swapaxes(XW, -1, -2) + GRAM_RIDGE * np.eye(X.shape[1])
     B = np.linalg.solve(G, np.swapaxes((T[..., None, :] * (YT - a[..., None])) @ X, -1, -2))
     resid = YT - a[..., None] - np.swapaxes(B, -1, -2) @ XT
@@ -302,27 +305,37 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     ``opts.max_iter`` is reached; returns an unchecked :class:`_Run` or an
     exception per start.
 
-    ``m_step(sample, T, nk, s)`` returns the next stack from the (S, K, n)
-    responsibilities ``T`` and their (S, K) masses ``nk``, checked once per
-    iteration, and ``objective(loglik, s)`` the (S,) trace entries.  A step
-    that raises for the batch is redone for each start alone."""
-    def step(s, T):
+    ``m_step(sample, T, nk, s, work)`` returns the next stack from the
+    (S, K, n) responsibilities ``T`` and their (S, K) masses ``nk``,
+    checked once per iteration, and ``objective(loglik, s)`` the (S,)
+    trace entries.  A step that raises for the batch is redone for each
+    start alone.
+
+    ``work`` is the batch's workspace of (S, K, p, n) buffers, allocated
+    once here: the first for the E-step's deviations and the M-step's
+    (S, K, p, n) temporaries, and for full gating covariances a second
+    for the E-step's whitened deviations.  No returned or kept array is a
+    view of it.  When the live starts compact to m, the kernels get its leading
+    view ``work[:, :m]`` (still C-contiguous); a redone start gets
+    ``work[:, :1]``."""
+    def step(s, T, work):
         if T is not None:
-            s = m_step(sample, T, _component_masses(T), s)
-        loglik, T = _e_step(sample, s)
+            s = m_step(sample, T, _component_masses(T), s, work)
+        loglik, T = _e_step(sample, s, work)
         return s, T, loglik, objective(loglik, s)
 
     out: list = [None] * len(s.alpha)
     traces: list[list[float]] = [[] for _ in out]
     live, T = np.arange(len(out)), None
+    work = np.empty((1 + (s.R.ndim > s.mu.ndim), *s.mu.shape, sample.XT.shape[1]))
     for it in range(opts.max_iter + 1):
         try:
-            s, T, loglik, obj = step(s, T)
+            s, T, loglik, obj = step(s, T, work[:, :len(live)])
         except _START_FAILURES:
             runs = []
             for i, start in enumerate(live.tolist()):
                 try:
-                    runs.append(step(s.take([i]), T if T is None else T[[i]]))
+                    runs.append(step(s.take([i]), T if T is None else T[[i]], work[:, :1]))
                 except _START_FAILURES as exc:
                     out[start] = exc
             live = np.array([start for start in live if out[start] is None], int)
@@ -395,9 +408,9 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     """
     return _multistart(
         data, K, opts or FitOptions(),
-        lambda sample, T, nk, s: _Stack(
-            *_gating_moments(sample, T, nk, diagonal_gating),
-            *_expert_regressions(sample, T, nk, s.B),
+        lambda sample, T, nk, s, work: _Stack(
+            *_gating_moments(sample, T, nk, diagonal_gating, work[0]),
+            *_expert_regressions(sample, T, nk, s.B, work[0]),
         ),
         lambda loglik, s: loglik,
         diagonal_gating,

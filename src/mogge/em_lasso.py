@@ -104,10 +104,11 @@ def _gating_means(X: np.ndarray, T: np.ndarray, nk: np.ndarray, R_prev: np.ndarr
 
 
 def _gating_variances(XT: np.ndarray, T: np.ndarray, nk: np.ndarray,
-                      mu: np.ndarray) -> np.ndarray:
+                      mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Stacked weighted per-coordinate variances (K, p) of the columns of
-    ``XT`` (p, n) around ``mu``, floored."""
-    sq = XT - mu[..., None]
+    ``XT`` (p, n) around ``mu``, floored; the (K, p, n) squared deviations
+    are written into ``out`` when given."""
+    sq = np.subtract(XT, mu[..., None], out=out)
     sq *= sq
     return np.maximum((sq @ T[..., None])[..., 0] / nk[..., None], VARIANCE_FLOOR)
 
@@ -174,20 +175,22 @@ def _coordinate_ascent(G: np.ndarray, c: np.ndarray, nk: float, sigma2: float,
 
 def _expert_coeffs(sample: _Sample, T: np.ndarray, nk: np.ndarray,
                    b0: np.ndarray, sigma2: np.ndarray, beta: np.ndarray, lam: float,
-                   ca_max_iter: int, ca_tol: float) -> np.ndarray:
+                   ca_max_iter: int, ca_tol: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Lasso coefficients (K, p) of the experts weighted by ``T`` (K, n) with
     masses ``nk``, from ``beta`` (K, p) with the lagged intercepts ``b0`` and
     variances ``sigma2`` (K,): the certified step, and coordinate ascent from
-    ``beta`` for the experts it does not certify."""
+    ``beta`` for the experts it does not certify.  The (K, p, n) factor
+    ``X' W`` is written into ``out`` when given."""
     X, XT, YT = sample
-    G = (XT * T[..., None, :]) @ X  # X' W X, (K, p, p)
+    G = np.multiply(XT, T[..., None, :], out=out) @ X  # X' W X, (K, p, p)
     c = (T * (YT[0] - b0[..., None])) @ X  # X' W (y - b0)
     eta = lam * sigma2
-    out, certified = _certified_step(G, c, eta, beta)
+    coeffs, certified = _certified_step(G, c, eta, beta)
     for i in map(tuple, np.argwhere(~certified)):
-        out[i] = _coordinate_ascent(G[i], c[i], nk[i], sigma2[i], eta[i], beta[i],
-                                    ca_max_iter, ca_tol)
-    return out
+        coeffs[i] = _coordinate_ascent(G[i], c[i], nk[i], sigma2[i], eta[i], beta[i],
+                                       ca_max_iter, ca_tol)
+    return coeffs
 
 
 def _intercepts_variances(sample: _Sample, T: np.ndarray, nk: np.ndarray,
@@ -268,17 +271,19 @@ def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
 
 
 def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
-                  penalty: PenaltyConfig) -> _Stack:
+                  penalty: PenaltyConfig, out: np.ndarray | None = None) -> _Stack:
     """Closed-form mixing weights, soft-threshold gating means, floored
     gating variances, then for all experts of the (S, K) stack at once the
     lasso coefficients (certified step, coordinate ascent where it fails)
-    and the intercepts and variances."""
+    and the intercepts and variances.  The (K, p, n) temporaries of the
+    coefficients and of the variances are written into ``out``, one after
+    the other, when given."""
     mu = _gating_means(sample.X, T, nk, s.R, penalty.gamma)
     beta = _expert_coeffs(sample, T, nk, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
-                          penalty.lam, penalty.ca_max_iter, penalty.ca_tol)
+                          penalty.lam, penalty.ca_max_iter, penalty.ca_tol, out)
     b0, sigma2 = _intercepts_variances(sample, T, nk, beta)
     return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu,
-                  _gating_variances(sample.XT, T, nk, mu),
+                  _gating_variances(sample.XT, T, nk, mu, out),
                   b0[..., None], beta[..., None], sigma2[..., None, None])
 
 
@@ -303,7 +308,7 @@ def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
             raise ValueError("warm start dimensions do not match the request")
     return _multistart(
         data, K, opts or FitOptions(),
-        lambda sample, T, nk, s: _lasso_m_step(sample, T, nk, s, penalty),
+        lambda sample, T, nk, s, work: _lasso_m_step(sample, T, nk, s, penalty, work[0]),
         lambda loglik, s: _penalize(loglik, s, penalty.lam, penalty.gamma),
         diagonal_gating=True, warm_start=warm_start,
     )

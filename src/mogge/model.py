@@ -24,6 +24,15 @@ start's result has the same bits in any batch, because every operation
 acts on one start at a time.  The public boundary keeps one row per
 observation: :class:`Responsibilities` holds ``(n, K)``.
 
+The EM loop allocates its largest temporaries, the (S, K, p, n)
+deviations of the predictors, once per batch: one workspace of such
+buffers (two for full gating covariances, one for diagonal ones), passed
+to the kernels as numpy ``out=`` arrays (``work`` or ``out`` below), so
+that an iteration allocates nothing of that size and maps no fresh
+pages.  Every kernel defaults to ``None`` and then allocates as numpy
+would; the public functions run the same code that way.  No array a
+kernel returns is a view of the workspace.
+
 Component layout conventions:
 
 - gating covariances are either a full ``(p, p)`` SPD matrix or a length-p
@@ -374,19 +383,22 @@ class Responsibilities:
 # ---------------------------------------------------------------------------
 
 def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
-                    chol: np.ndarray | None) -> np.ndarray:
+                    chol: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
     """``(K, n)`` Gaussian log-densities of the deviations ``diff`` (K, m, n)
     of n points from the K means, under K variance vectors ``cov`` (K, m)
     with ``chol`` None, or K full matrices with lower factors ``chol``,
-    whose m x m inverses multiply ``diff`` (no solve against n columns)."""
+    whose m x m inverses multiply ``diff`` (no solve against n columns).
+
+    Every caller passes a fresh ``diff``: the diagonal case squares it in
+    place, and the full case writes the whitened deviations into ``out``
+    (shaped like ``diff``; a new array when None)."""
     m = diff.shape[-2]
-    # squared in place: at large n a second (K, m, n) temporary sets the peak memory
     if chol is None:
-        Z = diff * diff
+        Z = np.multiply(diff, diff, out=diff)
         Z /= cov[..., None]
         logdet = np.sum(np.log(cov), axis=-1)
     else:
-        Z = np.linalg.solve(chol, np.eye(m)) @ diff
+        Z = np.matmul(np.linalg.solve(chol, np.eye(m)), diff, out=out)
         Z *= Z
         logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     return -0.5 * ((m * LOG_2PI + logdet)[..., None] + np.sum(Z, axis=-2))
@@ -421,16 +433,24 @@ def gaussian_logpdf(v, mean, cov) -> float:
     return float(_log_gauss_rows((v - mean)[:, None], cov, _validate_spd(cov, "cov"))[0])
 
 
-def _log_gate_matrix(XT: np.ndarray, s: _Stack) -> np.ndarray:
+def _log_gate_matrix(XT: np.ndarray, s: _Stack,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """``(K, n)`` unnormalized gating log-weights
-    ``log alpha_k + log phi_p(x_i; mu_k, R_k)`` of the columns of ``XT`` (p, n)."""
+    ``log alpha_k + log phi_p(x_i; mu_k, R_k)`` of the columns of ``XT`` (p, n).
+
+    ``work``, when given, holds (K, p, n) buffers: the deviations go to
+    ``work[0]`` and, for full covariances, the whitened deviations to
+    ``work[1]``; diagonal covariances need only the first."""
     chol = cholesky(s.R) if s.R.ndim > s.mu.ndim else None
-    return np.log(s.alpha)[..., None] + _log_gauss_rows(XT - s.mu[..., None], s.R, chol)
+    diff = np.subtract(XT, s.mu[..., None], out=None if work is None else work[0])
+    out = None if work is None or chol is None else work[1]
+    return np.log(s.alpha)[..., None] + _log_gauss_rows(diff, s.R, chol, out)
 
 
-def _log_joint_matrix(sample: _Sample, s: _Stack) -> np.ndarray:
+def _log_joint_matrix(sample: _Sample, s: _Stack, work: np.ndarray | None = None) -> np.ndarray:
     """Per-component, per-observation joint log-terms
-    ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``, ``(K, n)``."""
+    ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``, ``(K, n)``;
+    ``work`` as for :func:`_log_gate_matrix`."""
     XT, YT = sample.XT, sample.YT
     p, d = s.B.shape[-2:]
     if p != XT.shape[0] or d != YT.shape[0]:
@@ -439,7 +459,7 @@ def _log_joint_matrix(sample: _Sample, s: _Stack) -> np.ndarray:
             f"data (p={XT.shape[0]}, d={YT.shape[0]})"
         )
     mean = s.a[..., None] + np.swapaxes(s.B, -1, -2) @ XT  # a_k + B_k' x_i, (K, d, n)
-    out = _log_gate_matrix(XT, s)
+    out = _log_gate_matrix(XT, s, work)
     out += _log_gauss_rows(YT - mean, s.Sigma, cholesky(s.Sigma))
     return out
 
@@ -479,10 +499,12 @@ def _log_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (top + np.log(total))[..., 0, :], W
 
 
-def _e_step(sample: _Sample, s: _Stack) -> tuple[np.ndarray, np.ndarray]:
+def _e_step(sample: _Sample, s: _Stack,
+            work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Joint log-likelihood (the summed column log-sum-exps) and ``(K, n)``
-    responsibilities (the normalized columns) from one log-joint evaluation."""
-    lse, tau = _log_normalize(_log_joint_matrix(sample, s))
+    responsibilities (the normalized columns) from one log-joint evaluation;
+    ``work`` as for :func:`_log_gate_matrix`."""
+    lse, tau = _log_normalize(_log_joint_matrix(sample, s, work))
     return np.sum(lse, axis=-1), tau
 
 

@@ -3,8 +3,12 @@ evaluation per iteration, one factorization per covariance, checked
 parameters only where a run starts and ends, the same steps as the
 public layer functions, objectives, log-likelihoods and responsibilities
 that are exactly those of the returned parameters, read-only parameter
-arrays, how ``_multistart`` reports failed starts, and starts whose
-results do not depend on the batch they run in."""
+arrays, how ``_multistart`` reports failed starts, starts whose
+results do not depend on the batch they run in, and the per-batch
+workspace that keeps an iteration from allocating its largest
+temporaries."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -519,6 +523,127 @@ class TestBatchedStarts:
             for x, y in zip(batch, alone):
                 assert np.array_equal(x[i], y[0])
         assert batch.B[1, 0, 1, 0] == 0.0  # coordinate ascent forces it to 0
+
+
+def _workspace_case(case):
+    """A sample, a three-start stack, its responsibilities and masses, and
+    whether the gating is diagonal, for a workspace test at p=8."""
+    rng = np.random.default_rng(19)
+    K, d, diagonal = {"full": (2, 1, False), "diagonal": (2, 1, True),
+                      "d2-K3": (3, 2, False), "lasso": (2, 1, True)}[case]
+    truth = random_params(rng, K=K, p=8, d=d, diagonal=True, spread=3.0)
+    data, _ = sample_from_params(rng, truth, n=90)
+    s = _Stack(*map(np.stack, zip(*(
+        _Stack.of(init_params(data, K, seed=seed, diagonal_gating=diagonal))
+        for seed in range(3)
+    ))))
+    sample = model._Sample.of(data)
+    _, T = model._e_step(sample, s)
+    return sample, s, T, T.sum(axis=-1), diagonal
+
+
+def _assert_same_bits(a, b):
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x, y)
+
+
+E_STEP = em._e_step
+
+
+@pytest.fixture
+def workspaces(monkeypatch):
+    """The array behind every workspace ``_run_em`` hands to the E-step."""
+    seen = {}
+
+    def e_step(sample, s, work=None):
+        if work is not None:
+            seen[id(work.base)] = work.base
+        return E_STEP(sample, s, work)
+
+    monkeypatch.setattr(em, "_e_step", e_step)
+    return seen
+
+
+class TestWorkspace:
+    """The EM loop's per-batch workspace: each kernel gives the same bits
+    with it as without, nothing kept is a view of it, diagonal gating gets
+    one buffer and full gating two, and an iteration allocates less than
+    one (S, K, p, n) array."""
+
+    @pytest.mark.parametrize("case", ["full", "diagonal", "d2-K3"])
+    def test_em_kernels_give_the_same_bits(self, case):
+        sample, s, T, nk, diagonal = _workspace_case(case)
+        # shaped as the loop shapes it, NaN where a kernel would read a
+        # buffer before writing it
+        work = np.full((1 + (not diagonal), *s.mu.shape, sample.XT.shape[1]), np.nan)
+        _assert_same_bits(model._log_gate_matrix(sample.XT, s, work),
+                          model._log_gate_matrix(sample.XT, s))
+        _assert_same_bits(model._e_step(sample, s, work), model._e_step(sample, s))
+        # the leading view of a compacted batch
+        _assert_same_bits(model._e_step(sample, s.take(slice(0, 2)), work[:, :2]),
+                          (x[:2] for x in model._e_step(sample, s)))
+        _assert_same_bits(em._gating_moments(sample, T, nk, diagonal, work[0]),
+                          em._gating_moments(sample, T, nk, diagonal))
+        _assert_same_bits(em._expert_regressions(sample, T, nk, s.B, work[0]),
+                          em._expert_regressions(sample, T, nk, s.B))
+
+    def test_lasso_kernels_give_the_same_bits(self):
+        sample, s, T, nk, _ = _workspace_case("lasso")
+        work = np.full((1, *s.mu.shape, sample.XT.shape[1]), np.nan)
+        args = (sample, T, nk, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0], PENALTY.lam,
+                PENALTY.ca_max_iter, PENALTY.ca_tol)
+        assert np.array_equal(em_lasso._expert_coeffs(*args, work[0]),
+                              em_lasso._expert_coeffs(*args))
+        assert np.array_equal(em_lasso._gating_variances(sample.XT, T, nk, s.mu, work[0]),
+                              em_lasso._gating_variances(sample.XT, T, nk, s.mu))
+        _assert_same_bits(em_lasso._lasso_m_step(sample, T, nk, s, PENALTY, work[0]),
+                          em_lasso._lasso_m_step(sample, T, nk, s, PENALTY))
+        _assert_same_bits(model._e_step(sample, s, work), model._e_step(sample, s))
+
+    @pytest.mark.parametrize("fitter", sorted(FITTERS))
+    def test_nothing_kept_is_a_view_of_the_workspace(self, batches, workspaces, fitter):
+        fit = FITTERS[fitter](_instance(22, n=80, p=8), 2, FitOptions(n_starts=4, seed=5))
+        ((_, runs),) = batches
+        kept = [a for run in runs for a in (*run.s, run.T)]
+        kept += [fit.loglik_trace, fit.responsibilities.tau]
+        kept += [a for g in fit.params.gating for a in (g.mu, g.R)]
+        kept += [a for e in fit.params.experts for a in (e.intercept, e.coeffs, e.cov)]
+        (buffer,) = workspaces.values()
+        # the whitened deviations of full gating need the second buffer
+        assert buffer.shape == (1 + (fitter == "em-full"), 4, 2, 8, 80)
+        assert not any(np.shares_memory(a, buffer) for a in kept)
+
+    @pytest.mark.parametrize("fitter", sorted(FITTERS))
+    def test_an_iteration_allocates_less_than_one_deviation_array(self, monkeypatch,
+                                                                 fitter):
+        # tracemalloc counts numpy's data allocations; the peak of each
+        # iteration after the first, from its start to the next one's,
+        # must stay below one (m, K, p, n) array of the m live starts.
+        # The (m, K, n) temporaries take about 7/p of that, and numpy's
+        # buffered iterator up to 64 KB per broadcast operand of a ufunc,
+        # so p and n are large enough for the bound to single out a
+        # (m, K, p, n) allocation.
+        data = _instance(24, n=1000, p=12)
+        rises, marks = [], []
+        masses = em._component_masses
+
+        def iteration_start(T):  # the loop calls it first in each M-step
+            peak = tracemalloc.get_traced_memory()[1]
+            if marks:
+                rises.append((peak - marks[-1][0], marks[-1][1]))
+            tracemalloc.reset_peak()
+            marks.append((tracemalloc.get_traced_memory()[0], T.nbytes * data.p))
+            return masses(T)
+
+        monkeypatch.setattr(em, "_component_masses", iteration_start)
+        tracemalloc.start()
+        try:
+            FITTERS[fitter](data, 2, FitOptions(n_starts=4, seed=3))
+        finally:
+            tracemalloc.stop()
+        assert len(rises) >= 5
+        for rise, limit in rises:
+            assert rise < limit
 
 
 class TestRowMajorCopies:
