@@ -28,11 +28,10 @@ from .metrics import (
     adjusted_rand_index,
     bayes_labels,
     classification_rate,
-    match_components,
     sensitivity_specificity,
 )
 from .model import FitFailedError
-from .selection import GridSpec, SelectionError, grid_search
+from .selection import GridSpec, SelectionError, _chain, grid_search
 from .simulate import (
     INTERCEPT_CONVENTIONS,
     Scenario,
@@ -306,16 +305,12 @@ def _path_pairs(cfg) -> list[tuple[float, float]]:
 
 def _path_rows(lam: float, gamma: float, params) -> list[tuple]:
     rows = []
-    for k in range(params.K):
-        g, e = params.gating[k], params.experts[k]
-        for j in range(params.p):
-            rows.append((lam, gamma, k + 1, "gate_mean", j + 1, float(g.mu[j])))
-        for j in range(params.p):
-            rows.append((lam, gamma, k + 1, "gate_variance", j + 1, float(g.R[j])))
-        for j in range(params.p):
-            rows.append((lam, gamma, k + 1, "expert_coeff", j + 1, float(e.beta[j])))
-        rows.append((lam, gamma, k + 1, "expert_intercept", 0, float(e.intercept[0])))
-        rows.append((lam, gamma, k + 1, "expert_variance", 0, e.variance))
+    for k, (g, e) in enumerate(zip(params.gating, params.experts), start=1):
+        for block, values in (("gate_mean", g.mu), ("gate_variance", g.R),
+                              ("expert_coeff", e.beta)):
+            rows.extend((lam, gamma, k, block, j, v) for j, v in enumerate(values.tolist(), 1))
+        rows.append((lam, gamma, k, "expert_intercept", 0, float(e.intercept[0])))
+        rows.append((lam, gamma, k, "expert_variance", 0, e.variance))
     return rows
 
 
@@ -324,28 +319,15 @@ def cmd_lasso_path(args) -> int:
     if not cfg["data"]:
         raise ValueError("--data is required")
     data, _ = dataio.read_dataset_csv(cfg["data"])
-    pairs = _path_pairs(cfg)
-    opts = _fit_options(cfg)
-    K = int(cfg["k"])
     rows, points = [], []
-    prev_params = None
-    for lam, gamma in pairs:
-        penalty = PenaltyConfig(
-            lam=lam, gamma=gamma,
-            ca_max_iter=int(cfg["ca_max_iter"]), ca_tol=float(cfg["ca_tol"]),
-        )
-        # warm continuation keeps the path smooth, but continuing out of a
-        # fully shrunk model can lose the cluster structure, so every point
-        # is also refit from scratch and the better objective wins
-        fit = fit_em_lasso(data, K, penalty, opts)
-        if prev_params is not None:
-            warm = fit_em_lasso(data, K, penalty, opts, warm_start=prev_params)
-            if warm.objective >= fit.objective:
-                fit = warm
-            else:
-                # relabel toward the previous point so the path stays smooth
-                fit = fit.permuted(match_components(prev_params, fit.params))
-        prev_params = fit.params
+    # warm continuation keeps the path smooth, but continuing out of a fully shrunk
+    # model can lose the cluster structure: every point also runs the cold starts
+    for lam, gamma, run in _chain(data, int(cfg["k"]), _path_pairs(cfg), _fit_options(cfg),
+                                  int(cfg["ca_max_iter"]), float(cfg["ca_tol"]),
+                                  warm=True, refit=True):
+        if isinstance(run, FitFailedError):
+            raise run
+        fit = run.result()
         rows.extend(_path_rows(lam, gamma, fit.params))
         points.append({
             "lambda": lam, "gamma": gamma,
@@ -553,7 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fit_options(p)
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("lasso-path", help="coefficient paths over a penalty grid")
+    p = sub.add_parser("lasso-path", help="coefficient paths over a penalty grid, one warm "
+                       "chain; each point also runs the cold starts, the best wins")
     _add_common(p)
     p.add_argument("--data")
     p.add_argument("--k", type=int)

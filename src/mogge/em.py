@@ -28,6 +28,7 @@ from .model import (
     NotPositiveDefiniteError,
     Responsibilities,
     _e_step,
+    _into,
     _Sample,
     _Stack,
 )
@@ -226,7 +227,7 @@ def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray,
     sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p).
     The (K, p, n) deviations are written into ``out`` when given."""
     mu = T @ sample.X / nk[..., None]
-    diff = np.subtract(sample.XT, mu[..., None], out=out)
+    diff = _into(np.subtract, sample.XT, mu[..., None], out)
     if diagonal:
         diff *= diff
         R = (diff @ T[..., None])[..., 0] / nk[..., None] + COV_JITTER
@@ -250,7 +251,7 @@ def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray,
     root = np.sqrt(T)[..., None, :]  # D W D' as (D root)(D root)': syrk, as for R
     resid = YT - np.swapaxes(B_prev, -1, -2) @ XT  # (K, d, n)
     a = (resid @ T[..., None])[..., 0] / nk[..., None]
-    XW = np.multiply(XT, root, out=out)
+    XW = _into(np.multiply, XT, root, out)
     G = XW @ np.swapaxes(XW, -1, -2) + GRAM_RIDGE * np.eye(X.shape[1])
     B = np.linalg.solve(G, np.swapaxes((T[..., None, :] * (YT - a[..., None])) @ X, -1, -2))
     resid = YT - a[..., None] - np.swapaxes(B, -1, -2) @ XT
@@ -360,37 +361,37 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
 
 
 @np.errstate(over="raise", invalid="raise")
-def _multistart(data: DataSet, K: int, opts: FitOptions, m_step: Callable,
-                objective: Callable, diagonal_gating: bool,
-                warm_start: MoggeParams | None = None) -> FitResult:
-    """Best run (the first with the largest objective) over the seeded
-    starts, or the one run from ``warm_start``.
-
-    Each start is initialized alone, then the starts run in batches of at
-    most ``_BATCH_ELEMENTS // (K n max(p, d))``.  The finished runs are
-    checked best first until one passes, so only the returned run builds
-    its components.  The one place where a start's numerical trouble (a
-    degenerate component, a failed covariance check or factorization, an
-    overflow or invalid operation) becomes a diagnosis; underflow is
-    routine."""
-    seeds = [None] if warm_start is not None else start_seeds(opts.seed, opts.n_starts)
+def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
+                m_step: Callable, objective: Callable, diagonal_gating: bool,
+                warm: _Stack | None = None, cold: bool = True,
+                accept: Callable = _Run.result) -> tuple:
+    """The start and ``accept(run)`` of the best run (the first with the
+    largest objective): start 0 from the unchecked stack ``warm`` if given,
+    then, with ``cold``, the seeded starts, run in batches of at most
+    ``_BATCH_ELEMENTS // (K n max(p, d))``.  The runs go to ``accept``
+    best first until one passes.  The one place where a start's numerical
+    trouble (a degenerate component, a failed covariance check or
+    factorization, an overflow or invalid operation) becomes a diagnosis;
+    underflow is routine."""
+    seeds = ([None] if warm is not None else []) + (
+        start_seeds(opts.seed, opts.n_starts) if cold else [])
     outcomes: dict = {}  # start -> initial stack, then an unchecked run or exception
     for start, seed in enumerate(seeds):
         try:
-            outcomes[start] = _Stack.of(warm_start if seed is None else init_params(
+            outcomes[start] = warm if seed is None else _Stack.of(init_params(
                 data, K, opts.init_strategy, seed, diagonal_gating))
         except (*_START_FAILURES, FitFailedError) as exc:
             outcomes[start] = exc
     ready = [start for start, s in outcomes.items() if isinstance(s, _Stack)]
-    sample = _Sample.of(data)
     size = max(1, _BATCH_ELEMENTS // (K * data.n * max(data.p, data.d)))
     for batch in (ready[lo:lo + size] for lo in range(0, len(ready), size)):
-        stack = _Stack(*map(np.stack, zip(*(outcomes[start] for start in batch))))
+        fields = zip(*(outcomes[start] for start in batch))
+        stack = _Stack(*(np.stack(f) if len(batch) > 1 else f[0][None] for f in fields))
         outcomes.update(zip(batch, _run_em(sample, stack, opts, m_step, objective)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
         try:
-            return runs[start].result()
+            return start, accept(runs[start])
         except _START_FAILURES as exc:
             outcomes[start] = exc
     raise FitFailedError(f"all {len(seeds)} starts failed", diagnoses=[
@@ -407,11 +408,11 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     fails a :class:`~mogge.model.FitFailedError` carries all diagnoses.
     """
     return _multistart(
-        data, K, opts or FitOptions(),
+        data, _Sample.of(data), K, opts or FitOptions(),
         lambda sample, T, nk, s, work: _Stack(
             *_gating_moments(sample, T, nk, diagonal_gating, work[0]),
             *_expert_regressions(sample, T, nk, s.B, work[0]),
         ),
         lambda loglik, s: loglik,
         diagonal_gating,
-    )
+    )[1]

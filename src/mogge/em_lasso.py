@@ -37,6 +37,7 @@ from .model import (
     MoggeParams,
     Responsibilities,
     UnsupportedConfigError,
+    _into,
     _penalize,
     _Sample,
     _Stack,
@@ -108,7 +109,7 @@ def _gating_variances(XT: np.ndarray, T: np.ndarray, nk: np.ndarray,
     """Stacked weighted per-coordinate variances (K, p) of the columns of
     ``XT`` (p, n) around ``mu``, floored; the (K, p, n) squared deviations
     are written into ``out`` when given."""
-    sq = np.subtract(XT, mu[..., None], out=out)
+    sq = _into(np.subtract, XT, mu[..., None], out)
     sq *= sq
     return np.maximum((sq @ T[..., None])[..., 0] / nk[..., None], VARIANCE_FLOOR)
 
@@ -183,7 +184,7 @@ def _expert_coeffs(sample: _Sample, T: np.ndarray, nk: np.ndarray,
     ``beta`` for the experts it does not certify.  The (K, p, n) factor
     ``X' W`` is written into ``out`` when given."""
     X, XT, YT = sample
-    G = np.multiply(XT, T[..., None, :], out=out) @ X  # X' W X, (K, p, p)
+    G = _into(np.multiply, XT, T[..., None, :], out) @ X  # X' W X, (K, p, p)
     c = (T * (YT[0] - b0[..., None])) @ X  # X' W (y - b0)
     eta = lam * sigma2
     coeffs, certified = _certified_step(G, c, eta, beta)
@@ -287,6 +288,17 @@ def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
                   b0[..., None], beta[..., None], sigma2[..., None, None])
 
 
+def _fit_lasso(data: DataSet, sample: _Sample, K: int, penalty: PenaltyConfig,
+               opts: FitOptions, **starts) -> tuple:
+    """:func:`~mogge.em._multistart` with the lasso M-step and objective."""
+    return _multistart(
+        data, sample, K, opts,
+        lambda sample, T, nk, s, work: _lasso_m_step(sample, T, nk, s, penalty, work[0]),
+        lambda loglik, s: _penalize(loglik, s, penalty.lam, penalty.gamma),
+        diagonal_gating=True, **starts,
+    )
+
+
 def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
                  opts: FitOptions | None = None,
                  warm_start: MoggeParams | None = None) -> FitResult:
@@ -301,14 +313,11 @@ def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
         raise UnsupportedConfigError("penalized fitting requires d = 1")
     if warm_start is not None:
         if not warm_start.has_diagonal_gating:
-            raise UnsupportedConfigError(
-                "warm start must use diagonal gating covariances"
-            )
+            raise UnsupportedConfigError("warm start must use diagonal gating covariances")
         if warm_start.K != K or warm_start.p != data.p or warm_start.d != 1:
             raise ValueError("warm start dimensions do not match the request")
-    return _multistart(
-        data, K, opts or FitOptions(),
-        lambda sample, T, nk, s, work: _lasso_m_step(sample, T, nk, s, penalty, work[0]),
-        lambda loglik, s: _penalize(loglik, s, penalty.lam, penalty.gamma),
-        diagonal_gating=True, warm_start=warm_start,
-    )
+    return _fit_lasso(
+        data, _Sample.of(data), K, penalty, opts or FitOptions(),
+        warm=None if warm_start is None else _Stack.of(warm_start),
+        cold=warm_start is None,
+    )[1]

@@ -7,11 +7,11 @@ log-sum-exp, so that high-dimensional Gaussian factors never underflow.
 Every function here is a pure function of its inputs and safe to call
 concurrently on shared read-only data.
 
-The component constructors are the only check on a parameter set: they
-test every variance against the floor, factor every full covariance and
-store read-only copies of their arrays.  A fit checks only the edges of
-a run; inside it the EM loop iterates on :class:`_Stack`, kept valid by
-the M-step guards and the E-step's factorization (``LinAlgError``).
+One validator checks parameter sets: the component constructors call it
+on their read-only copies, :meth:`_Stack.check` on all K components of a
+stack at once.  A fit checks only the edges of a run; inside it the EM
+loop iterates on :class:`_Stack`, kept valid by the M-step guards and
+the E-step's factorization (``LinAlgError``).
 
 The kernels are component-major: the log-joint matrix and the
 responsibilities are ``(K, n)`` and the deviations from the means
@@ -27,7 +27,7 @@ observation: :class:`Responsibilities` holds ``(n, K)``.
 The EM loop allocates its largest temporaries, the (S, K, p, n)
 deviations of the predictors, once per batch: one workspace of such
 buffers (two for full gating covariances, one for diagonal ones), passed
-to the kernels as numpy ``out=`` arrays (``work`` or ``out`` below), so
+to the kernels as ``work`` or ``out`` and filled by :func:`_into`, so
 that an iteration allocates nothing of that size and maps no fresh
 pages.  Every kernel defaults to ``None`` and then allocates as numpy
 would; the public functions run the same code that way.  No array a
@@ -151,27 +151,51 @@ class _Sample(NamedTuple):
         return cls(data.X, np.ascontiguousarray(data.X.T), np.ascontiguousarray(data.Y.T))
 
 
-def _validate_spd(cov: np.ndarray, what: str) -> np.ndarray | None:
-    """Check a covariance and return its read-only lower Cholesky factor.
-
-    A vector holds the variances of a diagonal covariance and has no
-    factor; a matrix must be symmetric and pass the factorization.  Either
-    way every variance must reach the floor.
-    """
-    if cov.ndim == 2 and not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12):
-        raise NotPositiveDefiniteError(f"{what} is not symmetric")
-    if np.any((cov if cov.ndim == 1 else np.diag(cov)) < VARIANCE_FLOOR):
-        raise NotPositiveDefiniteError(
-            f"{what} has a variance below the floor {VARIANCE_FLOOR:g}"
-        )
-    if cov.ndim == 1:
-        return None
-    try:
-        L = cholesky(cov)
+def _check_components(what: str, cov: np.ndarray, *arrays: np.ndarray,
+                      alpha: np.ndarray | None = None) -> np.ndarray | None:
+    """The validator of one component or of those stacked along the leading
+    axes of ``arrays[0]``: ``alpha`` (gating) in (0, 1], finite entries,
+    and ``cov`` variances or a symmetric matrix with a Cholesky factor,
+    every variance at least the floor.  Raises as the first failing
+    component's constructor would; returns read-only factors, or None."""
+    lead = arrays[0].shape[:-1]
+    matrix = cov.ndim > arrays[0].ndim
+    weight = np.ones(lead, bool) if alpha is None else (
+        (np.asarray(alpha) > 0.0) & (alpha <= 1.0))
+    value = ~weight | ~np.isfinite(np.concatenate(
+        [x.reshape(*lead, -1) for x in (*arrays, cov)], axis=-1)).all(axis=-1)
+    asym = np.zeros(lead, bool)
+    if matrix and cov.shape[-1] > 1:  # not np.allclose(cov, cov.T, 1e-8, 1e-12)
+        with np.errstate(all="ignore"):  # in components with non-finite entries
+            covT = np.swapaxes(cov, -1, -2)
+            asym = (np.abs(cov - covT) > 1e-12 + 1e-8 * np.abs(covT)).any(axis=(-2, -1))
+    bad = value | asym | ((np.diagonal(cov, axis1=-2, axis2=-1) if matrix else cov)
+                          < VARIANCE_FLOOR).any(axis=-1)
+    first = int(np.argmax(bad)) if bad.any() else bad.size  # in component order
+    try:  # the components before the first failing one must factor
+        L = cholesky(cov.reshape(-1, *cov.shape[-2:])[:first]) if matrix else None
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
-    L.flags.writeable = False
+    if first < bad.size:
+        if not weight.flat[first]:
+            raise ValueError(f"alpha must lie in (0, 1], got {np.asarray(alpha).flat[first]}")
+        if value.flat[first]:
+            raise ValueError(f"component {first + 1} has non-finite entries")
+        raise NotPositiveDefiniteError(f"{what} is not symmetric" if asym.flat[first] else (
+            f"{what} has a variance below the floor {VARIANCE_FLOOR:g}"))
+    if L is not None:
+        L = L.reshape(cov.shape)
+        L.flags.writeable = False
     return L
+
+
+def _check_weights(weights: list[float]) -> None:
+    """Mixing weights: each in (0, 1) when there are several, summing to 1 within 1e-12."""
+    for k, w in enumerate(weights):
+        if len(weights) > 1 and not (0.0 < w < 1.0):
+            raise ValueError(f"alpha of component {k + 1} must lie in (0, 1)")
+    if abs(sum(weights) - 1.0) > 1e-12:
+        raise ValueError(f"mixing weights must sum to 1, got {sum(weights)!r}")
 
 
 @dataclass(frozen=True)
@@ -191,14 +215,13 @@ class GatingComponent:
 
     def __post_init__(self):
         alpha = float(self.alpha)
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         mu = _as_float_array(self.mu, "mu", 1)
         R = _as_float_array(self.R, "R", np.ndim(self.R))
         p = mu.shape[0]
         if R.shape not in ((p,), (p, p)):
             raise ValueError(f"R must be a length-{p} vector (diagonal) or {p}x{p}")
-        object.__setattr__(self, "_chol", _validate_spd(R, "gating covariance"))
+        object.__setattr__(self, "_chol", _check_components(
+            "gating covariance", R, mu, alpha=np.float64(alpha)))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "R", R)
@@ -238,7 +261,8 @@ class ExpertComponent:
             raise ValueError(f"coeffs must have shape (p, {d}), got {coeffs.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        object.__setattr__(self, "_chol", _validate_spd(cov, "expert covariance"))
+        object.__setattr__(self, "_chol", _check_components(
+            "expert covariance", cov, intercept, coeffs))
         object.__setattr__(self, "intercept", intercept)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "cov", cov)
@@ -278,7 +302,6 @@ class MoggeParams:
         experts = tuple(self.experts)
         if len(gating) < 1 or len(gating) != len(experts):
             raise ValueError("need K >= 1 gating components and as many experts")
-        K = len(gating)
         p = gating[0].p
         d = experts[0].d
         diag = gating[0].is_diagonal
@@ -287,11 +310,7 @@ class MoggeParams:
                 raise ValueError(f"component {k + 1} has inconsistent dimensions")
             if g.is_diagonal != diag:
                 raise ValueError("gating covariances must all share one layout")
-            if K > 1 and not (0.0 < g.alpha < 1.0):
-                raise ValueError(f"alpha of component {k + 1} must lie in (0, 1)")
-        total = sum(g.alpha for g in gating)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"mixing weights must sum to 1, got {total!r}")
+        _check_weights([g.alpha for g in gating])
         object.__setattr__(self, "gating", gating)
         object.__setattr__(self, "experts", experts)
 
@@ -330,8 +349,8 @@ class _Stack(NamedTuple):
     """Unchecked parameters stacked over the K components, ``alpha`` (K,),
     ``mu`` (K, p), ``R`` (K, p) or (K, p, p), ``a`` (K, d), ``B`` (K, p, d),
     ``Sigma`` (K, d, d), or with a leading start axis S; :meth:`of` and
-    :meth:`params` convert from and to checked components, :meth:`take`
-    selects starts."""
+    :meth:`params` convert from and to checked components, :meth:`check`
+    checks a stack without building them, :meth:`take` selects starts."""
 
     alpha: np.ndarray
     mu: np.ndarray
@@ -349,6 +368,13 @@ class _Stack(NamedTuple):
     def params(self) -> MoggeParams:
         return MoggeParams(map(GatingComponent, self.alpha.tolist(), self.mu, self.R),
                            map(ExpertComponent, self.a, self.B, self.Sigma))
+
+    def check(self) -> None:
+        """Raise what :meth:`params` raises, by the constructors' validator
+        run once on all K components of each kind."""
+        _check_components("gating covariance", self.R, self.mu, alpha=self.alpha)
+        _check_components("expert covariance", self.Sigma, self.a, self.B)
+        _check_weights(self.alpha.tolist())
 
     def take(self, index) -> "_Stack":
         return _Stack(*(field[index] for field in self))
@@ -430,7 +456,18 @@ def gaussian_logpdf(v, mean, cov) -> float:
     m = v.shape[0]
     if cov.shape not in ((m,), (m, m)):
         raise ValueError(f"cov must be a length-{m} vector (diagonal) or {m}x{m}")
-    return float(_log_gauss_rows((v - mean)[:, None], cov, _validate_spd(cov, "cov"))[0])
+    chol = _check_components("cov", cov, mean)
+    return float(_log_gauss_rows((v - mean)[:, None], cov, chol)[0])
+
+
+def _into(op, XT: np.ndarray, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``op(XT, v)`` of the columns ``XT`` (p, n); into ``out`` when given, by
+    copying ``XT`` in and applying ``op`` in place, which takes about half
+    the iterator scratch of broadcasting both operands into ``out``."""
+    if out is None:
+        return op(XT, v)
+    np.copyto(out, XT)
+    return op(out, v, out=out)
 
 
 def _log_gate_matrix(XT: np.ndarray, s: _Stack,
@@ -442,7 +479,7 @@ def _log_gate_matrix(XT: np.ndarray, s: _Stack,
     ``work[0]`` and, for full covariances, the whitened deviations to
     ``work[1]``; diagonal covariances need only the first."""
     chol = cholesky(s.R) if s.R.ndim > s.mu.ndim else None
-    diff = np.subtract(XT, s.mu[..., None], out=None if work is None else work[0])
+    diff = _into(np.subtract, XT, s.mu[..., None], None if work is None else work[0])
     out = None if work is None or chol is None else work[1]
     return np.log(s.alpha)[..., None] + _log_gauss_rows(diff, s.R, chol, out)
 

@@ -7,6 +7,10 @@ means, diagonal gating variances, nonzero expert coefficients, expert
 intercepts and variances).  The grid is swept per K in decreasing
 (lambda, gamma) order with warm starts along the chain; the first, most
 heavily penalized point of each K gets the full multi-start treatment.
+The chain driver, shared with ``lasso-path``, carries each point's
+unchecked parameter stack to the next, checks it with the stacked
+validator and counts ``df`` on it; only the selected row builds a
+:class:`~mogge.em.FitResult`.
 """
 
 from __future__ import annotations
@@ -17,12 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .em import FitOptions, FitResult
-from .em_lasso import PenaltyConfig, fit_em_lasso
+from .em_lasso import PenaltyConfig, _fit_lasso
+from .metrics import match_components
 from .model import (
     DataSet,
     FitFailedError,
     MoggeParams,
     UnsupportedConfigError,
+    _Sample,
+    _Stack,
     joint_loglik,
 )
 
@@ -66,6 +73,7 @@ class SelectionRow:
     df: int
     bic: float
     converged: bool
+    failure: FitFailedError | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -92,10 +100,13 @@ def count_df(params: MoggeParams) -> int:
         raise UnsupportedConfigError("df counting requires d = 1")
     if not params.has_diagonal_gating:
         raise UnsupportedConfigError("df counting requires diagonal gating")
-    K, p = params.K, params.p
-    nz_mu = sum(int(np.count_nonzero(g.mu)) for g in params.gating)
-    nz_beta = sum(int(np.count_nonzero(e.beta)) for e in params.experts)
-    return (K - 1) + nz_mu + K * p + nz_beta + K + K
+    return _df(_Stack.of(params))
+
+
+def _df(s: _Stack) -> int:
+    """:func:`count_df` of an unbatched stack with diagonal gating, d = 1."""
+    K, p = s.mu.shape
+    return (K - 1) + int(np.count_nonzero(s.mu)) + K * p + int(np.count_nonzero(s.B)) + K + K
 
 
 def modified_bic(data: DataSet, fit: FitResult) -> float:
@@ -106,20 +117,51 @@ def modified_bic(data: DataSet, fit: FitResult) -> float:
     return joint_loglik(data, fit.params) - count_df(fit.params) * math.log(data.n) / 2.0
 
 
-def _selection_order(rows: list[SelectionRow], failures=()) -> int:
-    """Index of the max-BIC converged row; ties prefer smaller df, then
-    smaller K, then the larger combined penalty."""
-    candidates = [
-        (-(r.bic), r.df, r.K, -(r.lam + r.gamma), i)
-        for i, r in enumerate(rows)
-        if r.converged and np.isfinite(r.bic)
-    ]
+def _selection_key(i: int, r: SelectionRow) -> tuple | None:
+    """Sort key of row ``i``, None for a row that cannot be selected: max
+    BIC among converged rows; ties prefer smaller df, then smaller K, then
+    the larger combined penalty."""
+    if r.converged and np.isfinite(r.bic):
+        return (-(r.bic), r.df, r.K, -(r.lam + r.gamma), i)
+    return None
+
+
+def _selection_order(rows: list[SelectionRow]) -> int:
+    """Index of the selected row; raises from the first failure if there is none."""
+    candidates = [key for i, r in enumerate(rows) if (key := _selection_key(i, r))]
     if not candidates:
+        failures = [r.failure for r in rows if r.failure is not None]
         raise SelectionError(
             f"no grid point produced a converged fit ({len(failures)} of "
             f"{len(rows)} fits failed)"
         ) from (failures[0] if failures else None)
     return min(candidates)[4]
+
+
+def _chain(data: DataSet, K: int, pairs, opts: FitOptions, ca_max_iter: int,
+           ca_tol: float, warm: bool, refit: bool):
+    """Fit the (lambda, gamma) ``pairs`` of one K in order; yields each pair
+    with its checked, unbuilt :class:`~mogge.em._Run` or its failure.  With
+    ``warm``, start 0 runs from the last good point's stack and wins ties;
+    the cold starts join it where there is none or, with ``refit``, at
+    every point, and a cold winner is relabeled toward the warm start."""
+    if data.d != 1:
+        raise UnsupportedConfigError("penalized fitting requires d = 1")
+    sample, prev = _Sample.of(data), None
+    for lam, gamma in pairs:
+        penalty = PenaltyConfig(lam=lam, gamma=gamma, ca_max_iter=ca_max_iter, ca_tol=ca_tol)
+        try:
+            start, run = _fit_lasso(data, sample, K, penalty, opts, warm=prev,
+                                    cold=refit or prev is None,
+                                    accept=lambda run: run.s.check() or run)  # check(): None
+        except FitFailedError as exc:
+            yield lam, gamma, exc
+            continue
+        if start > 0 and prev is not None:
+            order = match_components(prev.params(), run.s.params())
+            run = run._replace(s=run.s.take(order), T=run.T[order])
+        prev = run.s if warm else None
+        yield lam, gamma, run
 
 
 def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
@@ -131,48 +173,29 @@ def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
     With ``warm_start`` (the default) each K sweeps its penalty pairs in
     decreasing (lambda, gamma) order, starting every fit from the
     previous point's solution; only the first point per K runs the full
-    multi-start.  ``warm_start=False`` refits every point cold.  Triplets
-    whose fits raise :class:`~mogge.model.FitFailedError` or do not
-    converge are recorded with ``converged=False`` and excluded from
-    selection; if none is left, the error is raised from the first failure.
+    multi-start.  ``warm_start=False`` refits every point cold.  Rows are
+    checked by the stacked validator; only the selected one builds its
+    result, ``best_fit``.  Triplets whose fits raise
+    :class:`~mogge.model.FitFailedError` (kept as ``failure``) or do not
+    converge get ``converged=False`` and are not selected; if none is
+    left, the error is raised from the first failure.
     """
-    opts = opts or FitOptions()
+    pairs = sorted(((lam, gamma) for lam in grid.lambdas for gamma in grid.gammas),
+                   key=lambda t: (-t[0], -t[1]))
     rows: list[SelectionRow] = []
-    fits: list[FitResult | None] = []
-    failures: list[FitFailedError] = []
+    best = None  # (selection key, run) of the best row so far
     logn_half = math.log(data.n) / 2.0
     for K in grid.Ks:
-        pairs = sorted(
-            ((lam, gamma) for lam in grid.lambdas for gamma in grid.gammas),
-            key=lambda t: (-t[0], -t[1]),
-        )
-        prev_params = None
-        for lam, gamma in pairs:
-            penalty = PenaltyConfig(
-                lam=lam, gamma=gamma, ca_max_iter=ca_max_iter, ca_tol=ca_tol
-            )
-            try:
-                fit = fit_em_lasso(
-                    data, K, penalty, opts,
-                    warm_start=prev_params if warm_start else None,
-                )
-            except FitFailedError as exc:
-                failures.append(exc)
-                rows.append(SelectionRow(
-                    K=K, lam=lam, gamma=gamma, loglik=float("nan"), df=0,
-                    bic=float("nan"), converged=False,
-                ))
-                fits.append(None)
+        for lam, gamma, run in _chain(data, K, pairs, opts or FitOptions(), ca_max_iter,
+                                      ca_tol, warm=warm_start, refit=False):
+            if isinstance(run, FitFailedError):
+                rows.append(SelectionRow(K, lam, gamma, float("nan"), 0, float("nan"),
+                                         False, failure=run))
                 continue
-            df = count_df(fit.params)
-            rows.append(SelectionRow(
-                K=K, lam=lam, gamma=gamma, loglik=fit.loglik, df=df,
-                bic=fit.loglik - df * logn_half, converged=fit.converged,
-            ))
-            fits.append(fit)
-            if warm_start:
-                prev_params = fit.params
-    selected = _selection_order(rows, failures)
-    return SelectionTable(
-        rows=tuple(rows), selected=selected, best_fit=fits[selected]
-    )
+            df = _df(run.s)
+            rows.append(SelectionRow(K, lam, gamma, run.loglik, df,
+                                     run.loglik - df * logn_half, run.converged))
+            key = _selection_key(len(rows) - 1, rows[-1])
+            if key is not None and (best is None or key < best[0]):
+                best = key, run
+    return SelectionTable(tuple(rows), _selection_order(rows), best[1].result())

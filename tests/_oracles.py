@@ -3,12 +3,15 @@
 Everything here deliberately avoids the code paths under test: densities go
 through explicit inverses / arbitrary-precision arithmetic, weighted least
 squares goes through an augmented lstsq, and the weighted lasso goes through
-a bound-constrained quasi-Newton solve on the positive/negative split.
+a bound-constrained quasi-Newton solve on the positive/negative split.  The
+grid search runs as one checked public fit per row, the loop that the
+warm-chain driver replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -268,3 +271,39 @@ def kkt_residuals_gate(X, tau_k, mu, nu2, gamma):
         else:
             out[j] = abs(num - mu[j] * s - gamma * nu2[j] * np.sign(mu[j]))
     return out
+
+
+def grid_search_per_row(data, grid, opts, ca_max_iter=100, ca_tol=1e-7, warm_start=True):
+    """The grid search as one public fit per row: ``fit_em_lasso`` on each
+    (K, lambda, gamma) triplet in decreasing penalty order, warm-started
+    from the last fit that did not fail, ``count_df`` on the checked
+    parameters, and the max-BIC row by ``_selection_order``."""
+    from mogge.em_lasso import PenaltyConfig, fit_em_lasso
+    from mogge.model import FitFailedError
+    from mogge.selection import SelectionRow, SelectionTable, _selection_order, count_df
+
+    rows, fits = [], []
+    logn_half = math.log(data.n) / 2.0
+    pairs = sorted(((lam, gamma) for lam in grid.lambdas for gamma in grid.gammas),
+                   key=lambda t: (-t[0], -t[1]))
+    for K in grid.Ks:
+        prev_params = None
+        for lam, gamma in pairs:
+            penalty = PenaltyConfig(lam=lam, gamma=gamma, ca_max_iter=ca_max_iter,
+                                    ca_tol=ca_tol)
+            try:
+                fit = fit_em_lasso(data, K, penalty, opts,
+                                   warm_start=prev_params if warm_start else None)
+            except FitFailedError as exc:
+                rows.append(SelectionRow(K, lam, gamma, float("nan"), 0, float("nan"),
+                                         False, failure=exc))
+                fits.append(None)
+                continue
+            df = count_df(fit.params)
+            rows.append(SelectionRow(K, lam, gamma, fit.loglik, df,
+                                     fit.loglik - df * logn_half, fit.converged))
+            fits.append(fit)
+            if warm_start:
+                prev_params = fit.params
+    selected = _selection_order(rows)
+    return SelectionTable(rows=tuple(rows), selected=selected, best_fit=fits[selected])

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mogge import dataio
+from mogge import dataio, em, selection
 from mogge.cli import (
     EVALUATE_DEFAULTS,
     FIT_DEFAULTS,
@@ -14,6 +14,9 @@ from mogge.cli import (
     _build_parser,
     main,
 )
+from mogge.em import FitOptions
+from mogge.em_lasso import PenaltyConfig, fit_em_lasso
+from mogge.metrics import match_components
 from mogge.model import DataSet, ExpertComponent, GatingComponent, MoggeParams
 from mogge.simulate import Scenario, default_scenario, sample_dataset
 
@@ -263,6 +266,56 @@ class TestLassoPath:
         ) == 0
         points = json.loads((out / "path_params.json").read_text())
         assert [pt["lambda"] for pt in points] == [10.0, 5.0, 0.0]
+
+    PATH = ("--k", "2", "--penalties", "0,5,10", "--n-starts", "3", "--seed", "1")
+
+    def test_warm_start_wins_an_exact_tie(self, small_data, tmp_path, monkeypatch):
+        # every run reports the same objective; a point's warm start is start
+        # 0 of its batch, its cold starts follow
+        real_run_em, real_fit, starts = em._run_em, selection._fit_lasso, []
+
+        def tied(*args):
+            return [run._replace(objective=0.0) if isinstance(run, em._Run) else run
+                    for run in real_run_em(*args)]
+
+        def recorded(*args, **kwargs):
+            start, run = real_fit(*args, **kwargs)
+            starts.append((kwargs["warm"] is not None, kwargs["cold"], start))
+            return start, run
+
+        monkeypatch.setattr(em, "_run_em", tied)
+        monkeypatch.setattr(selection, "_fit_lasso", recorded)
+        out = tmp_path / "tie"
+        assert run("lasso-path", "--data", str(small_data), *self.PATH,
+                   "--out-dir", str(out)) == 0
+        assert starts == [(False, True, 0), (True, True, 0), (True, True, 0)]
+
+    def test_a_failing_warm_start_leaves_the_cold_starts(self, small_data, tmp_path,
+                                                        monkeypatch):
+        # the warm start of each point after the first cannot be factored in
+        # its first E-step; the point is then the best of its cold starts
+        real_fit = selection._fit_lasso
+
+        def broken(*args, warm=None, **kwargs):
+            warm = None if warm is None else warm._replace(Sigma=-warm.Sigma)
+            return real_fit(*args, warm=warm, **kwargs)
+
+        monkeypatch.setattr(selection, "_fit_lasso", broken)
+        out = tmp_path / "broken"
+        assert run("lasso-path", "--data", str(small_data), *self.PATH,
+                   "--out-dir", str(out)) == 0
+        points = json.loads((out / "path_params.json").read_text())
+        assert [pt["lambda"] for pt in points] == [10.0, 5.0, 0.0]
+        data, _ = dataio.read_dataset_csv(small_data)
+        prev = None
+        for pt in points:  # relabeled toward the previous point
+            cold = fit_em_lasso(data, 2, PenaltyConfig(lam=pt["lambda"], gamma=pt["gamma"]),
+                                FitOptions(n_starts=3, seed=1))
+            if prev is not None:
+                cold = cold.permuted(match_components(prev, cold.params))
+            assert pt["objective"] == cold.objective
+            assert pt["params"] == dataio.params_to_dict(cold.params)
+            prev = cold.params
 
     def test_requires_exactly_one_grid(self, small_data, tmp_path):
         assert run(

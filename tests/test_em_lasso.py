@@ -664,11 +664,12 @@ class TestMonotoneTraces:
         traces = []
 
         def recorded(*args, **kwargs):
-            fit = fit_em_lasso(*args, **kwargs)
-            traces.append(fit.loglik_trace)
-            return fit
+            start, run = real_fit(*args, **kwargs)
+            traces.append(run.trace)
+            return start, run
 
-        monkeypatch.setattr(selection, "fit_em_lasso", recorded)
+        real_fit = selection._fit_lasso
+        monkeypatch.setattr(selection, "_fit_lasso", recorded)
         data, _ = sample_dataset(default_scenario(n=300, seed=seed))
         values = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
         grid_search(data, GridSpec(Ks=(2,), lambdas=values, gammas=values),

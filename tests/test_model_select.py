@@ -150,19 +150,19 @@ class TestGridSearch:
 
     def test_row_loglik_is_the_fits_own(self, monkeypatch):
         data = small_instance(seed=6)
-        real_fit = selection.fit_em_lasso
+        real_fit = selection._fit_lasso
         fits = []
 
         def recorded(*args, **kwargs):
             fits.append(real_fit(*args, **kwargs))
             return fits[-1]
 
-        monkeypatch.setattr(selection, "fit_em_lasso", recorded)
+        monkeypatch.setattr(selection, "_fit_lasso", recorded)
         grid = GridSpec(Ks=(2,), lambdas=(0.0, 4.0), gammas=(0.0, 4.0))
         table = grid_search(data, grid, opts=FitOptions(n_starts=2, seed=0))
         assert len(fits) == len(table.rows)
-        for row, fit in zip(table.rows, fits):
-            assert row.loglik == joint_loglik(data, fit.params)
+        for row, (_, run) in zip(table.rows, fits):
+            assert row.loglik == joint_loglik(data, run.s.params())
 
     def test_nested_grids_never_lower_selected_bic_cold(self):
         data = small_instance(seed=7)
@@ -189,14 +189,14 @@ class TestGridSearch:
 
     def test_failed_triplets_recorded_and_excluded(self, monkeypatch):
         data = small_instance(seed=9)
-        real_fit = selection.fit_em_lasso
+        real_fit = selection._fit_lasso
 
-        def flaky(data_, K, penalty, opts, warm_start=None):
+        def flaky(data_, sample, K, penalty, opts, **starts):
             if penalty.lam == 4.0:
                 raise FitFailedError("boom", diagnoses=["start 0: boom"])
-            return real_fit(data_, K, penalty, opts, warm_start=warm_start)
+            return real_fit(data_, sample, K, penalty, opts, **starts)
 
-        monkeypatch.setattr(selection, "fit_em_lasso", flaky)
+        monkeypatch.setattr(selection, "_fit_lasso", flaky)
         grid = GridSpec(Ks=(2,), lambdas=(0.0, 4.0), gammas=(1.0,))
         table = grid_search(data, grid, opts=FitOptions(n_starts=2, seed=0))
         failed = [r for r in table.rows if not r.converged]
@@ -210,7 +210,7 @@ class TestGridSearch:
         def always_fail(*args, **kwargs):
             raise FitFailedError("boom", diagnoses=[])
 
-        monkeypatch.setattr(selection, "fit_em_lasso", always_fail)
+        monkeypatch.setattr(selection, "_fit_lasso", always_fail)
         grid = GridSpec(Ks=(2,), lambdas=(1.0,), gammas=(1.0,))
         with pytest.raises(SelectionError):
             grid_search(data, grid, opts=FitOptions(n_starts=1, seed=0))

@@ -99,7 +99,8 @@ DATACLASS_FIELDS = {
     ),
     "PenaltyConfig": ("lam", "gamma", "ca_max_iter", "ca_tol"),
     "GridSpec": ("Ks", "lambdas", "gammas"),
-    "SelectionRow": ("K", "lam", "gamma", "loglik", "df", "bic", "converged"),
+    "SelectionRow": ("K", "lam", "gamma", "loglik", "df", "bic", "converged",
+                     "failure"),
     "SelectionTable": ("rows", "selected", "best_fit"),
     "Scenario": ("true_params", "n", "seed"),
     "BlockScore": ("kind", "component", "s1", "s2", "n_true_zero", "n_true_nonzero"),
