@@ -257,7 +257,8 @@ def cmd_select(args) -> int:
             "loglik": row.loglik, "df": row.df, "bic": row.bic,
         },
         "n_rows": len(table.rows),
-        "n_failed": sum(1 for r in table.rows if not r.converged),
+        "n_failed": sum(1 for r in table.rows if r.failure is not None),
+        "n_unconverged": sum(1 for r in table.rows if r.failure is None and not r.converged),
     })
     return 0
 

@@ -8,6 +8,14 @@ the multi-start driver also run :mod:`mogge.em_lasso`, which supplies its
 own M-step and objective.  Multi-start in batches, best objective wins;
 any start whose components collapse, or whose arithmetic overflows, is
 abandoned and diagnosed rather than reinitialized mid-run.
+
+:func:`fit_em` accelerates the smooth EM map by SQUAREM (Varadhan and
+Roland, 2008): every second trace entry may be an accepted
+extrapolation of the last two EM steps instead of an EM step, and
+``max_iter`` caps the recorded objective evaluations.  The penalized
+fit runs plain EM steps; extrapolating its lasso M-step moved the
+selected rows, so it waits for an exact expert-lasso step (ROADMAP
+item 1).
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .model import (
     MoggeParams,
     NotPositiveDefiniteError,
     Responsibilities,
+    _cholesky,
     _e_step,
     _into,
     _Sample,
@@ -51,7 +60,13 @@ _START_FAILURES = (DegenerateComponentError, NotPositiveDefiniteError,
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs shared by the EM fitting loops."""
+    """Knobs shared by the EM fitting loops.
+
+    ``max_iter`` caps the objective evaluations recorded after the
+    initial one, which for :func:`fit_em` may be accepted SQUAREM
+    extrapolations as well as EM steps; the penalized fit records one
+    per EM step.  ``tol`` bounds the relative objective change at which
+    a start has converged."""
 
     max_iter: int = 1000
     tol: float = 1e-6
@@ -80,8 +95,12 @@ class FitResult:
     """Converged parameters plus the objective trace and diagnostics.
 
     ``loglik_trace[0]`` is the objective at initialization and one entry is
-    appended after each EM iteration, so ``len(loglik_trace) == n_iter + 1``.
-    For the penalized fit the trace holds the penalized objective.
+    appended after each iteration, so ``len(loglik_trace) == n_iter + 1``
+    and ``n_iter <= max_iter``.  For :func:`fit_em` an entry may be an
+    accepted SQUAREM extrapolation rather than an EM step; the trace never
+    falls either way.  The penalized fit runs EM steps only (its
+    acceleration waits for an exact expert-lasso step, ROADMAP item 1),
+    and its trace holds the penalized objective.
     ``loglik`` is the unpenalized joint log-likelihood at ``params``; for
     :func:`fit_em` it equals ``objective``.
     """
@@ -118,7 +137,10 @@ def start_seeds(seed: int, n_starts: int) -> list[int]:
 
 def _floor_spd(S: np.ndarray) -> np.ndarray:
     """Symmetrize a matrix, or a stack of matrices along the leading axes,
-    and floor the eigenvalues of each at the variance floor."""
+    and floor the eigenvalues of each at the variance floor: for 1 x 1
+    matrices the floored entries, which is what the eigh path gives."""
+    if S.shape[-1] == 1:
+        return np.maximum(S, VARIANCE_FLOOR)
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
     vals, vecs = np.linalg.eigh(S)
     floored = vecs * np.maximum(vals, VARIANCE_FLOOR)[..., None, :]
@@ -299,18 +321,87 @@ class _Run(NamedTuple):
                          loglik=self.loglik)
 
 
+def _flat(s: _Stack) -> np.ndarray:
+    """The fields of a stack with a start axis, one row per start."""
+    return np.concatenate([f.reshape(len(f), -1) for f in s], axis=1)
+
+
+def _log_factor(A: np.ndarray) -> np.ndarray:
+    """Cholesky factors of the SPD stack ``A`` with the log of their diagonals."""
+    L = _cholesky(A)
+    return np.log(L, out=L, where=np.eye(A.shape[-1], dtype=bool))
+
+
+def _exp_factor(theta: np.ndarray) -> np.ndarray:
+    """The SPD matrices ``L L'`` of log-Cholesky coordinates ``theta``."""
+    L = np.exp(theta, out=theta.copy(), where=np.eye(theta.shape[-1], dtype=bool))
+    return L @ np.swapaxes(L, -1, -2)
+
+
+def _theta(s: _Stack) -> np.ndarray:
+    """The unconstrained coordinates SQUAREM extrapolates, one row per start
+    of the stack ``s``: log weights, means, log variances (diagonal gating)
+    or log-Cholesky factors, intercepts, coefficients, and log-Cholesky
+    factors of the expert covariances."""
+    R = _log_factor(s.R) if s.R.ndim > s.mu.ndim else np.log(s.R)
+    return _flat(_Stack(np.log(s.alpha), s.mu, R, s.a, s.B, _log_factor(s.Sigma)))
+
+
+def _from_theta(theta: np.ndarray, like: _Stack) -> _Stack:
+    """The stack shaped like ``like`` at the coordinates ``theta`` of
+    :func:`_theta`: weights by softmax, covariances by ``L L'``."""
+    cuts = np.cumsum([f[0].size for f in like])[:-1]
+    la, mu, R, a, B, Sigma = (
+        x.reshape(f.shape) for x, f in zip(np.split(theta, cuts, axis=1), like))
+    w = np.exp(la - la.max(axis=-1, keepdims=True))
+    R = _exp_factor(R) if R.ndim > mu.ndim else np.exp(R)
+    return _Stack(w / w.sum(axis=-1, keepdims=True), mu, R, a, B, _exp_factor(Sigma))
+
+
+def _step_length(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """SQUAREM's S3 step length per start (Varadhan and Roland, 2008):
+    ``-max(1, |r| / |v|)`` of the rows of ``r`` and ``v``."""
+    return -np.maximum(1.0, np.sqrt(np.sum(r * r, axis=-1) / np.sum(v * v, axis=-1)))
+
+
+def _where(keep: np.ndarray, a: _Stack, b: _Stack) -> _Stack:
+    """Per start, ``a`` where ``keep`` and ``b`` elsewhere."""
+    return _Stack(*(np.where(keep.reshape(-1, *[1] * (x.ndim - 1)), x, y)
+                    for x, y in zip(a, b)))
+
+
+def _rows(x, index):
+    """Starts ``index`` of a stack or an array with a start axis; None stays."""
+    return x if x is None else x.take(index) if isinstance(x, _Stack) else x[index]
+
+
 def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
-            m_step: Callable, objective: Callable) -> list:
+            m_step: Callable, objective: Callable, squarem: bool = False) -> list:
     """EM iterations for the starts along the leading axis of ``s``, each
     until its relative objective change drops below ``opts.tol`` or
-    ``opts.max_iter`` is reached; returns an unchecked :class:`_Run` or an
-    exception per start.
+    ``opts.max_iter`` trace entries follow the initial one; returns an
+    unchecked :class:`_Run` or an exception per start.
 
     ``m_step(sample, T, nk, s, work)`` returns the next stack from the
     (S, K, n) responsibilities ``T`` and their (S, K) masses ``nk``,
-    checked once per iteration, and ``objective(loglik, s)`` the (S,)
-    trace entries.  A step that raises for the batch is redone for each
-    start alone.
+    checked once per M-step, and ``objective(loglik, s)`` the (S,) trace
+    entries.  A step that raises for the batch is redone for each start
+    alone.
+
+    With ``squarem`` every second entry comes from a SQUAREM cycle
+    (Varadhan and Roland, 2008, step length S3): from the base point x0
+    the previous entry took the plain step x1 = F(x0); the cycle takes the
+    M-step x2 = F(x1) and extrapolates each start in the coordinates of
+    :func:`_theta` to ``x' = theta0 - 2 alpha r + alpha^2 v``, with
+    ``r = theta1 - theta0`` and ``v = theta2 - 2 theta1 + theta0``.  Its
+    entry is the objective at x' when x' is finite, its E-step succeeds,
+    no component mass is degenerate and the objective is at least that
+    at x1; otherwise the objective at x2, so traces never fall.  The
+    cycle carries theta of its result as the next base.  It runs only
+    while two entries remain, so a run ends on a plain step, and only
+    entries after a plain M-step are tested for convergence.  Every
+    decision is taken per start, so a start has the same bits in any
+    batch.
 
     ``work`` is the batch's workspace of (S, K, p, n) buffers, allocated
     once here: the first for the E-step's deviations and the M-step's
@@ -319,42 +410,79 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     view of it.  When the live starts compact to m, the kernels get its leading
     view ``work[:, :m]`` (still C-contiguous); a redone start gets
     ``work[:, :1]``."""
-    def step(s, T, work):
+    cycles = squarem and opts.max_iter > 2
+
+    def e_step(s, work):
+        loglik, T = _e_step(sample, s, work)
+        return T, loglik, objective(loglik, s)
+
+    def plain(s, T, obj, theta, work):  # the M-step (none at the start), then the E-step
         if T is not None:
             s = m_step(sample, T, _component_masses(T), s, work)
-        loglik, T = _e_step(sample, s, work)
-        return s, T, loglik, objective(loglik, s)
+        T, loglik, obj = e_step(s, work)
+        if theta is None and cycles:
+            theta = _theta(s)  # of the first base point
+        return s, T, loglik, obj, theta, None  # every entry is tested
+
+    def cycle(s, T, obj, theta, work):  # s is x1, obj its entry, theta that of x0
+        s2 = m_step(sample, T, _component_masses(T), s, work)
+        theta1, theta2 = _theta(s), _theta(s2)
+        r, v = theta1 - theta, theta2 - 2.0 * theta1 + theta
+        with np.errstate(all="ignore"):  # an extrapolation that overflows is rejected
+            alpha = _step_length(r, v)[:, None]
+            theta_x = theta - 2.0 * alpha * r + alpha * alpha * v
+            x = _from_theta(theta_x, s)
+            ok = np.isfinite(_flat(x)).all(axis=-1) & (x.alpha > 0.0).all(axis=-1)
+        try:
+            T, loglik, obj_x = e_step(_where(ok, x, s2), work)
+        except _START_FAILURES:
+            if len(ok) > 1 or not ok[0]:
+                raise  # each start alone, where a failed extrapolation is a rejection
+            ok[0] = False
+            T, loglik, obj_x = e_step(s2, work)
+        nk = T.sum(axis=-1)
+        back = ok & ~(np.isfinite(obj_x) & (obj_x >= obj)
+                      & (nk > DEGENERACY_FRACTION * T.shape[-1]).all(axis=-1))
+        if back.any():
+            T[back], loglik[back], obj_x[back] = e_step(s2.take(back), work[:, :back.sum()])
+        ok &= ~back
+        theta = np.where(ok[:, None], theta_x, theta2)
+        return _where(ok, x, s2), T, loglik, obj_x, theta, ~ok
 
     out: list = [None] * len(s.alpha)
     traces: list[list[float]] = [[] for _ in out]
-    live, T = np.arange(len(out)), None
+    live, state = np.arange(len(out)), (s, None, None, None)
     work = np.empty((1 + (s.R.ndim > s.mu.ndim), *s.mu.shape, sample.XT.shape[1]))
     for it in range(opts.max_iter + 1):
+        step = cycle if cycles and it % 2 == 0 and 0 < it < opts.max_iter else plain
         try:
-            s, T, loglik, obj = step(s, T, work[:, :len(live)])
+            s, T, loglik, obj, theta, tested = step(*state, work[:, :len(live)])
         except _START_FAILURES:
             runs = []
             for i, start in enumerate(live.tolist()):
                 try:
-                    runs.append(step(s.take([i]), T if T is None else T[[i]], work[:, :1]))
+                    runs.append(step(*(_rows(x, [i]) for x in state), work[:, :1]))
                 except _START_FAILURES as exc:
                     out[start] = exc
             live = np.array([start for start in live if out[start] is None], int)
             if not runs:
                 break
             s = _Stack(*map(np.concatenate, zip(*(run[0] for run in runs))))
-            T, loglik, obj = map(np.concatenate, zip(*(run[1:] for run in runs)))
+            T, loglik, obj, theta, tested = (
+                None if part[0] is None else np.concatenate(part)
+                for part in zip(*(run[1:] for run in runs)))
         for i, (start, value) in enumerate(zip(live.tolist(), obj.tolist())):
             trace = traces[start]
             trace.append(value)
-            converged = it > 0 and abs(value - trace[-2]) / max(
-                abs(trace[-2]), np.finfo(float).tiny) < opts.tol
+            converged = it > 0 and (tested is None or tested[i]) and abs(
+                value - trace[-2]) / max(abs(trace[-2]), np.finfo(float).tiny) < opts.tol
             if converged or it == opts.max_iter:
-                out[start] = _Run(s.take(i), trace, T[i].copy(), it, converged, value,
+                out[start] = _Run(s.take(i), trace, T[i].copy(), it, bool(converged), value,
                                   float(loglik[i]))
+        state = (s, T, obj, theta)
         keep = [out[start] is None for start in live.tolist()]
         if not all(keep):  # compacting copies every array: about 30 us at S=1
-            live, s, T = live[keep], s.take(keep), T[keep]
+            live, state = live[keep], tuple(_rows(x, keep) for x in state)
         if not len(live):
             break
     return out
@@ -364,7 +492,7 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
 def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
                 m_step: Callable, objective: Callable, diagonal_gating: bool,
                 warm: _Stack | None = None, cold: bool = True,
-                accept: Callable = _Run.result) -> tuple:
+                accept: Callable = _Run.result, squarem: bool = False) -> tuple:
     """The start and ``accept(run)`` of the best run (the first with the
     largest objective): start 0 from the unchecked stack ``warm`` if given,
     then, with ``cold``, the seeded starts, run in batches of at most
@@ -387,7 +515,7 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
     for batch in (ready[lo:lo + size] for lo in range(0, len(ready), size)):
         fields = zip(*(outcomes[start] for start in batch))
         stack = _Stack(*(np.stack(f) if len(batch) > 1 else f[0][None] for f in fields))
-        outcomes.update(zip(batch, _run_em(sample, stack, opts, m_step, objective)))
+        outcomes.update(zip(batch, _run_em(sample, stack, opts, m_step, objective, squarem)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
         try:
@@ -401,7 +529,8 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
 
 def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
            diagonal_gating: bool = False) -> FitResult:
-    """Fit by EM with multiple starts; returns the best-objective run.
+    """Fit by EM, accelerated by SQUAREM, with multiple starts; returns the
+    best-objective run.
 
     Starts that hit a degenerate component, a covariance failure or a
     floating-point overflow are dropped with a diagnosis; if every start
@@ -414,5 +543,5 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
             *_expert_regressions(sample, T, nk, s.B, work[0]),
         ),
         lambda loglik, s: loglik,
-        diagonal_gating,
+        diagonal_gating, squarem=True,
     )[1]

@@ -151,6 +151,19 @@ class _Sample(NamedTuple):
         return cls(data.X, np.ascontiguousarray(data.X.T), np.ascontiguousarray(data.Y.T))
 
 
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of the matrices stacked along the leading axes
+    of ``A``.  For 1 x 1 matrices the square roots, the number LAPACK's
+    ``dpotrf`` returns, without its per-call cost.  Raises ``LinAlgError``
+    as ``cholesky`` does for a non-positive 1 x 1 entry, and for a NaN one
+    too."""
+    if A.shape[-1] != 1:
+        return cholesky(A)
+    if not (A > 0.0).all():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return np.sqrt(A)
+
+
 def _check_components(what: str, cov: np.ndarray, *arrays: np.ndarray,
                       alpha: np.ndarray | None = None) -> np.ndarray | None:
     """The validator of one component or of those stacked along the leading
@@ -173,7 +186,7 @@ def _check_components(what: str, cov: np.ndarray, *arrays: np.ndarray,
                           < VARIANCE_FLOOR).any(axis=-1)
     first = int(np.argmax(bad)) if bad.any() else bad.size  # in component order
     try:  # the components before the first failing one must factor
-        L = cholesky(cov.reshape(-1, *cov.shape[-2:])[:first]) if matrix else None
+        L = _cholesky(cov.reshape(-1, *cov.shape[-2:])[:first]) if matrix else None
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
     if first < bad.size:
@@ -413,7 +426,8 @@ def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
     """``(K, n)`` Gaussian log-densities of the deviations ``diff`` (K, m, n)
     of n points from the K means, under K variance vectors ``cov`` (K, m)
     with ``chol`` None, or K full matrices with lower factors ``chol``,
-    whose m x m inverses multiply ``diff`` (no solve against n columns).
+    whose m x m inverses multiply ``diff`` (no solve against n columns;
+    for m = 1 the reciprocal, the number that solve returns).
 
     Every caller passes a fresh ``diff``: the diagonal case squares it in
     place, and the full case writes the whitened deviations into ``out``
@@ -424,7 +438,10 @@ def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
         Z /= cov[..., None]
         logdet = np.sum(np.log(cov), axis=-1)
     else:
-        Z = np.matmul(np.linalg.solve(chol, np.eye(m)), diff, out=out)
+        if m == 1:
+            Z = np.multiply(1.0 / chol, diff, out=out)
+        else:
+            Z = np.matmul(np.linalg.solve(chol, np.eye(m)), diff, out=out)
         Z *= Z
         logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     return -0.5 * ((m * LOG_2PI + logdet)[..., None] + np.sum(Z, axis=-2))
@@ -478,7 +495,7 @@ def _log_gate_matrix(XT: np.ndarray, s: _Stack,
     ``work``, when given, holds (K, p, n) buffers: the deviations go to
     ``work[0]`` and, for full covariances, the whitened deviations to
     ``work[1]``; diagonal covariances need only the first."""
-    chol = cholesky(s.R) if s.R.ndim > s.mu.ndim else None
+    chol = _cholesky(s.R) if s.R.ndim > s.mu.ndim else None
     diff = _into(np.subtract, XT, s.mu[..., None], None if work is None else work[0])
     out = None if work is None or chol is None else work[1]
     return np.log(s.alpha)[..., None] + _log_gauss_rows(diff, s.R, chol, out)
@@ -497,7 +514,7 @@ def _log_joint_matrix(sample: _Sample, s: _Stack, work: np.ndarray | None = None
         )
     mean = s.a[..., None] + np.swapaxes(s.B, -1, -2) @ XT  # a_k + B_k' x_i, (K, d, n)
     out = _log_gate_matrix(XT, s, work)
-    out += _log_gauss_rows(YT - mean, s.Sigma, cholesky(s.Sigma))
+    out += _log_gauss_rows(YT - mean, s.Sigma, _cholesky(s.Sigma))
     return out
 
 

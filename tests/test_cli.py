@@ -223,6 +223,23 @@ class TestSelect:
             summary["selected"]
         )
 
+    def test_unconverged_rows_are_not_failed_rows(self, small_data, tmp_path):
+        # with --max-iter 10 the cold row stops before it converges, while
+        # the warm rows after it converge; no fit raises
+        out = tmp_path / "sel"
+        grid = "0,5,10,15,20,25"
+        assert run(
+            "select", "--data", str(small_data), "--ks", "2", "--lambdas", grid,
+            "--gammas", grid, "--n-starts", "2", "--seed", "0", "--max-iter", "10",
+            "--out-dir", str(out),
+        ) == 0
+        converged = [ln.split(",")[6] for ln in
+                     (out / "selection.csv").read_text().splitlines()[1:]]
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["n_rows"], summary["n_failed"]) == (36, 0)
+        assert summary["n_unconverged"] == converged.count("false") >= 1
+        assert "true" in converged
+
 
 class TestLassoPath:
     def test_endpoints_of_the_path(self, small_data, tmp_path):

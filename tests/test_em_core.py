@@ -71,14 +71,37 @@ def _count_calls(monkeypatch, name):
 
 
 class TestOneEStepPerIteration:
+    """EM-Lasso runs one E-step per trace entry.  ``fit_em`` runs one per
+    entry plus one per rejected SQUAREM extrapolation: every E-step's
+    objective is the next trace entry, or falls below the entry before it
+    and is replaced by the plain step's."""
+
     @pytest.fixture
     def counter(self, monkeypatch):
         return _count_calls(monkeypatch, "_log_joint_matrix")
 
-    def test_fit_em(self, counter):
+    def test_fit_em(self, monkeypatch, counter):
+        values = []
+        e_step = em._e_step
+
+        def recorded(*args):
+            loglik, T = e_step(*args)
+            values.extend(loglik.tolist())
+            return loglik, T
+
+        monkeypatch.setattr(em, "_e_step", recorded)
         fit = fit_em(_instance(1), K=2, opts=FitOptions(n_starts=1, seed=3))
+        entries, rejected = iter(fit.loglik_trace.tolist()), []
+        entry, previous = next(entries), None
+        for value in values:
+            if value == entry:
+                previous, entry = entry, next(entries, None)
+            else:
+                assert value < previous
+                rejected.append(value)
+        assert entry is None
         assert fit.n_iter > 1
-        assert counter[0] == fit.n_iter + 1
+        assert counter[0] == len(values) == fit.n_iter + 1 + len(rejected)
 
     def test_fit_em_lasso(self, counter):
         fit = fit_em_lasso(
@@ -89,36 +112,46 @@ class TestOneEStepPerIteration:
 
 
 def _count_factored(monkeypatch):
-    """Replace ``mogge.model.cholesky`` by a wrapper counting the matrices
-    it factors: a stack of m matrices counts m."""
+    """Replace ``model._cholesky`` by a wrapper counting the matrices it
+    factors: a stack of m matrices counts m."""
     count = [0]
-    original = model.cholesky
+    original = model._cholesky
 
     def counted(a):
         count[0] += int(np.prod(np.shape(a)[:-2]))
         return original(a)
 
-    monkeypatch.setattr(model, "cholesky", counted)
+    for module in (model, em):
+        monkeypatch.setattr(module, "_cholesky", counted)
     return count
 
 
 class TestOneFactorizationPerCovariance:
     """Each E-step factors each full covariance once: 2K matrices with
     full gating, K with diagonal gating or EM-Lasso (the expert
-    covariances).  A single cold start runs n_iter + 1 E-steps, and the
-    checked components built by ``init_params`` and those returned at the
-    end factor each full covariance once more, so the count is
-    ``full_per_component * K * (n_iter + 3)``."""
+    covariances).  So does each map of a stack to SQUAREM's coordinates
+    in ``fit_em``.  The checked components built by ``init_params`` and
+    those returned at the end factor each full covariance once more, so
+    a single cold start counts ``full_per_component * K * (E-steps +
+    maps + 2)``; EM-Lasso runs ``n_iter + 1`` E-steps and no map."""
 
     @pytest.mark.parametrize("diagonal, full_per_component", [(False, 2), (True, 1)])
     def test_fit_em(self, monkeypatch, diagonal, full_per_component):
         data = _instance(1)
         calls = _count_factored(monkeypatch)
+        e_steps, maps = _count_calls(monkeypatch, "_log_joint_matrix"), [0]
+        theta = em._theta
+
+        def counted_theta(s):
+            maps[0] += 1
+            return theta(s)
+
+        monkeypatch.setattr(em, "_theta", counted_theta)
         fit = fit_em(
             data, K=2, opts=FitOptions(n_starts=1, seed=3), diagonal_gating=diagonal
         )
-        assert fit.n_iter > 1
-        assert calls[0] == full_per_component * 2 * (fit.n_iter + 3)
+        assert fit.n_iter > 1 and maps[0] > 0
+        assert calls[0] == full_per_component * 2 * (e_steps[0] + maps[0] + 2)
 
     def test_fit_em_lasso(self, monkeypatch):
         data = _instance(2)
@@ -206,7 +239,7 @@ def _assert_same_params(a, b):
 class TestNoFork:
     """The loop runs the same steps as the public layer functions: a
     single start equals those functions composed by hand from the same
-    initial parameters."""
+    initial parameters, plus, for ``fit_em``, SQUAREM's extrapolation."""
 
     @staticmethod
     def _start(data, opts, diagonal):
@@ -221,14 +254,36 @@ class TestNoFork:
         data = _instance(9)
         opts = FitOptions(n_starts=1, seed=2, max_iter=max_iter, tol=1e-300)
         fit = fit_em(data, K=2, opts=opts, diagonal_gating=diagonal)
-        params = self._start(data, opts, diagonal)
-        for _ in range(max_iter):
+
+        def em_step(params):
             tau = posterior_responsibilities(data, params)
-            params = MoggeParams(
+            return MoggeParams(
                 gating=tuple(m_step_gating(data, tau, diagonal=diagonal)),
                 experts=tuple(m_step_experts(data, tau, params.experts)),
             )
+
+        def stack(params):  # with a start axis of one
+            return _Stack(*(f[None] for f in _Stack.of(params)))
+
+        params = self._start(data, opts, diagonal)
+        theta0, accepted = em._theta(stack(params)), 0
+        for it in range(1, max_iter + 1):
+            if it % 2 or it == max_iter:  # a plain step; theta0 stays the base's
+                params = em_step(params)
+                continue
+            # a cycle from the base point theta0 through x1 = params
+            x2 = em_step(params)
+            theta1, theta2 = em._theta(stack(params)), em._theta(stack(x2))
+            r, v = theta1 - theta0, theta2 - 2.0 * theta1 + theta0
+            alpha = em._step_length(r, v)[:, None]
+            theta_x = theta0 - 2.0 * alpha * r + alpha * alpha * v
+            x = em._from_theta(theta_x, stack(params)).take(0).params()
+            if joint_loglik(data, x) >= joint_loglik(data, params):
+                params, theta0, accepted = x, theta_x, accepted + 1
+            else:
+                params, theta0 = x2, theta2
         assert fit.n_iter == max_iter
+        assert accepted == (max_iter == 3)
         _assert_same_params(fit.params, params)
 
     @pytest.mark.parametrize("max_iter", [1, 3])
@@ -389,9 +444,9 @@ def batches(monkeypatch):
 
 def _alone(args, i):
     """The outcome of start i of a recorded batch, run as a batch of one."""
-    data, s, opts, m_step, objective = args
+    sample, s, *rest = args
     with np.errstate(over="raise", invalid="raise"):
-        (out,) = RUN_EM(data, s.take(slice(i, i + 1)), opts, m_step, objective)
+        (out,) = RUN_EM(sample, s.take(slice(i, i + 1)), *rest)
     return out
 
 
@@ -487,15 +542,15 @@ class TestBatchedStarts:
         data = _instance(13, n=80)
         fit_em(data, K=2, opts=FitOptions(n_starts=3, seed=8))
         ((args, _),) = batches
-        data, s, opts, m_step, objective = args
+        sample, s, *rest = args
         R = s.R.copy()
         R[1, 0] = np.diag([1.0, -1.0, 1.0])
         bad = s._replace(R=R)
         with np.errstate(over="raise", invalid="raise"):
-            out = RUN_EM(data, bad, opts, m_step, objective)
+            out = RUN_EM(sample, bad, *rest)
         assert [type(o).__name__ for o in out] == ["_Run", "LinAlgError", "_Run"]
         for i in (0, 2):
-            _assert_same_run(out[i], _alone((data, bad, opts, m_step, objective), i))
+            _assert_same_run(out[i], _alone((sample, bad, *rest), i))
 
 
     def test_one_singular_expert_in_a_batch(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from mogge import model
+from mogge import em, model
 from mogge.model import (
     DataSet,
     ExpertComponent,
@@ -445,3 +445,45 @@ class TestInverseFactorMahalanobis:
                 v = mp.matrix(row.tolist())
                 exact = (v.T * R_inv * v)[0]
                 assert abs(mp.mpf(float(value)) - exact) <= 1e-14 * exact
+
+
+def _eigh_floor(S):
+    """The general path of ``em._floor_spd``: symmetrize, floor the
+    eigenvalues at the variance floor."""
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    vals, vecs = np.linalg.eigh(S)
+    floored = vecs * np.maximum(vals, model.VARIANCE_FLOOR)[..., None, :]
+    floored = floored @ np.swapaxes(vecs, -1, -2)
+    return np.where(vals[..., :1, None] >= model.VARIANCE_FLOOR, S, floored)
+
+
+class TestOneByOneClosedForms:
+    """For a stack of 1 x 1 covariances the factor, its inverse and the
+    floor are closed forms with exactly the bits of ``cholesky``,
+    ``solve(L, I)`` and the eigenvalue floor, and a non-positive or NaN
+    entry raises ``LinAlgError``."""
+
+    @staticmethod
+    def _stack(values):
+        return np.asarray(values, dtype=float).reshape(-1, 2, 1, 1)
+
+    def test_same_bits_as_lapack(self):
+        rng = np.random.default_rng(23)
+        exponents = np.concatenate([np.linspace(-10.0, 300.0, 300),
+                                    rng.uniform(-10.0, 300.0, 300)])
+        S = self._stack(10.0 ** exponents * rng.uniform(1.0, 1.0 + 1e-6, 600))
+        S[0, 0] = model.VARIANCE_FLOOR
+        L = model._cholesky(S)
+        assert np.array_equal(L, np.linalg.cholesky(S))
+        assert np.array_equal(1.0 / L, np.linalg.solve(L, np.eye(1)))
+        assert np.array_equal(em._floor_spd(S), _eigh_floor(S))
+        below = self._stack(-(10.0 ** rng.uniform(-300.0, 300.0, 100)))
+        below = np.concatenate([below, S[:50] * 1e-12, self._stack([0.0, -0.0])])
+        assert np.array_equal(em._floor_spd(below), _eigh_floor(below))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    def test_non_positive_raises(self, value):
+        S = self._stack(np.ones(6))
+        S[1, 1] = value
+        with pytest.raises(np.linalg.LinAlgError):
+            model._cholesky(S)
