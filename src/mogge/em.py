@@ -7,7 +7,9 @@ weighted linear regressions for the experts.  The iteration loop and
 the multi-start driver also run :mod:`mogge.em_lasso`, which supplies its
 own M-step and objective.  Multi-start in batches, best objective wins;
 any start whose components collapse, or whose arithmetic overflows, is
-abandoned and diagnosed rather than reinitialized mid-run.
+abandoned and diagnosed rather than reinitialized mid-run.  The seeded
+starts are the arrays of :func:`init_params`, built unchecked and
+checked once per batch; only the returned run builds components.
 
 :func:`fit_em` accelerates the smooth EM map by SQUAREM (Varadhan and
 Roland, 2008): every second trace entry may be an accepted
@@ -173,40 +175,11 @@ def _kmeans_labels(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarra
     return labels
 
 
-def _params_from_partition(data: DataSet, labels: np.ndarray, K: int,
-                           diagonal: bool) -> MoggeParams:
-    """Empirical per-group parameters for a hard assignment."""
-    gating, experts = [], []
-    for k in range(K):
-        mask = labels == k
-        nk = int(mask.sum())
-        Xk, Yk = data.X[mask], data.Y[mask]
-        mu = Xk.mean(axis=0)
-        if diagonal:
-            R = Xk.var(axis=0) + 1e-6
-        else:
-            diff = Xk - mu
-            R = diff.T @ diff / nk + 1e-6 * np.eye(data.p)
-        gating.append(GatingComponent(alpha=nk / data.n, mu=mu, R=R))
-
-        Z = np.hstack([np.ones((nk, 1)), Xk])
-        C = np.linalg.solve(
-            Z.T @ Z + GRAM_RIDGE * np.eye(data.p + 1), Z.T @ Yk
-        )
-        resid = Yk - Z @ C
-        cov = _floor_spd(resid.T @ resid / nk)
-        experts.append(ExpertComponent(intercept=C[0], coeffs=C[1:], cov=cov))
-    return MoggeParams(gating=tuple(gating), experts=tuple(experts))
-
-
-def init_params(data: DataSet, K: int, strategy: str = "random-partition",
-                seed: int = 0, diagonal_gating: bool = False) -> MoggeParams:
-    """Initial parameters from a hard partition of the observations.
-
-    ``random-partition`` draws uniform labels; ``kmeans-on-x`` clusters the
-    predictors with k-means++-seeded k-means.  Partitions that leave a group
-    empty are redrawn (up to 100 attempts).  Deterministic under ``seed``.
-    """
+def _partition(data: DataSet, K: int, strategy: str, seed: int) -> np.ndarray:
+    """Labels of a hard partition into K non-empty groups, from the RNG of
+    ``seed``: ``random-partition`` draws uniform labels, ``kmeans-on-x``
+    clusters the predictors with k-means++-seeded k-means.  A partition
+    that leaves a group empty is redrawn, up to 100 attempts."""
     if K < 1:
         raise ValueError("K must be at least 1")
     if K > data.n:
@@ -220,11 +193,49 @@ def init_params(data: DataSet, K: int, strategy: str = "random-partition",
         else:
             labels = _kmeans_labels(data.X, K, rng)
         if np.all(np.bincount(labels, minlength=K) > 0):
-            return _params_from_partition(data, labels, K, diagonal_gating)
+            return labels
     raise FitFailedError(
         f"could not draw a partition with {K} non-empty groups in 100 attempts",
         diagnoses=[],
     )
+
+
+def _partition_stack(data: DataSet, labels: np.ndarray, K: int, diagonal: bool) -> _Stack:
+    """Empirical per-group parameters of a hard assignment, unchecked,
+    stacked over the K groups."""
+    groups = []
+    for k in range(K):
+        mask = labels == k
+        nk = int(mask.sum())
+        Xk, Yk = data.X[mask], data.Y[mask]
+        mu = Xk.mean(axis=0)
+        if diagonal:
+            R = Xk.var(axis=0) + 1e-6
+        else:
+            diff = Xk - mu
+            R = diff.T @ diff / nk + 1e-6 * np.eye(data.p)
+        Z = np.hstack([np.ones((nk, 1)), Xk])
+        C = np.linalg.solve(
+            Z.T @ Z + GRAM_RIDGE * np.eye(data.p + 1), Z.T @ Yk
+        )
+        resid = Yk - Z @ C
+        groups.append((nk / data.n, mu, R, C[0], C[1:], _floor_spd(resid.T @ resid / nk)))
+    return _Stack(*map(np.array, zip(*groups)))  # stacks as np.stack does, at less cost per call
+
+
+def init_params(data: DataSet, K: int, strategy: str = "random-partition",
+                seed: int = 0, diagonal_gating: bool = False) -> MoggeParams:
+    """Initial parameters from a hard partition of the observations.
+
+    ``random-partition`` draws uniform labels; ``kmeans-on-x`` clusters the
+    predictors with k-means++-seeded k-means.  Partitions that leave a group
+    empty are redrawn (up to 100 attempts).  Deterministic under ``seed``.
+    The fits build the same parameters as unchecked stacks and check
+    those of a batch of starts at once; this function returns them
+    checked, and raises what the component constructors raise.
+    """
+    labels = _partition(data, K, strategy, seed)
+    return _partition_stack(data, labels, K, diagonal_gating).params()
 
 
 def _component_masses(T: np.ndarray) -> np.ndarray:
@@ -496,18 +507,22 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
     """The start and ``accept(run)`` of the best run (the first with the
     largest objective): start 0 from the unchecked stack ``warm`` if given,
     then, with ``cold``, the seeded starts, run in batches of at most
-    ``_BATCH_ELEMENTS // (K n max(p, d))``.  The runs go to ``accept``
-    best first until one passes.  The one place where a start's numerical
-    trouble (a degenerate component, a failed covariance check or
-    factorization, an overflow or invalid operation) becomes a diagnosis;
-    underflow is routine."""
+    ``_BATCH_ELEMENTS // (K n max(p, d))``.  The seeded starts of a batch
+    are built as unchecked stacks and checked at once by the stacked
+    validator; only when that raises is each checked alone, by the
+    component constructors.  The warm stack is not checked again: it is
+    the previous run's checked result or built from checked parameters.
+    The runs go to ``accept`` best first until one passes.  The one place
+    where a start's numerical trouble (a degenerate component, a failed
+    covariance check or factorization, an overflow or invalid operation)
+    becomes a diagnosis; underflow is routine."""
     seeds = ([None] if warm is not None else []) + (
         start_seeds(opts.seed, opts.n_starts) if cold else [])
     outcomes: dict = {}  # start -> initial stack, then an unchecked run or exception
     for start, seed in enumerate(seeds):
         try:
-            outcomes[start] = warm if seed is None else _Stack.of(init_params(
-                data, K, opts.init_strategy, seed, diagonal_gating))
+            outcomes[start] = warm if seed is None else _partition_stack(
+                data, _partition(data, K, opts.init_strategy, seed), K, diagonal_gating)
         except (*_START_FAILURES, FitFailedError) as exc:
             outcomes[start] = exc
     ready = [start for start, s in outcomes.items() if isinstance(s, _Stack)]
@@ -515,7 +530,21 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
     for batch in (ready[lo:lo + size] for lo in range(0, len(ready), size)):
         fields = zip(*(outcomes[start] for start in batch))
         stack = _Stack(*(np.stack(f) if len(batch) > 1 else f[0][None] for f in fields))
-        outcomes.update(zip(batch, _run_em(sample, stack, opts, m_step, objective, squarem)))
+        seeded = int(seeds[batch[0]] is None)  # the first seeded row: a warm start is row 0
+        try:
+            if seeded < len(batch):
+                stack.take(slice(seeded, None)).check()
+        except (*_START_FAILURES, ValueError):
+            for start in batch[seeded:]:
+                try:
+                    outcomes[start].params()
+                except _START_FAILURES as exc:
+                    outcomes[start] = exc
+            keep = [i for i, start in enumerate(batch) if isinstance(outcomes[start], _Stack)]
+            batch, stack = [batch[i] for i in keep], stack.take(keep)
+        if batch:
+            outcomes.update(zip(batch, _run_em(sample, stack, opts, m_step, objective,
+                                               squarem)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
         try:

@@ -8,10 +8,11 @@ Every function here is a pure function of its inputs and safe to call
 concurrently on shared read-only data.
 
 One validator checks parameter sets: the component constructors call it
-on their read-only copies, :meth:`_Stack.check` on all K components of a
-stack at once.  A fit checks only the edges of a run; inside it the EM
-loop iterates on :class:`_Stack`, kept valid by the M-step guards and
-the E-step's factorization (``LinAlgError``).
+on their read-only copies, :meth:`_Stack.check` on all components of a
+stack at once, of every start when it has a start axis.  A fit checks
+only the edges of a run, its seeded starts once per batch and its
+result; inside it the EM loop iterates on :class:`_Stack`, kept valid by
+the M-step guards and the E-step's factorization (``LinAlgError``).
 
 The kernels are component-major: the log-joint matrix and the
 responsibilities are ``(K, n)`` and the deviations from the means
@@ -363,7 +364,9 @@ class _Stack(NamedTuple):
     ``mu`` (K, p), ``R`` (K, p) or (K, p, p), ``a`` (K, d), ``B`` (K, p, d),
     ``Sigma`` (K, d, d), or with a leading start axis S; :meth:`of` and
     :meth:`params` convert from and to checked components, :meth:`check`
-    checks a stack without building them, :meth:`take` selects starts."""
+    checks a stack without building them, every start of it at once,
+    :meth:`take` selects starts.  The fits build their seeded starts as
+    stacks and check those of a batch with one :meth:`check`."""
 
     alpha: np.ndarray
     mu: np.ndarray
@@ -384,10 +387,13 @@ class _Stack(NamedTuple):
 
     def check(self) -> None:
         """Raise what :meth:`params` raises, by the constructors' validator
-        run once on all K components of each kind."""
+        run once on all components of each kind, of every start when the
+        stack has a start axis; the weights are checked per start.  Of
+        several failing starts the error is one of theirs."""
         _check_components("gating covariance", self.R, self.mu, alpha=self.alpha)
         _check_components("expert covariance", self.Sigma, self.a, self.B)
-        _check_weights(self.alpha.tolist())
+        for weights in self.alpha.reshape(-1, self.alpha.shape[-1]).tolist():
+            _check_weights(weights)
 
     def take(self, index) -> "_Stack":
         return _Stack(*(field[index] for field in self))

@@ -176,11 +176,38 @@ def penalized_gate_mean_grid(xj: np.ndarray, tau: np.ndarray, nu2: float,
     grid = np.linspace(lo, hi, npts)
     if 0.0 not in grid:
         grid = np.sort(np.append(grid, 0.0))
-    vals = -np.array([
-        float(np.sum(tau * (xj - m) ** 2)) / (2.0 * nu2) + gamma * abs(m)
-        for m in grid
-    ])
+    # one row per grid point: an (npts, n) temporary
+    vals = -(np.sum(tau * (xj - grid[:, None]) ** 2, axis=1) / (2.0 * nu2)
+             + gamma * np.abs(grid))
     return float(grid[int(np.argmax(vals))])
+
+
+def partition_params(data, labels, K: int, diagonal: bool):
+    """Empirical per-group parameters of a hard assignment, built component
+    by component through the checked constructors, gating then expert of
+    each group: the construction the fits' seeded stacks replaced.  The
+    arithmetic and its guards are the library's, so the bits must match."""
+    from mogge.em import GRAM_RIDGE, _floor_spd
+    from mogge.model import ExpertComponent, GatingComponent, MoggeParams
+
+    gating, experts = [], []
+    for k in range(K):
+        mask = labels == k
+        nk = int(mask.sum())
+        Xk, Yk = data.X[mask], data.Y[mask]
+        mu = Xk.mean(axis=0)
+        if diagonal:
+            R = Xk.var(axis=0) + 1e-6
+        else:
+            diff = Xk - mu
+            R = diff.T @ diff / nk + 1e-6 * np.eye(data.p)
+        gating.append(GatingComponent(alpha=nk / data.n, mu=mu, R=R))
+        Z = np.hstack([np.ones((nk, 1)), Xk])
+        C = np.linalg.solve(Z.T @ Z + GRAM_RIDGE * np.eye(data.p + 1), Z.T @ Yk)
+        resid = Yk - Z @ C
+        experts.append(ExpertComponent(intercept=C[0], coeffs=C[1:],
+                                       cov=_floor_spd(resid.T @ resid / nk)))
+    return MoggeParams(gating=tuple(gating), experts=tuple(experts))
 
 
 def classification_rate_bruteforce(true_labels, est_labels, K: int) -> float:

@@ -1,7 +1,8 @@
 """The warm-chain driver behind ``grid_search`` and ``lasso-path``: rows
 and the selected fit bit-equal to one public fit per row, a row that fails
 its check, only the selected row building a result, and the stacked
-validator raising exactly where the checked constructors raise."""
+validator raising exactly where the checked constructors raise, with or
+without a start axis."""
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ class TestChainEqualsOneFitPerRow:
         monkeypatch.setattr(MoggeParams, "__post_init__", counted)
         grid = GridSpec(Ks=(2,), lambdas=(0.0, 4.0, 8.0), gammas=(0.0, 4.0))
         grid_search(data, grid, opts=FitOptions(n_starts=3, seed=4))
-        assert built[0] == 3 + 1  # the cold row's initial parameters, then best_fit
+        assert built[0] == 1  # best_fit: the cold row's starts are checked as one stack
 
 
 def _corrupt(data, fields):
@@ -160,6 +161,27 @@ def test_check_raises_exactly_where_params_raises(data):
             raised.append(type(exc))
     assert raised[0] in (None, ValueError, NotPositiveDefiniteError)
     assert raised[1] is raised[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_of_a_start_axis_raises_where_a_start_raises(data):
+    K, p, d, S = (data.draw(st.integers(1, n)) for n in (3, 3, 2, 3))
+    diagonal = data.draw(st.booleans())
+    starts = []
+    for _ in range(S):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        params = random_params(rng, K=K, p=p, d=d, diagonal=diagonal)
+        fields = {name: np.array(f) for name, f in _Stack.of(params)._asdict().items()}
+        for _ in range(data.draw(st.integers(0, 1))):
+            _corrupt(data, fields)
+        starts.append(_Stack(**fields))
+    raised = {_raised(start.check) for start in starts} - {None}
+    stacked = _Stack(*map(np.stack, zip(*starts)))
+    if raised:
+        assert _raised(stacked.check) in raised
+    else:
+        assert _raised(stacked.check) is None
 
 
 def _raised(build):

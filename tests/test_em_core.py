@@ -8,6 +8,7 @@ results do not depend on the batch they run in, and the per-batch
 workspace that keeps an iteration from allocating its largest
 temporaries."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -31,12 +32,14 @@ from mogge.em_lasso import (
     update_gating_variances,
 )
 from mogge.model import (
+    VARIANCE_FLOOR,
     DataSet,
     DegenerateComponentError,
     ExpertComponent,
     FitFailedError,
     GatingComponent,
     MoggeParams,
+    NotPositiveDefiniteError,
     Responsibilities,
     _Stack,
     joint_loglik,
@@ -45,6 +48,7 @@ from mogge.model import (
 )
 from mogge.simulate import default_scenario, sample_dataset
 
+from _oracles import partition_params
 from conftest import random_params, random_tau, sample_from_params
 
 PENALTY = PenaltyConfig(lam=1.0, gamma=0.5)
@@ -130,10 +134,11 @@ class TestOneFactorizationPerCovariance:
     """Each E-step factors each full covariance once: 2K matrices with
     full gating, K with diagonal gating or EM-Lasso (the expert
     covariances).  So does each map of a stack to SQUAREM's coordinates
-    in ``fit_em``.  The checked components built by ``init_params`` and
-    those returned at the end factor each full covariance once more, so
-    a single cold start counts ``full_per_component * K * (E-steps +
-    maps + 2)``; EM-Lasso runs ``n_iter + 1`` E-steps and no map."""
+    in ``fit_em``.  The stacked validator, run once on the seeded starts
+    of a batch, and the checked components returned at the end factor
+    each full covariance once more, so a single cold start counts
+    ``full_per_component * K * (E-steps + maps + 2)``; EM-Lasso runs
+    ``n_iter + 1`` E-steps and no map."""
 
     @pytest.mark.parametrize("diagonal, full_per_component", [(False, 2), (True, 1)])
     def test_fit_em(self, monkeypatch, diagonal, full_per_component):
@@ -165,10 +170,11 @@ class TestOneFactorizationPerCovariance:
 
 class TestRunEdges:
     """A run checks its parameters where it starts and where it ends, not
-    per iteration: a cold start builds ``MoggeParams`` twice (the initial
-    parameters and the result), a warm start once (the result), and the
-    component masses are checked once per iteration.  Of several starts,
-    only the one returned builds its result."""
+    per iteration: the seeded starts of a batch are checked as one stack
+    without building ``MoggeParams``, so a cold start builds it once (the
+    result), as does a warm start, and the component masses are checked
+    once per iteration.  Of several starts, only the one returned builds
+    its result."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -200,7 +206,7 @@ class TestRunEdges:
         built[0] = checked[0] = 0
         fit = fitter(data, FitOptions(n_starts=1, seed=3))
         assert fit.n_iter > 1
-        assert built[0] == 2
+        assert built[0] == 1
         assert checked[0] == fit.n_iter
 
     def test_only_the_returned_start_builds_its_result(self, counts):
@@ -208,7 +214,7 @@ class TestRunEdges:
         built, _ = counts
         built[0] = 0
         fit_em(data, K=2, opts=FitOptions(n_starts=10, seed=3))
-        assert built[0] == 10 + 1
+        assert built[0] == 1
 
     def test_warm_start(self, counts):
         data = _instance(8)
@@ -578,6 +584,97 @@ class TestBatchedStarts:
             for x, y in zip(batch, alone):
                 assert np.array_equal(x[i], y[0])
         assert batch.B[1, 0, 1, 0] == 0.0  # coordinate ascent forces it to 0
+
+
+def _corrupt_start(field, index, value):
+    """A partition helper that writes ``value`` at ``index`` of ``field``
+    for one chosen partition, given to it as ``labels[0]``."""
+    real, labels = em._partition_stack, [None]
+
+    def corrupted(data, drawn, K, diagonal):
+        s = real(data, drawn, K, diagonal)
+        if not np.array_equal(drawn, labels[0]):
+            return s
+        x = getattr(s, field).copy()
+        x[index] = value
+        return s._replace(**{field: x})
+
+    return corrupted, labels
+
+
+class TestSeededStarts:
+    """Seeded starts are built as unchecked stacks, those of a batch checked
+    at once by the stacked validator, and, only when that raises, each
+    alone by the component constructors: the stacks are those of
+    ``init_params`` to the bit, and a failing start gets the diagnosis
+    ``init_params`` raises for its seed without moving any other start."""
+
+    @pytest.mark.parametrize("K, d", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+    @pytest.mark.parametrize("strategy", em.INIT_STRATEGIES)
+    def test_stacks_are_those_of_init_params(self, batches, strategy, diagonal, K, d):
+        rng = np.random.default_rng(29)
+        truth = random_params(rng, K=3, p=3, d=d, diagonal=True, spread=3.0)
+        data, _ = sample_from_params(rng, truth, n=60)
+        opts = FitOptions(n_starts=4, seed=5, max_iter=1, init_strategy=strategy)
+        fit_em(data, K=K, opts=opts, diagonal_gating=diagonal)
+        ((args, _),) = batches
+        stack = args[1]
+        for i, seed in enumerate(start_seeds(opts.seed, opts.n_starts)):
+            params = init_params(data, K, strategy, seed, diagonal)
+            labels = em._partition(data, K, strategy, seed)
+            built = partition_params(data, labels, K, diagonal)
+            for x, y, z in zip(stack, _Stack.of(params), _Stack.of(built)):
+                assert x[i].shape == y.shape == z.shape
+                assert x[i].tobytes() == y.tobytes() == z.tobytes()
+
+    def test_one_check_per_batch_and_none_for_the_warm_start(self, monkeypatch):
+        checked, check = [], _Stack.check
+
+        def counted(s):
+            checked.append(len(s.alpha))
+            return check(s)
+
+        monkeypatch.setattr(_Stack, "check", counted)
+        data, opts = _instance(8), FitOptions(n_starts=3, seed=1)
+        cold = fit_em_lasso(data, K=2, penalty=PENALTY, opts=opts)
+        fit_em_lasso(data, K=2, penalty=PENALTY, opts=opts, warm_start=cold.params)
+        monkeypatch.setattr(em, "_BATCH_ELEMENTS", 1)
+        fit_em(data, K=2, opts=opts)
+        assert checked == [3, 1, 1, 1]
+
+    @pytest.mark.parametrize("diagonal, field, index, value", [
+        (False, "R", (0, 0, 1), 1.0),
+        (True, "R", (1, 2), 0.5 * VARIANCE_FLOOR),
+        (False, "Sigma", (1, 0, 0), 0.5 * VARIANCE_FLOOR),
+    ], ids=["asymmetric-R", "R-below-floor", "Sigma-below-floor"])
+    def test_one_failing_start_is_diagnosed_alone(self, monkeypatch, batches, diagonal,
+                                                  field, index, value):
+        data, opts = _instance(14, n=80), FitOptions(n_starts=3, seed=9)
+        fit_em(data, K=2, opts=opts, diagonal_gating=diagonal)
+        seed = start_seeds(opts.seed, opts.n_starts)[1]
+        corrupted, labels = _corrupt_start(field, index, value)
+        labels[0] = em._partition(data, 2, opts.init_strategy, seed)
+        monkeypatch.setattr(em, "_partition_stack", corrupted)
+        with pytest.raises(NotPositiveDefiniteError) as direct:
+            init_params(data, 2, opts.init_strategy, seed, diagonal)
+
+        def reject(run):
+            raise DegenerateComponentError(0, "rejected")
+
+        monkeypatch.setattr(em, "_multistart", functools.partial(em._multistart,
+                                                                 accept=reject))
+        with pytest.raises(FitFailedError) as failed:
+            fit_em(data, K=2, opts=opts, diagonal_gating=diagonal)
+        assert failed.value.diagnoses == [
+            "start 0: DegenerateComponentError: rejected",
+            f"start 1: NotPositiveDefiniteError: {direct.value}",
+            "start 2: DegenerateComponentError: rejected",
+        ]
+        (_, clean), (args, out) = batches
+        assert len(clean) == 3 and len(args[1].alpha) == len(out) == 2
+        for run, alone in zip(out, (clean[0], clean[2])):
+            _assert_same_run(run, alone)
 
 
 def _workspace_case(case):
