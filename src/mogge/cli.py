@@ -485,11 +485,10 @@ def _add_fit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float)
     p.add_argument("--init", choices=INIT_STRATEGIES)
     p.add_argument("--ca-max-iter", dest="ca_max_iter", type=int,
-                   help="most coordinate-ascent sweeps of an expert lasso "
-                        "update whose exact step is not KKT-certified")
+                   help="no effect: the expert lasso is solved exactly; kept so "
+                        "that commands and configs naming it keep working")
     p.add_argument("--ca-tol", dest="ca_tol", type=float,
-                   help="stop that coordinate ascent once a sweep moves no "
-                        "fitted value by this many expert standard deviations")
+                   help="no effect, as --ca-max-iter")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,9 +15,9 @@ checked once per batch; only the returned run builds components.
 Roland, 2008): every second trace entry may be an accepted
 extrapolation of the last two EM steps instead of an EM step, and
 ``max_iter`` caps the recorded objective evaluations.  The penalized
-fit runs plain EM steps; extrapolating its lasso M-step moved the
-selected rows, so it waits for an exact expert-lasso step (ROADMAP
-item 1).
+fit runs plain EM steps: extrapolating its lasso M-step, then solved by
+coordinate ascent, moved the selected rows, and has not been tried with
+the exact expert-lasso solve.
 """
 
 from __future__ import annotations
@@ -100,9 +100,8 @@ class FitResult:
     appended after each iteration, so ``len(loglik_trace) == n_iter + 1``
     and ``n_iter <= max_iter``.  For :func:`fit_em` an entry may be an
     accepted SQUAREM extrapolation rather than an EM step; the trace never
-    falls either way.  The penalized fit runs EM steps only (its
-    acceleration waits for an exact expert-lasso step, ROADMAP item 1),
-    and its trace holds the penalized objective.
+    falls either way.  The penalized fit runs EM steps only, and its
+    trace holds the penalized objective.
     ``loglik`` is the unpenalized joint log-likelihood at ``params``; for
     :func:`fit_em` it equals ``objective``.
     """
@@ -209,10 +208,10 @@ def _partition_stack(data: DataSet, labels: np.ndarray, K: int, diagonal: bool) 
         nk = int(mask.sum())
         Xk, Yk = data.X[mask], data.Y[mask]
         mu = Xk.mean(axis=0)
-        if diagonal:
-            R = Xk.var(axis=0) + 1e-6
+        diff = Xk - mu
+        if diagonal:  # Xk.var(axis=0), without computing the mean again
+            R = (diff * diff).sum(axis=0) / nk + 1e-6
         else:
-            diff = Xk - mu
             R = diff.T @ diff / nk + 1e-6 * np.eye(data.p)
         Z = np.hstack([np.ones((nk, 1)), Xk])
         C = np.linalg.solve(
@@ -387,7 +386,8 @@ def _rows(x, index):
 
 
 def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
-            m_step: Callable, objective: Callable, squarem: bool = False) -> list:
+            m_step: Callable, objective: Callable, squarem: bool = False,
+            carry: tuple | None = None) -> list:
     """EM iterations for the starts along the leading axis of ``s``, each
     until its relative objective change drops below ``opts.tol`` or
     ``opts.max_iter`` trace entries follow the initial one; returns an
@@ -420,17 +420,21 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     for the E-step's whitened deviations.  No returned or kept array is a
     view of it.  When the live starts compact to m, the kernels get its leading
     view ``work[:, :m]`` (still C-contiguous); a redone start gets
-    ``work[:, :1]``."""
+    ``work[:, :1]``.
+
+    ``carry`` is the (S,) log-likelihoods and (S, K, n) responsibilities
+    of an E-step at ``s`` run before, by the run ``s`` comes from; the
+    initial entries then take them instead of running it again."""
     cycles = squarem and opts.max_iter > 2
 
-    def e_step(s, work):
-        loglik, T = _e_step(sample, s, work)
+    def e_step(s, work, known=None):  # known: (loglik, T) of an E-step at s
+        loglik, T = _e_step(sample, s, work) if known is None else known
         return T, loglik, objective(loglik, s)
 
     def plain(s, T, obj, theta, work):  # the M-step (none at the start), then the E-step
         if T is not None:
             s = m_step(sample, T, _component_masses(T), s, work)
-        T, loglik, obj = e_step(s, work)
+        T, loglik, obj = e_step(s, work, carry if T is None else None)
         if theta is None and cycles:
             theta = _theta(s)  # of the first base point
         return s, T, loglik, obj, theta, None  # every entry is tested
@@ -503,7 +507,8 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
 def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
                 m_step: Callable, objective: Callable, diagonal_gating: bool,
                 warm: _Stack | None = None, cold: bool = True,
-                accept: Callable = _Run.result, squarem: bool = False) -> tuple:
+                accept: Callable = _Run.result, squarem: bool = False,
+                carry: tuple | None = None) -> tuple:
     """The start and ``accept(run)`` of the best run (the first with the
     largest objective): start 0 from the unchecked stack ``warm`` if given,
     then, with ``cold``, the seeded starts, run in batches of at most
@@ -512,10 +517,12 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
     validator; only when that raises is each checked alone, by the
     component constructors.  The warm stack is not checked again: it is
     the previous run's checked result or built from checked parameters.
-    The runs go to ``accept`` best first until one passes.  The one place
-    where a start's numerical trouble (a degenerate component, a failed
-    covariance check or factorization, an overflow or invalid operation)
-    becomes a diagnosis; underflow is routine."""
+    When it runs alone, ``carry``, the log-likelihood and (K, n)
+    responsibilities of that run's last E-step, at the same stack, stands
+    for its first E-step.  The runs go to ``accept`` best first until one
+    passes.  The one place where a start's numerical trouble (a degenerate
+    component, a failed covariance check or factorization, an overflow or
+    invalid operation) becomes a diagnosis; underflow is routine."""
     seeds = ([None] if warm is not None else []) + (
         start_seeds(opts.seed, opts.n_starts) if cold else [])
     outcomes: dict = {}  # start -> initial stack, then an unchecked run or exception
@@ -543,8 +550,10 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
             keep = [i for i, start in enumerate(batch) if isinstance(outcomes[start], _Stack)]
             batch, stack = [batch[i] for i in keep], stack.take(keep)
         if batch:
+            known = None if carry is None or len(batch) > seeded else (  # warm alone
+                np.array([carry[0]]), carry[1][None])
             outcomes.update(zip(batch, _run_em(sample, stack, opts, m_step, objective,
-                                               squarem)))
+                                               squarem, known)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
         try:

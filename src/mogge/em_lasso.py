@@ -5,21 +5,26 @@ The fit runs the EM loop and multi-start driver of :mod:`mogge.em` with
 its own M-step and the penalized objective.  The M-step keeps the
 closed-form mixing-weight update and replaces the mean/coefficient
 updates with maximizers of the penalized Q-functions: one closed-form
-soft-threshold per gating mean, and for the expert coefficients a
-weighted lasso solved on the weighted Gram matrix of the predictors,
-formed once per call for all experts of all starts.  Each expert first
-takes the exact minimizer on the support and signs of its incoming
-coefficients, one batched linear solve for all experts, kept when the
-KKT conditions certify it (Osborne, Presnell and Turlach, 2000).  Only
-the experts it does not certify run cyclic coordinate ascent from their
-incoming coefficients, at O(p) per coordinate update whatever n is; it
-stops when a full sweep moves no fitted value by ``ca_tol`` expert
-standard deviations or more.  Thresholds use the lagged variances
-(previous EM iteration), and the expert intercept stays lagged inside
-the coefficient update; both are refreshed once per EM iteration
-afterwards.  Zero coefficients are stored as exact ``0.0`` so that
-downstream degrees-of-freedom and zero-recovery computations can test
-equality.
+soft-threshold per gating mean, and for the expert coefficients the
+exact minimizer of a weighted lasso, solved on the weighted Gram matrix
+of the predictors, formed once per call for all experts of all starts.
+The lasso is solved by the active-set method of Osborne, Presnell and
+Turlach (2000), warm-started from the incoming coefficients as in the
+feature-sign search of Lee, Battle, Raina and Ng (2007).  Round one is
+the minimizer on the support and signs of the incoming coefficients,
+one batched linear solve for all experts, kept when the KKT conditions
+certify it; only the experts it does not certify go on, one at a time,
+dropping a coordinate at the first sign change on the way to each
+round's solution and adding the one that most violates the KKT
+conditions off the support, until they certify; one that does not
+within ``64 p`` rounds fails its start.  The Gram matrix carries a ridge
+``p * eps * max_j G_jj`` on its diagonal, below the rounding of a
+well-conditioned solve, so that every active block is positive
+definite.  Thresholds use the lagged variances (previous EM iteration),
+and the expert intercept stays lagged inside the coefficient update;
+both are refreshed once per EM iteration afterwards.  Zero coefficients
+are stored as exact ``0.0`` so that downstream degrees-of-freedom and
+zero-recovery computations can test equality.
 """
 
 from __future__ import annotations
@@ -44,19 +49,22 @@ from .model import (
 )
 
 
+# Rounds of the active-set solve of one expert lasso, per coordinate.  In
+# exact arithmetic the rounds end after finitely many; hitting this bound
+# means rounding made them cycle, and fails the start.
+_ROUNDS_PER_COORDINATE = 64
+
+
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty weights and coordinate-ascent stopping rule.
+    """Penalty weights, and two keywords kept for compatibility.
 
     ``lam`` scales the L1 penalty on expert coefficient vectors, ``gamma``
-    the one on gating mean vectors.  ``ca_max_iter`` and ``ca_tol`` govern
-    the coordinate-ascent fallback of the expert update only; an expert
-    whose exact step on its incoming support is certified runs no sweep.
-    The coordinate ascent stops after ``ca_max_iter`` sweeps, or after the
-    first sweep in which every change of fitted values
-    ``sqrt(G_jj / n_k) * |delta beta_kj| / sigma_k`` (weighted RMS, in
-    expert standard deviations) is below ``ca_tol``; this means the same at
-    any n and any scale of X and y.
+    the one on gating mean vectors.  ``ca_max_iter`` and ``ca_tol`` have
+    no effect: they bounded the sweeps of a coordinate-ascent expert
+    update that the exact active-set solve replaced.  They are still
+    validated and echoed in configuration files, so configurations that
+    name them keep working.
     """
 
     lam: float
@@ -80,13 +88,6 @@ def soft_threshold(u, eta):
     or an array broadcasting against ``u``.  Zeroed values compare equal
     to ``0.0`` (negative zero is normalized away).
     """
-    if isinstance(u, float) and not isinstance(eta, np.ndarray):
-        # plain float arithmetic: the coordinate-ascent loop calls this
-        # once per coordinate per sweep
-        u, eta = float(u), float(eta)
-        if eta < 0.0:
-            raise ValueError("threshold must be nonnegative")
-        return ((u > 0.0) - (u < 0.0)) * max(abs(u) - eta, 0.0) + 0.0
     negative = (eta < 0.0).any() if isinstance(eta, np.ndarray) else eta < 0.0
     if negative:
         raise ValueError("threshold must be nonnegative")
@@ -122,75 +123,99 @@ def _certified_step(G: np.ndarray, c: np.ndarray, eta: np.ndarray,
     Solves ``G_AA x_A = c_A - eta s_A`` with ``x = 0`` off the support A,
     all experts in one solve (rows and columns off A replaced by the
     identity).  Certified: the signs of ``x`` are ``s`` and
-    ``|c_j - G_j x| <= eta`` off A, exactly, and ``x`` is finite.  An
-    expert whose active block is exactly singular is not certified."""
+    ``|c_j - G_j x| <= eta`` off A, exactly, and ``x`` is finite."""
     s = np.sign(beta)
     active = s != 0.0
     M = np.where(active[..., :, None] & active[..., None, :], G, np.eye(G.shape[-1]))
-    rhs = np.where(active, c - eta[..., None] * s, 0.0)[..., None]
-    try:
-        x = np.linalg.solve(M, rhs)[..., 0]
-    except np.linalg.LinAlgError:  # one expert at a time; a singular one stays NaN
-        x = np.full_like(c, np.nan)
-        for i in np.ndindex(c.shape[:-1]):
-            try:
-                x[i] = np.linalg.solve(M[i], rhs[i])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-    x = np.where(active, x, 0.0)  # +0.0 off A, whatever the solver's rounding
+    x = np.linalg.solve(M, (c - eta[..., None] * s)[..., None])[..., 0]
+    x = np.where(active, x, 0.0)  # +0.0 off A, where the identity's rows gave c
     with np.errstate(over="ignore", invalid="ignore"):
         grad = c - (G @ x[..., None])[..., 0]
-        kkt = (np.sign(x) == s) & (active | (np.abs(grad) <= eta[..., None]))
-    return x, kkt.all(axis=-1) & np.isfinite(x).all(axis=-1)
+        kkt = (np.sign(x) == s) & np.isfinite(x) & (
+            active | (np.abs(grad) <= eta[..., None]))
+    return x, kkt.all(axis=-1)
 
 
-def _coordinate_ascent(G: np.ndarray, c: np.ndarray, nk: float, sigma2: float,
-                       eta: float, beta: np.ndarray, ca_max_iter: int,
-                       ca_tol: float) -> np.ndarray:
-    """Cyclic coordinate ascent for one expert from ``beta`` on its Gram
-    matrix ``G`` (p, p) and ``c`` (p,), threshold ``eta``."""
-    rows = list(G)
-    c = c.tolist()
-    eta = float(eta)
-    # change in fitted values, in units of sigma, per unit change of beta_j
-    scale = np.sqrt(G.diagonal() / (nk * sigma2)).tolist()
-    g = G.diagonal().tolist()
-    beta = beta.copy()
-    b = beta.tolist()  # float copy of beta for the scalar reads
-    for _ in range(ca_max_iter):
-        change = 0.0
-        for j in range(len(b)):
-            old = b[j]
-            if g[j] <= 0.0:
-                new = 0.0
-            else:
-                new = soft_threshold(c[j] - rows[j] @ beta + g[j] * old, eta) / g[j]
-            beta[j] = b[j] = new
-            d = scale[j] * abs(new - old)
-            if d > change:
-                change = d
-        if change < ca_tol:
-            break
-    return beta
+def _active_set(G: np.ndarray, c: np.ndarray, eta: float, beta: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+    """The lasso minimizer of one expert with Gram matrix ``G`` (p, p),
+    positive definite, and ``c`` (p,), threshold ``eta``: the rounds of
+    Osborne, Presnell and Turlach (2000) from the incoming coefficients
+    ``beta`` and ``x``, the solution on their support and signs.
+
+    A round that changes a sign moves from ``beta`` toward ``x`` up to the
+    first zero crossing, where the objective still equals the smooth one
+    of the signs and so has decreased, and drops the coordinates there.
+    A round with consistent signs moves to ``x`` and adds the coordinate
+    off the support that most violates ``|c_j - G_j x| <= eta``, with the
+    sign of its violation; it stops when none does, which certifies ``x``
+    as :func:`_certified_step` does.  At ``eta == 0`` the signs do not
+    enter the problem, so they follow each solution and only exact zeros
+    count as sign changes.  When ``x`` is not finite (the incoming support
+    overflows) the rounds start from 0 instead.  Raises
+    ``FloatingPointError`` for a non-finite solution after that, or after
+    ``_ROUNDS_PER_COORDINATE * p`` rounds."""
+    s = np.sign(beta)
+    active = s != 0.0
+    if not np.isfinite(x).all():
+        beta, s, x = np.zeros_like(c), np.zeros_like(c), np.zeros_like(c)
+        active[:] = False
+    for _ in range(_ROUNDS_PER_COORDINATE * len(c)):
+        if not np.isfinite(x).all():
+            raise FloatingPointError("the expert lasso solution is not finite")
+        if eta == 0.0:
+            s = np.where(x != 0.0, np.sign(x), s)
+        flip = (np.sign(x) != s).nonzero()[0]  # x and s are 0 off the support
+        if flip.size:
+            # in [0, 1]: x_j is 0 or of the other sign, and beta_j is 0 only
+            # where the last round added j
+            b = beta[flip]
+            t = np.divide(b, b - x[flip], out=np.zeros_like(b), where=b != 0.0)
+            k = t.argmin()
+            beta = beta + t[k] * (x - beta)
+            drop = active & (np.sign(beta) != s)  # rounding past the crossing too
+            drop[flip[k]] = True
+            beta[drop] = s[drop] = 0.0
+            active &= ~drop
+        else:
+            grad = c - G @ x
+            violation = np.abs(grad) - eta
+            violation[active] = 0.0
+            j = violation.argmax()  # a NaN first: it fails the next round
+            if violation[j] <= 0.0:
+                return x
+            beta = x
+            active[j], s[j] = True, np.sign(grad[j])
+        A = active.nonzero()[0]
+        x = np.zeros_like(c)
+        x[A] = np.linalg.solve(G.take(A, 0).take(A, 1), c[A] - eta * s[A])
+    raise FloatingPointError(
+        f"the expert lasso active set did not settle in {_ROUNDS_PER_COORDINATE * len(c)} "
+        "rounds")
 
 
-def _expert_coeffs(sample: _Sample, T: np.ndarray, nk: np.ndarray,
-                   b0: np.ndarray, sigma2: np.ndarray, beta: np.ndarray, lam: float,
-                   ca_max_iter: int, ca_tol: float,
+def _expert_coeffs(sample: _Sample, T: np.ndarray, b0: np.ndarray, sigma2: np.ndarray,
+                   beta: np.ndarray, lam: float,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Lasso coefficients (K, p) of the experts weighted by ``T`` (K, n) with
-    masses ``nk``, from ``beta`` (K, p) with the lagged intercepts ``b0`` and
-    variances ``sigma2`` (K,): the certified step, and coordinate ascent from
-    ``beta`` for the experts it does not certify.  The (K, p, n) factor
-    ``X' W`` is written into ``out`` when given."""
+    """Lasso coefficients (K, p) of the experts weighted by ``T`` (K, n),
+    from ``beta`` (K, p) with the lagged intercepts ``b0`` and variances
+    ``sigma2`` (K,): the certified step, and the active-set rounds from
+    ``beta`` for the experts it does not certify.  ``G`` gets the ridge
+    ``p * eps * max_j G_jj`` on its diagonal, or 1 where every ``G_jj`` is
+    0: G is 0 there, and the minimizer 0 whatever the ridge.  The
+    (K, p, n) factor ``X' W`` is written into ``out`` when given."""
     X, XT, YT = sample
+    p = X.shape[1]
     G = _into(np.multiply, XT, T[..., None, :], out) @ X  # X' W X, (K, p, p)
+    diagonal = G.reshape(-1, p * p)[:, ::p + 1]  # a view into G, one row per expert
+    top = diagonal.max(axis=1, keepdims=True)
+    diagonal += np.where(top > 0.0, top * (p * 2.0 ** -52), 1.0)  # 2 ** -52: eps
     c = (T * (YT[0] - b0[..., None])) @ X  # X' W (y - b0)
     eta = lam * sigma2
     coeffs, certified = _certified_step(G, c, eta, beta)
-    for i in map(tuple, np.argwhere(~certified)):
-        coeffs[i] = _coordinate_ascent(G[i], c[i], nk[i], sigma2[i], eta[i], beta[i],
-                                       ca_max_iter, ca_tol)
+    if not certified.all():
+        for i in zip(*(~certified).nonzero()):
+            coeffs[i] = _active_set(G[i], c[i], eta[i], beta[i], coeffs[i])
     return coeffs
 
 
@@ -235,28 +260,29 @@ def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
                             expert_prev: ExpertComponent, lam: float,
                             ca_max_iter: int = PenaltyConfig.ca_max_iter,
                             ca_tol: float = PenaltyConfig.ca_tol) -> np.ndarray:
-    """Solve one expert's weighted lasso problem.
+    """Solve one expert's weighted lasso problem exactly.
 
     Minimizes ``0.5 * sum_i w_i (y_i - b0 - x_i' beta)^2 + lam * sigma2 * |beta|_1``
     with the lagged intercept ``b0`` and variance ``sigma2``, through the
     weighted Gram matrix ``G = X' W X`` and ``c = X' W (y - b0)``, formed
     once per call (the covariance updates of Friedman, Hastie and
-    Tibshirani, 2010).  First the exact minimizer on the support and signs
-    of the incoming coefficients: ``G_AA beta_A = c_A - lam sigma2 s_A``,
+    Tibshirani, 2010), with the ridge ``p * eps * max_j G_jj`` on the
+    diagonal of G.  First the exact minimizer on the support and signs of
+    the incoming coefficients, ``G_AA beta_A = c_A - lam sigma2 s_A`` and
     zero off A, returned as is when the KKT conditions certify it (signs
-    kept, ``|c_j - G_j' beta| <= lam sigma2`` off A), with no sweep.
-    Otherwise cyclic coordinate ascent from the incoming coefficients,
-    ``beta_kj <- S(c_j - G_j' beta + G_jj beta_kj; lam * sigma2) / G_jj``, at
-    O(p) per coordinate update; coordinates with ``G_jj == 0`` are forced to
-    0, and sweeps stop by the n-free rule of :class:`PenaltyConfig`
-    (``n_k = sum(tau_k)``).
+    kept, ``|c_j - G_j' beta| <= lam sigma2`` off A).  Otherwise the
+    active-set rounds of Osborne, Presnell and Turlach (2000) from the
+    incoming coefficients, until the same conditions certify the result.
+    Raises ``FloatingPointError`` when a solve is not finite or the rounds
+    do not settle.  ``ca_max_iter`` and ``ca_tol`` have no effect (see
+    :class:`PenaltyConfig`).
     """
     if data.d != 1 or expert_prev.d != 1:
         raise UnsupportedConfigError("expert coefficient update requires d = 1")
     T = np.ascontiguousarray(tau_k, dtype=float)[None]
-    return _expert_coeffs(_Sample.of(data), T, _component_masses(T),
-                          expert_prev.intercept, expert_prev.cov[0], expert_prev.beta[None],
-                          lam, ca_max_iter, ca_tol)[0]
+    _component_masses(T)  # raises for a negligible column
+    return _expert_coeffs(_Sample.of(data), T, expert_prev.intercept, expert_prev.cov[0],
+                          expert_prev.beta[None], lam)[0]
 
 
 def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
@@ -275,13 +301,13 @@ def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
                   penalty: PenaltyConfig, out: np.ndarray | None = None) -> _Stack:
     """Closed-form mixing weights, soft-threshold gating means, floored
     gating variances, then for all experts of the (S, K) stack at once the
-    lasso coefficients (certified step, coordinate ascent where it fails)
+    lasso coefficients (certified step, active-set rounds where it fails)
     and the intercepts and variances.  The (K, p, n) temporaries of the
     coefficients and of the variances are written into ``out``, one after
     the other, when given."""
     mu = _gating_means(sample.X, T, nk, s.R, penalty.gamma)
-    beta = _expert_coeffs(sample, T, nk, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
-                          penalty.lam, penalty.ca_max_iter, penalty.ca_tol, out)
+    beta = _expert_coeffs(sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
+                          penalty.lam, out)
     b0, sigma2 = _intercepts_variances(sample, T, nk, beta)
     return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu,
                   _gating_variances(sample.XT, T, nk, mu, out),

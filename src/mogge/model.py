@@ -194,7 +194,9 @@ def _check_components(what: str, cov: np.ndarray, *arrays: np.ndarray,
         if not weight.flat[first]:
             raise ValueError(f"alpha must lie in (0, 1], got {np.asarray(alpha).flat[first]}")
         if value.flat[first]:
-            raise ValueError(f"component {first + 1} has non-finite entries")
+            *start, k = np.unravel_index(first, lead) if lead else (0,)
+            where = "".join(f"start {i}, " for i in start)  # a stack's leading axes
+            raise ValueError(f"{where}component {k + 1} has non-finite entries")
         raise NotPositiveDefiniteError(f"{what} is not symmetric" if asym.flat[first] else (
             f"{what} has a variance below the floor {VARIANCE_FLOOR:g}"))
     if L is not None:

@@ -144,23 +144,29 @@ def _chain(data: DataSet, K: int, pairs, opts: FitOptions, ca_max_iter: int,
     with its checked, unbuilt :class:`~mogge.em._Run` or its failure.  With
     ``warm``, start 0 runs from the last good point's stack and wins ties;
     the cold starts join it where there is none or, with ``refit``, at
-    every point, and a cold winner is relabeled toward the warm start."""
+    every point, and a cold winner is relabeled toward the warm start.
+    A warm start carries the log-likelihood and responsibilities of its
+    run's last E-step, unless relabeling more than two components changed
+    the order in which that E-step would add them."""
     if data.d != 1:
         raise UnsupportedConfigError("penalized fitting requires d = 1")
-    sample, prev = _Sample.of(data), None
+    sample, prev, carry = _Sample.of(data), None, None
     for lam, gamma in pairs:
         penalty = PenaltyConfig(lam=lam, gamma=gamma, ca_max_iter=ca_max_iter, ca_tol=ca_tol)
         try:
             start, run = _fit_lasso(data, sample, K, penalty, opts, warm=prev,
-                                    cold=refit or prev is None,
+                                    cold=refit or prev is None, carry=carry,
                                     accept=lambda run: run.s.check() or run)  # check(): None
         except FitFailedError as exc:
             yield lam, gamma, exc
             continue
+        exact = True  # the carried E-step is the one the next row would run
         if start > 0 and prev is not None:
             order = match_components(prev.params(), run.s.params())
             run = run._replace(s=run.s.take(order), T=run.T[order])
-        prev = run.s if warm else None
+            exact = K <= 2 or order == sorted(order)  # two terms add either way round
+        if warm:
+            prev, carry = run.s, ((run.loglik, run.T) if exact else None)
         yield lam, gamma, run
 
 
@@ -178,7 +184,9 @@ def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
     result, ``best_fit``.  Triplets whose fits raise
     :class:`~mogge.model.FitFailedError` (kept as ``failure``) or do not
     converge get ``converged=False`` and are not selected; if none is
-    left, the error is raised from the first failure.
+    left, the error is raised from the first failure.  ``ca_max_iter``
+    and ``ca_tol`` have no effect (see
+    :class:`~mogge.em_lasso.PenaltyConfig`).
     """
     pairs = sorted(((lam, gamma) for lam in grid.lambdas for gamma in grid.gammas),
                    key=lambda t: (-t[0], -t[1]))

@@ -168,6 +168,65 @@ def ca_sweeps_residual_form(X, y, w, intercept, sigma2, lam, beta0,
     return beta
 
 
+def coordinate_ascent(G, c, nk, sigma2, eta, beta, ca_max_iter, ca_tol) -> np.ndarray:
+    """Cyclic coordinate ascent on the weighted lasso in Gram form, from
+    ``beta``: ``beta_j <- S(c_j - G_j beta + G_jj beta_j; eta) / G_jj``, with
+    coordinates whose ``G_jj <= 0`` forced to 0.  Stops after ``ca_max_iter``
+    sweeps, or after the first sweep in which every change of fitted values
+    ``sqrt(G_jj / nk) * |delta beta_j| / sigma`` is below ``ca_tol``.
+
+    The expert update the library ran before its exact active-set solve;
+    run at a tight tolerance it is a reference for that solve."""
+    rows = list(G)
+    c = c.tolist()
+    eta = float(eta)
+    scale = np.sqrt(G.diagonal() / (nk * sigma2)).tolist()
+    g = G.diagonal().tolist()
+    beta = np.array(beta, dtype=float)
+    b = beta.tolist()
+    for _ in range(ca_max_iter):
+        change = 0.0
+        for j in range(len(b)):
+            old = b[j]
+            if g[j] <= 0.0:
+                new = 0.0
+            else:
+                u = float(c[j] - rows[j] @ beta + g[j] * old)
+                new = (((u > 0.0) - (u < 0.0)) * max(abs(u) - eta, 0.0) + 0.0) / g[j]
+            beta[j] = b[j] = new
+            change = max(change, scale[j] * abs(new - old))
+        if change < ca_tol:
+            break
+    return beta
+
+
+def ridged_gram(X, T, y, b0):
+    """``G = X' W X`` with the ridge ``p * eps * max_j G_jj`` on its diagonal
+    (1 where every ``G_jj`` is 0), and ``c = X' W (y - b0)``, for the
+    experts of weights ``T`` (..., n) and intercepts ``b0`` (...): the
+    problems the library's expert update solves, formed with the products
+    it forms them with, so with the same bits."""
+    T, b0 = np.asarray(T, dtype=float), np.asarray(b0, dtype=float)
+    p = X.shape[1]
+    G = (np.ascontiguousarray(X.T) * T[..., None, :]) @ X
+    top = np.diagonal(G, axis1=-2, axis2=-1).max(axis=-1)
+    ridge = np.where(top > 0.0, p * np.finfo(float).eps * top, 1.0)
+    G[..., np.arange(p), np.arange(p)] += ridge[..., None]
+    return G, (T * (y - b0[..., None])) @ X
+
+
+def lasso_certified(G, c, eta, x) -> bool:
+    """The KKT certificate of ``x`` for ``0.5 x'Gx - c'x + eta |x|_1`` by
+    exact comparisons off the support: ``|c_j - G_j x| <= eta`` where
+    ``x_j == 0``; on the support, stationarity ``c_j - G_j x = eta sign(x_j)``
+    to 1e-9 of the largest term, because a solve rounds there."""
+    grad = c - G @ x
+    on = x != 0.0
+    scale = np.abs(c).max() + np.abs(G).max() * np.abs(x).max() + eta
+    return bool(np.isfinite(x).all() and (np.abs(grad[~on]) <= eta).all()
+                and (np.abs(grad[on] - eta * np.sign(x[on])) <= 1e-9 * scale).all())
+
+
 def penalized_gate_mean_grid(xj: np.ndarray, tau: np.ndarray, nu2: float,
                              gamma: float, lo: float = -10.0, hi: float = 10.0,
                              npts: int = 400001) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mogge.selection as selection
-from mogge import em_lasso
+from mogge import em, em_lasso, model
 from mogge.em import FitOptions
 from mogge.model import (
     VARIANCE_FLOOR,
@@ -142,6 +142,96 @@ def _corrupt(data, fields):
         arr[index[0], index[2], index[1]] = value
 
 
+def _without_carry(monkeypatch):
+    """Make the chain run the first E-step of every warm start again."""
+    real = selection._fit_lasso
+
+    def uncarried(*args, carry=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "_fit_lasso", uncarried)
+
+
+def _count_e_steps(monkeypatch):
+    calls, real = [], em._e_step
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(em, "_e_step", counted)
+    return calls
+
+
+class TestChainCarry:
+    """A warm start that runs alone takes its first E-step from the run it
+    comes from: one E-step fewer per warm row, and the same bits."""
+
+    @pytest.mark.parametrize("Ks, n, values", [
+        ((2,), 300, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)),
+        ((1, 2, 3), 100, (0.0, 4.0, 8.0)),
+    ], ids=["6x6-grid", "three-K"])
+    def test_e_steps_fall_by_the_warm_rows(self, monkeypatch, Ks, n, values):
+        data, _ = sample_dataset(default_scenario(n=n, seed=3))
+        grid, opts = GridSpec(Ks=Ks, lambdas=values, gammas=values), FitOptions(
+            n_starts=5, seed=3)
+        real, warm_rows = selection._fit_lasso, []
+
+        def recorded(*args, **kwargs):
+            warm_rows.append(kwargs["warm"] is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "_fit_lasso", recorded)
+        e_steps = _count_e_steps(monkeypatch)
+        carried = grid_search(data, grid, opts=opts)
+        with_carry, warm = len(e_steps), sum(warm_rows)
+        _without_carry(monkeypatch)
+        del e_steps[:]
+        plain = grid_search(data, grid, opts=opts)
+        assert warm == len(Ks) * (len(values) ** 2 - 1)
+        assert len(e_steps) - with_carry == warm
+        assert [_row_bits(r) for r in carried.rows] == [_row_bits(r) for r in plain.rows]
+        assert carried.selected == plain.selected
+        _assert_same_fit(carried.best_fit, plain.best_fit)
+
+    def test_two_components_relabel_exactly(self):
+        # the log-sum-exp of two terms adds them the same either way round,
+        # so a relabeled K=2 run's last E-step is the relabeled stack's
+        for seed in range(5):
+            data = _instance(seed)
+            s = _Stack.of(random_params(np.random.default_rng(seed), K=2, p=3,
+                                        diagonal=True, spread=2.5))
+            sample = model._Sample.of(data)
+            loglik, T = model._e_step(sample, s)
+            swapped, T_swapped = model._e_step(sample, s.take([1, 0]))
+            assert swapped.tobytes() == loglik.tobytes()
+            assert T_swapped.tobytes() == T[[1, 0]].tobytes()
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_relabeled_runs_carry_only_at_two_components(self, monkeypatch, K):
+        data = _instance(4)
+        real, carries = selection._fit_lasso, []
+
+        def recorded(*args, **kwargs):
+            carries.append(kwargs["carry"])
+            start, run = real(*args, **kwargs)
+            return (1 if kwargs["warm"] is not None else start), run  # a cold winner
+
+        monkeypatch.setattr(selection, "_fit_lasso", recorded)
+        monkeypatch.setattr(selection, "match_components",
+                            lambda ref, est: list(range(K))[::-1])
+        rows = list(selection._chain(data, K, [(4.0, 4.0), (2.0, 2.0), (0.0, 0.0)],
+                                     FitOptions(n_starts=2, seed=4), 100, 1e-7,
+                                     warm=True, refit=True))
+        # the first row runs cold; the next two are relabeled cold winners
+        assert carries[0] is None
+        assert carries[1][0] == rows[0][2].loglik and carries[1][1] is rows[0][2].T
+        if K == 2:
+            assert carries[2][0] == rows[1][2].loglik and carries[2][1] is rows[1][2].T
+        else:
+            assert carries[2] is None
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_check_raises_exactly_where_params_raises(data):
@@ -217,3 +307,16 @@ def test_check_takes_the_first_failure_in_constructor_order(edits, expected):
     stack = _Stack(**fields)
     assert _raised(stack.params) is expected
     assert _raised(stack.check) is expected
+
+
+def test_a_start_axis_failure_names_the_start():
+    # start 1's second component of a K=2 stack, not "component 4"
+    rng = np.random.default_rng(6)
+    starts = [_Stack.of(random_params(rng, K=2, p=2, diagonal=True)) for _ in range(3)]
+    stacked = _Stack(*map(np.stack, zip(*starts)))
+    mu = stacked.mu.copy()
+    mu[1, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^start 1, component 2 has non-finite entries$"):
+        stacked._replace(mu=mu).check()
+    with pytest.raises(ValueError, match=r"^component 2 has non-finite entries$"):
+        starts[1]._replace(mu=mu[1]).check()

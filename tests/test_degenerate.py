@@ -39,6 +39,7 @@ CASES = {
     "zero-column": lambda X, y: (_with_column(X, 0, 0.0), y),
     "duplicated-rows": lambda X, y: (np.vstack([X, X]), np.concatenate([y, y])),
     "collinear-column": lambda X, y: (_with_column(X, 2, X[:, 0] + X[:, 1]), y),
+    "duplicated-column": lambda X, y: (_with_column(X, 1, X[:, 0]), y),
     "scaled-1e6": lambda X, y: (X * 1e6, y * 1e6),
     "scaled-1e-6": lambda X, y: (X * 1e-6, y * 1e-6),
     "n6-p8": lambda X, y: (X[:6], y[:6]),
@@ -71,6 +72,11 @@ FITTERS = {
     "em-diagonal": lambda data, K: fit_em(data, K=K, opts=OPTS, diagonal_gating=True),
     "em-lasso": lambda data, K: fit_em_lasso(
         data, K=K, penalty=PenaltyConfig(lam=5.0, gamma=5.0), opts=OPTS
+    ),
+    # no penalty: the expert lasso's active blocks are singular but for
+    # the ridge on collinear columns and at n <= p
+    "em-lasso-unpenalized": lambda data, K: fit_em_lasso(
+        data, K=K, penalty=PenaltyConfig(lam=0.0, gamma=0.0), opts=OPTS
     ),
 }
 

@@ -561,8 +561,9 @@ class TestBatchedStarts:
 
     def test_one_singular_expert_in_a_batch(self):
         # an all-zero column with a nonzero incoming coefficient on it in one
-        # expert of one start: that expert's active block is exactly
-        # singular, which must not change any other expert's bits
+        # expert of one start: that expert's active block is singular but
+        # for the ridge, and its active-set rounds must not change any other
+        # expert's bits
         base = _instance(16, n=80)
         X = base.X.copy()
         X[:, 1] = 0.0
@@ -583,7 +584,7 @@ class TestBatchedStarts:
             alone = em_lasso._lasso_m_step(sample, T[[i]], nk[[i]], s.take([i]), PENALTY)
             for x, y in zip(batch, alone):
                 assert np.array_equal(x[i], y[0])
-        assert batch.B[1, 0, 1, 0] == 0.0  # coordinate ascent forces it to 0
+        assert batch.B[1, 0, 1, 0] == 0.0  # the rounds drop it
 
 
 def _corrupt_start(field, index, value):
@@ -627,6 +628,17 @@ class TestSeededStarts:
             for x, y, z in zip(stack, _Stack.of(params), _Stack.of(built)):
                 assert x[i].shape == y.shape == z.shape
                 assert x[i].tobytes() == y.tobytes() == z.tobytes()
+
+    def test_diagonal_variances_are_those_of_var(self):
+        # the diagonal variances square the deviations from the group mean
+        # already computed; np.var computes the mean again, with the same bits
+        data, _ = sample_dataset(default_scenario(n=300, seed=1))
+        for seed in start_seeds(0, 10):
+            labels = em._partition(data, 2, "random-partition", seed)
+            s = em._partition_stack(data, labels, 2, diagonal=True)
+            for k in range(2):
+                var = data.X[labels == k].var(axis=0) + 1e-6
+                assert s.R[k].tobytes() == var.tobytes()
 
     def test_one_check_per_batch_and_none_for_the_warm_start(self, monkeypatch):
         checked, check = [], _Stack.check
@@ -742,8 +754,7 @@ class TestWorkspace:
     def test_lasso_kernels_give_the_same_bits(self):
         sample, s, T, nk, _ = _workspace_case("lasso")
         work = np.full((1, *s.mu.shape, sample.XT.shape[1]), np.nan)
-        args = (sample, T, nk, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0], PENALTY.lam,
-                PENALTY.ca_max_iter, PENALTY.ca_tol)
+        args = (sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0], PENALTY.lam)
         assert np.array_equal(em_lasso._expert_coeffs(*args, work[0]),
                               em_lasso._expert_coeffs(*args))
         assert np.array_equal(em_lasso._gating_variances(sample.XT, T, nk, s.mu, work[0]),

@@ -20,6 +20,7 @@ from mogge.model import (
     DataSet,
     DegenerateComponentError,
     ExpertComponent,
+    FitFailedError,
     GatingComponent,
     MoggeParams,
     Responsibilities,
@@ -32,10 +33,13 @@ from mogge.simulate import Scenario, default_scenario, sample_dataset
 
 from _oracles import (
     ca_sweeps_residual_form,
+    coordinate_ascent,
     exact_weighted_lasso_on_active_set,
     kkt_residuals_expert,
     kkt_residuals_gate,
+    lasso_certified,
     penalized_gate_mean_grid,
+    ridged_gram,
     weighted_lasso_reference,
 )
 from conftest import (
@@ -327,17 +331,32 @@ def _lasso_case(name):
     return DataSet(X=X, Y=y), w, prev, lam
 
 
+def _gram(data, w, prev):
+    """The ridged Gram matrix and ``c`` of the expert update."""
+    G, c = ridged_gram(data.X, w[None], data.y1, prev.intercept)
+    return G[0], c[0]
+
+
+def _ascent(data, w, prev, lam, sweeps, tol):
+    """The reference coordinate ascent on the unridged Gram form."""
+    G = data.X.T @ (w[:, None] * data.X)
+    c = data.X.T @ (w * (data.y1 - float(prev.intercept[0])))
+    return coordinate_ascent(G, c, float(np.sum(w)), prev.variance, lam * prev.variance,
+                             prev.beta, sweeps, tol)
+
+
 class TestGramFormCoordinateAscent:
+    """``_oracles.coordinate_ascent``, the Gram-form ascent the library ran
+    before its exact solve and a reference of ``TestActiveSet``, against
+    the residual-form sweeps it once replaced."""
+
     @pytest.mark.parametrize("sweeps", [1, 2, 5])
     @pytest.mark.parametrize(
         "case", ["lam0", "lam-zeroes-some", "zero-weighted-column", "n200-p40"]
     )
     def test_matches_residual_form_sweeps(self, case, sweeps):
         data, w, prev, lam = _lasso_case(case)
-        beta = ca_update_expert_coeffs(
-            data, w, prev, lam=lam, ca_max_iter=sweeps,
-            ca_tol=np.finfo(float).tiny,
-        )
+        beta = _ascent(data, w, prev, lam, sweeps, np.finfo(float).tiny)
         ref = ca_sweeps_residual_form(
             data.X, data.y1, w, float(prev.intercept[0]), prev.variance, lam,
             prev.beta, sweeps,
@@ -350,55 +369,63 @@ class TestGramFormCoordinateAscent:
     @pytest.mark.parametrize("case", ["lam0", "lam-zeroes-some", "n200-p40"])
     def test_stopping_rule_free_of_n(self, monkeypatch, case):
         # doubling every row doubles the loss term, so with lambda doubled
-        # too it is the same lasso problem at twice the n
+        # too it is the same lasso problem at twice the n: the exact solve
+        # takes the same rounds to the same answer
         data, w, prev, lam = _lasso_case(case)
         doubled = DataSet(X=np.vstack([data.X, data.X]),
                           Y=np.concatenate([data.y1, data.y1]))
-        calls = []
-
-        def counted(u, eta):
-            calls.append(1)
-            return soft_threshold(u, eta)
-
-        monkeypatch.setattr(em_lasso, "soft_threshold", counted)
+        rounds = _count_rounds(monkeypatch)
         beta = ca_update_expert_coeffs(data, w, prev, lam=lam)
-        sweeps = len(calls) / data.p
-        calls.clear()
+        first = len(rounds)
         beta2 = ca_update_expert_coeffs(
             doubled, np.concatenate([w, w]), prev, lam=2.0 * lam
         )
-        assert len(calls) / data.p == sweeps < PenaltyConfig.ca_max_iter
+        assert len(rounds) - first == first
         np.testing.assert_allclose(beta2, beta, rtol=1e-12, atol=1e-12)
-
 
     @pytest.mark.parametrize(
         "case", ["lam0", "lam-zeroes-some", "zero-weighted-column", "n200-p40"]
     )
     def test_cases_fail_the_certificate(self, monkeypatch, case):
         # the incoming support and signs of every case above do not
-        # certify, so the comparisons above exercise coordinate ascent
+        # certify, so the checks of TestActiveSet on them run the rounds
         data, w, prev, lam = _lasso_case(case)
-        calls = _count_soft_threshold(monkeypatch)
+        experts = _count_active_set(monkeypatch)
         ca_update_expert_coeffs(data, w, prev, lam=lam)
-        assert len(calls) >= data.p
+        assert len(experts) == 1
 
 
-def _count_soft_threshold(monkeypatch):
-    """Count the coordinate updates, which call ``em_lasso.soft_threshold``."""
+def _count_active_set(monkeypatch):
+    """Record the experts that go on to active-set rounds after round one."""
     calls = []
+    real = em_lasso._active_set
 
-    def counted(u, eta):
+    def counted(*args):
         calls.append(1)
-        return soft_threshold(u, eta)
+        return real(*args)
 
-    monkeypatch.setattr(em_lasso, "soft_threshold", counted)
+    monkeypatch.setattr(em_lasso, "_active_set", counted)
+    return calls
+
+
+def _count_rounds(monkeypatch):
+    """Count the linear solves of the expert update: the batched round one
+    and one per further active-set round."""
+    calls = []
+    real = np.linalg.solve
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
     return calls
 
 
 class TestCertifiedStep:
     """When the incoming coefficients carry the support and signs of the
     minimizer, the expert update is the exact minimizer on that support,
-    certified by the KKT conditions, with no coordinate sweep."""
+    certified by the KKT conditions, with no further round."""
 
     @pytest.mark.parametrize("p", [8, 40])
     def test_certified_result_is_the_active_set_solution(self, monkeypatch, p):
@@ -411,13 +438,11 @@ class TestCertifiedStep:
         cold = ExpertComponent(intercept=[b0], coeffs=rng.normal(size=(p, 1)),
                                cov=[[sigma2]])
         data = DataSet(X=X, Y=y)
-        support = ca_update_expert_coeffs(
-            data, w, cold, lam=lam, ca_max_iter=100000, ca_tol=1e-15
-        )
+        support = ca_update_expert_coeffs(data, w, cold, lam=lam)
         warm = ExpertComponent(intercept=[b0], coeffs=support[:, None], cov=[[sigma2]])
-        calls = _count_soft_threshold(monkeypatch)
+        experts = _count_active_set(monkeypatch)
         beta = ca_update_expert_coeffs(data, w, warm, lam=lam)
-        assert calls == []  # certified: no sweep
+        assert experts == []  # certified: no further round
         ref = exact_weighted_lasso_on_active_set(X, y, w, b0, sigma2, lam, beta)
         np.testing.assert_allclose(beta, ref, rtol=1e-12, atol=1e-12)
         assert np.array_equal(beta == 0.0, ref == 0.0)
@@ -427,8 +452,9 @@ class TestCertifiedStep:
 
     def test_overflowing_certificate_falls_back(self, monkeypatch):
         # a nearly collinear active pair and a huge response: the exact
-        # step on the incoming signs overflows to +-inf with those very
-        # signs, and with every coordinate active no other condition fails
+        # step on the incoming signs of the unridged problem overflows to
+        # +-inf with those very signs; the ridge keeps the solve finite,
+        # its signs do not certify, and the rounds repair them
         n = 50
         rng = np.random.default_rng(8)
         x1 = rng.normal(size=n)
@@ -442,12 +468,194 @@ class TestCertifiedStep:
         assert not np.isfinite(exact).all()
         assert np.array_equal(np.sign(exact), signs)
         prev = ExpertComponent(intercept=[0.0], coeffs=signs[:, None], cov=[[1.0]])
-        calls = _count_soft_threshold(monkeypatch)
+        data = DataSet(X=X, Y=y)
+        experts = _count_active_set(monkeypatch)
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
             warnings.simplefilter("error")
-            beta = ca_update_expert_coeffs(DataSet(X=X, Y=y), w, prev, lam=1.0)
-        assert len(calls) >= 3  # coordinate ascent ran
+            beta = ca_update_expert_coeffs(data, w, prev, lam=1.0)
+        assert len(experts) == 1  # the rounds ran
         assert np.isfinite(beta).all()
+        assert lasso_certified(*_gram(data, w, prev), 1.0, beta)
+
+
+class TestActiveSet:
+    """The exact solve from incoming coefficients that do not certify:
+    the minimizer, certified by exact comparisons off its support."""
+
+    @pytest.mark.parametrize("p", [8, 40])
+    @pytest.mark.parametrize("lam", [0.5, 5.0, 40.0])
+    def test_matches_the_oracles(self, monkeypatch, p, lam):
+        rng = np.random.default_rng(60 + p)
+        n = 300
+        X = rng.normal(size=(n, p))
+        y = 0.3 + X[:, :4] @ np.array([1.5, -2.0, 0.7, -0.4]) + rng.normal(size=n)
+        w = rng.uniform(0.05, 1.0, size=n)
+        prev = ExpertComponent(intercept=[0.3], coeffs=rng.normal(size=(p, 1)),
+                               cov=[[1.5]])
+        data = DataSet(X=X, Y=y)
+        experts = _count_active_set(monkeypatch)
+        beta = ca_update_expert_coeffs(data, w, prev, lam=lam)
+        assert len(experts) == 1
+        assert lasso_certified(*_gram(data, w, prev), lam * 1.5, beta)
+        assert not np.signbit(beta[beta == 0.0]).any()
+        ref = exact_weighted_lasso_on_active_set(X, y, w, 0.3, 1.5, lam, beta)
+        np.testing.assert_allclose(beta, ref, rtol=1e-12, atol=1e-12)
+        ascent = _ascent(data, w, prev, lam, 100000, 1e-15)
+        np.testing.assert_allclose(beta, ascent, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(beta == 0.0, ascent == 0.0)
+        if lam > 1.0:
+            assert 0 < np.count_nonzero(beta == 0.0) < p
+
+    @pytest.mark.parametrize(
+        "case", ["lam0", "lam-zeroes-some", "zero-weighted-column", "n200-p40"]
+    )
+    def test_cases_match_the_tight_ascent(self, case):
+        data, w, prev, lam = _lasso_case(case)
+        beta = ca_update_expert_coeffs(data, w, prev, lam=lam)
+        assert lasso_certified(*_gram(data, w, prev), lam * prev.variance, beta)
+        ascent = _ascent(data, w, prev, lam, 100000, 1e-15)
+        np.testing.assert_allclose(beta, ascent, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(beta == 0.0, ascent == 0.0)
+        if case == "zero-weighted-column":
+            assert beta[2] == 0.0
+
+    @staticmethod
+    def _objective(data, w, prev, lam, beta):
+        r = data.y1 - float(prev.intercept[0]) - data.X @ beta
+        return 0.5 * float(r @ (w * r)) + lam * prev.variance * float(np.abs(beta).sum())
+
+    def test_zero_penalty_on_collinear_columns(self):
+        # x3 = x1 + x2 and a duplicated x4: the normal equations are
+        # singular, and the ridge picks one of their solutions
+        rng = np.random.default_rng(70)
+        X = rng.normal(size=(40, 5))
+        X[:, 2] = X[:, 0] + X[:, 1]
+        X[:, 4] = X[:, 3]
+        y = X[:, 0] - 2.0 * X[:, 3] + 0.1 * rng.normal(size=40)
+        data, w = DataSet(X=X, Y=y), rng.uniform(0.1, 1.0, size=40)
+        prev = ExpertComponent(intercept=[0.0], coeffs=rng.normal(size=(5, 1)),
+                               cov=[[1.0]])
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            beta = ca_update_expert_coeffs(data, w, prev, lam=0.0)
+        assert lasso_certified(*_gram(data, w, prev), 0.0, beta)
+        fitted = np.linalg.lstsq(np.sqrt(w)[:, None] * X, np.sqrt(w) * y, rcond=None)[0]
+        best = self._objective(data, w, prev, 0.0, fitted)
+        assert self._objective(data, w, prev, 0.0, beta) == pytest.approx(best, rel=1e-10)
+
+    def test_zero_penalty_on_a_duplicated_column_settles(self):
+        # at lambda 0 the signs do not enter the problem; rounding decides
+        # the sign of the duplicate's share, which must not make the
+        # rounds add and drop it until their bound
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(20, 6))
+            X[:, 1] = X[:, 0]
+            data = DataSet(X=X, Y=X[:, 2] + rng.normal(size=20))
+            w = rng.uniform(0.1, 1.0, size=20)
+            prev = ExpertComponent(intercept=[0.0], coeffs=rng.normal(size=(6, 1)),
+                                   cov=[[1.0]])
+            beta = ca_update_expert_coeffs(data, w, prev, lam=0.0)
+            assert lasso_certified(*_gram(data, w, prev), 0.0, beta)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_fewer_observations_than_predictors(self, lam):
+        # n_k <= p: five weighted rows, eight predictors
+        rng = np.random.default_rng(71)
+        X = rng.normal(size=(5, 8))
+        y = rng.normal(size=5)
+        data, w = DataSet(X=X, Y=y), rng.uniform(0.2, 1.0, size=5)
+        prev = ExpertComponent(intercept=[0.1], coeffs=rng.normal(size=(8, 1)),
+                               cov=[[0.5]])
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            beta = ca_update_expert_coeffs(data, w, prev, lam=lam)
+        assert lasso_certified(*_gram(data, w, prev), lam * 0.5, beta)
+        ascent = _ascent(data, w, prev, lam, 100000, 1e-15)
+        assert self._objective(data, w, prev, lam, beta) <= (
+            self._objective(data, w, prev, lam, ascent) + 1e-9)
+
+    def test_zero_weight_columns(self):
+        # two columns nonzero only where the weights are 0, with nonzero
+        # incoming coefficients: their G_jj is 0 and they come out exactly 0
+        rng = np.random.default_rng(72)
+        X = rng.normal(size=(30, 4))
+        w = rng.uniform(0.1, 1.0, size=30)
+        w[:10] = 0.0
+        X[10:, 1] = X[10:, 3] = 0.0
+        data = DataSet(X=X, Y=X[:, 0] + rng.normal(size=30))
+        prev = ExpertComponent(intercept=[0.0], coeffs=[[1.0], [-2.0], [0.5], [3.0]],
+                               cov=[[1.0]])
+        for lam in (0.0, 0.2):
+            beta = ca_update_expert_coeffs(data, w, prev, lam=lam)
+            assert beta[1] == 0.0 and beta[3] == 0.0
+            assert lasso_certified(*_gram(data, w, prev), lam, beta)
+
+    def test_every_column_zero_weight(self):
+        # G is 0 and so is the minimizer, whatever the ridge
+        X = np.zeros((6, 2))
+        X[:3] = 1.0
+        w = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        data = DataSet(X=X, Y=np.arange(6.0))
+        prev = ExpertComponent(intercept=[0.0], coeffs=[[1.0], [-1.0]], cov=[[1.0]])
+        for lam in (0.0, 1.0):
+            beta = ca_update_expert_coeffs(data, w, prev, lam=lam)
+            assert beta.tolist() == [0.0, 0.0]
+
+    def test_non_finite_solutions(self):
+        # an overflowing solve on the incoming support restarts the rounds
+        # from 0; one on a support the rounds reached fails the start
+        G, c = np.array([[1e-300, 0.0], [0.0, 1.0]]), np.array([1.0, 0.5])
+        beta = em_lasso._active_set(G, c, 2.0, np.ones(2), np.array([np.inf, 0.5]))
+        assert beta.tolist() == [0.0, 0.0]
+        assert lasso_certified(G, c, 2.0, beta)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            em_lasso._active_set(G, np.array([1e300, 0.5]), 0.0, np.zeros(2), np.zeros(2))
+        # a NaN gradient off the support is never taken for a certificate
+        with pytest.raises(FloatingPointError, match="not finite"):
+            em_lasso._active_set(np.eye(2), np.array([1.0, np.nan]), 0.5, np.array([1.0, 0.0]),
+                                 np.array([0.5, 0.0]))
+
+    def test_an_added_coordinate_that_underflows_fails_cleanly(self):
+        # coordinate 1 violates by the smallest subnormal, and its solution
+        # underflows to exactly 0: the rounds add and drop it at t = 0
+        # until their bound, with no 0 / 0 on the way
+        eta = 1e-320
+        G, c = np.diag([1.0, 4.0]), np.array([1.0, eta + 5e-324])
+        with pytest.raises(FloatingPointError, match="did not settle in 128 rounds"):
+            em_lasso._active_set(G, c, eta, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+    def test_round_bound_fails_the_start(self, monkeypatch):
+        # the bound is a constant of the code; a start that reaches it is
+        # diagnosed, never returned
+        monkeypatch.setattr(em_lasso, "_ROUNDS_PER_COORDINATE", 0)
+        data, _ = sample_dataset(default_scenario(n=120, seed=4))
+        with pytest.raises(FitFailedError) as err:
+            fit_em_lasso(data, K=2, penalty=PenaltyConfig(lam=5.0, gamma=5.0),
+                         opts=FitOptions(n_starts=2, seed=1))
+        assert len(err.value.diagnoses) == 2
+        assert all("FloatingPointError: the expert lasso active set did not settle in 0 rounds"
+                   in d for d in err.value.diagnoses)
+
+    def test_grid_search_updates_are_certified(self, monkeypatch):
+        # every expert update of a grid search, checked on the Gram matrix
+        # the update forms, by exact comparisons off the support
+        real, checked = em_lasso._expert_coeffs, []
+
+        def certified(sample, T, b0, sigma2, beta, lam, out=None):
+            coeffs = real(sample, T, b0, sigma2, beta, lam, out)
+            G, c = ridged_gram(sample.X, T, sample.YT[0], b0)
+            for i in np.ndindex(T.shape[:-1]):
+                assert lasso_certified(G[i], c[i], lam * sigma2[i], coeffs[i])
+                checked.append(i)
+            return coeffs
+
+        monkeypatch.setattr(em_lasso, "_expert_coeffs", certified)
+        data, _ = sample_dataset(default_scenario(n=300, seed=6))
+        values = (0.0, 10.0, 20.0)
+        grid_search(data, GridSpec(Ks=(2,), lambdas=values, gammas=values),
+                    opts=FitOptions(n_starts=3, seed=6))
+        assert len(checked) > 100
 
 
 class TestUpdateExpertInterceptVariance:
