@@ -101,7 +101,6 @@ def _fit_options(cfg) -> FitOptions:
 _FIT_KNOB_DEFAULTS = {
     "n_starts": FitOptions.n_starts, "max_iter": FitOptions.max_iter,
     "tol": FitOptions.tol, "init": FitOptions.init_strategy,
-    "ca_max_iter": PenaltyConfig.ca_max_iter, "ca_tol": PenaltyConfig.ca_tol,
 }
 
 
@@ -192,10 +191,7 @@ def cmd_fit(args) -> int:
     K = int(cfg["k"])
     penalized = cfg["lam"] is not None or cfg["gamma"] is not None
     if penalized:
-        penalty = PenaltyConfig(
-            lam=float(cfg["lam"] or 0.0), gamma=float(cfg["gamma"] or 0.0),
-            ca_max_iter=int(cfg["ca_max_iter"]), ca_tol=float(cfg["ca_tol"]),
-        )
+        penalty = PenaltyConfig(lam=float(cfg["lam"] or 0.0), gamma=float(cfg["gamma"] or 0.0))
         fit = fit_em_lasso(data, K, penalty, opts)
         engine = "em-lasso"
     else:
@@ -238,11 +234,8 @@ def cmd_select(args) -> int:
         lambdas=tuple(_float_list(cfg["lambdas"])),
         gammas=tuple(_float_list(cfg["gammas"])),
     )
-    table = grid_search(
-        data, grid, opts=_fit_options(cfg),
-        ca_max_iter=int(cfg["ca_max_iter"]), ca_tol=float(cfg["ca_tol"]),
-        warm_start=not bool(cfg["cold_start"]),
-    )
+    table = grid_search(data, grid, opts=_fit_options(cfg),
+                        warm_start=not bool(cfg["cold_start"]))
     out = _out_dir(cfg)
     dataio.write_selection_csv(out / "selection.csv", table)
     dataio.write_json(
@@ -324,7 +317,6 @@ def cmd_lasso_path(args) -> int:
     # warm continuation keeps the path smooth, but continuing out of a fully shrunk
     # model can lose the cluster structure: every point also runs the cold starts
     for lam, gamma, run in _chain(data, int(cfg["k"]), _path_pairs(cfg), _fit_options(cfg),
-                                  int(cfg["ca_max_iter"]), float(cfg["ca_tol"]),
                                   warm=True, refit=True):
         if isinstance(run, FitFailedError):
             raise run
@@ -484,11 +476,6 @@ def _add_fit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--init", choices=INIT_STRATEGIES)
-    p.add_argument("--ca-max-iter", dest="ca_max_iter", type=int,
-                   help="no effect: the expert lasso is solved exactly; kept so "
-                        "that commands and configs naming it keep working")
-    p.add_argument("--ca-tol", dest="ca_tol", type=float,
-                   help="no effect, as --ca-max-iter")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -70,15 +70,14 @@ def dataset_csv_text(data: DataSet, labels=None) -> str:
     trailing 1-based ``label`` column."""
     header = [f"x{j + 1}" for j in range(data.p)]
     header += ["y"] if data.d == 1 else [f"y{j + 1}" for j in range(data.d)]
-    rows = np.hstack([data.X, data.Y]).tolist()  # floats, each cell as fmt writes it
-    lines = [",".join(map(repr, row)) for row in rows]
+    rows = np.hstack([data.X, data.Y]).tolist()
     if labels is not None:
         labels = np.asarray(labels, dtype=int)
         if labels.shape != (data.n,):
             raise ValueError("labels must have one entry per observation")
         header.append("label")
-        lines = [f"{line},{label}" for line, label in zip(lines, labels.tolist())]
-    return "\n".join([",".join(header), *lines]) + "\n"
+        rows = [row + [label] for row, label in zip(rows, labels.tolist())]
+    return _csv_text(header, rows)
 
 
 def write_dataset_csv(path, data: DataSet, labels=None) -> None:

@@ -517,12 +517,13 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
     validator; only when that raises is each checked alone, by the
     component constructors.  The warm stack is not checked again: it is
     the previous run's checked result or built from checked parameters.
-    When it runs alone, ``carry``, the log-likelihood and (K, n)
-    responsibilities of that run's last E-step, at the same stack, stands
-    for its first E-step.  The runs go to ``accept`` best first until one
-    passes.  The one place where a start's numerical trouble (a degenerate
-    component, a failed covariance check or factorization, an overflow or
-    invalid operation) becomes a diagnosis; underflow is routine."""
+    ``carry``, the (1,) log-likelihood and (1, K, n) responsibilities of
+    that run's last E-step, at the same stack, stands for the first E-step
+    of the warm start running alone (``cold`` false).  The runs go to
+    ``accept`` best first until one passes.  The one place where a start's
+    numerical trouble (a degenerate component, a failed covariance check
+    or factorization, an overflow or invalid operation) becomes a
+    diagnosis; underflow is routine."""
     seeds = ([None] if warm is not None else []) + (
         start_seeds(opts.seed, opts.n_starts) if cold else [])
     outcomes: dict = {}  # start -> initial stack, then an unchecked run or exception
@@ -550,10 +551,8 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
             keep = [i for i, start in enumerate(batch) if isinstance(outcomes[start], _Stack)]
             batch, stack = [batch[i] for i in keep], stack.take(keep)
         if batch:
-            known = None if carry is None or len(batch) > seeded else (  # warm alone
-                np.array([carry[0]]), carry[1][None])
             outcomes.update(zip(batch, _run_em(sample, stack, opts, m_step, objective,
-                                               squarem, known)))
+                                               squarem, carry)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
         try:

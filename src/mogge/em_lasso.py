@@ -16,15 +16,17 @@ one batched linear solve for all experts, kept when the KKT conditions
 certify it; only the experts it does not certify go on, one at a time,
 dropping a coordinate at the first sign change on the way to each
 round's solution and adding the one that most violates the KKT
-conditions off the support, until they certify; one that does not
-within ``64 p`` rounds fails its start.  The Gram matrix carries a ridge
-``p * eps * max_j G_jj`` on its diagonal, below the rounding of a
-well-conditioned solve, so that every active block is positive
-definite.  Thresholds use the lagged variances (previous EM iteration),
-and the expert intercept stays lagged inside the coefficient update;
-both are refreshed once per EM iteration afterwards.  Zero coefficients
-are stored as exact ``0.0`` so that downstream degrees-of-freedom and
-zero-recovery computations can test equality.
+conditions off the support, until they certify (or until the one just
+added comes back 0 or of the other sign, which only rounding does); one
+that does not within ``64 p`` rounds fails its start.  Each diagonal
+entry ``G_jj`` of the Gram matrix carries the ridge ``p * eps * G_jj``,
+below the rounding of a well-conditioned solve at any scale of each
+column, so that every active block is positive definite.  Thresholds use
+the lagged variances (previous EM iteration), and the expert intercept
+stays lagged inside the coefficient update; both are refreshed once per
+EM iteration afterwards.  Zero coefficients are stored as exact ``0.0``
+so that downstream degrees-of-freedom and zero-recovery computations can
+test equality.
 """
 
 from __future__ import annotations
@@ -57,28 +59,15 @@ _ROUNDS_PER_COORDINATE = 64
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty weights, and two keywords kept for compatibility.
-
-    ``lam`` scales the L1 penalty on expert coefficient vectors, ``gamma``
-    the one on gating mean vectors.  ``ca_max_iter`` and ``ca_tol`` have
-    no effect: they bounded the sweeps of a coordinate-ascent expert
-    update that the exact active-set solve replaced.  They are still
-    validated and echoed in configuration files, so configurations that
-    name them keep working.
-    """
+    """Penalty weights: ``lam`` scales the L1 penalty on expert coefficient
+    vectors, ``gamma`` the one on gating mean vectors."""
 
     lam: float
     gamma: float
-    ca_max_iter: int = 100
-    ca_tol: float = 1e-7
 
     def __post_init__(self):
         if self.lam < 0.0 or self.gamma < 0.0:
             raise ValueError("penalty weights must be nonnegative")
-        if self.ca_max_iter < 1:
-            raise ValueError("ca_max_iter must be at least 1")
-        if not self.ca_tol > 0.0:
-            raise ValueError("ca_tol must be positive")
 
 
 def soft_threshold(u, eta):
@@ -149,10 +138,13 @@ def _active_set(G: np.ndarray, c: np.ndarray, eta: float, beta: np.ndarray,
     A round with consistent signs moves to ``x`` and adds the coordinate
     off the support that most violates ``|c_j - G_j x| <= eta``, with the
     sign of its violation; it stops when none does, which certifies ``x``
-    as :func:`_certified_step` does.  At ``eta == 0`` the signs do not
-    enter the problem, so they follow each solution and only exact zeros
-    count as sign changes.  When ``x`` is not finite (the incoming support
-    overflows) the rounds start from 0 instead.  Raises
+    as :func:`_certified_step` does.  In exact arithmetic the coordinate
+    just added comes back with that sign; when rounding gives it 0 or the
+    other sign, its violation was rounding, and the solution before it is
+    returned: certified but for that one violation.  At ``eta == 0`` the
+    signs do not enter the problem, so they follow each solution and only
+    exact zeros count as sign changes.  When ``x`` is not finite (the
+    incoming support overflows) the rounds start from 0 instead.  Raises
     ``FloatingPointError`` for a non-finite solution after that, or after
     ``_ROUNDS_PER_COORDINATE * p`` rounds."""
     s = np.sign(beta)
@@ -160,17 +152,20 @@ def _active_set(G: np.ndarray, c: np.ndarray, eta: float, beta: np.ndarray,
     if not np.isfinite(x).all():
         beta, s, x = np.zeros_like(c), np.zeros_like(c), np.zeros_like(c)
         active[:] = False
+    added = None  # the coordinate the last round added
     for _ in range(_ROUNDS_PER_COORDINATE * len(c)):
         if not np.isfinite(x).all():
             raise FloatingPointError("the expert lasso solution is not finite")
         if eta == 0.0:
             s = np.where(x != 0.0, np.sign(x), s)
         flip = (np.sign(x) != s).nonzero()[0]  # x and s are 0 off the support
+        if added is not None and added in flip:
+            return beta  # the solution before it
+        added = None
         if flip.size:
-            # in [0, 1]: x_j is 0 or of the other sign, and beta_j is 0 only
-            # where the last round added j
+            # in [0, 1]: x_j is 0 or of the other sign, and beta_j of sign s_j
             b = beta[flip]
-            t = np.divide(b, b - x[flip], out=np.zeros_like(b), where=b != 0.0)
+            t = b / (b - x[flip])
             k = t.argmin()
             beta = beta + t[k] * (x - beta)
             drop = active & (np.sign(beta) != s)  # rounding past the crossing too
@@ -184,7 +179,7 @@ def _active_set(G: np.ndarray, c: np.ndarray, eta: float, beta: np.ndarray,
             j = violation.argmax()  # a NaN first: it fails the next round
             if violation[j] <= 0.0:
                 return x
-            beta = x
+            beta, added = x, j
             active[j], s[j] = True, np.sign(grad[j])
         A = active.nonzero()[0]
         x = np.zeros_like(c)
@@ -200,16 +195,15 @@ def _expert_coeffs(sample: _Sample, T: np.ndarray, b0: np.ndarray, sigma2: np.nd
     """Lasso coefficients (K, p) of the experts weighted by ``T`` (K, n),
     from ``beta`` (K, p) with the lagged intercepts ``b0`` and variances
     ``sigma2`` (K,): the certified step, and the active-set rounds from
-    ``beta`` for the experts it does not certify.  ``G`` gets the ridge
-    ``p * eps * max_j G_jj`` on its diagonal, or 1 where every ``G_jj`` is
-    0: G is 0 there, and the minimizer 0 whatever the ridge.  The
-    (K, p, n) factor ``X' W`` is written into ``out`` when given."""
+    ``beta`` for the experts it does not certify.  Each ``G_jj`` gets the
+    ridge ``p * eps * G_jj``, or 1 where it is 0: column j of G is 0 there,
+    and coordinate j of the minimizer 0 whatever the ridge.  The (K, p, n)
+    factor ``X' W`` is written into ``out`` when given."""
     X, XT, YT = sample
     p = X.shape[1]
     G = _into(np.multiply, XT, T[..., None, :], out) @ X  # X' W X, (K, p, p)
     diagonal = G.reshape(-1, p * p)[:, ::p + 1]  # a view into G, one row per expert
-    top = diagonal.max(axis=1, keepdims=True)
-    diagonal += np.where(top > 0.0, top * (p * 2.0 ** -52), 1.0)  # 2 ** -52: eps
+    diagonal += np.where(diagonal > 0.0, diagonal * (p * 2.0 ** -52), 1.0)  # 2 ** -52: eps
     c = (T * (YT[0] - b0[..., None])) @ X  # X' W (y - b0)
     eta = lam * sigma2
     coeffs, certified = _certified_step(G, c, eta, beta)
@@ -258,24 +252,25 @@ def update_gating_variances(data: DataSet, tau: Responsibilities,
 
 def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
                             expert_prev: ExpertComponent, lam: float,
-                            ca_max_iter: int = PenaltyConfig.ca_max_iter,
-                            ca_tol: float = PenaltyConfig.ca_tol) -> np.ndarray:
+                            ca_max_iter: int = 100) -> np.ndarray:
     """Solve one expert's weighted lasso problem exactly.
 
     Minimizes ``0.5 * sum_i w_i (y_i - b0 - x_i' beta)^2 + lam * sigma2 * |beta|_1``
     with the lagged intercept ``b0`` and variance ``sigma2``, through the
     weighted Gram matrix ``G = X' W X`` and ``c = X' W (y - b0)``, formed
     once per call (the covariance updates of Friedman, Hastie and
-    Tibshirani, 2010), with the ridge ``p * eps * max_j G_jj`` on the
-    diagonal of G.  First the exact minimizer on the support and signs of
+    Tibshirani, 2010), with the ridge ``p * eps * G_jj`` on each diagonal
+    entry of G.  First the exact minimizer on the support and signs of
     the incoming coefficients, ``G_AA beta_A = c_A - lam sigma2 s_A`` and
     zero off A, returned as is when the KKT conditions certify it (signs
     kept, ``|c_j - G_j' beta| <= lam sigma2`` off A).  Otherwise the
     active-set rounds of Osborne, Presnell and Turlach (2000) from the
-    incoming coefficients, until the same conditions certify the result.
-    Raises ``FloatingPointError`` when a solve is not finite or the rounds
-    do not settle.  ``ca_max_iter`` and ``ca_tol`` have no effect (see
-    :class:`PenaltyConfig`).
+    incoming coefficients, until the same conditions certify the result
+    (or the last violation is rounding, see :func:`_active_set`).  Raises
+    ``FloatingPointError`` when a solve is not finite or the rounds do not
+    settle.  ``ca_max_iter`` has no effect: it bounded the sweeps of the
+    coordinate ascent this solve replaced, and stays because the trace
+    instrumentation in ``bench/spans.py`` reads its default.
     """
     if data.d != 1 or expert_prev.d != 1:
         raise UnsupportedConfigError("expert coefficient update requires d = 1")

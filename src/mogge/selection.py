@@ -138,21 +138,20 @@ def _selection_order(rows: list[SelectionRow]) -> int:
     return min(candidates)[4]
 
 
-def _chain(data: DataSet, K: int, pairs, opts: FitOptions, ca_max_iter: int,
-           ca_tol: float, warm: bool, refit: bool):
+def _chain(data: DataSet, K: int, pairs, opts: FitOptions, warm: bool, refit: bool):
     """Fit the (lambda, gamma) ``pairs`` of one K in order; yields each pair
     with its checked, unbuilt :class:`~mogge.em._Run` or its failure.  With
     ``warm``, start 0 runs from the last good point's stack and wins ties;
     the cold starts join it where there is none or, with ``refit``, at
     every point, and a cold winner is relabeled toward the warm start.
-    A warm start carries the log-likelihood and responsibilities of its
-    run's last E-step, unless relabeling more than two components changed
-    the order in which that E-step would add them."""
+    Without ``refit`` the warm start runs alone, from the log-likelihood
+    and responsibilities of its run's last E-step instead of running that
+    E-step again."""
     if data.d != 1:
         raise UnsupportedConfigError("penalized fitting requires d = 1")
     sample, prev, carry = _Sample.of(data), None, None
     for lam, gamma in pairs:
-        penalty = PenaltyConfig(lam=lam, gamma=gamma, ca_max_iter=ca_max_iter, ca_tol=ca_tol)
+        penalty = PenaltyConfig(lam=lam, gamma=gamma)
         try:
             start, run = _fit_lasso(data, sample, K, penalty, opts, warm=prev,
                                     cold=refit or prev is None, carry=carry,
@@ -160,19 +159,16 @@ def _chain(data: DataSet, K: int, pairs, opts: FitOptions, ca_max_iter: int,
         except FitFailedError as exc:
             yield lam, gamma, exc
             continue
-        exact = True  # the carried E-step is the one the next row would run
         if start > 0 and prev is not None:
             order = match_components(prev.params(), run.s.params())
             run = run._replace(s=run.s.take(order), T=run.T[order])
-            exact = K <= 2 or order == sorted(order)  # two terms add either way round
         if warm:
-            prev, carry = run.s, ((run.loglik, run.T) if exact else None)
+            prev = run.s
+            carry = None if refit else (np.array([run.loglik]), run.T[None])
         yield lam, gamma, run
 
 
 def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
-                ca_max_iter: int = PenaltyConfig.ca_max_iter,
-                ca_tol: float = PenaltyConfig.ca_tol,
                 warm_start: bool = True) -> SelectionTable:
     """Fit every (K, lambda, gamma) triplet and select the max-BIC one.
 
@@ -184,9 +180,7 @@ def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
     result, ``best_fit``.  Triplets whose fits raise
     :class:`~mogge.model.FitFailedError` (kept as ``failure``) or do not
     converge get ``converged=False`` and are not selected; if none is
-    left, the error is raised from the first failure.  ``ca_max_iter``
-    and ``ca_tol`` have no effect (see
-    :class:`~mogge.em_lasso.PenaltyConfig`).
+    left, the error is raised from the first failure.
     """
     pairs = sorted(((lam, gamma) for lam in grid.lambdas for gamma in grid.gammas),
                    key=lambda t: (-t[0], -t[1]))
@@ -194,8 +188,8 @@ def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
     best = None  # (selection key, run) of the best row so far
     logn_half = math.log(data.n) / 2.0
     for K in grid.Ks:
-        for lam, gamma, run in _chain(data, K, pairs, opts or FitOptions(), ca_max_iter,
-                                      ca_tol, warm=warm_start, refit=False):
+        for lam, gamma, run in _chain(data, K, pairs, opts or FitOptions(),
+                                      warm=warm_start, refit=False):
             if isinstance(run, FitFailedError):
                 rows.append(SelectionRow(K, lam, gamma, float("nan"), 0, float("nan"),
                                          False, failure=run))

@@ -201,29 +201,31 @@ def coordinate_ascent(G, c, nk, sigma2, eta, beta, ca_max_iter, ca_tol) -> np.nd
 
 
 def ridged_gram(X, T, y, b0):
-    """``G = X' W X`` with the ridge ``p * eps * max_j G_jj`` on its diagonal
-    (1 where every ``G_jj`` is 0), and ``c = X' W (y - b0)``, for the
+    """``G = X' W X`` with the ridge ``p * eps * G_jj`` on each diagonal
+    entry (1 where ``G_jj`` is 0), and ``c = X' W (y - b0)``, for the
     experts of weights ``T`` (..., n) and intercepts ``b0`` (...): the
     problems the library's expert update solves, formed with the products
     it forms them with, so with the same bits."""
     T, b0 = np.asarray(T, dtype=float), np.asarray(b0, dtype=float)
     p = X.shape[1]
     G = (np.ascontiguousarray(X.T) * T[..., None, :]) @ X
-    top = np.diagonal(G, axis1=-2, axis2=-1).max(axis=-1)
-    ridge = np.where(top > 0.0, p * np.finfo(float).eps * top, 1.0)
-    G[..., np.arange(p), np.arange(p)] += ridge[..., None]
+    diagonal = np.diagonal(G, axis1=-2, axis2=-1)
+    G[..., np.arange(p), np.arange(p)] += np.where(
+        diagonal > 0.0, p * np.finfo(float).eps * diagonal, 1.0)
     return G, (T * (y - b0[..., None])) @ X
 
 
-def lasso_certified(G, c, eta, x) -> bool:
+def lasso_certified(G, c, eta, x, rounding=0.0) -> bool:
     """The KKT certificate of ``x`` for ``0.5 x'Gx - c'x + eta |x|_1`` by
     exact comparisons off the support: ``|c_j - G_j x| <= eta`` where
-    ``x_j == 0``; on the support, stationarity ``c_j - G_j x = eta sign(x_j)``
-    to 1e-9 of the largest term, because a solve rounds there."""
+    ``x_j == 0``, or with ``rounding`` that many of the largest term more;
+    on the support, stationarity ``c_j - G_j x = eta sign(x_j)`` to 1e-9 of
+    the largest term, because a solve rounds there."""
     grad = c - G @ x
     on = x != 0.0
     scale = np.abs(c).max() + np.abs(G).max() * np.abs(x).max() + eta
-    return bool(np.isfinite(x).all() and (np.abs(grad[~on]) <= eta).all()
+    return bool(np.isfinite(x).all()
+                and (np.abs(grad[~on]) <= eta + rounding * scale).all()
                 and (np.abs(grad[on] - eta * np.sign(x[on])) <= 1e-9 * scale).all())
 
 
@@ -359,7 +361,7 @@ def kkt_residuals_gate(X, tau_k, mu, nu2, gamma):
     return out
 
 
-def grid_search_per_row(data, grid, opts, ca_max_iter=100, ca_tol=1e-7, warm_start=True):
+def grid_search_per_row(data, grid, opts, warm_start=True):
     """The grid search as one public fit per row: ``fit_em_lasso`` on each
     (K, lambda, gamma) triplet in decreasing penalty order, warm-started
     from the last fit that did not fail, ``count_df`` on the checked
@@ -375,8 +377,7 @@ def grid_search_per_row(data, grid, opts, ca_max_iter=100, ca_tol=1e-7, warm_sta
     for K in grid.Ks:
         prev_params = None
         for lam, gamma in pairs:
-            penalty = PenaltyConfig(lam=lam, gamma=gamma, ca_max_iter=ca_max_iter,
-                                    ca_tol=ca_tol)
+            penalty = PenaltyConfig(lam=lam, gamma=gamma)
             try:
                 fit = fit_em_lasso(data, K, penalty, opts,
                                    warm_start=prev_params if warm_start else None)

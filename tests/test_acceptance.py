@@ -171,8 +171,7 @@ def test_criterion_4_zero_penalty_equivalence():
         a = fit_em(data, K=2, opts=opts, diagonal_gating=True)
         b = fit_em_lasso(
             data, K=2,
-            penalty=PenaltyConfig(lam=0.0, gamma=0.0, ca_tol=1e-15,
-                                  ca_max_iter=5000),
+            penalty=PenaltyConfig(lam=0.0, gamma=0.0),
             opts=opts,
         )
         rel = abs(a.objective - b.objective) / abs(a.objective)
@@ -205,8 +204,7 @@ def test_criterion_5_kkt_certification():
         lam, gamma = rng.uniform(0.5, 3.0, size=2)
         fit = fit_em_lasso(
             data, K=2,
-            penalty=PenaltyConfig(lam=lam, gamma=gamma, ca_tol=1e-14,
-                                  ca_max_iter=50_000),
+            penalty=PenaltyConfig(lam=lam, gamma=gamma),
             opts=FitOptions(n_starts=2, seed=i, tol=1e-10, max_iter=5000),
         )
         tau = posterior_responsibilities(data, fit.params)
@@ -218,9 +216,7 @@ def test_criterion_5_kkt_certification():
             worst = max(worst, float(np.max(res)))
         for k, e in enumerate(fit.params.experts):
             w = tau.tau[:, k]
-            beta = ca_update_expert_coeffs(
-                data, w, e, lam, ca_max_iter=200_000, ca_tol=1e-16
-            )
+            beta = ca_update_expert_coeffs(data, w, e, lam)
             exact = exact_weighted_lasso_on_active_set(
                 data.X, data.y1, w, float(e.intercept[0]), e.variance, lam, beta
             )
@@ -260,9 +256,7 @@ def test_criterion_6_oracle_equivalence():
             cov=[[rng.uniform(0.5, 2.0)]],
         )
         lam = rng.uniform(0.1, 2.0)
-        beta = ca_update_expert_coeffs(
-            data, w, prev, lam=lam, ca_max_iter=50_000, ca_tol=1e-15
-        )
+        beta = ca_update_expert_coeffs(data, w, prev, lam=lam)
         ref = weighted_lasso_reference(
             X, y, w, float(prev.intercept[0]), prev.variance, lam
         )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mogge.selection as selection
-from mogge import em, em_lasso, model
+from mogge import em, em_lasso
 from mogge.em import FitOptions
 from mogge.model import (
     VARIANCE_FLOOR,
@@ -194,42 +194,28 @@ class TestChainCarry:
         assert carried.selected == plain.selected
         _assert_same_fit(carried.best_fit, plain.best_fit)
 
-    def test_two_components_relabel_exactly(self):
-        # the log-sum-exp of two terms adds them the same either way round,
-        # so a relabeled K=2 run's last E-step is the relabeled stack's
-        for seed in range(5):
-            data = _instance(seed)
-            s = _Stack.of(random_params(np.random.default_rng(seed), K=2, p=3,
-                                        diagonal=True, spread=2.5))
-            sample = model._Sample.of(data)
-            loglik, T = model._e_step(sample, s)
-            swapped, T_swapped = model._e_step(sample, s.take([1, 0]))
-            assert swapped.tobytes() == loglik.tobytes()
-            assert T_swapped.tobytes() == T[[1, 0]].tobytes()
-
-    @pytest.mark.parametrize("K", [2, 3])
-    def test_relabeled_runs_carry_only_at_two_components(self, monkeypatch, K):
+    @pytest.mark.parametrize("refit", [False, True], ids=["alone", "refit"])
+    def test_only_a_warm_start_running_alone_carries(self, monkeypatch, refit):
+        # with refit the warm start shares its batch with the cold starts,
+        # which run their own first E-step, and the chain carries nothing
         data = _instance(4)
         real, carries = selection._fit_lasso, []
 
         def recorded(*args, **kwargs):
             carries.append(kwargs["carry"])
-            start, run = real(*args, **kwargs)
-            return (1 if kwargs["warm"] is not None else start), run  # a cold winner
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(selection, "_fit_lasso", recorded)
-        monkeypatch.setattr(selection, "match_components",
-                            lambda ref, est: list(range(K))[::-1])
-        rows = list(selection._chain(data, K, [(4.0, 4.0), (2.0, 2.0), (0.0, 0.0)],
-                                     FitOptions(n_starts=2, seed=4), 100, 1e-7,
-                                     warm=True, refit=True))
-        # the first row runs cold; the next two are relabeled cold winners
+        rows = list(selection._chain(data, 2, [(4.0, 4.0), (2.0, 2.0), (0.0, 0.0)],
+                                     FitOptions(n_starts=2, seed=4), warm=True,
+                                     refit=refit))
         assert carries[0] is None
-        assert carries[1][0] == rows[0][2].loglik and carries[1][1] is rows[0][2].T
-        if K == 2:
-            assert carries[2][0] == rows[1][2].loglik and carries[2][1] is rows[1][2].T
-        else:
-            assert carries[2] is None
+        for carry, (_, _, run) in zip(carries[1:], rows):
+            if refit:
+                assert carry is None
+            else:
+                assert carry[0].tolist() == [run.loglik]
+                assert np.array_equal(carry[1], run.T[None])
 
 
 @settings(max_examples=500, deadline=None)

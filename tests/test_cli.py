@@ -286,26 +286,6 @@ class TestLassoPath:
 
     PATH = ("--k", "2", "--penalties", "0,5,10", "--n-starts", "3", "--seed", "1")
 
-    @pytest.mark.parametrize("alone", [False, True], ids=["batched", "one-per-batch"])
-    def test_files_equal_without_the_carried_e_step(self, small_data, tmp_path,
-                                                    monkeypatch, alone):
-        # the chain hands each warm start its run's last E-step, which a
-        # warm start uses when it runs alone, as every start does with one
-        # start per batch; the path files are the same bytes when every
-        # start runs its own
-        if alone:
-            monkeypatch.setattr(em, "_BATCH_ELEMENTS", 1)
-        assert run("lasso-path", "--data", str(small_data), *self.PATH,
-                   "--out-dir", str(tmp_path / "carried")) == 0
-        real = selection._fit_lasso
-        monkeypatch.setattr(selection, "_fit_lasso",
-                            lambda *args, carry=None, **kwargs: real(*args, **kwargs))
-        assert run("lasso-path", "--data", str(small_data), *self.PATH,
-                   "--out-dir", str(tmp_path / "plain")) == 0
-        for name in ("path.csv", "path_params.json"):
-            assert (tmp_path / "carried" / name).read_bytes() == (
-                tmp_path / "plain" / name).read_bytes()
-
     def test_warm_start_wins_an_exact_tie(self, small_data, tmp_path, monkeypatch):
         # every run reports the same objective; a point's warm start is start
         # 0 of its batch, its cold starts follow
@@ -441,7 +421,8 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("command, key", [
         ("fit", "jobs"), ("select", "jobs"), ("lasso-path", "jobs"),
-        ("evaluate", "seed"),
+        ("evaluate", "seed"), ("fit", "ca_max_iter"), ("select", "ca_tol"),
+        ("lasso-path", "ca_max_iter"),
     ])
     def test_removed_config_key_rejected(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "cfg.json"
@@ -475,6 +456,8 @@ class TestParserSurface:
     @pytest.mark.parametrize("argv", [
         ["fit", "--jobs", "2"], ["select", "--jobs", "2"],
         ["lasso-path", "--jobs", "2"], ["evaluate", "--seed", "2"],
+        ["fit", "--ca-max-iter", "5"], ["select", "--ca-tol", "1e-3"],
+        ["lasso-path", "--ca-max-iter", "5"],
     ])
     def test_unread_options_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -50,7 +50,7 @@ SIGNATURES = {
     "ca_update_expert_coeffs": (
         "(data: 'DataSet', tau_k: 'np.ndarray', "
         "expert_prev: 'ExpertComponent', lam: 'float', "
-        "ca_max_iter: 'int' = 100, ca_tol: 'float' = 1e-07) -> 'np.ndarray'"
+        "ca_max_iter: 'int' = 100) -> 'np.ndarray'"
     ),
     "update_expert_intercept_variance": (
         "(data: 'DataSet', tau_k: 'np.ndarray', "
@@ -65,8 +65,7 @@ SIGNATURES = {
     "modified_bic": "(data: 'DataSet', fit: 'FitResult') -> 'float'",
     "grid_search": (
         "(data: 'DataSet', grid: 'GridSpec', "
-        "opts: 'FitOptions | None' = None, ca_max_iter: 'int' = 100, "
-        "ca_tol: 'float' = 1e-07, "
+        "opts: 'FitOptions | None' = None, "
         "warm_start: 'bool' = True) -> 'SelectionTable'"
     ),
     "default_scenario": (
@@ -97,7 +96,7 @@ DATACLASS_FIELDS = {
         "params", "loglik_trace", "responsibilities", "n_iter", "converged",
         "objective", "loglik",
     ),
-    "PenaltyConfig": ("lam", "gamma", "ca_max_iter", "ca_tol"),
+    "PenaltyConfig": ("lam", "gamma"),
     "GridSpec": ("Ks", "lambdas", "gammas"),
     "SelectionRow": ("K", "lam", "gamma", "loglik", "df", "bic", "converged",
                      "failure"),
