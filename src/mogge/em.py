@@ -387,17 +387,15 @@ def _rows(x, index):
 
 def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
             m_step: Callable, objective: Callable, squarem: bool = False,
-            carry: tuple | None = None) -> list:
+            carry: tuple | None = None) -> list[_Run]:
     """EM iterations for the starts along the leading axis of ``s``, each
     until its relative objective change drops below ``opts.tol`` or
     ``opts.max_iter`` trace entries follow the initial one; returns an
-    unchecked :class:`_Run` or an exception per start.
+    unchecked :class:`_Run` per start, or raises.
 
-    ``m_step(sample, T, nk, s, work)`` returns the next stack from the
-    (S, K, n) responsibilities ``T`` and their (S, K) masses ``nk``,
-    checked once per M-step, and ``objective(loglik, s)`` the (S,) trace
-    entries.  A step that raises for the batch is redone for each start
-    alone.
+    ``m_step(sample, T, nk, s, work)`` returns the next stack, checked once
+    per M-step, from the (S, K, n) responsibilities ``T`` and their (S, K)
+    masses ``nk``; ``objective(loglik, s)`` returns the (S,) trace entries.
 
     With ``squarem`` every second entry comes from a SQUAREM cycle
     (Varadhan and Roland, 2008, step length S3): from the base point x0
@@ -405,22 +403,22 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     M-step x2 = F(x1) and extrapolates each start in the coordinates of
     :func:`_theta` to ``x' = theta0 - 2 alpha r + alpha^2 v``, with
     ``r = theta1 - theta0`` and ``v = theta2 - 2 theta1 + theta0``.  Its
-    entry is the objective at x' when x' is finite, its E-step succeeds,
-    no component mass is degenerate and the objective is at least that
-    at x1; otherwise the objective at x2, so traces never fall.  The
-    cycle carries theta of its result as the next base.  It runs only
-    while two entries remain, so a run ends on a plain step, and only
-    entries after a plain M-step are tested for convergence.  Every
-    decision is taken per start, so a start has the same bits in any
-    batch.
+    entry is the objective at x' when x' is finite with positive weights
+    and diagonal variances, its E-step succeeds (alone, when the batch's
+    raises), no component mass is degenerate and the objective is at
+    least that at x1; otherwise the objective at x2, so traces never
+    fall.  The cycle carries theta of its result as the next base.  It
+    runs only while two entries remain, so a run ends on a plain step,
+    and only entries after a plain M-step are tested for convergence.
+    Every decision is taken per start, so a start has the same bits in
+    any batch, and a batch raises exactly when a start raises alone.
 
     ``work`` is the batch's workspace of (S, K, p, n) buffers, allocated
     once here: the first for the E-step's deviations and the M-step's
     (S, K, p, n) temporaries, and for full gating covariances a second
     for the E-step's whitened deviations.  No returned or kept array is a
-    view of it.  When the live starts compact to m, the kernels get its leading
-    view ``work[:, :m]`` (still C-contiguous); a redone start gets
-    ``work[:, :1]``.
+    view of it.  When m starts run, the live ones or one alone, the
+    kernels get its leading view ``work[:, :m]`` (still C-contiguous).
 
     ``carry`` is the (S,) log-likelihoods and (S, K, n) responsibilities
     of an E-step at ``s`` run before, by the run ``s`` comes from; the
@@ -448,13 +446,18 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
             theta_x = theta - 2.0 * alpha * r + alpha * alpha * v
             x = _from_theta(theta_x, s)
             ok = np.isfinite(_flat(x)).all(axis=-1) & (x.alpha > 0.0).all(axis=-1)
+            if x.R.ndim == x.mu.ndim:  # diagonal variances that underflowed to 0
+                ok &= (x.R > 0.0).all(axis=(-2, -1))
         try:
             T, loglik, obj_x = e_step(_where(ok, x, s2), work)
-        except _START_FAILURES:
-            if len(ok) > 1 or not ok[0]:
-                raise  # each start alone, where a failed extrapolation is a rejection
-            ok[0] = False
-            T, loglik, obj_x = e_step(s2, work)
+        except _START_FAILURES:  # reject the extrapolations whose E-step fails alone
+            ok &= len(ok) > 1  # a batch of one has just run its start alone
+            for i in np.flatnonzero(ok).tolist():
+                try:
+                    e_step(x.take([i]), work[:, :1])
+                except _START_FAILURES:
+                    ok[i] = False
+            T, loglik, obj_x = e_step(_where(ok, x, s2), work)
         nk = T.sum(axis=-1)
         back = ok & ~(np.isfinite(obj_x) & (obj_x >= obj)
                       & (nk > DEGENERACY_FRACTION * T.shape[-1]).all(axis=-1))
@@ -470,22 +473,7 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     work = np.empty((1 + (s.R.ndim > s.mu.ndim), *s.mu.shape, sample.XT.shape[1]))
     for it in range(opts.max_iter + 1):
         step = cycle if cycles and it % 2 == 0 and 0 < it < opts.max_iter else plain
-        try:
-            s, T, loglik, obj, theta, tested = step(*state, work[:, :len(live)])
-        except _START_FAILURES:
-            runs = []
-            for i, start in enumerate(live.tolist()):
-                try:
-                    runs.append(step(*(_rows(x, [i]) for x in state), work[:, :1]))
-                except _START_FAILURES as exc:
-                    out[start] = exc
-            live = np.array([start for start in live if out[start] is None], int)
-            if not runs:
-                break
-            s = _Stack(*map(np.concatenate, zip(*(run[0] for run in runs))))
-            T, loglik, obj, theta, tested = (
-                None if part[0] is None else np.concatenate(part)
-                for part in zip(*(run[1:] for run in runs)))
+        s, T, loglik, obj, theta, tested = step(*state, work[:, :len(live)])
         for i, (start, value) in enumerate(zip(live.tolist(), obj.tolist())):
             trace = traces[start]
             trace.append(value)
@@ -503,6 +491,23 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     return out
 
 
+def _per_start(f: Callable, s: _Stack) -> list:
+    """``f(s)``, a list of one outcome per start of ``s``, or if that raises a
+    start failure, ``f`` of each start alone, an exception for one that raises."""
+    try:
+        return f(s)
+    except _START_FAILURES as exc:
+        if len(s.alpha) == 1:
+            return [exc]
+    return [out for i in range(len(s.alpha)) for out in _per_start(f, s.take([i]))]
+
+
+def _check(s: _Stack) -> list:
+    """None per start of ``s`` once it passes :meth:`_Stack.check`."""
+    (s.take(0) if len(s.alpha) == 1 else s).check()  # alone, as its constructors check it
+    return [None] * len(s.alpha)
+
+
 @np.errstate(over="raise", invalid="raise")
 def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
                 m_step: Callable, objective: Callable, diagonal_gating: bool,
@@ -514,16 +519,16 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
     then, with ``cold``, the seeded starts, run in batches of at most
     ``_BATCH_ELEMENTS // (K n max(p, d))``.  The seeded starts of a batch
     are built as unchecked stacks and checked at once by the stacked
-    validator; only when that raises is each checked alone, by the
-    component constructors.  The warm stack is not checked again: it is
-    the previous run's checked result or built from checked parameters.
-    ``carry``, the (1,) log-likelihood and (1, K, n) responsibilities of
-    that run's last E-step, at the same stack, stands for the first E-step
-    of the warm start running alone (``cold`` false).  The runs go to
-    ``accept`` best first until one passes.  The one place where a start's
-    numerical trouble (a degenerate component, a failed covariance check
-    or factorization, an overflow or invalid operation) becomes a
-    diagnosis; underflow is routine."""
+    validator; a check or run that raises for a batch is redone for each
+    start alone.  The warm stack is not checked again: it is the previous
+    run's checked result or built from checked parameters.  ``carry``, the
+    (1,) log-likelihood and (1, K, n) responsibilities of that run's last
+    E-step, at the same stack, stands for the first E-step of the warm
+    start running alone (``cold`` false).  The runs go to ``accept`` best
+    first until one passes.  The one place where a start's numerical
+    trouble (a degenerate component, a failed covariance check or
+    factorization, an overflow or invalid operation) becomes a diagnosis;
+    underflow is routine."""
     seeds = ([None] if warm is not None else []) + (
         start_seeds(opts.seed, opts.n_starts) if cold else [])
     outcomes: dict = {}  # start -> initial stack, then an unchecked run or exception
@@ -539,20 +544,14 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
         fields = zip(*(outcomes[start] for start in batch))
         stack = _Stack(*(np.stack(f) if len(batch) > 1 else f[0][None] for f in fields))
         seeded = int(seeds[batch[0]] is None)  # the first seeded row: a warm start is row 0
-        try:
-            if seeded < len(batch):
-                stack.take(slice(seeded, None)).check()
-        except (*_START_FAILURES, ValueError):
-            for start in batch[seeded:]:
-                try:
-                    outcomes[start].params()
-                except _START_FAILURES as exc:
-                    outcomes[start] = exc
-            keep = [i for i, start in enumerate(batch) if isinstance(outcomes[start], _Stack)]
+        if seeded < len(batch):
+            checked = [None] * seeded + _per_start(_check, stack.take(slice(seeded, None)))
+            outcomes.update((start, exc) for start, exc in zip(batch, checked) if exc)
+            keep = [i for i, exc in enumerate(checked) if exc is None]
             batch, stack = [batch[i] for i in keep], stack.take(keep)
         if batch:
-            outcomes.update(zip(batch, _run_em(sample, stack, opts, m_step, objective,
-                                               squarem, carry)))
+            outcomes.update(zip(batch, _per_start(lambda s: _run_em(
+                sample, s, opts, m_step, objective, squarem, carry), stack)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
         try:

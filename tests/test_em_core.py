@@ -436,11 +436,16 @@ RUN_EM = em._run_em
 
 @pytest.fixture
 def batches(monkeypatch):
-    """Record every ``_run_em`` call: its arguments and its outcomes."""
+    """Record every ``_run_em`` call: its arguments and its runs, or the
+    start failure it raises."""
     calls = []
 
     def recorded(*args):
-        out = RUN_EM(*args)
+        try:
+            out = RUN_EM(*args)
+        except em._START_FAILURES as exc:
+            calls.append((args, exc))
+            raise
         calls.append((args, out))
         return out
 
@@ -449,11 +454,20 @@ def batches(monkeypatch):
 
 
 def _alone(args, i):
-    """The outcome of start i of a recorded batch, run as a batch of one."""
+    """The outcome of start i of a recorded batch, run as a batch of one:
+    its run, or the start failure it raises."""
     sample, s, *rest = args
     with np.errstate(over="raise", invalid="raise"):
-        (out,) = RUN_EM(sample, s.take(slice(i, i + 1)), *rest)
+        try:
+            (out,) = RUN_EM(sample, s.take(slice(i, i + 1)), *rest)
+        except em._START_FAILURES as exc:
+            return exc
     return out
+
+
+def _lone(out):
+    """The outcome of a recorded batch of one start: its run or its failure."""
+    return out if isinstance(out, Exception) else out[0]
 
 
 def _assert_same_run(a, b):
@@ -520,16 +534,22 @@ class TestBatchedStarts:
         ("em-full", 5), ("em-diagonal", 5), ("em-lasso", 9),
     ])
     def test_starts_failing_midway(self, monkeypatch, batches, fitter, failed):
+        # the batch raises, and _multistart runs each of its starts alone
         data, opts = _two_distinct_rows(), FitOptions(n_starts=10, seed=0)
         together = FITTERS[fitter](data, 3, opts)
-        ((args, out),) = batches
+        (args, raised), *rerun = batches
+        assert isinstance(raised, DegenerateComponentError)
+        assert [len(s.alpha) for (_, s, *_), _ in rerun] == [1] * 10
+        out = [_lone(o) for _, o in rerun]
         assert sum(isinstance(o, DegenerateComponentError) for o in out) == failed
         for i, outcome in enumerate(out):
             _assert_same_run(outcome, _alone(args, i))
         monkeypatch.setattr(em, "_BATCH_ELEMENTS", 1)
         _assert_same_run(FITTERS[fitter](data, 3, opts), together)
-        for outcome, (_, (alone,)) in zip(out, batches[1:]):
-            _assert_same_run(outcome, alone)
+        apart = batches[11:]
+        assert len(apart) == 10
+        for outcome, (_, alone) in zip(out, apart):
+            _assert_same_run(outcome, _lone(alone))
 
     @pytest.mark.parametrize("fitter", ["em-full", "em-lasso"])
     def test_diagnoses_in_start_order(self, monkeypatch, fitter):
@@ -553,7 +573,9 @@ class TestBatchedStarts:
         R[1, 0] = np.diag([1.0, -1.0, 1.0])
         bad = s._replace(R=R)
         with np.errstate(over="raise", invalid="raise"):
-            out = RUN_EM(sample, bad, *rest)
+            with pytest.raises(np.linalg.LinAlgError):
+                RUN_EM(sample, bad, *rest)
+            out = em._per_start(lambda s: RUN_EM(sample, s, *rest), bad)
         assert [type(o).__name__ for o in out] == ["_Run", "LinAlgError", "_Run"]
         for i in (0, 2):
             _assert_same_run(out[i], _alone((sample, bad, *rest), i))
@@ -606,7 +628,7 @@ def _corrupt_start(field, index, value):
 class TestSeededStarts:
     """Seeded starts are built as unchecked stacks, those of a batch checked
     at once by the stacked validator, and, only when that raises, each
-    alone by the component constructors: the stacks are those of
+    alone, without its start axis: the stacks are those of
     ``init_params`` to the bit, and a failing start gets the diagnosis
     ``init_params`` raises for its seed without moving any other start."""
 
@@ -644,7 +666,7 @@ class TestSeededStarts:
         checked, check = [], _Stack.check
 
         def counted(s):
-            checked.append(len(s.alpha))
+            checked.append(s.alpha.shape)
             return check(s)
 
         monkeypatch.setattr(_Stack, "check", counted)
@@ -653,7 +675,8 @@ class TestSeededStarts:
         fit_em_lasso(data, K=2, penalty=PENALTY, opts=opts, warm_start=cold.params)
         monkeypatch.setattr(em, "_BATCH_ELEMENTS", 1)
         fit_em(data, K=2, opts=opts)
-        assert checked == [3, 1, 1, 1]
+        # a lone start is checked without its start axis
+        assert checked == [(3, 2), (2,), (2,), (2,)]
 
     @pytest.mark.parametrize("diagonal, field, index, value", [
         (False, "R", (0, 0, 1), 1.0),

@@ -1,9 +1,10 @@
 """SQUAREM in ``fit_em``: against plain EM composed from the public layer
 functions, from the same seeded starts under the same stopping rule, the
 accelerated fit reaches an objective at least as high, in no more
-iterations, with traces that never fall; and an extrapolation that
-overflows or fails to factor falls back to the plain step without a
-diagnosis."""
+iterations, with traces that never fall; an extrapolation that
+overflows, fails to factor or underflows a variance to 0 falls back to
+the plain step without a diagnosis; and a batch rejects a start's
+failed extrapolation without redoing any other start's work."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mogge.em import (
     start_seeds,
 )
 from mogge.model import (
+    DataSet,
     MoggeParams,
     _Stack,
     joint_loglik,
@@ -95,3 +97,50 @@ def test_a_failed_extrapolation_falls_back_to_the_plain_step(monkeypatch, diagon
     assert np.array_equal(fit.loglik_trace, plain.loglik_trace)
     assert (fit.n_iter, fit.converged) == (plain.n_iter, plain.converged)
     assert fit.n_iter > 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_extrapolated_diagonal_variance_of_zero_is_rejected():
+    # on repeated rows an extrapolated log-variance can be so negative that
+    # the variance underflows to 0; the E-step must never divide by it
+    rng = np.random.default_rng(158)
+    X = rng.normal(size=(20, 1))
+    X[10:] = X[0]
+    fit = fit_em(DataSet(X=X, Y=X[:, 0]), 2, FitOptions(n_starts=10, seed=1),
+                 diagonal_gating=True)
+    assert np.isfinite(fit.objective)
+    assert all(np.isfinite(x).all() for x in _Stack.of(fit.params))
+
+
+def test_a_batch_does_no_more_m_step_work_than_its_starts_alone(monkeypatch):
+    # K=4 on two-component data: extrapolations fail to factor in some
+    # cycles; rejecting them start by start leaves every other start's
+    # cycle alone, so the M-steps of a batch are those of its starts run
+    # one at a time, and so are the runs, to the last bit
+    data, _ = sample_dataset(default_scenario(n=60, seed=11))
+    opts = FitOptions(n_starts=10, seed=11)
+    moments, counts, runs = em._gating_moments, [], []
+
+    def counted(sample, T, *args):
+        counts[-1] += len(T)  # the starts of the (S, K, n) responsibilities
+        return moments(sample, T, *args)
+
+    def recorded(*args):
+        runs[-1].extend(RUN_EM(*args))
+        return runs[-1][-len(args[1].alpha):]
+
+    monkeypatch.setattr(em, "_gating_moments", counted)
+    monkeypatch.setattr(em, "_run_em", recorded)
+    for elements in (em._BATCH_ELEMENTS, 1):
+        monkeypatch.setattr(em, "_BATCH_ELEMENTS", elements)
+        counts.append(0)
+        runs.append([])
+        fit_em(data, K=4, opts=opts)
+    assert counts[0] == counts[1]
+    together, apart = runs
+    assert len(together) == len(apart) == 10
+    for a, b in zip(together, apart):
+        assert all(np.array_equal(x, y) for x, y in zip(a.s, b.s))
+        assert np.array_equal(a.T, b.T)
+        assert (a.trace, a.n_iter, a.converged, a.objective, a.loglik) == (
+            b.trace, b.n_iter, b.converged, b.objective, b.loglik)
