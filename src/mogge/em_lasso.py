@@ -32,6 +32,7 @@ test equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,6 +105,14 @@ def _gating_variances(XT: np.ndarray, T: np.ndarray, nk: np.ndarray,
     return np.maximum((sq @ T[..., None])[..., 0] / nk[..., None], VARIANCE_FLOOR)
 
 
+@lru_cache(maxsize=16)
+def _identity(p: int) -> np.ndarray:
+    """The p x p identity, read-only: one per p, shared by every call."""
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
 def _certified_step(G: np.ndarray, c: np.ndarray, eta: np.ndarray,
                     beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per expert, the lasso minimizer on the support and signs of ``beta``
@@ -115,7 +124,7 @@ def _certified_step(G: np.ndarray, c: np.ndarray, eta: np.ndarray,
     ``|c_j - G_j x| <= eta`` off A, exactly, and ``x`` is finite."""
     s = np.sign(beta)
     active = s != 0.0
-    M = np.where(active[..., :, None] & active[..., None, :], G, np.eye(G.shape[-1]))
+    M = np.where(active[..., :, None] & active[..., None, :], G, _identity(G.shape[-1]))
     x = np.linalg.solve(M, (c - eta[..., None] * s)[..., None])[..., 0]
     x = np.where(active, x, 0.0)  # +0.0 off A, where the identity's rows gave c
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,7 +308,8 @@ def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
     lasso coefficients (certified step, active-set rounds where it fails)
     and the intercepts and variances.  The (K, p, n) temporaries of the
     coefficients and of the variances are written into ``out``, one after
-    the other, when given."""
+    the other, when given: ``out`` ends holding the squared deviations of
+    X from the new gating means, which the E-step at the result reads."""
     mu = _gating_means(sample.X, T, nk, s.R, penalty.gamma)
     beta = _expert_coeffs(sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
                           penalty.lam, out)
@@ -316,7 +326,7 @@ def _fit_lasso(data: DataSet, sample: _Sample, K: int, penalty: PenaltyConfig,
         data, sample, K, opts,
         lambda sample, T, nk, s, work: _lasso_m_step(sample, T, nk, s, penalty, work[0]),
         lambda loglik, s: _penalize(loglik, s, penalty.lam, penalty.gamma),
-        diagonal_gating=True, **starts,
+        diagonal_gating=True, squared=True, **starts,
     )
 
 

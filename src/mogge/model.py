@@ -32,7 +32,10 @@ to the kernels as ``work`` or ``out`` and filled by :func:`_into`, so
 that an iteration allocates nothing of that size and maps no fresh
 pages.  Every kernel defaults to ``None`` and then allocates as numpy
 would; the public functions run the same code that way.  No array a
-kernel returns is a view of the workspace.
+kernel returns is a view of the workspace.  The EM-Lasso M-step ends by
+leaving the squared deviations from its new diagonal gating means in the
+first buffer, and the E-step at its result reads them there
+(``squared``) instead of computing the same bits again.
 
 Component layout conventions:
 
@@ -430,7 +433,8 @@ class Responsibilities:
 # ---------------------------------------------------------------------------
 
 def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
-                    chol: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
+                    chol: np.ndarray | None, out: np.ndarray | None = None,
+                    squared: bool = False) -> np.ndarray:
     """``(K, n)`` Gaussian log-densities of the deviations ``diff`` (K, m, n)
     of n points from the K means, under K variance vectors ``cov`` (K, m)
     with ``chol`` None, or K full matrices with lower factors ``chol``,
@@ -438,21 +442,22 @@ def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
     for m = 1 the reciprocal, the number that solve returns).
 
     Every caller passes a fresh ``diff``: the diagonal case squares it in
-    place, and the full case writes the whitened deviations into ``out``
-    (shaped like ``diff``; a new array when None)."""
+    place, or with ``squared`` takes it as already squared, and the full
+    case writes the whitened deviations into ``out`` (shaped like
+    ``diff``; a new array when None)."""
     m = diff.shape[-2]
     if chol is None:
-        Z = np.multiply(diff, diff, out=diff)
+        Z = diff if squared else np.multiply(diff, diff, out=diff)
         Z /= cov[..., None]
-        logdet = np.sum(np.log(cov), axis=-1)
+        logdet = np.log(cov).sum(axis=-1)
     else:
         if m == 1:
             Z = np.multiply(1.0 / chol, diff, out=out)
         else:
             Z = np.matmul(np.linalg.solve(chol, np.eye(m)), diff, out=out)
         Z *= Z
-        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return -0.5 * ((m * LOG_2PI + logdet)[..., None] + np.sum(Z, axis=-2))
+        logdet = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1)
+    return -0.5 * ((m * LOG_2PI + logdet)[..., None] + Z.sum(axis=-2))
 
 
 def gaussian_logpdf(v, mean, cov) -> float:
@@ -495,24 +500,29 @@ def _into(op, XT: np.ndarray, v: np.ndarray, out: np.ndarray | None) -> np.ndarr
     return op(out, v, out=out)
 
 
-def _log_gate_matrix(XT: np.ndarray, s: _Stack,
-                     work: np.ndarray | None = None) -> np.ndarray:
+def _log_gate_matrix(XT: np.ndarray, s: _Stack, work: np.ndarray | None = None,
+                     squared: bool = False) -> np.ndarray:
     """``(K, n)`` unnormalized gating log-weights
     ``log alpha_k + log phi_p(x_i; mu_k, R_k)`` of the columns of ``XT`` (p, n).
 
     ``work``, when given, holds (K, p, n) buffers: the deviations go to
     ``work[0]`` and, for full covariances, the whitened deviations to
-    ``work[1]``; diagonal covariances need only the first."""
+    ``work[1]``; diagonal covariances need only the first.  With
+    ``squared`` (diagonal covariances only) ``work[0]`` already holds the
+    squared deviations from ``s.mu``, as the EM-Lasso M-step leaves them,
+    bit for bit what this function would write there."""
     chol = _cholesky(s.R) if s.R.ndim > s.mu.ndim else None
-    diff = _into(np.subtract, XT, s.mu[..., None], None if work is None else work[0])
+    diff = work[0] if squared else _into(
+        np.subtract, XT, s.mu[..., None], None if work is None else work[0])
     out = None if work is None or chol is None else work[1]
-    return np.log(s.alpha)[..., None] + _log_gauss_rows(diff, s.R, chol, out)
+    return np.log(s.alpha)[..., None] + _log_gauss_rows(diff, s.R, chol, out, squared)
 
 
-def _log_joint_matrix(sample: _Sample, s: _Stack, work: np.ndarray | None = None) -> np.ndarray:
+def _log_joint_matrix(sample: _Sample, s: _Stack, work: np.ndarray | None = None,
+                      squared: bool = False) -> np.ndarray:
     """Per-component, per-observation joint log-terms
     ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``, ``(K, n)``;
-    ``work`` as for :func:`_log_gate_matrix`."""
+    ``work`` and ``squared`` as for :func:`_log_gate_matrix`."""
     XT, YT = sample.XT, sample.YT
     p, d = s.B.shape[-2:]
     if p != XT.shape[0] or d != YT.shape[0]:
@@ -520,8 +530,8 @@ def _log_joint_matrix(sample: _Sample, s: _Stack, work: np.ndarray | None = None
             f"parameter dimensions (p={p}, d={d}) do not match "
             f"data (p={XT.shape[0]}, d={YT.shape[0]})"
         )
-    mean = s.a[..., None] + np.swapaxes(s.B, -1, -2) @ XT  # a_k + B_k' x_i, (K, d, n)
-    out = _log_gate_matrix(XT, s, work)
+    mean = s.a[..., None] + s.B.swapaxes(-1, -2) @ XT  # a_k + B_k' x_i, (K, d, n)
+    out = _log_gate_matrix(XT, s, work, squared)
     out += _log_gauss_rows(YT - mean, s.Sigma, _cholesky(s.Sigma))
     return out
 
@@ -561,13 +571,13 @@ def _log_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (top + np.log(total))[..., 0, :], W
 
 
-def _e_step(sample: _Sample, s: _Stack,
-            work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _e_step(sample: _Sample, s: _Stack, work: np.ndarray | None = None,
+            squared: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Joint log-likelihood (the summed column log-sum-exps) and ``(K, n)``
     responsibilities (the normalized columns) from one log-joint evaluation;
-    ``work`` as for :func:`_log_gate_matrix`."""
-    lse, tau = _log_normalize(_log_joint_matrix(sample, s, work))
-    return np.sum(lse, axis=-1), tau
+    ``work`` and ``squared`` as for :func:`_log_gate_matrix`."""
+    lse, tau = _log_normalize(_log_joint_matrix(sample, s, work, squared))
+    return lse.sum(axis=-1), tau
 
 
 def joint_loglik(data: DataSet, params: MoggeParams) -> float:

@@ -440,9 +440,9 @@ def batches(monkeypatch):
     start failure it raises."""
     calls = []
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         try:
-            out = RUN_EM(*args)
+            out = RUN_EM(*args, **kwargs)
         except em._START_FAILURES as exc:
             calls.append((args, exc))
             raise
@@ -742,10 +742,10 @@ def workspaces(monkeypatch):
     """The array behind every workspace ``_run_em`` hands to the E-step."""
     seen = {}
 
-    def e_step(sample, s, work=None):
+    def e_step(sample, s, work=None, *args, **kwargs):
         if work is not None:
             seen[id(work.base)] = work.base
-        return E_STEP(sample, s, work)
+        return E_STEP(sample, s, work, *args, **kwargs)
 
     monkeypatch.setattr(em, "_e_step", e_step)
     return seen
@@ -785,6 +785,38 @@ class TestWorkspace:
         _assert_same_bits(em_lasso._lasso_m_step(sample, T, nk, s, PENALTY, work[0]),
                           em_lasso._lasso_m_step(sample, T, nk, s, PENALTY))
         _assert_same_bits(model._e_step(sample, s, work), model._e_step(sample, s))
+        # the hand-off: the M-step leaves the squared deviations from its
+        # gating means in the buffer, and the E-step at its result reads
+        # them there; also through the leading view of a compacted batch
+        for m in (3, 2):
+            work = np.full((1, *s.mu.shape, sample.XT.shape[1]), np.nan)
+            view = work[:, :m]
+            new = em_lasso._lasso_m_step(sample, T[:m], nk[:m], s.take(slice(0, m)), PENALTY,
+                                         view[0])
+            _assert_same_bits(model._e_step(sample, new, view, squared=True),
+                              model._e_step(sample, new))
+
+    @pytest.mark.parametrize("fitter", sorted(FITTERS))
+    def test_the_loop_hands_over_only_the_squares_it_would_write(self, monkeypatch,
+                                                                 fitter):
+        # every E-step told that the buffer holds the squared deviations
+        # finds in it, bit for bit, what it would have written there; only
+        # the E-steps after the lasso's plain M-steps are told so
+        handed = []
+
+        def e_step(sample, s, work=None, squared=False):
+            if squared:
+                diff = sample.XT - s.mu[..., None]
+                assert np.array_equal(work[0], diff * diff)
+                handed.append(len(s.alpha))
+            return E_STEP(sample, s, work, squared)
+
+        monkeypatch.setattr(em, "_e_step", e_step)
+        fit = FITTERS[fitter](_instance(23, n=80, p=8), 2, FitOptions(n_starts=4, seed=6))
+        if fitter == "em-lasso":
+            assert len(handed) >= fit.n_iter > 1
+        else:
+            assert handed == []
 
     @pytest.mark.parametrize("fitter", sorted(FITTERS))
     def test_nothing_kept_is_a_view_of_the_workspace(self, batches, workspaces, fitter):

@@ -436,7 +436,40 @@ def _count_rounds(monkeypatch):
 class TestCertifiedStep:
     """When the incoming coefficients carry the support and signs of the
     minimizer, the expert update is the exact minimizer on that support,
-    certified by the KKT conditions, with no further round."""
+    certified by the KKT conditions, with no further round.  The identity
+    the step fills the inactive rows with is cached read-only, and gives
+    the bits of a fresh ``np.eye`` in every case here."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_identity(self, monkeypatch):
+        # each certified step runs again with a fresh np.eye in place of
+        # the cached identity, and must give the same bits
+        real, calls = em_lasso._certified_step, []
+
+        def checked(*args):
+            out = real(*args)
+            with monkeypatch.context() as m:
+                m.setattr(em_lasso, "_identity", np.eye)
+                fresh = real(*args)
+            for x, y in zip(out, fresh, strict=True):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(em_lasso, "_certified_step", checked)
+        yield
+        assert calls
+
+    def test_the_cached_identity_is_read_only(self):
+        eye = em_lasso._identity(5)
+        with pytest.raises(ValueError):
+            eye[0, 1] = 1.0
+        x, certified = em_lasso._certified_step(np.diag(np.arange(1.0, 6.0))[None],
+                                                np.ones((1, 5)), np.zeros(1),
+                                                np.array([[1.0, 0.0, 1.0, 0.0, 0.0]]))
+        assert np.array_equal(x, [[1.0, 0.0, 1.0 / 3.0, 0.0, 0.0]]) and not certified[0]
+        assert em_lasso._identity(5) is eye
+        assert np.array_equal(eye, np.eye(5))
 
     @pytest.mark.parametrize("p", [8, 40])
     def test_certified_result_is_the_active_set_solution(self, monkeypatch, p):

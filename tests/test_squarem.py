@@ -4,7 +4,8 @@ accelerated fit reaches an objective at least as high, in no more
 iterations, with traces that never fall; an extrapolation that
 overflows, fails to factor or underflows a variance to 0 falls back to
 the plain step without a diagnosis; and a batch rejects a start's
-failed extrapolation without redoing any other start's work."""
+failed extrapolation without redoing any other start's work, M-step or
+E-step."""
 
 import numpy as np
 import pytest
@@ -137,6 +138,50 @@ def test_a_batch_does_no_more_m_step_work_than_its_starts_alone(monkeypatch):
         runs.append([])
         fit_em(data, K=4, opts=opts)
     assert counts[0] == counts[1]
+    together, apart = runs
+    assert len(together) == len(apart) == 10
+    for a, b in zip(together, apart):
+        assert all(np.array_equal(x, y) for x, y in zip(a.s, b.s))
+        assert np.array_equal(a.T, b.T)
+        assert (a.trace, a.n_iter, a.converged, a.objective, a.loglik) == (
+            b.trace, b.n_iter, b.converged, b.objective, b.loglik)
+
+
+@pytest.mark.parametrize("K", [4, 5])
+def test_a_raising_batch_e_step_leaves_one_e_step_per_start(monkeypatch, K):
+    # K=4, 5 on two-component data: the batch E-step at the extrapolated
+    # points raises in some cycles.  Each extrapolating start then runs
+    # that E-step alone, and is kept when it passes; one more E-step runs
+    # the plain points of the other starts.  So the starts given to the
+    # E-step are those of the starts run one at a time, plus the starts of
+    # each batch E-step that raised; the runs are the same to the last bit
+    data, _ = sample_dataset(default_scenario(n=60, seed=3))
+    opts = FitOptions(n_starts=10, seed=3)
+    e_step, starts, raised, runs = em._e_step, [], [], []
+
+    def counted(sample, s, *args):
+        starts[-1] += len(s.alpha)
+        try:
+            return e_step(sample, s, *args)
+        except em._START_FAILURES:
+            if len(s.alpha) > 1:
+                raised[-1] += len(s.alpha)
+            raise
+
+    def recorded(*args):
+        runs[-1].extend(RUN_EM(*args))
+        return runs[-1][-len(args[1].alpha):]
+
+    monkeypatch.setattr(em, "_e_step", counted)
+    monkeypatch.setattr(em, "_run_em", recorded)
+    for elements in (em._BATCH_ELEMENTS, 1):
+        monkeypatch.setattr(em, "_BATCH_ELEMENTS", elements)
+        starts.append(0)
+        raised.append(0)
+        runs.append([])
+        fit_em(data, K=K, opts=opts)
+    assert raised[0] > 0 and raised[1] == 0
+    assert starts[0] == starts[1] + raised[0]
     together, apart = runs
     assert len(together) == len(apart) == 10
     for a, b in zip(together, apart):
