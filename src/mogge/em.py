@@ -42,6 +42,7 @@ from .model import (
     Responsibilities,
     _cholesky,
     _e_step,
+    _identity,
     _into,
     _Sample,
     _Stack,
@@ -215,10 +216,10 @@ def _partition_stack(data: DataSet, labels: np.ndarray, K: int, diagonal: bool) 
         if diagonal:  # Xk.var(axis=0), without computing the mean again
             R = (diff * diff).sum(axis=0) / nk + 1e-6
         else:
-            R = diff.T @ diff / nk + 1e-6 * np.eye(data.p)
+            R = diff.T @ diff / nk + 1e-6 * _identity(data.p)
         Z = np.hstack([np.ones((nk, 1)), Xk])
         C = np.linalg.solve(
-            Z.T @ Z + GRAM_RIDGE * np.eye(data.p + 1), Z.T @ Yk
+            Z.T @ Z + GRAM_RIDGE * _identity(data.p + 1), Z.T @ Yk
         )
         resid = Yk - Z @ C
         groups.append((nk / data.n, mu, R, C[0], C[1:], _floor_spd(resid.T @ resid / nk)))
@@ -257,21 +258,23 @@ def _component_masses(T: np.ndarray) -> np.ndarray:
 
 
 def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray,
-                    diagonal: bool, out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+                    diagonal: bool, work: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Stacked gating update from the (K, n) responsibilities ``T`` and their
     sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p).
-    The (K, p, n) deviations are written into ``out`` when given."""
+    ``work`` (see :func:`~mogge.model._log_gate_matrix`) ends holding the
+    E-step's first pass at the result, the deviations in ``work[0]``
+    (squared if ``diagonal``), and any root-weighted ones in ``work[1]``."""
     mu = T @ sample.X / nk[..., None]
-    diff = _into(np.subtract, sample.XT, mu[..., None], out)
+    diff = _into(np.subtract, sample.XT, mu[..., None], None if work is None else work[0])
     if diagonal:
         diff *= diff
         R = (diff @ T[..., None])[..., 0] / nk[..., None] + COV_JITTER
     else:
         # weighted by the root of T, then times its own transpose: numpy's
         # matmul runs syrk there, half the work of a general product
-        diff *= np.sqrt(T)[..., None, :]
+        diff = np.multiply(diff, np.sqrt(T)[..., None, :], out=diff if work is None else work[1])
         R = diff @ np.swapaxes(diff, -1, -2) / nk[..., None, None]
-        R = 0.5 * (R + np.swapaxes(R, -1, -2)) + COV_JITTER * np.eye(mu.shape[-1])
+        R = 0.5 * (R + np.swapaxes(R, -1, -2)) + COV_JITTER * _identity(mu.shape[-1])
     return nk / nk.sum(axis=-1, keepdims=True), mu, R
 
 
@@ -287,7 +290,7 @@ def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray,
     resid = YT - np.swapaxes(B_prev, -1, -2) @ XT  # (K, d, n)
     a = (resid @ T[..., None])[..., 0] / nk[..., None]
     XW = _into(np.multiply, XT, root, out)
-    G = XW @ np.swapaxes(XW, -1, -2) + GRAM_RIDGE * np.eye(X.shape[1])
+    G = XW @ np.swapaxes(XW, -1, -2) + GRAM_RIDGE * _identity(X.shape[1])
     B = np.linalg.solve(G, np.swapaxes((T[..., None, :] * (YT - a[..., None])) @ X, -1, -2))
     resid = YT - a[..., None] - np.swapaxes(B, -1, -2) @ XT
     resid *= root
@@ -312,6 +315,12 @@ def m_step_experts(data: DataSet, tau: Responsibilities,
     B_prev = np.stack([e.coeffs for e in experts_prev])
     return list(map(ExpertComponent, *_expert_regressions(
         _Sample.of(data), T, _component_masses(T), B_prev)))
+
+
+def _ml_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack, work) -> _Stack:
+    """:func:`fit_em`'s M-step: the experts first, so the gating pass stays in ``work``."""
+    a, B, Sigma = _expert_regressions(sample, T, nk, s.B, work[0])
+    return _Stack(*_gating_moments(sample, T, nk, s.R.ndim == s.mu.ndim, work), a, B, Sigma)
 
 
 class _Run(NamedTuple):
@@ -390,7 +399,7 @@ def _rows(x, index):
 
 def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
             m_step: Callable, objective: Callable, squarem: bool = False,
-            carry: tuple | None = None, squared: bool = False) -> list[_Run]:
+            carry: tuple | None = None) -> list[_Run]:
     """EM iterations for the starts along the leading axis of ``s``, each
     until its relative objective change drops below ``opts.tol`` or
     ``opts.max_iter`` trace entries follow the initial one; returns an
@@ -398,7 +407,10 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
 
     ``m_step(sample, T, nk, s, work)`` returns the next stack, checked once
     per M-step, from the (S, K, n) responsibilities ``T`` and their (S, K)
-    masses ``nk``; ``objective(loglik, s)`` returns the (S,) trace entries.
+    masses ``nk``, and leaves in ``work[0]`` the E-step's first pass at
+    that stack; the E-step right after a plain M-step reads it there
+    (``filled``), a cycle's E-steps, at other stacks, do not.
+    ``objective(loglik, s)`` returns the (S,) trace entries.
 
     With ``squarem`` every second entry comes from a SQUAREM cycle
     (Varadhan and Roland, 2008, step length S3): from the base point x0
@@ -420,23 +432,18 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     ``work`` is the batch's workspace of (S, K, p, n) buffers, allocated
     once here: the first for the E-step's deviations and the M-step's
     (S, K, p, n) temporaries, and for full gating covariances a second
-    for the E-step's whitened deviations.  No returned or kept array is a
-    view of it.  When m starts run, the live ones or one alone, the
-    kernels get its leading view ``work[:, :m]`` (still C-contiguous).
+    for the whitened or root-weighted deviations.  No returned or kept
+    array is a view of it.  When m starts run, the live ones or one
+    alone, the kernels get its leading view ``work[:, :m]`` (still
+    C-contiguous).
 
     ``carry`` is the (S,) log-likelihoods and (S, K, n) responsibilities
     of an E-step at ``s`` run before, by the run ``s`` comes from; the
-    initial entries then take them instead of running it again.
-
-    ``squared`` says that ``m_step`` leaves in ``work[0]`` the squared
-    deviations of X from the diagonal gating means of the stack it
-    returns, as :func:`~mogge.model._e_step` would write them; the E-step
-    right after a plain M-step then reads them there.  No other E-step
-    does: a cycle's E-steps are not at the stack its M-step returned."""
+    initial entries then take them instead of running it again."""
     cycles = squarem and opts.max_iter > 2
 
-    def e_step(s, work, known=None, squared=False):  # known: (loglik, T) of an E-step at s
-        loglik, T = _e_step(sample, s, work, squared) if known is None else known
+    def e_step(s, work, known=None, filled=False):  # known: (loglik, T) of an E-step at s
+        loglik, T = _e_step(sample, s, work, filled) if known is None else known
         return T, loglik, objective(loglik, s)
 
     def plain(s, T, obj, theta, work):  # the M-step (none at the start), then the E-step
@@ -444,7 +451,7 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
             T, loglik, obj = e_step(s, work, carry)
         else:
             s = m_step(sample, T, _component_masses(T), s, work)
-            T, loglik, obj = e_step(s, work, squared=squared)
+            T, loglik, obj = e_step(s, work, filled=True)
         if theta is None and cycles:
             theta = _theta(s)  # of the first base point
         return s, T, loglik, obj, theta, None  # every entry is tested
@@ -529,7 +536,7 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
                 m_step: Callable, objective: Callable, diagonal_gating: bool,
                 warm: _Stack | None = None, cold: bool = True,
                 accept: Callable = _Run.result, squarem: bool = False,
-                carry: tuple | None = None, squared: bool = False) -> tuple:
+                carry: tuple | None = None) -> tuple:
     """The start and ``accept(run)`` of the best run (the first with the
     largest objective): start 0 from the unchecked stack ``warm`` if given,
     then, with ``cold``, the seeded starts, run in batches of at most
@@ -540,8 +547,8 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
     run's checked result or built from checked parameters.  ``carry``, the
     (1,) log-likelihood and (1, K, n) responsibilities of that run's last
     E-step, at the same stack, stands for the first E-step of the warm
-    start running alone (``cold`` false); ``squarem`` and ``squared`` go
-    to :func:`_run_em`.  The runs go to ``accept`` best first until one
+    start running alone (``cold`` false); ``squarem`` goes to
+    :func:`_run_em`.  The runs go to ``accept`` best first until one
     passes.  The one place where a start's numerical trouble (a
     degenerate component, a failed covariance check or factorization, an
     overflow or invalid operation) becomes a diagnosis; underflow is
@@ -568,7 +575,7 @@ def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
             batch, stack = [batch[i] for i in keep], stack.take(keep)
         if batch:
             outcomes.update(zip(batch, _per_start(lambda s: _run_em(
-                sample, s, opts, m_step, objective, squarem, carry, squared), stack)))
+                sample, s, opts, m_step, objective, squarem, carry), stack)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
         try:
@@ -589,12 +596,5 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     floating-point overflow are dropped with a diagnosis; if every start
     fails a :class:`~mogge.model.FitFailedError` carries all diagnoses.
     """
-    return _multistart(
-        data, _Sample.of(data), K, opts or FitOptions(),
-        lambda sample, T, nk, s, work: _Stack(
-            *_gating_moments(sample, T, nk, diagonal_gating, work[0]),
-            *_expert_regressions(sample, T, nk, s.B, work[0]),
-        ),
-        lambda loglik, s: loglik,
-        diagonal_gating, squarem=True,
-    )[1]
+    return _multistart(data, _Sample.of(data), K, opts or FitOptions(), _ml_m_step,
+                       lambda loglik, s: loglik, diagonal_gating, squarem=True)[1]

@@ -32,7 +32,6 @@ test equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .model import (
     MoggeParams,
     Responsibilities,
     UnsupportedConfigError,
+    _identity,
     _into,
     _penalize,
     _Sample,
@@ -67,8 +67,8 @@ class PenaltyConfig:
     gamma: float
 
     def __post_init__(self):
-        if self.lam < 0.0 or self.gamma < 0.0:
-            raise ValueError("penalty weights must be nonnegative")
+        if not (0.0 <= self.lam < np.inf and 0.0 <= self.gamma < np.inf):  # NaN fails too
+            raise ValueError("penalty weights must be finite and nonnegative")
 
 
 def soft_threshold(u, eta):
@@ -103,14 +103,6 @@ def _gating_variances(XT: np.ndarray, T: np.ndarray, nk: np.ndarray,
     sq = _into(np.subtract, XT, mu[..., None], out)
     sq *= sq
     return np.maximum((sq @ T[..., None])[..., 0] / nk[..., None], VARIANCE_FLOOR)
-
-
-@lru_cache(maxsize=16)
-def _identity(p: int) -> np.ndarray:
-    """The p x p identity, read-only: one per p, shared by every call."""
-    eye = np.eye(p)
-    eye.flags.writeable = False
-    return eye
 
 
 def _certified_step(G: np.ndarray, c: np.ndarray, eta: np.ndarray,
@@ -309,7 +301,7 @@ def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
     and the intercepts and variances.  The (K, p, n) temporaries of the
     coefficients and of the variances are written into ``out``, one after
     the other, when given: ``out`` ends holding the squared deviations of
-    X from the new gating means, which the E-step at the result reads."""
+    X from the new gating means, the E-step's first pass at the result."""
     mu = _gating_means(sample.X, T, nk, s.R, penalty.gamma)
     beta = _expert_coeffs(sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
                           penalty.lam, out)
@@ -326,7 +318,7 @@ def _fit_lasso(data: DataSet, sample: _Sample, K: int, penalty: PenaltyConfig,
         data, sample, K, opts,
         lambda sample, T, nk, s, work: _lasso_m_step(sample, T, nk, s, penalty, work[0]),
         lambda loglik, s: _penalize(loglik, s, penalty.lam, penalty.gamma),
-        diagonal_gating=True, squared=True, **starts,
+        diagonal_gating=True, **starts,
     )
 
 

@@ -32,10 +32,10 @@ to the kernels as ``work`` or ``out`` and filled by :func:`_into`, so
 that an iteration allocates nothing of that size and maps no fresh
 pages.  Every kernel defaults to ``None`` and then allocates as numpy
 would; the public functions run the same code that way.  No array a
-kernel returns is a view of the workspace.  The EM-Lasso M-step ends by
-leaving the squared deviations from its new diagonal gating means in the
-first buffer, and the E-step at its result reads them there
-(``squared``) instead of computing the same bits again.
+kernel returns is a view of the workspace.  Every plain M-step of the
+loop leaves in the first buffer the E-step's first pass at its result,
+the deviations from its gating means (squared if diagonal), and that
+E-step reads them there (``filled``) instead of computing them again.
 
 Component layout conventions:
 
@@ -50,6 +50,7 @@ Component layout conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -153,6 +154,14 @@ class _Sample(NamedTuple):
     @classmethod
     def of(cls, data: DataSet) -> "_Sample":
         return cls(data.X, np.ascontiguousarray(data.X.T), np.ascontiguousarray(data.Y.T))
+
+
+@lru_cache(maxsize=16)
+def _identity(p: int) -> np.ndarray:
+    """The p x p identity, read-only: one per p, shared by every call."""
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:
@@ -434,7 +443,7 @@ class Responsibilities:
 
 def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
                     chol: np.ndarray | None, out: np.ndarray | None = None,
-                    squared: bool = False) -> np.ndarray:
+                    filled: bool = False) -> np.ndarray:
     """``(K, n)`` Gaussian log-densities of the deviations ``diff`` (K, m, n)
     of n points from the K means, under K variance vectors ``cov`` (K, m)
     with ``chol`` None, or K full matrices with lower factors ``chol``,
@@ -442,19 +451,19 @@ def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
     for m = 1 the reciprocal, the number that solve returns).
 
     Every caller passes a fresh ``diff``: the diagonal case squares it in
-    place, or with ``squared`` takes it as already squared, and the full
-    case writes the whitened deviations into ``out`` (shaped like
-    ``diff``; a new array when None)."""
+    place, or with ``filled`` finds it squared already, and the full case
+    writes the whitened deviations into ``out`` (shaped like ``diff``; a
+    new array when None)."""
     m = diff.shape[-2]
     if chol is None:
-        Z = diff if squared else np.multiply(diff, diff, out=diff)
+        Z = diff if filled else np.multiply(diff, diff, out=diff)
         Z /= cov[..., None]
         logdet = np.log(cov).sum(axis=-1)
     else:
         if m == 1:
             Z = np.multiply(1.0 / chol, diff, out=out)
         else:
-            Z = np.matmul(np.linalg.solve(chol, np.eye(m)), diff, out=out)
+            Z = np.matmul(np.linalg.solve(chol, _identity(m)), diff, out=out)
         Z *= Z
         logdet = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1)
     return -0.5 * ((m * LOG_2PI + logdet)[..., None] + Z.sum(axis=-2))
@@ -501,28 +510,27 @@ def _into(op, XT: np.ndarray, v: np.ndarray, out: np.ndarray | None) -> np.ndarr
 
 
 def _log_gate_matrix(XT: np.ndarray, s: _Stack, work: np.ndarray | None = None,
-                     squared: bool = False) -> np.ndarray:
+                     filled: bool = False) -> np.ndarray:
     """``(K, n)`` unnormalized gating log-weights
     ``log alpha_k + log phi_p(x_i; mu_k, R_k)`` of the columns of ``XT`` (p, n).
 
-    ``work``, when given, holds (K, p, n) buffers: the deviations go to
-    ``work[0]`` and, for full covariances, the whitened deviations to
-    ``work[1]``; diagonal covariances need only the first.  With
-    ``squared`` (diagonal covariances only) ``work[0]`` already holds the
-    squared deviations from ``s.mu``, as the EM-Lasso M-step leaves them,
-    bit for bit what this function would write there."""
+    ``work``, when given, holds (K, p, n) buffers: the deviations from
+    ``s.mu`` go to ``work[0]``, squared there for diagonal covariances,
+    and for full ones the whitened deviations to ``work[1]``.  With
+    ``filled`` ``work[0]`` already holds that first pass, bit for bit, as
+    a plain M-step of the EM loop leaves it."""
     chol = _cholesky(s.R) if s.R.ndim > s.mu.ndim else None
-    diff = work[0] if squared else _into(
+    diff = work[0] if filled else _into(
         np.subtract, XT, s.mu[..., None], None if work is None else work[0])
     out = None if work is None or chol is None else work[1]
-    return np.log(s.alpha)[..., None] + _log_gauss_rows(diff, s.R, chol, out, squared)
+    return np.log(s.alpha)[..., None] + _log_gauss_rows(diff, s.R, chol, out, filled)
 
 
 def _log_joint_matrix(sample: _Sample, s: _Stack, work: np.ndarray | None = None,
-                      squared: bool = False) -> np.ndarray:
+                      filled: bool = False) -> np.ndarray:
     """Per-component, per-observation joint log-terms
     ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``, ``(K, n)``;
-    ``work`` and ``squared`` as for :func:`_log_gate_matrix`."""
+    ``work`` and ``filled`` as for :func:`_log_gate_matrix`."""
     XT, YT = sample.XT, sample.YT
     p, d = s.B.shape[-2:]
     if p != XT.shape[0] or d != YT.shape[0]:
@@ -531,7 +539,7 @@ def _log_joint_matrix(sample: _Sample, s: _Stack, work: np.ndarray | None = None
             f"data (p={XT.shape[0]}, d={YT.shape[0]})"
         )
     mean = s.a[..., None] + s.B.swapaxes(-1, -2) @ XT  # a_k + B_k' x_i, (K, d, n)
-    out = _log_gate_matrix(XT, s, work, squared)
+    out = _log_gate_matrix(XT, s, work, filled)
     out += _log_gauss_rows(YT - mean, s.Sigma, _cholesky(s.Sigma))
     return out
 
@@ -572,11 +580,11 @@ def _log_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _e_step(sample: _Sample, s: _Stack, work: np.ndarray | None = None,
-            squared: bool = False) -> tuple[np.ndarray, np.ndarray]:
+            filled: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Joint log-likelihood (the summed column log-sum-exps) and ``(K, n)``
     responsibilities (the normalized columns) from one log-joint evaluation;
-    ``work`` and ``squared`` as for :func:`_log_gate_matrix`."""
-    lse, tau = _log_normalize(_log_joint_matrix(sample, s, work, squared))
+    ``work`` and ``filled`` as for :func:`_log_gate_matrix`."""
+    lse, tau = _log_normalize(_log_joint_matrix(sample, s, work, filled))
     return lse.sum(axis=-1), tau
 
 
@@ -593,8 +601,8 @@ def penalized_loglik(data: DataSet, params: MoggeParams,
     Intercepts, variances and mixing weights are not penalized.  Requires
     a univariate response and diagonal gating covariances.
     """
-    if lam < 0.0 or gamma < 0.0:
-        raise ValueError("penalty weights must be nonnegative")
+    if not (0.0 <= lam < np.inf and 0.0 <= gamma < np.inf):  # NaN fails too
+        raise ValueError("penalty weights must be finite and nonnegative")
     if params.d != 1 or data.d != 1:
         raise UnsupportedConfigError("penalized objective requires d = 1")
     if not params.has_diagonal_gating:

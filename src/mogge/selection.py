@@ -57,8 +57,8 @@ class GridSpec:
                 raise ValueError(f"{name} must not contain duplicates")
         if any(k < 1 for k in Ks):
             raise ValueError("all K must be at least 1")
-        if any(v < 0.0 for v in lambdas + gammas):
-            raise ValueError("penalty values must be nonnegative")
+        if not all(0.0 <= v < np.inf for v in lambdas + gammas):  # NaN fails too
+            raise ValueError("penalty values must be finite and nonnegative")
         object.__setattr__(self, "Ks", Ks)
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "gammas", gammas)

@@ -181,6 +181,17 @@ class TestFit:
     def test_missing_data_flag(self, tmp_path):
         assert run("fit", "--out-dir", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_penalty_is_an_error_not_failed_starts(self, small_data, tmp_path, capsys,
+                                                       value):
+        assert run(
+            "fit", "--data", str(small_data), "--k", "2", "--lambda", value,
+            "--n-starts", "2", "--out-dir", str(tmp_path / "out"),
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: penalty weights must be finite and nonnegative"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestFailureReport:
     @pytest.mark.parametrize("command", [

@@ -737,6 +737,27 @@ def _assert_same_bits(a, b):
 E_STEP = em._e_step
 
 
+def _first_pass(sample, s):
+    """What the E-step at ``s`` writes into ``work[0]`` first: the deviations
+    of the predictors from the gating means, squared for diagonal gating."""
+    diff = sample.XT - s.mu[..., None]
+    return diff * diff if s.R.ndim == s.mu.ndim else diff
+
+
+def _assert_hand_off(sample, s, work):
+    """``work[0]`` holds, bit for bit, the first pass of the E-step at ``s``,
+    and the E-step that takes it from there (``filled``) gives the bits of
+    a fresh E-step at ``s``, returned and left in the workspace, as one
+    into a NaN-filled workspace of its own; returns the E-step's result."""
+    assert np.array_equal(work[0], _first_pass(sample, s))
+    fresh = np.full_like(work, np.nan)
+    expected = E_STEP(sample, s, fresh)
+    out = E_STEP(sample, s, work, True)
+    _assert_same_bits(out, expected)
+    assert np.array_equal(work, fresh)
+    return out
+
+
 @pytest.fixture
 def workspaces(monkeypatch):
     """The array behind every workspace ``_run_em`` hands to the E-step."""
@@ -769,10 +790,20 @@ class TestWorkspace:
         # the leading view of a compacted batch
         _assert_same_bits(model._e_step(sample, s.take(slice(0, 2)), work[:, :2]),
                           (x[:2] for x in model._e_step(sample, s)))
-        _assert_same_bits(em._gating_moments(sample, T, nk, diagonal, work[0]),
+        _assert_same_bits(em._gating_moments(sample, T, nk, diagonal, work),
                           em._gating_moments(sample, T, nk, diagonal))
         _assert_same_bits(em._expert_regressions(sample, T, nk, s.B, work[0]),
                           em._expert_regressions(sample, T, nk, s.B))
+        # fit_em's M-step into a NaN-filled workspace, whole and through the
+        # leading view of a compacted batch: the bits of its kernels without
+        # one, and the E-step's first pass at its result left in work[0]
+        for m in (3, 2):
+            view = np.full_like(work, np.nan)[:, :m]
+            args = (sample, T[:m], nk[:m])
+            new = em._ml_m_step(*args, s.take(slice(0, m)), view)
+            _assert_same_bits(new, (*em._gating_moments(*args, diagonal),
+                                    *em._expert_regressions(*args, s.B[:m])))
+            _assert_hand_off(sample, new, view)
 
     def test_lasso_kernels_give_the_same_bits(self):
         sample, s, T, nk, _ = _workspace_case("lasso")
@@ -789,34 +820,28 @@ class TestWorkspace:
         # gating means in the buffer, and the E-step at its result reads
         # them there; also through the leading view of a compacted batch
         for m in (3, 2):
-            work = np.full((1, *s.mu.shape, sample.XT.shape[1]), np.nan)
-            view = work[:, :m]
+            view = np.full_like(work, np.nan)[:, :m]
             new = em_lasso._lasso_m_step(sample, T[:m], nk[:m], s.take(slice(0, m)), PENALTY,
                                          view[0])
-            _assert_same_bits(model._e_step(sample, new, view, squared=True),
-                              model._e_step(sample, new))
+            _assert_hand_off(sample, new, view)
 
     @pytest.mark.parametrize("fitter", sorted(FITTERS))
-    def test_the_loop_hands_over_only_the_squares_it_would_write(self, monkeypatch,
-                                                                 fitter):
-        # every E-step told that the buffer holds the squared deviations
-        # finds in it, bit for bit, what it would have written there; only
-        # the E-steps after the lasso's plain M-steps are told so
+    def test_every_plain_m_step_hands_over_the_e_steps_first_pass(self, monkeypatch,
+                                                                  fitter):
+        # every E-step given the hand-off finds in work[0], bit for bit, the
+        # first pass of a fresh E-step at its stack, and gives that E-step's
+        # bits; the E-step after each plain M-step takes it, a cycle's do not
         handed = []
 
-        def e_step(sample, s, work=None, squared=False):
-            if squared:
-                diff = sample.XT - s.mu[..., None]
-                assert np.array_equal(work[0], diff * diff)
-                handed.append(len(s.alpha))
-            return E_STEP(sample, s, work, squared)
+        def e_step(sample, s, work=None, filled=False):
+            if not filled:
+                return E_STEP(sample, s, work)
+            handed.append(len(s.alpha))
+            return _assert_hand_off(sample, s, work)
 
         monkeypatch.setattr(em, "_e_step", e_step)
         fit = FITTERS[fitter](_instance(23, n=80, p=8), 2, FitOptions(n_starts=4, seed=6))
-        if fitter == "em-lasso":
-            assert len(handed) >= fit.n_iter > 1
-        else:
-            assert handed == []
+        assert sum(handed) >= fit.n_iter > 1
 
     @pytest.mark.parametrize("fitter", sorted(FITTERS))
     def test_nothing_kept_is_a_view_of_the_workspace(self, batches, workspaces, fitter):

@@ -50,6 +50,31 @@ from conftest import (
 )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+class TestPenaltyValidation:
+    """A penalty weight that is not finite and nonnegative is rejected where
+    it enters: ``v < 0`` alone lets NaN through, and a NaN or infinite
+    weight then fails every start of a fit or gives a NaN objective."""
+
+    def test_penalty_config(self, bad):
+        for lam, gamma in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                PenaltyConfig(lam=lam, gamma=gamma)
+
+    def test_grid_spec(self, bad):
+        for lambdas, gammas in (((0.0, bad), (0.0,)), ((0.0,), (bad, 1.0))):
+            with pytest.raises(ValueError, match="nonnegative"):
+                GridSpec(Ks=(2,), lambdas=lambdas, gammas=gammas)
+
+    def test_penalized_loglik(self, bad):
+        rng = np.random.default_rng(31)
+        params = random_params(rng, K=2, p=2, diagonal=True)
+        data, _ = sample_from_params(rng, params, n=5)
+        for lam, gamma in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                penalized_loglik(data, params, lam, gamma)
+
+
 class TestSoftThreshold:
     def test_shrinks_above_threshold(self):
         assert soft_threshold(3.0, 1.0) == 2.0
