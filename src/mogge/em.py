@@ -8,8 +8,8 @@ the multi-start driver also run :mod:`mogge.em_lasso`, which supplies its
 own M-step and objective.  Multi-start in batches, best objective wins;
 any start whose components collapse, or whose arithmetic overflows, is
 abandoned and diagnosed rather than reinitialized mid-run.  The seeded
-starts are the arrays of :func:`init_params`, built unchecked and
-checked once per batch; only the returned run builds components.
+starts, the arrays of :func:`init_params`, are checked at once, once per
+fit or per K of a penalty chain; only the returned run builds components.
 
 :func:`fit_em` accelerates the smooth EM map by SQUAREM (Varadhan and
 Roland, 2008): every second trace entry may be an accepted
@@ -420,9 +420,9 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     ``r = theta1 - theta0`` and ``v = theta2 - 2 theta1 + theta0``.  Its
     entry is the objective at x' when x' is finite with positive weights
     and diagonal variances, its E-step succeeds (alone, when the batch's
-    raises; one more E-step then runs x2 of the other starts), no
-    component mass is degenerate and the objective is at least that at
-    x1; otherwise the objective at x2, so traces never fall.  The cycle
+    raises), no component mass is degenerate and the objective is at
+    least that at x1; otherwise the objective at x2, from one E-step for
+    all such starts, so traces never fall.  The cycle
     carries theta of its result as the next base.  It runs only while two
     entries remain, so a run ends on a plain step, and only entries after
     a plain M-step are tested for convergence.
@@ -467,25 +467,22 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
             ok = np.isfinite(_flat(x)).all(axis=-1) & (x.alpha > 0.0).all(axis=-1)
             if x.R.ndim == x.mu.ndim:  # diagonal variances that underflowed to 0
                 ok &= (x.R > 0.0).all(axis=(-2, -1))
+        at_x2 = ~ok  # the starts whose E-step ran at x2
         try:
             T, loglik, obj_x = e_step(_where(ok, x, s2), work)
-        except _START_FAILURES:  # reject the extrapolations whose E-step fails alone
-            ok &= len(ok) > 1  # a batch of one has just run its start alone
-            T, loglik, obj_x = np.empty_like(T), np.empty_like(obj), np.empty_like(obj)
-            for i in np.flatnonzero(ok).tolist():
+        except _START_FAILURES:  # each extrapolation alone; a failed one is rejected below
+            at_x2[:] = False
+            T, loglik, obj_x = np.zeros_like(T), np.empty_like(obj), np.full_like(obj, -np.inf)
+            for i in np.flatnonzero(ok).tolist() if len(ok) > 1 else ():  # a lone one has run
                 try:
                     T[[i]], loglik[[i]], obj_x[[i]] = e_step(x.take([i]), work[:, :1])
                 except _START_FAILURES:
-                    ok[i] = False
-            rest = ~ok  # the plain step's E-step, for these starts only
-            if rest.any():
-                T[rest], loglik[rest], obj_x[rest] = e_step(s2.take(rest), work[:, :rest.sum()])
-        nk = T.sum(axis=-1)
-        back = ok & ~(np.isfinite(obj_x) & (obj_x >= obj)
-                      & (nk > DEGENERACY_FRACTION * T.shape[-1]).all(axis=-1))
+                    pass
+        ok &= np.isfinite(obj_x) & (obj_x >= obj) & (
+            T.sum(axis=-1) > DEGENERACY_FRACTION * T.shape[-1]).all(axis=-1)
+        back = ~ok & ~at_x2  # the plain step's E-step, for these starts only
         if back.any():
             T[back], loglik[back], obj_x[back] = e_step(s2.take(back), work[:, :back.sum()])
-        ok &= ~back
         theta = np.where(ok[:, None], theta_x, theta2)
         return _where(ok, x, s2), T, loglik, obj_x, theta, ~ok
 
@@ -531,58 +528,60 @@ def _check(s: _Stack) -> list:
     return [None] * len(s.alpha)
 
 
-@np.errstate(over="raise", invalid="raise")
-def _multistart(data: DataSet, sample: _Sample, K: int, opts: FitOptions,
-                m_step: Callable, objective: Callable, diagonal_gating: bool,
-                warm: _Stack | None = None, cold: bool = True,
-                accept: Callable = _Run.result, squarem: bool = False,
-                carry: tuple | None = None) -> tuple:
-    """The start and ``accept(run)`` of the best run (the first with the
-    largest objective): start 0 from the unchecked stack ``warm`` if given,
-    then, with ``cold``, the seeded starts, run in batches of at most
-    ``_BATCH_ELEMENTS // (K n max(p, d))``.  The seeded starts of a batch
-    are built as unchecked stacks and checked at once by the stacked
-    validator; a check or run that raises for a batch is redone for each
-    start alone.  The warm stack is not checked again: it is the previous
-    run's checked result or built from checked parameters.  ``carry``, the
-    (1,) log-likelihood and (1, K, n) responsibilities of that run's last
-    E-step, at the same stack, stands for the first E-step of the warm
-    start running alone (``cold`` false); ``squarem`` goes to
-    :func:`_run_em`.  The runs go to ``accept`` best first until one
-    passes.  The one place where a start's numerical trouble (a
-    degenerate component, a failed covariance check or factorization, an
-    overflow or invalid operation) becomes a diagnosis; underflow is
-    routine."""
-    seeds = ([None] if warm is not None else []) + (
-        start_seeds(opts.seed, opts.n_starts) if cold else [])
-    outcomes: dict = {}  # start -> initial stack, then an unchecked run or exception
-    for start, seed in enumerate(seeds):
+def _stacked(stacks: list) -> _Stack:
+    """The unbatched ``stacks`` along a new leading start axis."""
+    return _Stack(*(np.stack(f) if len(stacks) > 1 else f[0][None] for f in zip(*stacks)))
+
+
+@np.errstate(over="raise", invalid="raise")  # an overflow fails its start, as in the runs
+def _seeded(data: DataSet, K: int, opts: FitOptions, diagonal_gating: bool) -> list:
+    """Per seed of :func:`start_seeds`, the stack of :func:`init_params`,
+    built unchecked and checked with the others by one stacked validator
+    call, or the exception its partition or check raised."""
+    starts = []
+    for seed in start_seeds(opts.seed, opts.n_starts):
         try:
-            outcomes[start] = warm if seed is None else _partition_stack(
-                data, _partition(data, K, opts.init_strategy, seed), K, diagonal_gating)
+            starts.append(_partition_stack(
+                data, _partition(data, K, opts.init_strategy, seed), K, diagonal_gating))
         except (*_START_FAILURES, FitFailedError) as exc:
-            outcomes[start] = exc
+            starts.append(exc)
+    ready = [i for i, s in enumerate(starts) if isinstance(s, _Stack)]
+    if ready:
+        for i, exc in zip(ready, _per_start(_check, _stacked([starts[i] for i in ready]))):
+            starts[i] = exc or starts[i]
+    return starts
+
+
+@np.errstate(over="raise", invalid="raise")
+def _multistart(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
+                objective: Callable, starts: list, accept: Callable = _Run.result,
+                squarem: bool = False) -> tuple:
+    """The start and ``accept(run)`` of the best run (the first with the
+    largest objective) of ``starts``: checked stacks without a start axis,
+    earlier :class:`_Run` s, which start from their stacks (a lone one
+    from its last E-step too), or exceptions.  The stacks run in batches
+    of at most ``_BATCH_ELEMENTS // (K n max(p, d))``, a batch that raises
+    one start at a time; ``squarem`` goes to :func:`_run_em`.  The runs go
+    to ``accept`` best first until one passes.  The one place where a
+    start's numerical trouble (a degenerate component, a failed covariance
+    check or factorization, an overflow or invalid operation) becomes a
+    diagnosis; underflow is routine."""
+    lone = len(starts) == 1 and isinstance(starts[0], _Run)
+    carry = (np.array([starts[0].loglik]), starts[0].T[None]) if lone else None
+    outcomes = {start: s.s if isinstance(s, _Run) else s for start, s in enumerate(starts)}
     ready = [start for start, s in outcomes.items() if isinstance(s, _Stack)]
-    size = max(1, _BATCH_ELEMENTS // (K * data.n * max(data.p, data.d)))
+    size = max(1, _BATCH_ELEMENTS // (K * max(sample.X.size, sample.YT.size)))
     for batch in (ready[lo:lo + size] for lo in range(0, len(ready), size)):
-        fields = zip(*(outcomes[start] for start in batch))
-        stack = _Stack(*(np.stack(f) if len(batch) > 1 else f[0][None] for f in fields))
-        seeded = int(seeds[batch[0]] is None)  # the first seeded row: a warm start is row 0
-        if seeded < len(batch):
-            checked = [None] * seeded + _per_start(_check, stack.take(slice(seeded, None)))
-            outcomes.update((start, exc) for start, exc in zip(batch, checked) if exc)
-            keep = [i for i, exc in enumerate(checked) if exc is None]
-            batch, stack = [batch[i] for i in keep], stack.take(keep)
-        if batch:
-            outcomes.update(zip(batch, _per_start(lambda s: _run_em(
-                sample, s, opts, m_step, objective, squarem, carry), stack)))
+        outcomes.update(zip(batch, _per_start(lambda s: _run_em(
+            sample, s, opts, m_step, objective, squarem, carry),
+            _stacked([outcomes[start] for start in batch]))))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
         try:
             return start, accept(runs[start])
         except _START_FAILURES as exc:
             outcomes[start] = exc
-    raise FitFailedError(f"all {len(seeds)} starts failed", diagnoses=[
+    raise FitFailedError(f"all {len(starts)} starts failed", diagnoses=[
         f"start {start}: {type(exc).__name__}: {exc}" for start, exc in outcomes.items()
     ])
 
@@ -596,5 +595,6 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     floating-point overflow are dropped with a diagnosis; if every start
     fails a :class:`~mogge.model.FitFailedError` carries all diagnoses.
     """
-    return _multistart(data, _Sample.of(data), K, opts or FitOptions(), _ml_m_step,
-                       lambda loglik, s: loglik, diagonal_gating, squarem=True)[1]
+    opts = opts or FitOptions()
+    return _multistart(_Sample.of(data), K, opts, _ml_m_step, lambda loglik, s: loglik,
+                       _seeded(data, K, opts, diagonal_gating), squarem=True)[1]

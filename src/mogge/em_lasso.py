@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import FitOptions, FitResult, _component_masses, _multistart
+from .em import FitOptions, FitResult, _component_masses, _multistart, _seeded
 from .model import (
     VARIANCE_FLOOR,
     DataSet,
@@ -44,6 +44,7 @@ from .model import (
     MoggeParams,
     Responsibilities,
     UnsupportedConfigError,
+    _check_penalty,
     _identity,
     _into,
     _penalize,
@@ -67,25 +68,20 @@ class PenaltyConfig:
     gamma: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lam < np.inf and 0.0 <= self.gamma < np.inf):  # NaN fails too
-            raise ValueError("penalty weights must be finite and nonnegative")
+        _check_penalty("penalty weights", self.lam, self.gamma)
 
 
 def soft_threshold(u, eta):
     """Soft-thresholding ``sign(u) * max(|u| - eta, 0)``.
 
-    Scalar in, float out; array in, array out.  ``eta`` may be a scalar
-    or an array broadcasting against ``u``.  Zeroed values compare equal
-    to ``0.0`` (negative zero is normalized away).
+    Scalar in, float out; array in, array out.  ``eta``, finite and
+    nonnegative, is a scalar or an array broadcasting against ``u``.
+    Zeroed values compare equal to ``0.0`` (no negative zero).
     """
-    negative = (eta < 0.0).any() if isinstance(eta, np.ndarray) else eta < 0.0
-    if negative:
-        raise ValueError("threshold must be nonnegative")
+    _check_penalty("threshold", eta)
     u = np.asarray(u, dtype=float)
     out = np.sign(u) * np.maximum(np.abs(u) - eta, 0.0) + 0.0
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def _gating_means(X: np.ndarray, T: np.ndarray, nk: np.ndarray, R_prev: np.ndarray,
@@ -236,6 +232,7 @@ def ca_update_gating_means(data: DataSet, tau: Responsibilities,
     coordinates of the penalized Q-function are decoupled, so this is its
     exact maximizer: one soft-threshold per component, no iteration.
     """
+    _check_penalty("penalty weights", gamma)
     if gating_prev[0].R.ndim != 1:
         raise UnsupportedConfigError("gating means update requires diagonal covariances")
     R_prev = np.stack([g.R for g in gating_prev])
@@ -273,6 +270,7 @@ def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
     coordinate ascent this solve replaced, and stays because the trace
     instrumentation in ``bench/spans.py`` reads its default.
     """
+    _check_penalty("penalty weights", lam)
     if data.d != 1 or expert_prev.d != 1:
         raise UnsupportedConfigError("expert coefficient update requires d = 1")
     T = np.ascontiguousarray(tau_k, dtype=float)[None]
@@ -311,14 +309,14 @@ def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
                   b0[..., None], beta[..., None], sigma2[..., None, None])
 
 
-def _fit_lasso(data: DataSet, sample: _Sample, K: int, penalty: PenaltyConfig,
-               opts: FitOptions, **starts) -> tuple:
-    """:func:`~mogge.em._multistart` with the lasso M-step and objective."""
+def _fit_lasso(sample: _Sample, K: int, penalty: PenaltyConfig, opts: FitOptions,
+               starts: list, **accept) -> tuple:
+    """:func:`~mogge.em._multistart` of ``starts`` with the lasso M-step and objective."""
     return _multistart(
-        data, sample, K, opts,
+        sample, K, opts,
         lambda sample, T, nk, s, work: _lasso_m_step(sample, T, nk, s, penalty, work[0]),
         lambda loglik, s: _penalize(loglik, s, penalty.lam, penalty.gamma),
-        diagonal_gating=True, **starts,
+        starts, **accept,
     )
 
 
@@ -339,8 +337,6 @@ def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
             raise UnsupportedConfigError("warm start must use diagonal gating covariances")
         if warm_start.K != K or warm_start.p != data.p or warm_start.d != 1:
             raise ValueError("warm start dimensions do not match the request")
-    return _fit_lasso(
-        data, _Sample.of(data), K, penalty, opts or FitOptions(),
-        warm=None if warm_start is None else _Stack.of(warm_start),
-        cold=warm_start is None,
-    )[1]
+    opts = opts or FitOptions()
+    starts = _seeded(data, K, opts, True) if warm_start is None else [_Stack.of(warm_start)]
+    return _fit_lasso(_Sample.of(data), K, penalty, opts, starts)[1]

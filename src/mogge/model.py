@@ -217,6 +217,14 @@ def _check_components(what: str, cov: np.ndarray, *arrays: np.ndarray,
     return L
 
 
+def _check_penalty(what: str, *values) -> None:
+    """Raise ``ValueError`` unless every value, a number or an array, is finite and nonnegative."""
+    for v in values:
+        lo, hi = (v.min(), v.max()) if isinstance(v, np.ndarray) else (v, v)
+        if not 0.0 <= lo <= hi < np.inf:  # NaN fails every comparison
+            raise ValueError(f"{what} must be finite and nonnegative")
+
+
 def _check_weights(weights: list[float]) -> None:
     """Mixing weights: each in (0, 1) when there are several, summing to 1 within 1e-12."""
     for k, w in enumerate(weights):
@@ -601,8 +609,7 @@ def penalized_loglik(data: DataSet, params: MoggeParams,
     Intercepts, variances and mixing weights are not penalized.  Requires
     a univariate response and diagonal gating covariances.
     """
-    if not (0.0 <= lam < np.inf and 0.0 <= gamma < np.inf):  # NaN fails too
-        raise ValueError("penalty weights must be finite and nonnegative")
+    _check_penalty("penalty weights", lam, gamma)
     if params.d != 1 or data.d != 1:
         raise UnsupportedConfigError("penalized objective requires d = 1")
     if not params.has_diagonal_gating:

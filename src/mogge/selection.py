@@ -7,10 +7,10 @@ means, diagonal gating variances, nonzero expert coefficients, expert
 intercepts and variances).  The grid is swept per K in decreasing
 (lambda, gamma) order with warm starts along the chain; the first, most
 heavily penalized point of each K gets the full multi-start treatment.
-The chain driver, shared with ``lasso-path``, carries each point's
-unchecked parameter stack to the next, checks it with the stacked
-validator and counts ``df`` on it; only the selected row builds a
-:class:`~mogge.em.FitResult`.
+The chain driver, shared with ``lasso-path``, builds the seeded starts
+once per K, carries each point's unchecked run to the next, checks its
+stack with the stacked validator and counts ``df`` on it; only the
+selected row builds a :class:`~mogge.em.FitResult`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import FitOptions, FitResult
+from .em import FitOptions, FitResult, _seeded
 from .em_lasso import PenaltyConfig, _fit_lasso
 from .metrics import match_components
 from .model import (
@@ -28,6 +28,7 @@ from .model import (
     FitFailedError,
     MoggeParams,
     UnsupportedConfigError,
+    _check_penalty,
     _Sample,
     _Stack,
     joint_loglik,
@@ -57,8 +58,7 @@ class GridSpec:
                 raise ValueError(f"{name} must not contain duplicates")
         if any(k < 1 for k in Ks):
             raise ValueError("all K must be at least 1")
-        if not all(0.0 <= v < np.inf for v in lambdas + gammas):  # NaN fails too
-            raise ValueError("penalty values must be finite and nonnegative")
+        _check_penalty("penalty values", *lambdas, *gammas)
         object.__setattr__(self, "Ks", Ks)
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "gammas", gammas)
@@ -140,32 +140,31 @@ def _selection_order(rows: list[SelectionRow]) -> int:
 
 def _chain(data: DataSet, K: int, pairs, opts: FitOptions, warm: bool, refit: bool):
     """Fit the (lambda, gamma) ``pairs`` of one K in order; yields each pair
-    with its checked, unbuilt :class:`~mogge.em._Run` or its failure.  With
-    ``warm``, start 0 runs from the last good point's stack and wins ties;
-    the cold starts join it where there is none or, with ``refit``, at
-    every point, and a cold winner is relabeled toward the warm start.
-    Without ``refit`` the warm start runs alone, from the log-likelihood
-    and responsibilities of its run's last E-step instead of running that
-    E-step again."""
+    with its checked, unbuilt :class:`~mogge.em._Run` or its failure.  The
+    penalties are checked before the first fit, the seeded starts built
+    once for every cold point.  With ``warm``, start 0 is the last good
+    point's run and wins ties; the seeded starts join it where there is
+    none or, with ``refit``, at every point, and a seeded winner is
+    relabeled toward it.  Without ``refit`` the run starts alone, from its
+    last E-step instead of running that E-step again."""
     if data.d != 1:
         raise UnsupportedConfigError("penalized fitting requires d = 1")
-    sample, prev, carry = _Sample.of(data), None, None
-    for lam, gamma in pairs:
-        penalty = PenaltyConfig(lam=lam, gamma=gamma)
+    penalties = [PenaltyConfig(lam=lam, gamma=gamma) for lam, gamma in pairs]
+    sample, seeded, prev = _Sample.of(data), _seeded(data, K, opts, True), None
+    for penalty in penalties:
+        starts = seeded if prev is None else ([prev] + seeded if refit else [prev])
         try:
-            start, run = _fit_lasso(data, sample, K, penalty, opts, warm=prev,
-                                    cold=refit or prev is None, carry=carry,
+            start, run = _fit_lasso(sample, K, penalty, opts, starts,
                                     accept=lambda run: run.s.check() or run)  # check(): None
         except FitFailedError as exc:
-            yield lam, gamma, exc
+            yield penalty.lam, penalty.gamma, exc
             continue
         if start > 0 and prev is not None:
-            order = match_components(prev.params(), run.s.params())
+            order = match_components(prev.s.params(), run.s.params())
             run = run._replace(s=run.s.take(order), T=run.T[order])
         if warm:
-            prev = run.s
-            carry = None if refit else (np.array([run.loglik]), run.T[None])
-        yield lam, gamma, run
+            prev = run
+        yield penalty.lam, penalty.gamma, run
 
 
 def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,

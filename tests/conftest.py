@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite repeats exactly; each test keeps its own budget.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 from mogge.model import (
     DataSet,

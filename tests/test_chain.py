@@ -91,7 +91,7 @@ class TestChainEqualsOneFitPerRow:
         real_fit, calls = selection._fit_lasso, []
 
         def recorded(*args, **kwargs):
-            calls.append([kwargs["warm"], None])
+            calls.append([args[4], None])  # the starts, then the returned run
             start, calls[-1][1] = real_fit(*args, **kwargs)
             return start, calls[-1][1]
 
@@ -105,7 +105,7 @@ class TestChainEqualsOneFitPerRow:
         assert isinstance(failed.failure, FitFailedError)
         assert "NotPositiveDefiniteError" in failed.failure.diagnoses[0]
         assert calls[1][1] is None  # the failed row returned nothing
-        assert calls[2][0] is calls[0][1].s  # the last good row's stack
+        assert len(calls[2][0]) == 1 and calls[2][0][0] is calls[0][1]  # the last good row
         assert table.rows[0].converged and table.rows[2].converged
 
         monkeypatch.setattr(selection, "_fit_lasso", real_fit)
@@ -143,29 +143,33 @@ def _corrupt(data, fields):
 
 
 def _without_carry(monkeypatch):
-    """Make the chain run the first E-step of every warm start again."""
+    """Make the chain run the first E-step of every warm start again: the
+    fits get the stack of each earlier run in its place."""
     real = selection._fit_lasso
 
-    def uncarried(*args, carry=None, **kwargs):
-        return real(*args, **kwargs)
+    def uncarried(sample, K, penalty, opts, starts, **kwargs):
+        starts = [s.s if isinstance(s, em._Run) else s for s in starts]
+        return real(sample, K, penalty, opts, starts, **kwargs)
 
     monkeypatch.setattr(selection, "_fit_lasso", uncarried)
 
 
-def _count_e_steps(monkeypatch):
-    calls, real = [], em._e_step
+def _count(monkeypatch, name):
+    """The list that gets one entry per call of ``em.<name>`` from now on."""
+    calls, real = [], getattr(em, name)
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(em, "_e_step", counted)
+    monkeypatch.setattr(em, name, counted)
     return calls
 
 
 class TestChainCarry:
-    """A warm start that runs alone takes its first E-step from the run it
-    comes from: one E-step fewer per warm row, and the same bits."""
+    """A warm start, the earlier run given as the only start, takes its
+    first E-step from that run: one E-step fewer per warm row, and the
+    same bits."""
 
     @pytest.mark.parametrize("Ks, n, values", [
         ((2,), 300, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)),
@@ -178,11 +182,11 @@ class TestChainCarry:
         real, warm_rows = selection._fit_lasso, []
 
         def recorded(*args, **kwargs):
-            warm_rows.append(kwargs["warm"] is not None)
+            warm_rows.append(isinstance(args[4][0], em._Run))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(selection, "_fit_lasso", recorded)
-        e_steps = _count_e_steps(monkeypatch)
+        e_steps = _count(monkeypatch, "_e_step")
         carried = grid_search(data, grid, opts=opts)
         with_carry, warm = len(e_steps), sum(warm_rows)
         _without_carry(monkeypatch)
@@ -196,26 +200,57 @@ class TestChainCarry:
 
     @pytest.mark.parametrize("refit", [False, True], ids=["alone", "refit"])
     def test_only_a_warm_start_running_alone_carries(self, monkeypatch, refit):
-        # with refit the warm start shares its batch with the cold starts,
-        # which run their own first E-step, and the chain carries nothing
+        # a lone earlier run carries its last E-step into its batch; with
+        # refit the run is one start among the seeded ones, which run their
+        # own first E-step, and no batch carries anything
         data = _instance(4)
-        real, carries = selection._fit_lasso, []
+        real, carries = em._run_em, []
 
-        def recorded(*args, **kwargs):
-            carries.append(kwargs["carry"])
-            return real(*args, **kwargs)
+        def recorded(*args):
+            carries.append(args[6])
+            return real(*args)
 
-        monkeypatch.setattr(selection, "_fit_lasso", recorded)
+        monkeypatch.setattr(em, "_run_em", recorded)
         rows = list(selection._chain(data, 2, [(4.0, 4.0), (2.0, 2.0), (0.0, 0.0)],
                                      FitOptions(n_starts=2, seed=4), warm=True,
                                      refit=refit))
-        assert carries[0] is None
+        assert len(carries) == len(rows) and carries[0] is None  # one batch per point
         for carry, (_, _, run) in zip(carries[1:], rows):
             if refit:
                 assert carry is None
             else:
                 assert carry[0].tolist() == [run.loglik]
                 assert np.array_equal(carry[1], run.T[None])
+
+
+class TestSeededOncePerChain:
+    """The seeded starts are built once per fit and once per K of a chain,
+    which reuses them at every cold point; every penalty of a chain is
+    checked before its first fit."""
+
+    def test_partitions_drawn_once_per_start(self, monkeypatch):
+        data = _instance(5)
+        partitions = _count(monkeypatch, "_partition")
+        em.fit_em(data, 2, FitOptions(n_starts=4, seed=5))
+        assert len(partitions) == 4
+        del partitions[:]
+        path = [(v, v) for v in (25.0, 20.0, 15.0, 10.0, 8.0, 6.0, 4.0, 2.0, 0.0)]
+        rows = list(selection._chain(data, 2, path, FitOptions(n_starts=10, seed=5),
+                                     warm=True, refit=True))
+        assert len(rows) == 9 and len(partitions) == 10  # 90 when built per point
+        del partitions[:]
+        values = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
+        table = grid_search(data, GridSpec(Ks=(2,), lambdas=values, gammas=values),
+                            opts=FitOptions(n_starts=5, seed=5), warm_start=False)
+        assert len(table.rows) == 36 and len(partitions) == 5  # 180 when built per point
+
+    def test_a_bad_penalty_fails_before_any_fit(self, monkeypatch):
+        data = _instance(5)
+        runs, partitions = _count(monkeypatch, "_run_em"), _count(monkeypatch, "_partition")
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(selection._chain(data, 2, [(5.0, 5.0), (0.0, 0.0), (-1.0, -1.0)],
+                                  FitOptions(n_starts=2, seed=5), warm=True, refit=True))
+        assert runs == [] and partitions == []
 
 
 @settings(max_examples=500, deadline=None)

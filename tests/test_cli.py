@@ -298,8 +298,8 @@ class TestLassoPath:
     PATH = ("--k", "2", "--penalties", "0,5,10", "--n-starts", "3", "--seed", "1")
 
     def test_warm_start_wins_an_exact_tie(self, small_data, tmp_path, monkeypatch):
-        # every run reports the same objective; a point's warm start is start
-        # 0 of its batch, its cold starts follow
+        # every run reports the same objective; a point's warm start, the
+        # previous point's run, is start 0 of its batch, its cold starts follow
         real_run_em, real_fit, starts = em._run_em, selection._fit_lasso, []
 
         def tied(*args):
@@ -308,7 +308,7 @@ class TestLassoPath:
 
         def recorded(*args, **kwargs):
             start, run = real_fit(*args, **kwargs)
-            starts.append((kwargs["warm"] is not None, kwargs["cold"], start))
+            starts.append((isinstance(args[4][0], em._Run), len(args[4]), start))
             return start, run
 
         monkeypatch.setattr(em, "_run_em", tied)
@@ -316,7 +316,7 @@ class TestLassoPath:
         out = tmp_path / "tie"
         assert run("lasso-path", "--data", str(small_data), *self.PATH,
                    "--out-dir", str(out)) == 0
-        assert starts == [(False, True, 0), (True, True, 0), (True, True, 0)]
+        assert starts == [(False, 3, 0), (True, 4, 0), (True, 4, 0)]
 
     def test_a_failing_warm_start_leaves_the_cold_starts(self, small_data, tmp_path,
                                                         monkeypatch):
@@ -324,9 +324,10 @@ class TestLassoPath:
         # its first E-step; the point is then the best of its cold starts
         real_fit = selection._fit_lasso
 
-        def broken(*args, warm=None, **kwargs):
-            warm = None if warm is None else warm._replace(Sigma=-warm.Sigma)
-            return real_fit(*args, warm=warm, **kwargs)
+        def broken(sample, K, penalty, opts, starts, **kwargs):
+            starts = [s._replace(s=s.s._replace(Sigma=-s.s.Sigma))
+                      if isinstance(s, em._Run) else s for s in starts]
+            return real_fit(sample, K, penalty, opts, starts, **kwargs)
 
         monkeypatch.setattr(selection, "_fit_lasso", broken)
         out = tmp_path / "broken"

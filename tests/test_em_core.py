@@ -10,6 +10,7 @@ temporaries."""
 
 import functools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -626,7 +627,7 @@ def _corrupt_start(field, index, value):
 
 
 class TestSeededStarts:
-    """Seeded starts are built as unchecked stacks, those of a batch checked
+    """Seeded starts are built as unchecked stacks, those of a fit checked
     at once by the stacked validator, and, only when that raises, each
     alone, without its start axis: the stacks are those of
     ``init_params`` to the bit, and a failing start gets the diagnosis
@@ -662,7 +663,7 @@ class TestSeededStarts:
                 var = data.X[labels == k].var(axis=0) + 1e-6
                 assert s.R[k].tobytes() == var.tobytes()
 
-    def test_one_check_per_batch_and_none_for_the_warm_start(self, monkeypatch):
+    def test_one_check_per_seeded_list_and_none_for_the_warm_start(self, monkeypatch):
         checked, check = [], _Stack.check
 
         def counted(s):
@@ -674,9 +675,10 @@ class TestSeededStarts:
         cold = fit_em_lasso(data, K=2, penalty=PENALTY, opts=opts)
         fit_em_lasso(data, K=2, penalty=PENALTY, opts=opts, warm_start=cold.params)
         monkeypatch.setattr(em, "_BATCH_ELEMENTS", 1)
-        fit_em(data, K=2, opts=opts)
+        fit_em(data, K=2, opts=opts)  # three batches of one, still one check
+        fit_em(data, K=2, opts=replace(opts, n_starts=1))
         # a lone start is checked without its start axis
-        assert checked == [(3, 2), (2,), (2,), (2,)]
+        assert checked == [(3, 2), (3, 2), (2,)]
 
     @pytest.mark.parametrize("diagonal, field, index, value", [
         (False, "R", (0, 0, 1), 1.0),

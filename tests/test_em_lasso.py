@@ -74,6 +74,20 @@ class TestPenaltyValidation:
             with pytest.raises(ValueError, match="nonnegative"):
                 penalized_loglik(data, params, lam, gamma)
 
+    def test_soft_threshold(self, bad):
+        for u, eta in ((1.0, bad), (np.ones(2), np.array([1.0, bad]))):
+            with pytest.raises(ValueError, match="nonnegative"):
+                soft_threshold(u, eta)
+
+    def test_layer_updates(self, bad):
+        data, _ = sample_dataset(default_scenario(n=40, seed=1))
+        prev = init_params(data, 2, seed=1, diagonal_gating=True)
+        tau = Responsibilities(tau=np.full((data.n, 2), 0.5))
+        with pytest.raises(ValueError, match="nonnegative"):
+            ca_update_gating_means(data, tau, prev.gating, gamma=bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ca_update_expert_coeffs(data, tau.tau[:, 0], prev.experts[0], lam=bad)
+
 
 class TestSoftThreshold:
     def test_shrinks_above_threshold(self):

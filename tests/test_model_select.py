@@ -191,10 +191,10 @@ class TestGridSearch:
         data = small_instance(seed=9)
         real_fit = selection._fit_lasso
 
-        def flaky(data_, sample, K, penalty, opts, **starts):
+        def flaky(sample, K, penalty, opts, starts, **accept):
             if penalty.lam == 4.0:
                 raise FitFailedError("boom", diagnoses=["start 0: boom"])
-            return real_fit(data_, sample, K, penalty, opts, **starts)
+            return real_fit(sample, K, penalty, opts, starts, **accept)
 
         monkeypatch.setattr(selection, "_fit_lasso", flaky)
         grid = GridSpec(Ks=(2,), lambdas=(0.0, 4.0), gammas=(1.0,))
