@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .em import INIT_STRATEGIES, FitOptions, fit_em
+from .em import INIT_STRATEGIES, FitOptions, _integral, fit_em
 from .em_lasso import PenaltyConfig, fit_em_lasso
 from .metrics import (
     adjusted_rand_index,
@@ -75,10 +75,10 @@ def _float_list(value) -> list[float]:
     return [float(v) for v in value]
 
 
-def _int_list(value) -> list[int]:
+def _int_list(value) -> list:
     if isinstance(value, str):
         return [int(v) for v in value.split(",") if v != ""]
-    return [int(v) for v in value]
+    return list(value)  # checked by GridSpec
 
 
 def _out_dir(cfg) -> Path:
@@ -89,10 +89,10 @@ def _out_dir(cfg) -> Path:
 
 def _fit_options(cfg) -> FitOptions:
     return FitOptions(
-        max_iter=int(cfg["max_iter"]),
+        max_iter=cfg["max_iter"],
         tol=float(cfg["tol"]),
-        n_starts=int(cfg["n_starts"]),
-        seed=int(cfg["seed"]),
+        n_starts=cfg["n_starts"],
+        seed=cfg["seed"],
         init_strategy=cfg["init"],
     )
 
@@ -188,7 +188,7 @@ def cmd_fit(args) -> int:
         raise ValueError("--data is required")
     data, _ = dataio.read_dataset_csv(cfg["data"])
     opts = _fit_options(cfg)
-    K = int(cfg["k"])
+    K = _integral("k", cfg["k"])
     penalized = cfg["lam"] is not None or cfg["gamma"] is not None
     if penalized:
         penalty = PenaltyConfig(lam=float(cfg["lam"] or 0.0), gamma=float(cfg["gamma"] or 0.0))
@@ -316,8 +316,8 @@ def cmd_lasso_path(args) -> int:
     rows, points = [], []
     # warm continuation keeps the path smooth, but continuing out of a fully shrunk
     # model can lose the cluster structure: every point also runs the cold starts
-    for lam, gamma, run in _chain(data, int(cfg["k"]), _path_pairs(cfg), _fit_options(cfg),
-                                  warm=True, refit=True):
+    for lam, gamma, run in _chain(data, _integral("k", cfg["k"]), _path_pairs(cfg),
+                                  _fit_options(cfg), warm=True, refit=True):
         if isinstance(run, FitFailedError):
             raise run
         fit = run.result()

@@ -64,6 +64,13 @@ _START_FAILURES = (DegenerateComponentError, NotPositiveDefiniteError,
                    np.linalg.LinAlgError, FloatingPointError)
 
 
+def _integral(what: str, value) -> int:
+    """``value``, an int, a numpy integer or an integral float, as an int."""
+    if isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Knobs shared by the EM fitting loops.
@@ -81,13 +88,15 @@ class FitOptions:
     init_strategy: str = "random-partition"
 
     def __post_init__(self):
+        for name in ("max_iter", "n_starts", "seed"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.init_strategy not in INIT_STRATEGIES:
             raise ValueError(

@@ -1,13 +1,13 @@
 """L1-regularized EM for the univariate-response model with diagonal
 gating covariances.
 
-The fit runs the EM loop and multi-start driver of :mod:`mogge.em` with
-its own M-step and the penalized objective.  The M-step keeps the
-closed-form mixing-weight update and replaces the mean/coefficient
-updates with maximizers of the penalized Q-functions: one closed-form
-soft-threshold per gating mean, and for the expert coefficients the
-exact minimizer of a weighted lasso, solved on the weighted Gram matrix
-of the predictors, formed once per call for all experts of all starts.
+The fit runs the EM loop and multi-start driver of :mod:`mogge.em` with its
+own M-step, kernels only, and the penalized objective.  The M-step keeps the
+closed-form mixing-weight update and replaces the mean/coefficient updates
+with maximizers of the penalized Q-functions: one soft-threshold per gating
+mean, by the unchecked kernel of :func:`soft_threshold`, and for the expert
+coefficients the exact minimizer of a weighted lasso, solved on the weighted
+Gram matrix of the predictors, formed once per call for all experts of all starts.
 The lasso is solved by the active-set method of Osborne, Presnell and
 Turlach (2000), warm-started from the incoming coefficients as in the
 feature-sign search of Lee, Battle, Raina and Ng (2007).  Round one is
@@ -76,19 +76,24 @@ def soft_threshold(u, eta):
 
     Scalar in, float out; array in, array out.  ``eta``, finite and
     nonnegative, is a scalar or an array broadcasting against ``u``.
-    Zeroed values compare equal to ``0.0`` (no negative zero).
+    Zeroed values compare equal to ``0.0`` (no negative zero).  Only this
+    function checks ``eta``: the fits call the kernel :func:`_soft_threshold`.
     """
     _check_penalty("threshold", eta)
-    u = np.asarray(u, dtype=float)
-    out = np.sign(u) * np.maximum(np.abs(u) - eta, 0.0) + 0.0
+    out = _soft_threshold(np.asarray(u, dtype=float), eta)
     return float(out) if out.ndim == 0 else out
+
+
+def _soft_threshold(u: np.ndarray, eta) -> np.ndarray:
+    """:func:`soft_threshold` of the array ``u``, ``eta`` unchecked."""
+    return np.sign(u) * np.maximum(np.abs(u) - eta, 0.0) + 0.0
 
 
 def _gating_means(X: np.ndarray, T: np.ndarray, nk: np.ndarray, R_prev: np.ndarray,
                   gamma: float) -> np.ndarray:
     """Stacked soft-threshold gating means (K, p) from the (K, n)
     responsibilities ``T``, lagged variances ``R_prev``."""
-    return soft_threshold(T @ X, gamma * R_prev) / nk[..., None]
+    return _soft_threshold(T @ X, gamma * R_prev) / nk[..., None]
 
 
 def _gating_variances(XT: np.ndarray, T: np.ndarray, nk: np.ndarray,

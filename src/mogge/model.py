@@ -220,7 +220,7 @@ def _check_components(what: str, cov: np.ndarray, *arrays: np.ndarray,
 def _check_penalty(what: str, *values) -> None:
     """Raise ``ValueError`` unless every value, a number or an array, is finite and nonnegative."""
     for v in values:
-        lo, hi = (v.min(), v.max()) if isinstance(v, np.ndarray) else (v, v)
+        lo, hi = (v.min(initial=0.0), v.max(initial=0.0)) if isinstance(v, np.ndarray) else (v, v)
         if not 0.0 <= lo <= hi < np.inf:  # NaN fails every comparison
             raise ValueError(f"{what} must be finite and nonnegative")
 
@@ -467,11 +467,12 @@ def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
         Z = diff if filled else np.multiply(diff, diff, out=diff)
         Z /= cov[..., None]
         logdet = np.log(cov).sum(axis=-1)
+    elif m == 1:  # the sums below, over length-one axes, would return their one term
+        Z = np.multiply(1.0 / chol, diff, out=out)
+        Z *= Z
+        return -0.5 * ((LOG_2PI + 2.0 * np.log(chol[..., 0])) + Z[..., 0, :])
     else:
-        if m == 1:
-            Z = np.multiply(1.0 / chol, diff, out=out)
-        else:
-            Z = np.matmul(np.linalg.solve(chol, _identity(m)), diff, out=out)
+        Z = np.matmul(np.linalg.solve(chol, _identity(m)), diff, out=out)
         Z *= Z
         logdet = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1)
     return -0.5 * ((m * LOG_2PI + logdet)[..., None] + Z.sum(axis=-2))

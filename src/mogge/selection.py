@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import FitOptions, FitResult, _seeded
+from .em import FitOptions, FitResult, _integral, _seeded
 from .em_lasso import PenaltyConfig, _fit_lasso
 from .metrics import match_components
 from .model import (
@@ -48,7 +48,7 @@ class GridSpec:
     gammas: tuple[float, ...]
 
     def __post_init__(self):
-        Ks = tuple(int(k) for k in self.Ks)
+        Ks = tuple(_integral("Ks", k) for k in self.Ks)
         lambdas = tuple(float(v) for v in self.lambdas)
         gammas = tuple(float(v) for v in self.gammas)
         for name, values in (("Ks", Ks), ("lambdas", lambdas), ("gammas", gammas)):

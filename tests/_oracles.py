@@ -394,3 +394,50 @@ def grid_search_per_row(data, grid, opts, warm_start=True):
                 prev_params = fit.params
     selected = _selection_order(rows)
     return SelectionTable(rows=tuple(rows), selected=selected, best_fit=fits[selected])
+
+
+def bit_digest(*outcomes) -> str:
+    """sha256 over the bits of fit and selection outcomes, in order: of a
+    ``FitResult`` every parameter array, the objective trace, the
+    responsibilities and every count (``n_iter``, ``converged``,
+    ``objective``, ``loglik``); of a ``SelectionTable`` every
+    ``SelectionRow`` with its failure text and diagnoses, the selected
+    index and the best fit; of an exception its type and text.  Equal
+    digests mean equal bits, so two code paths can be proven to agree."""
+    import hashlib
+
+    from mogge.em import FitResult
+    from mogge.selection import SelectionTable
+
+    h = hashlib.sha256()
+
+    def put(*values):
+        for v in values:
+            if isinstance(v, (str, bool, int)) or v is None:
+                h.update(repr(v).encode())
+            else:
+                a = np.ascontiguousarray(v, dtype=float)
+                h.update(repr(a.shape).encode() + a.tobytes())
+
+    def put_fit(fit):
+        for g, e in zip(fit.params.gating, fit.params.experts):
+            put(g.alpha, g.mu, g.R, e.intercept, e.coeffs, e.cov)
+        put(fit.loglik_trace, fit.responsibilities.tau, fit.n_iter, fit.converged,
+            fit.objective, fit.loglik)
+
+    for outcome in outcomes:
+        put(type(outcome).__name__)
+        if isinstance(outcome, FitResult):
+            put_fit(outcome)
+        elif isinstance(outcome, SelectionTable):
+            for r in outcome.rows:
+                put(r.K, r.lam, r.gamma, r.loglik, r.df, r.bic, r.converged)
+                put(None if r.failure is None else str(r.failure),
+                    *getattr(r.failure, "diagnoses", ()))
+            put(outcome.selected)
+            put_fit(outcome.best_fit)
+        elif isinstance(outcome, BaseException):
+            put(str(outcome), *getattr(outcome, "diagnoses", ()))
+        else:
+            raise TypeError(f"cannot digest a {type(outcome).__name__}")
+    return h.hexdigest()

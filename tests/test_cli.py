@@ -442,6 +442,22 @@ class TestConfigPrecedence:
         assert run(command, "--config", str(cfg), "--out-dir", str(tmp_path)) == 1
         assert f"unknown config keys: {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, field", [
+        ("select", {"ks": [2, 2.5]}, "Ks"), ("select", {"n_starts": 2.5}, "n_starts"),
+        ("fit", {"max_iter": 2.5}, "max_iter"), ("fit", {"seed": 2.5}, "seed"),
+        ("fit", {"k": 2.5}, "k"), ("lasso-path", {"k": 2.5}, "k"),
+    ])
+    def test_non_integer_config_value_rejected(self, small_data, tmp_path, capsys, command,
+                                               config, field):
+        # each was truncated by int(), silently
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        grid = ["--penalties", "5,0"] if command == "lasso-path" else []
+        assert run(command, "--config", str(cfg), "--data", str(small_data), *grid,
+                   "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {field} must be an integer, got 2.5"]
+
     def test_no_command_prints_help(self):
         assert run() == 2
 

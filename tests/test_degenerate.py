@@ -10,6 +10,7 @@ a grid search)."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mogge import (
     FitFailedError,
@@ -140,3 +141,63 @@ def test_overflowing_scale_grid_search_selects_or_raises(default_data, scale):
         return
     assert table.selected_row.converged
     _assert_finite(table.best_fit)
+
+
+# The failure contract as a property, on small inputs drawn with the
+# column and row pathologies above: each fitter returns finite parameters
+# or raises FitFailedError (SelectionError for a grid search), and a
+# ValueError only asks for more components than observations.
+PROPERTY_OPTS = FitOptions(n_starts=2, max_iter=200, seed=0)
+PROPERTY_FITTERS = {
+    "em-full": lambda data, K: fit_em(data, K=K, opts=PROPERTY_OPTS),
+    "em-diagonal": lambda data, K: fit_em(data, K=K, opts=PROPERTY_OPTS,
+                                          diagonal_gating=True),
+    "em-lasso": lambda data, K: fit_em_lasso(
+        data, K=K, penalty=PenaltyConfig(lam=2.0, gamma=1.0), opts=PROPERTY_OPTS),
+    "grid-search": lambda data, K: grid_search(
+        data, GridSpec(Ks=(K,), lambdas=(0.0, 5.0), gammas=(0.0, 5.0)),
+        opts=PROPERTY_OPTS).best_fit,
+}
+COLUMN_KINDS = ("plain", "constant", "duplicated", "rounded", "scaled-1e150",
+                "scaled-1e-150")
+
+
+@st.composite
+def degenerate_samples(draw):
+    """(DataSet, K): n in [2, 40], p in [1, 5], K in [1, 3]; each column of
+    X and the response plain, constant, a copy of an earlier column,
+    rounded to integers or scaled by 1e150 or 1e-150; some rows repeated."""
+    n, p, K = draw(st.integers(2, 40)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Z = rng.normal(size=(n, p + 1))
+    Z[:, p] += Z[:, :p].sum(axis=1)  # the response depends on X
+    for j in range(p + 1):
+        kind = draw(st.sampled_from(COLUMN_KINDS))
+        if kind == "constant":
+            Z[:, j] = draw(st.sampled_from((0.0, 1.0, -3.5)))
+        elif kind == "duplicated" and j > 0:
+            Z[:, j] = Z[:, draw(st.integers(0, j - 1))]
+        elif kind == "rounded":
+            Z[:, j] = np.round(Z[:, j])
+        elif kind.startswith("scaled"):
+            Z[:, j] *= float(kind[len("scaled-"):])
+    for i, source in enumerate(draw(st.lists(st.integers(0, n - 1), max_size=n // 2))):
+        Z[n - 1 - i] = Z[source]
+    return DataSet(X=Z[:, :p], Y=Z[:, p]), K
+
+
+@pytest.mark.parametrize("fitter", sorted(PROPERTY_FITTERS))
+@settings(max_examples=50, deadline=None)
+@given(sample=degenerate_samples())
+@example(sample=(DataSet(X=[[0.0], [1.0]], Y=[0.0, 1.0]), 3))
+def test_fits_finite_or_fail_as_the_contract_says(fitter, sample):
+    data, K = sample
+    if K > data.n:
+        with pytest.raises(ValueError, match="cannot split"):
+            PROPERTY_FITTERS[fitter](data, K)
+        return
+    try:
+        fit = PROPERTY_FITTERS[fitter](data, K)
+    except (FitFailedError, SelectionError):
+        return
+    _assert_finite(fit)

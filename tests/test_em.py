@@ -45,6 +45,32 @@ class TestFitOptions:
         with pytest.raises(ValueError):
             FitOptions(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("n_starts", 2.5), ("max_iter", 3.5), ("seed", float("nan")),
+        ("max_iter", float("inf")), ("n_starts", "2"),
+    ])
+    def test_non_integers_rejected(self, field, value):
+        # 1.5 and the rest used to construct, and the fit then raised a
+        # numpy TypeError ("SeedSequence expects int ...")
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            FitOptions(**{field: value})
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_tol_must_be_finite(self, tol):
+        # an infinite tol stopped every fit after one iteration, converged
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            FitOptions(tol=tol)
+
+    def test_numpy_integers_and_integral_floats_are_ints(self):
+        opts = FitOptions(max_iter=np.int64(50), n_starts=np.int32(2), seed=np.uint64(2 ** 63))
+        assert opts == FitOptions(max_iter=50.0, n_starts=2, seed=2 ** 63)
+        assert all(type(v) is int for v in (opts.max_iter, opts.n_starts, opts.seed))
+        data = sample_from_params(np.random.default_rng(4),
+                                  random_params(np.random.default_rng(4)), 60)[0]
+        a, b = fit_em(data, K=2, opts=opts), fit_em(data, K=2, opts=FitOptions(
+            max_iter=50, n_starts=2, seed=2 ** 63))
+        assert a.loglik_trace.tobytes() == b.loglik_trace.tobytes()
+
 
 class TestInitParams:
     def test_single_group_is_global_fit(self):

@@ -106,6 +106,13 @@ class TestSoftThreshold:
         out = soft_threshold(np.array([3.0, -0.5, 0.0]), 1.0)
         assert out == pytest.approx(np.array([2.0, 0.0, 0.0]))
 
+    def test_empty_arrays(self):
+        # the threshold check reduced an empty array: "zero-size array to
+        # reduction operation minimum which has no identity"
+        out = soft_threshold(np.zeros(0), np.zeros(0))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        assert soft_threshold(np.zeros((2, 0)), 1.0).shape == (2, 0)
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)

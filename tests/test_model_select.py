@@ -42,6 +42,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(Ks=(2,), lambdas=(-1.0,), gammas=(0.0,))
 
+    @pytest.mark.parametrize("K", [2.5, float("nan"), "2"])
+    def test_non_integer_K_rejected(self, K):
+        # 2.5 used to become 2
+        with pytest.raises(ValueError, match="^Ks must be an integer, got "):
+            GridSpec(Ks=(3, K), lambdas=(0.0,), gammas=(0.0,))
+
+    def test_numpy_integers_and_integral_floats_are_ints(self):
+        grid = GridSpec(Ks=(np.int64(2), 3.0), lambdas=(0.0,), gammas=(0.0,))
+        assert grid.Ks == (2, 3) and all(type(K) is int for K in grid.Ks)
+
 
 class TestCountDf:
     def test_dense_single_component(self):
