@@ -130,16 +130,17 @@ def _simulate_replicate(item) -> tuple[str, str]:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve(args, SIMULATE_DEFAULTS)
-    replicates = int(cfg["replicates"])
+    replicates = _integral("replicates", cfg["replicates"])
     if replicates < 1:
         raise ValueError("--replicates must be at least 1")
-    seed = int(cfg["seed"])
+    seed, jobs = _integral("seed", cfg["seed"]), _integral("jobs", cfg["jobs"])
+    n = None if cfg["n"] is None else _integral("n", cfg["n"])
     if cfg["scenario"]:
         base = dataio.scenario_from_dict(dataio.read_json(cfg["scenario"]))
-        n = int(cfg["n"]) if cfg["n"] is not None else base.n
+        n = n if n is not None else base.n
         base = Scenario(true_params=base.true_params, n=n, seed=seed)
     elif cfg["default_scenario"]:
-        n = int(cfg["n"]) if cfg["n"] is not None else 300
+        n = n if n is not None else 300
         base = default_scenario(
             n=n, seed=seed, intercept_convention=cfg["intercept_convention"]
         )
@@ -154,7 +155,7 @@ def cmd_simulate(args) -> int:
         for r in range(replicates)
     ]
     names = []
-    for name, text in _run_parallel(_simulate_replicate, items, int(cfg["jobs"])):
+    for name, text in _run_parallel(_simulate_replicate, items, jobs):
         dataio.atomic_write_text(out / name, text)
         names.append(name)
     scenario_dict = dataio.scenario_to_dict(
@@ -403,6 +404,7 @@ def cmd_evaluate(args) -> int:
     cfg = _resolve(args, EVALUATE_DEFAULTS)
     params_paths = cfg["params"] or []
     data_paths = cfg["data"] or []
+    jobs = _integral("jobs", cfg["jobs"])
     if isinstance(params_paths, str):
         params_paths = [params_paths]
     if isinstance(data_paths, str):
@@ -414,7 +416,7 @@ def cmd_evaluate(args) -> int:
     items = [
         (p, d, true_params) for p, d in zip(params_paths, data_paths)
     ]
-    results = _run_parallel(_evaluate_pair, items, int(cfg["jobs"]))
+    results = _run_parallel(_evaluate_pair, items, jobs)
     records = [rec for rec, _ in results]
     warnings = [w for _, ws in results for w in ws]
 

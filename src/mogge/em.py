@@ -41,11 +41,14 @@ from .model import (
     NotPositiveDefiniteError,
     Responsibilities,
     _cholesky,
+    _dot,
     _e_step,
     _identity,
     _into,
+    _residual_squares,
     _Sample,
     _Stack,
+    _sum_products,
 )
 
 INIT_STRATEGIES = ("random-partition", "kmeans-on-x")
@@ -151,14 +154,19 @@ def start_seeds(seed: int, n_starts: int) -> list[int]:
 
 def _floor_spd(S: np.ndarray) -> np.ndarray:
     """Symmetrize a matrix, or a stack of matrices along the leading axes,
-    and floor the eigenvalues of each at the variance floor: for 1 x 1
-    matrices the floored entries, which is what the eigh path gives."""
-    if S.shape[-1] == 1:
+    and floor the eigenvalues of each at the variance floor, and then the
+    diagonal, which rounding in the product of the eigenvectors can leave
+    an ulp below it: for 1 x 1 matrices the floored entries, which is what
+    the eigh path gives."""
+    d = S.shape[-1]
+    if d == 1:
         return np.maximum(S, VARIANCE_FLOOR)
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
     vals, vecs = np.linalg.eigh(S)
     floored = vecs * np.maximum(vals, VARIANCE_FLOOR)[..., None, :]
     floored = floored @ np.swapaxes(vecs, -1, -2)
+    diagonal = floored.reshape(-1, d * d)[:, ::d + 1]  # a view into floored
+    np.maximum(diagonal, VARIANCE_FLOOR, out=diagonal)
     return np.where(vals[..., :1, None] >= VARIANCE_FLOOR, S, floored)
 
 
@@ -225,13 +233,13 @@ def _partition_stack(data: DataSet, labels: np.ndarray, K: int, diagonal: bool) 
         if diagonal:  # Xk.var(axis=0), without computing the mean again
             R = (diff * diff).sum(axis=0) / nk + 1e-6
         else:
-            R = diff.T @ diff / nk + 1e-6 * _identity(data.p)
+            R = _dot(diff.T, diff) / nk + 1e-6 * _identity(data.p)
         Z = np.hstack([np.ones((nk, 1)), Xk])
         C = np.linalg.solve(
             Z.T @ Z + GRAM_RIDGE * _identity(data.p + 1), Z.T @ Yk
         )
         resid = Yk - Z @ C
-        groups.append((nk / data.n, mu, R, C[0], C[1:], _floor_spd(resid.T @ resid / nk)))
+        groups.append((nk / data.n, mu, R, C[0], C[1:], _floor_spd(_dot(resid.T, resid) / nk)))
     return _Stack(*map(np.array, zip(*groups)))  # stacks as np.stack does, at less cost per call
 
 
@@ -270,37 +278,44 @@ def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray,
                     diagonal: bool, work: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Stacked gating update from the (K, n) responsibilities ``T`` and their
     sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p).
-    ``work`` (see :func:`~mogge.model._log_gate_matrix`) ends holding the
+    ``work`` (see :func:`~mogge.model._gate_terms`) ends holding the
     E-step's first pass at the result, the deviations in ``work[0]``
     (squared if ``diagonal``), and any root-weighted ones in ``work[1]``."""
-    mu = T @ sample.X / nk[..., None]
+    mu = _dot(T, sample.X) / nk[..., None]
     diff = _into(np.subtract, sample.XT, mu[..., None], None if work is None else work[0])
     if diagonal:
         diff *= diff
-        R = (diff @ T[..., None])[..., 0] / nk[..., None] + COV_JITTER
+        R = _dot(diff, T[..., None])[..., 0] / nk[..., None] + COV_JITTER
     else:
         # weighted by the root of T, then times its own transpose: numpy's
         # matmul runs syrk there, half the work of a general product
         diff = np.multiply(diff, np.sqrt(T)[..., None, :], out=diff if work is None else work[1])
-        R = diff @ np.swapaxes(diff, -1, -2) / nk[..., None, None]
+        R = _dot(diff, np.swapaxes(diff, -1, -2)) / nk[..., None, None]
         R = 0.5 * (R + np.swapaxes(R, -1, -2)) + COV_JITTER * _identity(mu.shape[-1])
     return nk / nk.sum(axis=-1, keepdims=True), mu, R
 
 
 def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray,
-                        B_prev: np.ndarray,
-                        out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+                        B_prev: np.ndarray, out: np.ndarray | None = None,
+                        r2: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Stacked expert update in the coupled order: intercepts (K, d) from
     the previous coefficients ``B_prev`` (K, p, d), coefficients (K, p, d)
     from the new intercepts, floored covariances (K, d, d) from both.  The
-    (K, p, n) weighted predictors are written into ``out`` when given."""
+    (K, p, n) weighted predictors are written into ``out`` when given.
+    For d = 1 the variances are the weighted means of the residual squares
+    of :func:`~mogge.model._residual_squares` at the new intercepts and
+    coefficients, written into ``r2`` (K, n) when given: the E-step's
+    expert pass at the result."""
     X, XT, YT = sample
     root = np.sqrt(T)[..., None, :]  # D W D' as (D root)(D root)': syrk, as for R
     resid = YT - np.swapaxes(B_prev, -1, -2) @ XT  # (K, d, n)
-    a = (resid @ T[..., None])[..., 0] / nk[..., None]
+    a = _dot(resid, T[..., None])[..., 0] / nk[..., None]
     XW = _into(np.multiply, XT, root, out)
-    G = XW @ np.swapaxes(XW, -1, -2) + GRAM_RIDGE * _identity(X.shape[1])
-    B = np.linalg.solve(G, np.swapaxes((T[..., None, :] * (YT - a[..., None])) @ X, -1, -2))
+    G = _dot(XW, np.swapaxes(XW, -1, -2)) + GRAM_RIDGE * _identity(X.shape[1])
+    B = np.linalg.solve(G, np.swapaxes(_dot(T[..., None, :] * (YT - a[..., None]), X), -1, -2))
+    if B.shape[-1] == 1:
+        r2 = _residual_squares(sample, a, B[..., 0], r2)
+        return a, B, np.maximum(_sum_products(T, r2) / nk, VARIANCE_FLOOR)[..., None, None]
     resid = YT - a[..., None] - np.swapaxes(B, -1, -2) @ XT
     resid *= root
     return a, B, _floor_spd(resid @ np.swapaxes(resid, -1, -2) / nk[..., None, None])
@@ -326,9 +341,10 @@ def m_step_experts(data: DataSet, tau: Responsibilities,
         _Sample.of(data), T, _component_masses(T), B_prev)))
 
 
-def _ml_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack, work) -> _Stack:
+def _ml_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack, work,
+               r2) -> _Stack:
     """:func:`fit_em`'s M-step: the experts first, so the gating pass stays in ``work``."""
-    a, B, Sigma = _expert_regressions(sample, T, nk, s.B, work[0])
+    a, B, Sigma = _expert_regressions(sample, T, nk, s.B, work[0], r2)
     return _Stack(*_gating_moments(sample, T, nk, s.R.ndim == s.mu.ndim, work), a, B, Sigma)
 
 
@@ -414,11 +430,13 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     ``opts.max_iter`` trace entries follow the initial one; returns an
     unchecked :class:`_Run` per start, or raises.
 
-    ``m_step(sample, T, nk, s, work)`` returns the next stack, checked once
-    per M-step, from the (S, K, n) responsibilities ``T`` and their (S, K)
-    masses ``nk``, and leaves in ``work[0]`` the E-step's first pass at
-    that stack; the E-step right after a plain M-step reads it there
-    (``filled``), a cycle's E-steps, at other stacks, do not.
+    ``m_step(sample, T, nk, s, work, r2)`` returns the next stack, checked
+    once per M-step, from the (S, K, n) responsibilities ``T`` and their
+    (S, K) masses ``nk``, and leaves in ``work[0]`` and, for d = 1, in
+    ``r2`` the E-step's first pass at that stack: the deviations from the
+    gating means and the experts' residual squares; the E-step right after
+    a plain M-step reads them there (``filled``), a cycle's E-steps, at
+    other stacks, do not.
     ``objective(loglik, s)`` returns the (S,) trace entries.
 
     With ``squarem`` every second entry comes from a SQUAREM cycle
@@ -441,32 +459,34 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     ``work`` is the batch's workspace of (S, K, p, n) buffers, allocated
     once here: the first for the E-step's deviations and the M-step's
     (S, K, p, n) temporaries, and for full gating covariances a second
-    for the whitened or root-weighted deviations.  No returned or kept
-    array is a view of it.  When m starts run, the live ones or one
-    alone, the kernels get its leading view ``work[:, :m]`` (still
-    C-contiguous).
+    for the whitened or root-weighted deviations.  Beside it, in a buffer
+    of its own so that the gating views stay contiguous, ``r2`` (S, K, n)
+    holds the residual squares of d = 1 experts.  No returned or kept
+    array is a view of either.  When m starts run, the live ones or one
+    alone, the kernels get the leading views ``work[:, :m]`` and
+    ``r2[:m]`` (still C-contiguous).
 
     ``carry`` is the (S,) log-likelihoods and (S, K, n) responsibilities
     of an E-step at ``s`` run before, by the run ``s`` comes from; the
     initial entries then take them instead of running it again."""
     cycles = squarem and opts.max_iter > 2
 
-    def e_step(s, work, known=None, filled=False):  # known: (loglik, T) of an E-step at s
-        loglik, T = _e_step(sample, s, work, filled) if known is None else known
+    def e_step(s, work, r2, known=None, filled=False):  # known: (loglik, T) of an E-step at s
+        loglik, T = _e_step(sample, s, work, r2, filled) if known is None else known
         return T, loglik, objective(loglik, s)
 
-    def plain(s, T, obj, theta, work):  # the M-step (none at the start), then the E-step
+    def plain(s, T, obj, theta, work, r2):  # the M-step (none at the start), then the E-step
         if T is None:
-            T, loglik, obj = e_step(s, work, carry)
+            T, loglik, obj = e_step(s, work, r2, carry)
         else:
-            s = m_step(sample, T, _component_masses(T), s, work)
-            T, loglik, obj = e_step(s, work, filled=True)
+            s = m_step(sample, T, _component_masses(T), s, work, r2)
+            T, loglik, obj = e_step(s, work, r2, filled=True)
         if theta is None and cycles:
             theta = _theta(s)  # of the first base point
         return s, T, loglik, obj, theta, None  # every entry is tested
 
-    def cycle(s, T, obj, theta, work):  # s is x1, obj its entry, theta that of x0
-        s2 = m_step(sample, T, _component_masses(T), s, work)
+    def cycle(s, T, obj, theta, work, r2):  # s is x1, obj its entry, theta that of x0
+        s2 = m_step(sample, T, _component_masses(T), s, work, r2)
         theta1, theta2 = _theta(s), _theta(s2)
         r, v = theta1 - theta, theta2 - 2.0 * theta1 + theta
         with np.errstate(all="ignore"):  # an extrapolation that overflows is rejected
@@ -478,20 +498,22 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
                 ok &= (x.R > 0.0).all(axis=(-2, -1))
         at_x2 = ~ok  # the starts whose E-step ran at x2
         try:
-            T, loglik, obj_x = e_step(_where(ok, x, s2), work)
+            T, loglik, obj_x = e_step(_where(ok, x, s2), work, r2)
         except _START_FAILURES:  # each extrapolation alone; a failed one is rejected below
             at_x2[:] = False
             T, loglik, obj_x = np.zeros_like(T), np.empty_like(obj), np.full_like(obj, -np.inf)
             for i in np.flatnonzero(ok).tolist() if len(ok) > 1 else ():  # a lone one has run
                 try:
-                    T[[i]], loglik[[i]], obj_x[[i]] = e_step(x.take([i]), work[:, :1])
+                    T[[i]], loglik[[i]], obj_x[[i]] = e_step(x.take([i]), work[:, :1],
+                                                             r2[:1])
                 except _START_FAILURES:
                     pass
         ok &= np.isfinite(obj_x) & (obj_x >= obj) & (
             T.sum(axis=-1) > DEGENERACY_FRACTION * T.shape[-1]).all(axis=-1)
         back = ~ok & ~at_x2  # the plain step's E-step, for these starts only
         if back.any():
-            T[back], loglik[back], obj_x[back] = e_step(s2.take(back), work[:, :back.sum()])
+            m = back.sum()
+            T[back], loglik[back], obj_x[back] = e_step(s2.take(back), work[:, :m], r2[:m])
         theta = np.where(ok[:, None], theta_x, theta2)
         return _where(ok, x, s2), T, loglik, obj_x, theta, ~ok
 
@@ -499,10 +521,13 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     out: list = [None] * len(s.alpha)
     traces: list[list[float]] = [[] for _ in out]
     live, state = list(range(len(out))), (s, None, None, None)
-    work = np.empty((1 + (s.R.ndim > s.mu.ndim), *s.mu.shape, sample.XT.shape[1]))
+    n = sample.XT.shape[1]
+    work = np.empty((1 + (s.R.ndim > s.mu.ndim), *s.mu.shape, n))
+    r2 = np.empty((*s.alpha.shape, n))
     for it in range(last + 1):
         step = cycle if cycles and it % 2 == 0 and 0 < it < last else plain
-        s, T, loglik, obj, theta, tested = step(*state, work[:, :len(live)])
+        m = len(live)
+        s, T, loglik, obj, theta, tested = step(*state, work[:, :m], r2[:m])
         for i, (start, value) in enumerate(zip(live, obj.tolist())):
             trace = traces[start]
             trace.append(value)

@@ -45,11 +45,14 @@ from .model import (
     Responsibilities,
     UnsupportedConfigError,
     _check_penalty,
+    _dot,
     _identity,
     _into,
     _penalize,
+    _residuals,
     _Sample,
     _Stack,
+    _sum_products,
 )
 
 
@@ -93,7 +96,7 @@ def _gating_means(X: np.ndarray, T: np.ndarray, nk: np.ndarray, R_prev: np.ndarr
                   gamma: float) -> np.ndarray:
     """Stacked soft-threshold gating means (K, p) from the (K, n)
     responsibilities ``T``, lagged variances ``R_prev``."""
-    return _soft_threshold(T @ X, gamma * R_prev) / nk[..., None]
+    return _soft_threshold(_dot(T, X), gamma * R_prev) / nk[..., None]
 
 
 def _gating_variances(XT: np.ndarray, T: np.ndarray, nk: np.ndarray,
@@ -103,7 +106,7 @@ def _gating_variances(XT: np.ndarray, T: np.ndarray, nk: np.ndarray,
     are written into ``out`` when given."""
     sq = _into(np.subtract, XT, mu[..., None], out)
     sq *= sq
-    return np.maximum((sq @ T[..., None])[..., 0] / nk[..., None], VARIANCE_FLOOR)
+    return np.maximum(_dot(sq, T[..., None])[..., 0] / nk[..., None], VARIANCE_FLOOR)
 
 
 def _certified_step(G: np.ndarray, c: np.ndarray, eta: np.ndarray,
@@ -203,10 +206,10 @@ def _expert_coeffs(sample: _Sample, T: np.ndarray, b0: np.ndarray, sigma2: np.nd
     factor ``X' W`` is written into ``out`` when given."""
     X, XT, YT = sample
     p = X.shape[1]
-    G = _into(np.multiply, XT, T[..., None, :], out) @ X  # X' W X, (K, p, p)
+    G = _dot(_into(np.multiply, XT, T[..., None, :], out), X)  # X' W X, (K, p, p)
     diagonal = G.reshape(-1, p * p)[:, ::p + 1]  # a view into G, one row per expert
     diagonal += np.where(diagonal > 0.0, diagonal * (p * 2.0 ** -52), 1.0)  # 2 ** -52: eps
-    c = (T * (YT[0] - b0[..., None])) @ X  # X' W (y - b0)
+    c = _dot(T * (YT[0] - b0[..., None]), X)  # X' W (y - b0)
     eta = lam * sigma2
     coeffs, certified = _certified_step(G, c, eta, beta)
     if not certified.all():
@@ -216,15 +219,19 @@ def _expert_coeffs(sample: _Sample, T: np.ndarray, b0: np.ndarray, sigma2: np.nd
 
 
 def _intercepts_variances(sample: _Sample, T: np.ndarray, nk: np.ndarray,
-                          beta: np.ndarray) -> tuple[np.ndarray, ...]:
+                          beta: np.ndarray,
+                          r2: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Weighted intercepts (K,) and floored variances (K,) of the experts
-    weighted by ``T`` (K, n), given their coefficients ``beta`` (K, p)."""
-    W = T[..., None, :]  # (K, 1, n)
-    resid = sample.YT[0] - beta @ sample.XT  # (K, n)
-    b0 = (W @ resid[..., None])[..., 0, 0] / nk
-    resid -= b0[..., None]
-    resid *= resid
-    return b0, np.maximum((W @ resid[..., None])[..., 0, 0] / nk, VARIANCE_FLOOR)
+    weighted by ``T`` (K, n), given their coefficients ``beta`` (K, p): the
+    weighted means of the residuals and of their squares, which are those
+    of :func:`~mogge.model._residual_squares`, the same three passes, and
+    are written into ``r2`` (K, n) when given: the E-step's expert pass at
+    the result."""
+    r = _residuals(sample, beta, r2)  # y - B'x
+    b0 = _sum_products(T, r) / nk
+    r -= b0[..., None]
+    r *= r
+    return b0, np.maximum(_sum_products(T, r) / nk, VARIANCE_FLOOR)
 
 
 def ca_update_gating_means(data: DataSet, tau: Responsibilities,
@@ -297,18 +304,20 @@ def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
 
 
 def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
-                  penalty: PenaltyConfig, out: np.ndarray | None = None) -> _Stack:
+                  penalty: PenaltyConfig, out: np.ndarray | None = None,
+                  r2: np.ndarray | None = None) -> _Stack:
     """Closed-form mixing weights, soft-threshold gating means, floored
     gating variances, then for all experts of the (S, K) stack at once the
     lasso coefficients (certified step, active-set rounds where it fails)
     and the intercepts and variances.  The (K, p, n) temporaries of the
     coefficients and of the variances are written into ``out``, one after
     the other, when given: ``out`` ends holding the squared deviations of
-    X from the new gating means, the E-step's first pass at the result."""
+    X from the new gating means, and ``r2`` (K, n), when given, the
+    experts' residual squares, the E-step's first pass at the result."""
     mu = _gating_means(sample.X, T, nk, s.R, penalty.gamma)
     beta = _expert_coeffs(sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
                           penalty.lam, out)
-    b0, sigma2 = _intercepts_variances(sample, T, nk, beta)
+    b0, sigma2 = _intercepts_variances(sample, T, nk, beta, r2)
     return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu,
                   _gating_variances(sample.XT, T, nk, mu, out),
                   b0[..., None], beta[..., None], sigma2[..., None, None])
@@ -319,7 +328,8 @@ def _fit_lasso(sample: _Sample, K: int, penalty: PenaltyConfig, opts: FitOptions
     """:func:`~mogge.em._multistart` of ``starts`` with the lasso M-step and objective."""
     return _multistart(
         sample, K, opts,
-        lambda sample, T, nk, s, work: _lasso_m_step(sample, T, nk, s, penalty, work[0]),
+        lambda sample, T, nk, s, work, r2: _lasso_m_step(sample, T, nk, s, penalty, work[0],
+                                                         r2),
         lambda loglik, s: _penalize(loglik, s, penalty.lam, penalty.gamma),
         starts, **accept,
     )

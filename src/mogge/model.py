@@ -12,7 +12,8 @@ on their read-only copies, :meth:`_Stack.check` on all components of a
 stack at once, of every start when it has a start axis.  A fit checks
 only the edges of a run, its seeded starts once per batch and its
 result; inside it the EM loop iterates on :class:`_Stack`, kept valid by
-the M-step guards and the E-step's factorization (``LinAlgError``).
+the M-step guards and the E-step's factorizations and positive expert
+variances (``LinAlgError``).
 
 The kernels are component-major: the log-joint matrix and the
 responsibilities are ``(K, n)`` and the deviations from the means
@@ -25,6 +26,13 @@ start's result has the same bits in any batch, because every operation
 acts on one start at a time.  The public boundary keeps one row per
 observation: :class:`Responsibilities` holds ``(n, K)``.
 
+The log-joint matrix is assembled once, as ``c - Q / 2`` from the (K,)
+constants (log weights and log-determinants) and the (K, n) sum ``Q`` of
+the gating and expert Mahalanobis squares; with d = 1 the expert part of
+``Q`` is the residual squares over the variances, with no factorization.
+Sums over n whose bits BLAS would make depend on its thread count go
+through :func:`_dot`, so a fit gives the same bytes at any thread count.
+
 The EM loop allocates its largest temporaries, the (S, K, p, n)
 deviations of the predictors, once per batch: one workspace of such
 buffers (two for full gating covariances, one for diagonal ones), passed
@@ -32,10 +40,13 @@ to the kernels as ``work`` or ``out`` and filled by :func:`_into`, so
 that an iteration allocates nothing of that size and maps no fresh
 pages.  Every kernel defaults to ``None`` and then allocates as numpy
 would; the public functions run the same code that way.  No array a
-kernel returns is a view of the workspace.  Every plain M-step of the
-loop leaves in the first buffer the E-step's first pass at its result,
-the deviations from its gating means (squared if diagonal), and that
-E-step reads them there (``filled``) instead of computing them again.
+kernel returns is a view of the workspace.  Beside it the loop keeps
+one (S, K, n) buffer ``r2`` for the d = 1 experts' residual squares.
+Every plain M-step of the loop leaves in them the E-step's first pass at
+its result, the deviations from its gating means (squared if diagonal)
+in the first buffer and the residual squares ``((y - B'x) - a) ** 2`` in
+``r2``, and that E-step reads them there (``filled``) instead of
+computing them again.
 
 Component layout conventions:
 
@@ -164,17 +175,40 @@ def _identity(p: int) -> np.ndarray:
     return eye
 
 
+def _positive(A: np.ndarray) -> np.ndarray:
+    """``A``, once every entry is positive; raises ``LinAlgError`` as
+    ``cholesky`` does for a non-positive 1 x 1 matrix, and for a NaN one too."""
+    if not (A > 0.0).all():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return A
+
+
 def _cholesky(A: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of the matrices stacked along the leading axes
     of ``A``.  For 1 x 1 matrices the square roots, the number LAPACK's
-    ``dpotrf`` returns, without its per-call cost.  Raises ``LinAlgError``
-    as ``cholesky`` does for a non-positive 1 x 1 entry, and for a NaN one
-    too."""
+    ``dpotrf`` returns, without its per-call cost, checked by
+    :func:`_positive`."""
     if A.shape[-1] != 1:
         return cholesky(A)
-    if not (A > 0.0).all():
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    return np.sqrt(A)
+    return np.sqrt(_positive(A))
+
+
+def _sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sums over the last axis of ``a * b``, broadcast, by numpy's own
+    loops, whose bits do not depend on the BLAS thread count."""
+    return np.einsum("...n,...n->...", a, b)
+
+
+def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B`` of the stacks ``A`` (..., m, n) and ``B`` (..., n, q),
+    summed over the long axis n.  numpy sends a (1, n) @ (n, 1) pair to
+    BLAS ``ddot``, and OpenBLAS splits that sum across threads once n
+    passes about 10,000, so that its bits depend on the thread count; such
+    a pair goes to :func:`_sum_products` instead.  The gemv, gemm and syrk
+    calls of the other shapes give the same bits at any thread count."""
+    if A.shape[-2] == 1 and B.shape[-1] == 1:
+        return _sum_products(A[..., 0, :], B[..., :, 0])[..., None, None]
+    return A @ B
 
 
 def _check_components(what: str, cov: np.ndarray, *arrays: np.ndarray,
@@ -449,14 +483,18 @@ class Responsibilities:
 # Log-density evaluation
 # ---------------------------------------------------------------------------
 
-def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
-                    chol: np.ndarray | None, out: np.ndarray | None = None,
-                    filled: bool = False) -> np.ndarray:
-    """``(K, n)`` Gaussian log-densities of the deviations ``diff`` (K, m, n)
-    of n points from the K means, under K variance vectors ``cov`` (K, m)
-    with ``chol`` None, or K full matrices with lower factors ``chol``,
-    whose m x m inverses multiply ``diff`` (no solve against n columns;
-    for m = 1 the reciprocal, the number that solve returns).
+def _mahalanobis(diff: np.ndarray, cov: np.ndarray, chol: np.ndarray | None,
+                 out: np.ndarray | None = None,
+                 filled: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian log-densities of the deviations ``diff`` (K, m, n) of n
+    points from K means as ``-(const + Q) / 2``: ``const`` (K,) is
+    ``m log 2 pi`` plus the log-determinants, and ``Q`` (K, n) the squared
+    Mahalanobis distances, a new array.  Under K variance vectors ``cov``
+    (K, m), with ``chol`` None, ``Q`` is one product of the reciprocals
+    with the squared deviations, summing over m; under K full matrices
+    with lower factors ``chol``, the sums of the squared whitened
+    deviations, by the m x m inverses of the factors (no solve against n
+    columns; for m = 1 the reciprocal, the number that solve returns).
 
     Every caller passes a fresh ``diff``: the diagonal case squares it in
     place, or with ``filled`` finds it squared already, and the full case
@@ -464,18 +502,31 @@ def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
     new array when None)."""
     m = diff.shape[-2]
     if chol is None:
-        Z = diff if filled else np.multiply(diff, diff, out=diff)
-        Z /= cov[..., None]
-        logdet = np.log(cov).sum(axis=-1)
-    elif m == 1:  # the sums below, over length-one axes, would return their one term
-        Z = np.multiply(1.0 / chol, diff, out=out)
-        Z *= Z
-        return -0.5 * ((LOG_2PI + 2.0 * np.log(chol[..., 0])) + Z[..., 0, :])
-    else:
-        Z = np.matmul(np.linalg.solve(chol, _identity(m)), diff, out=out)
-        Z *= Z
-        logdet = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1)
-    return -0.5 * ((m * LOG_2PI + logdet)[..., None] + Z.sum(axis=-2))
+        sq = diff if filled else np.multiply(diff, diff, out=diff)
+        return (m * LOG_2PI + np.log(cov).sum(axis=-1),
+                ((1.0 / cov)[..., None, :] @ sq)[..., 0, :])
+    if m == 1:  # the sums below, over length-one axes, would return their one term
+        Z = np.multiply(1.0 / chol, diff, out=out)[..., 0, :]
+        return LOG_2PI + 2.0 * np.log(chol[..., 0, 0]), Z * Z
+    Z = np.matmul(np.linalg.solve(chol, _identity(m)), diff, out=out)
+    Z *= Z
+    return m * LOG_2PI + 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1), Z.sum(axis=-2)
+
+
+def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
+                    chol: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
+    """``(K, n)`` Gaussian log-densities ``-(const + Q) / 2`` of the
+    deviations ``diff`` (K, m, n); arguments as for :func:`_mahalanobis`."""
+    const, Q = _mahalanobis(diff, cov, chol, out)
+    return -0.5 * (const[..., None] + Q)
+
+
+def _log_weights(alpha: np.ndarray, const: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``log alpha - (const + Q) / 2`` (K, n), assembled once as ``c - Q / 2``
+    with ``c = log alpha - const / 2`` (K,), in place of ``Q``."""
+    Q *= -0.5
+    Q += (np.log(alpha) - 0.5 * const)[..., None]
+    return Q
 
 
 def gaussian_logpdf(v, mean, cov) -> float:
@@ -518,10 +569,10 @@ def _into(op, XT: np.ndarray, v: np.ndarray, out: np.ndarray | None) -> np.ndarr
     return op(out, v, out=out)
 
 
-def _log_gate_matrix(XT: np.ndarray, s: _Stack, work: np.ndarray | None = None,
-                     filled: bool = False) -> np.ndarray:
-    """``(K, n)`` unnormalized gating log-weights
-    ``log alpha_k + log phi_p(x_i; mu_k, R_k)`` of the columns of ``XT`` (p, n).
+def _gate_terms(XT: np.ndarray, s: _Stack, work: np.ndarray | None = None,
+                filled: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_mahalanobis` of the columns of ``XT`` (p, n) under the gating
+    Gaussians of ``s``.
 
     ``work``, when given, holds (K, p, n) buffers: the deviations from
     ``s.mu`` go to ``work[0]``, squared there for diagonal covariances,
@@ -532,25 +583,70 @@ def _log_gate_matrix(XT: np.ndarray, s: _Stack, work: np.ndarray | None = None,
     diff = work[0] if filled else _into(
         np.subtract, XT, s.mu[..., None], None if work is None else work[0])
     out = None if work is None or chol is None else work[1]
-    return np.log(s.alpha)[..., None] + _log_gauss_rows(diff, s.R, chol, out, filled)
+    return _mahalanobis(diff, s.R, chol, out, filled)
+
+
+def _log_gate_matrix(XT: np.ndarray, s: _Stack, work: np.ndarray | None = None,
+                     filled: bool = False) -> np.ndarray:
+    """``(K, n)`` unnormalized gating log-weights
+    ``log alpha_k + log phi_p(x_i; mu_k, R_k)`` of the columns of ``XT``
+    (p, n); ``work`` and ``filled`` as for :func:`_gate_terms`."""
+    return _log_weights(s.alpha, *_gate_terms(XT, s, work, filled))
+
+
+def _residuals(sample: _Sample, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``y - B' x`` (K, n) of the d = 1 experts with coefficients ``beta``
+    (K, p), into ``out`` when given."""
+    r = np.matmul(beta, sample.XT, out=out)
+    return np.subtract(sample.YT[0], r, out=r)
+
+
+def _residual_squares(sample: _Sample, a: np.ndarray, beta: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """``((y - B' x) - a) ** 2`` (K, n) of the d = 1 experts with intercepts
+    ``a`` (K, 1) and coefficients ``beta`` (K, p), into ``out`` when given:
+    the three passes the expert M-steps make at their result."""
+    r = _residuals(sample, beta, out)
+    r -= a
+    r *= r
+    return r
 
 
 def _log_joint_matrix(sample: _Sample, s: _Stack, work: np.ndarray | None = None,
-                      filled: bool = False) -> np.ndarray:
+                      r2: np.ndarray | None = None, filled: bool = False) -> np.ndarray:
     """Per-component, per-observation joint log-terms
-    ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``, ``(K, n)``;
-    ``work`` and ``filled`` as for :func:`_log_gate_matrix`."""
-    XT, YT = sample.XT, sample.YT
-    p, d = s.B.shape[-2:]
-    if p != XT.shape[0] or d != YT.shape[0]:
+    ``log alpha_k + log phi_p(x_i) + log phi_d(y_i | x_i)``, ``(K, n)``,
+    assembled once by :func:`_log_weights`.  For d = 1 the expert term is
+    ``-(log 2 pi + log sigma2 + r2 / sigma2) / 2`` with the residual squares
+    ``r2`` of :func:`_residual_squares`, written into ``r2`` (K, n) when
+    given, and a ``sigma2`` that is not positive raises ``LinAlgError`` as
+    a failed factorization does; for d > 1 the Gaussian of
+    :func:`_mahalanobis`.  ``work`` and ``filled`` as for
+    :func:`_gate_terms`; with ``filled`` ``r2`` holds the residual squares
+    too, bit for bit, as a plain M-step of the EM loop leaves them.  The
+    parameters' (p, d) must match the sample's: the public functions
+    check them once."""
+    const, Q = _gate_terms(sample.XT, s, work, filled)
+    if s.B.shape[-1] == 1:
+        sigma2 = _positive(s.Sigma[..., 0, 0])
+        r2 = r2 if filled else _residual_squares(sample, s.a, s.B[..., 0], r2)
+        const = const + (LOG_2PI + np.log(sigma2))
+        Q += np.divide(r2, sigma2[..., None], out=r2)
+    else:
+        mean = s.a[..., None] + s.B.swapaxes(-1, -2) @ sample.XT  # a_k + B_k' x_i, (K, d, n)
+        const_y, Q_y = _mahalanobis(sample.YT - mean, s.Sigma, _cholesky(s.Sigma))
+        const = const + const_y
+        Q += Q_y
+    return _log_weights(s.alpha, const, Q)
+
+
+def _check_dimensions(data: DataSet, params: MoggeParams) -> None:
+    """Raise ``ValueError`` unless the parameters' (p, d) are the data's."""
+    if (params.p, params.d) != (data.p, data.d):
         raise ValueError(
-            f"parameter dimensions (p={p}, d={d}) do not match "
-            f"data (p={XT.shape[0]}, d={YT.shape[0]})"
+            f"parameter dimensions (p={params.p}, d={params.d}) do not match "
+            f"data (p={data.p}, d={data.d})"
         )
-    mean = s.a[..., None] + s.B.swapaxes(-1, -2) @ XT  # a_k + B_k' x_i, (K, d, n)
-    out = _log_gate_matrix(XT, s, work, filled)
-    out += _log_gauss_rows(YT - mean, s.Sigma, _cholesky(s.Sigma))
-    return out
 
 
 def gating_probs(x, params: MoggeParams) -> np.ndarray:
@@ -569,8 +665,9 @@ def gating_probs(x, params: MoggeParams) -> np.ndarray:
 def conditional_density(y, x, params: MoggeParams) -> float:
     """Log conditional density ``log f(y | x)`` of the mixture: the joint
     log-density of ``(x, y)`` minus the marginal log-density of ``x``."""
-    pair = _Sample.of(DataSet(X=np.reshape(x, (1, -1)), Y=np.reshape(y, (1, -1))))
-    s = _Stack.of(params)
+    pair = DataSet(X=np.reshape(x, (1, -1)), Y=np.reshape(y, (1, -1)))
+    _check_dimensions(pair, params)
+    pair, s = _Sample.of(pair), _Stack.of(params)
     joint = _log_normalize(_log_joint_matrix(pair, s))[0]
     marginal = _log_normalize(_log_gate_matrix(pair.XT, s))[0]
     return float(joint[0] - marginal[0])
@@ -589,16 +686,18 @@ def _log_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _e_step(sample: _Sample, s: _Stack, work: np.ndarray | None = None,
+            r2: np.ndarray | None = None,
             filled: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Joint log-likelihood (the summed column log-sum-exps) and ``(K, n)``
     responsibilities (the normalized columns) from one log-joint evaluation;
-    ``work`` and ``filled`` as for :func:`_log_gate_matrix`."""
-    lse, tau = _log_normalize(_log_joint_matrix(sample, s, work, filled))
+    ``work``, ``r2`` and ``filled`` as for :func:`_log_joint_matrix`."""
+    lse, tau = _log_normalize(_log_joint_matrix(sample, s, work, r2, filled))
     return lse.sum(axis=-1), tau
 
 
 def joint_loglik(data: DataSet, params: MoggeParams) -> float:
     """Joint log-likelihood of the sample: one log-sum-exp per observation."""
+    _check_dimensions(data, params)
     return float(_e_step(_Sample.of(data), _Stack.of(params))[0])
 
 
@@ -617,6 +716,7 @@ def penalized_loglik(data: DataSet, params: MoggeParams,
         raise UnsupportedConfigError(
             "penalized objective requires diagonal gating covariances"
         )
+    _check_dimensions(data, params)
     s = _Stack.of(params)
     return float(_penalize(_e_step(_Sample.of(data), s)[0], s, lam, gamma))
 
@@ -628,4 +728,5 @@ def _penalize(loglik: np.ndarray, s: _Stack, lam: float, gamma: float) -> np.nda
 
 def posterior_responsibilities(data: DataSet, params: MoggeParams) -> Responsibilities:
     """Posterior membership probabilities, rows normalized by log-sum-exp."""
+    _check_dimensions(data, params)
     return Responsibilities(tau=_e_step(_Sample.of(data), _Stack.of(params))[1].T)

@@ -249,7 +249,7 @@ def partition_params(data, labels, K: int, diagonal: bool):
     each group: the construction the fits' seeded stacks replaced.  The
     arithmetic and its guards are the library's, so the bits must match."""
     from mogge.em import GRAM_RIDGE, _floor_spd
-    from mogge.model import ExpertComponent, GatingComponent, MoggeParams
+    from mogge.model import ExpertComponent, GatingComponent, MoggeParams, _dot
 
     gating, experts = [], []
     for k in range(K):
@@ -261,13 +261,13 @@ def partition_params(data, labels, K: int, diagonal: bool):
             R = Xk.var(axis=0) + 1e-6
         else:
             diff = Xk - mu
-            R = diff.T @ diff / nk + 1e-6 * np.eye(data.p)
+            R = _dot(diff.T, diff) / nk + 1e-6 * np.eye(data.p)
         gating.append(GatingComponent(alpha=nk / data.n, mu=mu, R=R))
         Z = np.hstack([np.ones((nk, 1)), Xk])
         C = np.linalg.solve(Z.T @ Z + GRAM_RIDGE * np.eye(data.p + 1), Z.T @ Yk)
         resid = Yk - Z @ C
         experts.append(ExpertComponent(intercept=C[0], coeffs=C[1:],
-                                       cov=_floor_spd(resid.T @ resid / nk)))
+                                       cov=_floor_spd(_dot(resid.T, resid) / nk)))
     return MoggeParams(gating=tuple(gating), experts=tuple(experts))
 
 

@@ -81,8 +81,8 @@ class TestChainEqualsOneFitPerRow:
         # that row fails its check, and the next row starts from the one before
         real_step = em_lasso._lasso_m_step
 
-        def floored(sample, T, nk, s, penalty, out=None):
-            new = real_step(sample, T, nk, s, penalty, out)
+        def floored(sample, T, nk, s, penalty, *buffers):
+            new = real_step(sample, T, nk, s, penalty, *buffers)
             if penalty.lam == 4.0:
                 return new._replace(Sigma=np.full_like(new.Sigma, 0.1 * VARIANCE_FLOOR))
             return new

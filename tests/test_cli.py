@@ -458,6 +458,23 @@ class TestConfigPrecedence:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {field} must be an integer, got 2.5"]
 
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "replicates"), ("simulate", "seed"), ("simulate", "n"),
+        ("simulate", "jobs"), ("evaluate", "jobs"),
+    ])
+    def test_non_integer_simulate_and_evaluate_values_rejected(self, tmp_path, capsys,
+                                                              command, key):
+        # each was truncated by int(), silently: "replicates": 2.5 wrote two
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 2.5}))
+        args = (["--default-scenario"] if command == "simulate"
+                else ["--params", "est.json", "--data", "data.csv"])
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), *args, "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key} must be an integer, got 2.5"]
+        assert not out.exists()
+
     def test_no_command_prints_help(self):
         assert run() == 2
 

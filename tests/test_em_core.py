@@ -132,14 +132,16 @@ def _count_factored(monkeypatch):
 
 
 class TestOneFactorizationPerCovariance:
-    """Each E-step factors each full covariance once: 2K matrices with
-    full gating, K with diagonal gating or EM-Lasso (the expert
-    covariances).  So does each map of a stack to SQUAREM's coordinates
-    in ``fit_em``.  The stacked validator, run once on the seeded starts
-    of a batch, and the checked components returned at the end factor
-    each full covariance once more, so a single cold start counts
-    ``full_per_component * K * (E-steps + maps + 2)``; EM-Lasso runs
-    ``n_iter + 1`` E-steps and no map."""
+    """Each E-step factors each full gating covariance once: K matrices
+    with full gating, none with diagonal gating or EM-Lasso, since it
+    takes the 1 x 1 expert covariances (d = 1) as variances.  Each map of
+    a stack to SQUAREM's coordinates in ``fit_em`` factors every full
+    covariance, gating and expert: ``full_per_component * K`` matrices.
+    The stacked validator, run once on the seeded starts of a batch, and
+    the checked components returned at the end factor them once more, so
+    a single cold start counts ``K * ((full_per_component - 1) * E-steps
+    + full_per_component * (maps + 2))``; EM-Lasso runs no map, so its
+    count is 2K whatever its iterations."""
 
     @pytest.mark.parametrize("diagonal, full_per_component", [(False, 2), (True, 1)])
     def test_fit_em(self, monkeypatch, diagonal, full_per_component):
@@ -157,7 +159,8 @@ class TestOneFactorizationPerCovariance:
             data, K=2, opts=FitOptions(n_starts=1, seed=3), diagonal_gating=diagonal
         )
         assert fit.n_iter > 1 and maps[0] > 0
-        assert calls[0] == full_per_component * 2 * (e_steps[0] + maps[0] + 2)
+        assert calls[0] == 2 * ((full_per_component - 1) * e_steps[0]
+                                + full_per_component * (maps[0] + 2))
 
     def test_fit_em_lasso(self, monkeypatch):
         data = _instance(2)
@@ -166,7 +169,7 @@ class TestOneFactorizationPerCovariance:
             data, K=2, penalty=PENALTY, opts=FitOptions(n_starts=1, seed=3)
         )
         assert fit.n_iter > 1
-        assert calls[0] == 2 * (fit.n_iter + 3)
+        assert calls[0] == 2 * 2
 
 
 class TestRunEdges:
@@ -740,23 +743,33 @@ E_STEP = em._e_step
 
 
 def _first_pass(sample, s):
-    """What the E-step at ``s`` writes into ``work[0]`` first: the deviations
-    of the predictors from the gating means, squared for diagonal gating."""
+    """What the E-step at ``s`` writes first: into ``work[0]`` the deviations
+    of the predictors from the gating means, squared for diagonal gating,
+    and into ``r2`` the residual squares ``((y - B'x) - a) ** 2`` of the
+    experts, by the same passes (None for d > 1)."""
     diff = sample.XT - s.mu[..., None]
-    return diff * diff if s.R.ndim == s.mu.ndim else diff
+    gate = diff * diff if s.R.ndim == s.mu.ndim else diff
+    if s.B.shape[-1] != 1:
+        return gate, None
+    resid = (sample.YT[0] - s.B[..., 0] @ sample.XT) - s.a
+    return gate, resid * resid
 
 
-def _assert_hand_off(sample, s, work):
-    """``work[0]`` holds, bit for bit, the first pass of the E-step at ``s``,
-    and the E-step that takes it from there (``filled``) gives the bits of
-    a fresh E-step at ``s``, returned and left in the workspace, as one
-    into a NaN-filled workspace of its own; returns the E-step's result."""
-    assert np.array_equal(work[0], _first_pass(sample, s))
-    fresh = np.full_like(work, np.nan)
-    expected = E_STEP(sample, s, fresh)
-    out = E_STEP(sample, s, work, True)
+def _assert_hand_off(sample, s, work, r2):
+    """``work[0]`` and, for d = 1, ``r2`` hold, bit for bit, the first pass
+    of the E-step at ``s``, and the E-step that takes them from there
+    (``filled``) gives the bits of a fresh E-step at ``s``, returned and
+    left in both buffers, as one into NaN-filled buffers of its own;
+    returns the E-step's result."""
+    gate, resid = _first_pass(sample, s)
+    assert np.array_equal(work[0], gate)
+    assert resid is None or np.array_equal(r2, resid)
+    fresh, fresh_r2 = np.full_like(work, np.nan), np.full_like(r2, np.nan)
+    expected = E_STEP(sample, s, fresh, fresh_r2)
+    out = E_STEP(sample, s, work, r2, True)
     _assert_same_bits(out, expected)
     assert np.array_equal(work, fresh)
+    assert resid is None or np.array_equal(r2, fresh_r2)
     return out
 
 
@@ -786,60 +799,67 @@ class TestWorkspace:
         # shaped as the loop shapes it, NaN where a kernel would read a
         # buffer before writing it
         work = np.full((1 + (not diagonal), *s.mu.shape, sample.XT.shape[1]), np.nan)
+        r2 = np.full((*s.alpha.shape, sample.XT.shape[1]), np.nan)
         _assert_same_bits(model._log_gate_matrix(sample.XT, s, work),
                           model._log_gate_matrix(sample.XT, s))
-        _assert_same_bits(model._e_step(sample, s, work), model._e_step(sample, s))
+        _assert_same_bits(model._e_step(sample, s, work, r2), model._e_step(sample, s))
         # the leading view of a compacted batch
-        _assert_same_bits(model._e_step(sample, s.take(slice(0, 2)), work[:, :2]),
+        _assert_same_bits(model._e_step(sample, s.take(slice(0, 2)), work[:, :2], r2[:2]),
                           (x[:2] for x in model._e_step(sample, s)))
         _assert_same_bits(em._gating_moments(sample, T, nk, diagonal, work),
                           em._gating_moments(sample, T, nk, diagonal))
-        _assert_same_bits(em._expert_regressions(sample, T, nk, s.B, work[0]),
+        _assert_same_bits(em._expert_regressions(sample, T, nk, s.B, work[0], r2),
                           em._expert_regressions(sample, T, nk, s.B))
-        # fit_em's M-step into a NaN-filled workspace, whole and through the
-        # leading view of a compacted batch: the bits of its kernels without
-        # one, and the E-step's first pass at its result left in work[0]
+        # fit_em's M-step into NaN-filled buffers, whole and through the
+        # leading views of a compacted batch: the bits of its kernels
+        # without them, and the E-step's first pass at its result left in
+        # work[0] and r2
         for m in (3, 2):
-            view = np.full_like(work, np.nan)[:, :m]
+            view, r2_view = np.full_like(work, np.nan)[:, :m], np.full_like(r2, np.nan)[:m]
             args = (sample, T[:m], nk[:m])
-            new = em._ml_m_step(*args, s.take(slice(0, m)), view)
+            new = em._ml_m_step(*args, s.take(slice(0, m)), view, r2_view)
             _assert_same_bits(new, (*em._gating_moments(*args, diagonal),
                                     *em._expert_regressions(*args, s.B[:m])))
-            _assert_hand_off(sample, new, view)
+            _assert_hand_off(sample, new, view, r2_view)
 
     def test_lasso_kernels_give_the_same_bits(self):
         sample, s, T, nk, _ = _workspace_case("lasso")
         work = np.full((1, *s.mu.shape, sample.XT.shape[1]), np.nan)
+        r2 = np.full((*s.alpha.shape, sample.XT.shape[1]), np.nan)
         args = (sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0], PENALTY.lam)
         assert np.array_equal(em_lasso._expert_coeffs(*args, work[0]),
                               em_lasso._expert_coeffs(*args))
         assert np.array_equal(em_lasso._gating_variances(sample.XT, T, nk, s.mu, work[0]),
                               em_lasso._gating_variances(sample.XT, T, nk, s.mu))
-        _assert_same_bits(em_lasso._lasso_m_step(sample, T, nk, s, PENALTY, work[0]),
+        _assert_same_bits(em_lasso._intercepts_variances(sample, T, nk, s.B[..., 0], r2),
+                          em_lasso._intercepts_variances(sample, T, nk, s.B[..., 0]))
+        _assert_same_bits(em_lasso._lasso_m_step(sample, T, nk, s, PENALTY, work[0], r2),
                           em_lasso._lasso_m_step(sample, T, nk, s, PENALTY))
-        _assert_same_bits(model._e_step(sample, s, work), model._e_step(sample, s))
+        _assert_same_bits(model._e_step(sample, s, work, r2), model._e_step(sample, s))
         # the hand-off: the M-step leaves the squared deviations from its
-        # gating means in the buffer, and the E-step at its result reads
-        # them there; also through the leading view of a compacted batch
+        # gating means and the experts' residual squares in the buffers,
+        # and the E-step at its result reads them there; also through the
+        # leading views of a compacted batch
         for m in (3, 2):
-            view = np.full_like(work, np.nan)[:, :m]
+            view, r2_view = np.full_like(work, np.nan)[:, :m], np.full_like(r2, np.nan)[:m]
             new = em_lasso._lasso_m_step(sample, T[:m], nk[:m], s.take(slice(0, m)), PENALTY,
-                                         view[0])
-            _assert_hand_off(sample, new, view)
+                                         view[0], r2_view)
+            _assert_hand_off(sample, new, view, r2_view)
 
     @pytest.mark.parametrize("fitter", sorted(FITTERS))
     def test_every_plain_m_step_hands_over_the_e_steps_first_pass(self, monkeypatch,
                                                                   fitter):
-        # every E-step given the hand-off finds in work[0], bit for bit, the
-        # first pass of a fresh E-step at its stack, and gives that E-step's
-        # bits; the E-step after each plain M-step takes it, a cycle's do not
+        # every E-step given the hand-off finds in work[0] and r2, bit for
+        # bit, the first pass of a fresh E-step at its stack, and gives that
+        # E-step's bits; the E-step after each plain M-step takes it, a
+        # cycle's do not
         handed = []
 
-        def e_step(sample, s, work=None, filled=False):
+        def e_step(sample, s, work=None, r2=None, filled=False):
             if not filled:
-                return E_STEP(sample, s, work)
+                return E_STEP(sample, s, work, r2)
             handed.append(len(s.alpha))
-            return _assert_hand_off(sample, s, work)
+            return _assert_hand_off(sample, s, work, r2)
 
         monkeypatch.setattr(em, "_e_step", e_step)
         fit = FITTERS[fitter](_instance(23, n=80, p=8), 2, FitOptions(n_starts=4, seed=6))

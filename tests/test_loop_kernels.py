@@ -3,8 +3,8 @@
 Inside :func:`mogge.em._run_em` no function of ``mogge.__all__`` runs and
 no penalty check (``model._check_penalty``): the lasso M-step thresholds
 its gating means with the kernel ``em_lasso._soft_threshold``, not the
-checked ``soft_threshold``, and 1 x 1 expert densities take their own
-branch of ``model._log_gauss_rows``.  Both kernels give the bits of the
+checked ``soft_threshold``, and 1 x 1 full covariances take their own
+branch of ``model._mahalanobis``.  Both kernels give the bits of the
 paths they replaced, proven by full-bit digests of whole fits."""
 
 import inspect

@@ -449,11 +449,14 @@ class TestInverseFactorMahalanobis:
 
 def _eigh_floor(S):
     """The general path of ``em._floor_spd``: symmetrize, floor the
-    eigenvalues at the variance floor."""
+    eigenvalues at the variance floor, then the diagonal."""
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
     vals, vecs = np.linalg.eigh(S)
     floored = vecs * np.maximum(vals, model.VARIANCE_FLOOR)[..., None, :]
     floored = floored @ np.swapaxes(vecs, -1, -2)
+    d = S.shape[-1]
+    floored += np.maximum(model.VARIANCE_FLOOR - np.diagonal(floored, 0, -2, -1), 0.0
+                          )[..., None] * np.eye(d)
     return np.where(vals[..., :1, None] >= model.VARIANCE_FLOOR, S, floored)
 
 
@@ -487,3 +490,90 @@ class TestOneByOneClosedForms:
         S[1, 1] = value
         with pytest.raises(np.linalg.LinAlgError):
             model._cholesky(S)
+
+
+class TestFlooredCovariances:
+    def test_floored_diagonals_pass_the_components_check(self):
+        # the eigenvector product left about one floored matrix in thirteen
+        # with a diagonal entry an ulp below the floor, and a run ending
+        # there failed its result's check
+        rng = np.random.default_rng(35)
+        for d in (2, 3):
+            Q, _ = np.linalg.qr(rng.normal(size=(2000, d, d)))
+            vals = np.concatenate([rng.uniform(-1e-9, 1e-11, (2000, d - 1)),
+                                   10.0 ** rng.uniform(-12.0, 2.0, (2000, 1))], axis=1)
+            floored = em._floor_spd(Q * vals[:, None, :] @ np.swapaxes(Q, -1, -2))
+            assert (np.diagonal(floored, 0, -2, -1) >= model.VARIANCE_FLOOR).all()
+            model._check_components("expert covariance", floored, np.zeros((2000, d)))
+
+
+class TestDimensionsCheckedAtTheBoundary:
+    """The public functions check that the parameters' (p, d) match the
+    data's, once, before any kernel runs; the E-step kernels do not."""
+
+    MESSAGE = r"parameter dimensions \(p=2, d=1\) do not match data \(p=3, d=1\)"
+
+    @pytest.fixture
+    def params(self):
+        return random_params(np.random.default_rng(31), K=2, p=2)
+
+    @pytest.fixture
+    def data(self):
+        return random_dataset(np.random.default_rng(32), n=10, p=3)
+
+    @pytest.mark.parametrize("call", [
+        lambda data, params: joint_loglik(data, params),
+        lambda data, params: posterior_responsibilities(data, params),
+        lambda data, params: penalized_loglik(data, params, 1.0, 1.0),
+        lambda data, params: conditional_density(data.Y[0], data.X[0], params),
+    ], ids=["joint_loglik", "posterior_responsibilities", "penalized_loglik",
+            "conditional_density"])
+    def test_each_public_function_raises(self, monkeypatch, data, params, call):
+        kernel = model._log_joint_matrix
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("the kernel ran before the check")
+
+        monkeypatch.setattr(model, "_log_joint_matrix", unreached)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            call(data, params)
+        monkeypatch.setattr(model, "_log_joint_matrix", kernel)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            call(data, params)
+
+
+class TestUnivariateExpertTerm:
+    """With d = 1 the log-joint's expert term is
+    ``-(log 2 pi + log sigma2 + r2 / sigma2) / 2`` of the residual squares
+    ``r2``: scipy's normal log-density of the response, at every scale the
+    floating-point range holds with room for squares."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1e-3, 1.0, 1e3, 1e50, 1e150])
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "full"])
+    def test_matches_scipy_norm_logpdf(self, scale, diagonal):
+        from scipy.stats import norm
+
+        # the kernel's unchecked stack: variances below the floor too
+        rng = np.random.default_rng(33)
+        s = model._Stack.of(random_params(rng, K=3, p=2, diagonal=diagonal))
+        s = s._replace(a=s.a * scale, B=s.B * scale, Sigma=s.Sigma * scale * scale)
+        X = rng.normal(size=(40, 2))
+        Y = rng.normal(size=40) * scale
+        sample = model._Sample.of(DataSet(X=X, Y=Y))
+        expert = model._log_joint_matrix(sample, s) - model._log_gate_matrix(sample.XT, s)
+        for k in range(3):
+            expected = norm.logpdf(Y, loc=s.a[k, 0] + X @ s.B[k, :, 0],
+                                   scale=np.sqrt(s.Sigma[k, 0, 0]))
+            np.testing.assert_allclose(expert[k], expected, rtol=1e-13, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    def test_a_variance_that_is_not_positive_raises_as_a_factorization(self, value):
+        # the EM loop's E-step takes the expert variances unfactored; one
+        # that is not positive fails its start as a failed Cholesky did
+        rng = np.random.default_rng(34)
+        data = random_dataset(rng, n=10, p=2)
+        s = model._Stack.of(random_params(rng, K=2, p=2))
+        s = s._replace(Sigma=s.Sigma.copy())
+        s.Sigma[1, 0, 0] = value
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            model._e_step(model._Sample.of(data), s)
