@@ -3,7 +3,8 @@ the EM core shared with the penalized fit.
 
 The E-step computes posterior responsibilities; the M-step has closed
 forms: weighted Gaussian-mixture moments for the gating network and
-weighted linear regressions for the experts.  The iteration loop and
+weighted linear regressions for the experts, which solve against the
+weighted Gram matrices the gating moments form.  The iteration loop and
 the multi-start driver also run :mod:`mogge.em_lasso`, which supplies its
 own M-step and objective.  Multi-start in batches, best objective wins;
 any start whose components collapse, or whose arithmetic overflows, is
@@ -277,47 +278,60 @@ def _component_masses(T: np.ndarray) -> np.ndarray:
 def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray,
                     diagonal: bool, work: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Stacked gating update from the (K, n) responsibilities ``T`` and their
-    sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p).
+    sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p),
+    and the experts' weighted Gram matrices ``G = X' W X`` (K, p, p).
+
+    Both come from the centred cross-moments ``C = D D'`` of the
+    root-weighted deviations ``D = (x - mu) sqrt(tau)``: the covariances
+    are ``C / nk`` (its diagonal for ``diagonal``) plus the jitter, and
+    ``G = C + nk mu mu'``, the same bits for either layout.
     ``work`` (see :func:`~mogge.model._gate_terms`) ends holding the
     E-step's first pass at the result, the deviations in ``work[0]``
-    (squared if ``diagonal``), and any root-weighted ones in ``work[1]``."""
+    (squared if ``diagonal``), and for full covariances ``D`` in
+    ``work[1]``; a diagonal layout forms ``D`` in ``work[0]`` and then
+    writes the squared deviations over it."""
+    XT = sample.XT
     mu = _dot(T, sample.X) / nk[..., None]
-    diff = _into(np.subtract, sample.XT, mu[..., None], None if work is None else work[0])
+    diff = _into(np.subtract, XT, mu[..., None], None if work is None else work[0])
+    # weighted by the root of T, then times its own transpose: numpy's
+    # matmul runs syrk there, half the work of a general product
+    D = np.multiply(diff, np.sqrt(T)[..., None, :],
+                    out=diff if work is None or diagonal else work[1])
+    C = _dot(D, np.swapaxes(D, -1, -2))
+    G = C + nk[..., None, None] * (mu[..., :, None] * mu[..., None, :])
     if diagonal:
-        diff *= diff
-        R = _dot(diff, T[..., None])[..., 0] / nk[..., None] + COV_JITTER
+        R = np.diagonal(C, 0, -2, -1) / nk[..., None] + COV_JITTER
+        if work is not None:  # the E-step's first pass, written over D
+            sq = _into(np.subtract, XT, mu[..., None], work[0])
+            sq *= sq
     else:
-        # weighted by the root of T, then times its own transpose: numpy's
-        # matmul runs syrk there, half the work of a general product
-        diff = np.multiply(diff, np.sqrt(T)[..., None, :], out=diff if work is None else work[1])
-        R = _dot(diff, np.swapaxes(diff, -1, -2)) / nk[..., None, None]
+        R = C / nk[..., None, None]
         R = 0.5 * (R + np.swapaxes(R, -1, -2)) + COV_JITTER * _identity(mu.shape[-1])
-    return nk / nk.sum(axis=-1, keepdims=True), mu, R
+    return nk / nk.sum(axis=-1, keepdims=True), mu, R, G
 
 
 def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray,
-                        B_prev: np.ndarray, out: np.ndarray | None = None,
+                        B_prev: np.ndarray, G: np.ndarray,
                         r2: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Stacked expert update in the coupled order: intercepts (K, d) from
     the previous coefficients ``B_prev`` (K, p, d), coefficients (K, p, d)
     from the new intercepts, floored covariances (K, d, d) from both.  The
-    (K, p, n) weighted predictors are written into ``out`` when given.
+    coefficients solve against the weighted Gram matrices ``G`` (K, p, p)
+    of :func:`_gating_moments` plus the ridge ``GRAM_RIDGE``.
     For d = 1 the variances are the weighted means of the residual squares
     of :func:`~mogge.model._residual_squares` at the new intercepts and
     coefficients, written into ``r2`` (K, n) when given: the E-step's
     expert pass at the result."""
     X, XT, YT = sample
-    root = np.sqrt(T)[..., None, :]  # D W D' as (D root)(D root)': syrk, as for R
     resid = YT - np.swapaxes(B_prev, -1, -2) @ XT  # (K, d, n)
     a = _dot(resid, T[..., None])[..., 0] / nk[..., None]
-    XW = _into(np.multiply, XT, root, out)
-    G = _dot(XW, np.swapaxes(XW, -1, -2)) + GRAM_RIDGE * _identity(X.shape[1])
-    B = np.linalg.solve(G, np.swapaxes(_dot(T[..., None, :] * (YT - a[..., None]), X), -1, -2))
+    B = np.linalg.solve(G + GRAM_RIDGE * _identity(X.shape[1]),
+                        np.swapaxes(_dot(T[..., None, :] * (YT - a[..., None]), X), -1, -2))
     if B.shape[-1] == 1:
         r2 = _residual_squares(sample, a, B[..., 0], r2)
         return a, B, np.maximum(_sum_products(T, r2) / nk, VARIANCE_FLOOR)[..., None, None]
     resid = YT - a[..., None] - np.swapaxes(B, -1, -2) @ XT
-    resid *= root
+    resid *= np.sqrt(T)[..., None, :]  # D W D' as (D root)(D root)': syrk, as for C
     return a, B, _floor_spd(resid @ np.swapaxes(resid, -1, -2) / nk[..., None, None])
 
 
@@ -326,7 +340,7 @@ def m_step_gating(data: DataSet, tau: Responsibilities,
     """Closed-form gating update: weighted mixing weights, means and
     covariances (with jitter added to the covariance)."""
     T = np.ascontiguousarray(tau.tau.T)  # (K, n): a strided view makes every pass slower
-    alpha, mu, R = _gating_moments(_Sample.of(data), T, _component_masses(T), diagonal)
+    alpha, mu, R, _ = _gating_moments(_Sample.of(data), T, _component_masses(T), diagonal)
     return list(map(GatingComponent, alpha.tolist(), mu, R))
 
 
@@ -334,18 +348,22 @@ def m_step_experts(data: DataSet, tau: Responsibilities,
                    experts_prev: tuple[ExpertComponent, ...]) -> list[ExpertComponent]:
     """Closed-form expert update in the coupled order: intercept from the
     previous coefficients, coefficients from the new intercept, covariance
-    from both new values."""
+    from both new values, against the Gram matrices of the gating pass
+    (of either layout: their bits do not depend on it)."""
     T = np.ascontiguousarray(tau.tau.T)
     B_prev = np.stack([e.coeffs for e in experts_prev])
-    return list(map(ExpertComponent, *_expert_regressions(
-        _Sample.of(data), T, _component_masses(T), B_prev)))
+    sample, nk = _Sample.of(data), _component_masses(T)
+    G = _gating_moments(sample, T, nk, False)[3]
+    return list(map(ExpertComponent, *_expert_regressions(sample, T, nk, B_prev, G)))
 
 
 def _ml_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack, work,
                r2) -> _Stack:
-    """:func:`fit_em`'s M-step: the experts first, so the gating pass stays in ``work``."""
-    a, B, Sigma = _expert_regressions(sample, T, nk, s.B, work[0], r2)
-    return _Stack(*_gating_moments(sample, T, nk, s.R.ndim == s.mu.ndim, work), a, B, Sigma)
+    """:func:`fit_em`'s M-step: the gating pass, which leaves the E-step's
+    first pass at its result in ``work`` and hands the weighted Gram
+    matrices to the experts, which leave theirs in ``r2`` (d = 1)."""
+    alpha, mu, R, G = _gating_moments(sample, T, nk, s.R.ndim == s.mu.ndim, work)
+    return _Stack(alpha, mu, R, *_expert_regressions(sample, T, nk, s.B, G, r2))
 
 
 class _Run(NamedTuple):
@@ -376,12 +394,12 @@ def _flat(s: _Stack) -> np.ndarray:
 def _log_factor(A: np.ndarray) -> np.ndarray:
     """Cholesky factors of the SPD stack ``A`` with the log of their diagonals."""
     L = _cholesky(A)
-    return np.log(L, out=L, where=np.eye(A.shape[-1], dtype=bool))
+    return np.log(L, out=L, where=_identity(A.shape[-1], bool))
 
 
 def _exp_factor(theta: np.ndarray) -> np.ndarray:
     """The SPD matrices ``L L'`` of log-Cholesky coordinates ``theta``."""
-    L = np.exp(theta, out=theta.copy(), where=np.eye(theta.shape[-1], dtype=bool))
+    L = np.exp(theta, out=theta.copy(), where=_identity(theta.shape[-1], bool))
     return L @ np.swapaxes(L, -1, -2)
 
 
@@ -396,10 +414,13 @@ def _theta(s: _Stack) -> np.ndarray:
 
 def _from_theta(theta: np.ndarray, like: _Stack) -> _Stack:
     """The stack shaped like ``like`` at the coordinates ``theta`` of
-    :func:`_theta`: weights by softmax, covariances by ``L L'``."""
-    cuts = np.cumsum([f[0].size for f in like])[:-1]
-    la, mu, R, a, B, Sigma = (
-        x.reshape(f.shape) for x, f in zip(np.split(theta, cuts, axis=1), like))
+    :func:`_theta`: weights by softmax, covariances by ``L L'``; the means,
+    intercepts and coefficients are views into ``theta``."""
+    fields, lo = [], 0
+    for f in like:  # column slices of the rows, reshaped as views
+        fields.append(theta[:, lo:lo + f[0].size].reshape(f.shape))
+        lo += f[0].size
+    la, mu, R, a, B, Sigma = fields
     w = np.exp(la - la.max(axis=-1, keepdims=True))
     R = _exp_factor(R) if R.ndim > mu.ndim else np.exp(R)
     return _Stack(w / w.sum(axis=-1, keepdims=True), mu, R, a, B, _exp_factor(Sigma))
@@ -412,7 +433,12 @@ def _step_length(r: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _where(keep: np.ndarray, a: _Stack, b: _Stack) -> _Stack:
-    """Per start, ``a`` where ``keep`` and ``b`` elsewhere."""
+    """Per start, ``a`` where ``keep`` and ``b`` elsewhere; one of them
+    unchanged when every start keeps the same side."""
+    if keep.all():
+        return a
+    if not keep.any():
+        return b
     return _Stack(*(np.where(keep.reshape(-1, *[1] * (x.ndim - 1)), x, y)
                     for x, y in zip(a, b)))
 

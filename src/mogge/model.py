@@ -32,6 +32,13 @@ the gating and expert Mahalanobis squares; with d = 1 the expert part of
 ``Q`` is the residual squares over the variances, with no factorization.
 Sums over n whose bits BLAS would make depend on its thread count go
 through :func:`_dot`, so a fit gives the same bytes at any thread count.
+The public evaluators (:func:`joint_loglik`,
+:func:`posterior_responsibilities`, :func:`penalized_loglik`,
+:func:`conditional_density`, :func:`gating_probs` and
+:func:`gaussian_logpdf`) run under the fits' ``np.errstate(over="raise",
+invalid="raise")``: a square that overflows raises
+``FloatingPointError``, as it fails a fit's start, instead of giving NaN
+or -inf.
 
 The EM loop allocates its largest temporaries, the (S, K, p, n)
 deviations of the predictors, once per batch: one workspace of such
@@ -46,7 +53,12 @@ Every plain M-step of the loop leaves in them the E-step's first pass at
 its result, the deviations from its gating means (squared if diagonal)
 in the first buffer and the residual squares ``((y - B'x) - a) ** 2`` in
 ``r2``, and that E-step reads them there (``filled``) instead of
-computing them again.
+computing them again.  In :func:`~mogge.em.fit_em`'s M-step the gating
+pass also forms the experts' weighted Gram matrices ``X' W X``, as
+``C + n_k mu mu'`` from the centred cross-moments ``C`` of its
+covariances (the root-weighted deviations times their own transpose),
+so X is weighted once per M-step; for diagonal covariances that pass
+writes the squared deviations over the root-weighted ones afterwards.
 
 Component layout conventions:
 
@@ -168,9 +180,9 @@ class _Sample(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _identity(p: int) -> np.ndarray:
-    """The p x p identity, read-only: one per p, shared by every call."""
-    eye = np.eye(p)
+def _identity(p: int, dtype=float) -> np.ndarray:
+    """The p x p identity, read-only: one per p and dtype, shared by every call."""
+    eye = np.eye(p, dtype=dtype)
     eye.flags.writeable = False
     return eye
 
@@ -529,6 +541,7 @@ def _log_weights(alpha: np.ndarray, const: np.ndarray, Q: np.ndarray) -> np.ndar
     return Q
 
 
+@np.errstate(over="raise", invalid="raise")
 def gaussian_logpdf(v, mean, cov) -> float:
     """Log-density of a Gaussian vector.
 
@@ -649,6 +662,7 @@ def _check_dimensions(data: DataSet, params: MoggeParams) -> None:
         )
 
 
+@np.errstate(over="raise", invalid="raise")
 def gating_probs(x, params: MoggeParams) -> np.ndarray:
     """Gating probabilities ``g_k(x)`` for a single predictor vector.
 
@@ -662,6 +676,7 @@ def gating_probs(x, params: MoggeParams) -> np.ndarray:
     return _log_normalize(_log_gate_matrix(x[:, None], _Stack.of(params)))[1][:, 0]
 
 
+@np.errstate(over="raise", invalid="raise")
 def conditional_density(y, x, params: MoggeParams) -> float:
     """Log conditional density ``log f(y | x)`` of the mixture: the joint
     log-density of ``(x, y)`` minus the marginal log-density of ``x``."""
@@ -695,12 +710,14 @@ def _e_step(sample: _Sample, s: _Stack, work: np.ndarray | None = None,
     return lse.sum(axis=-1), tau
 
 
+@np.errstate(over="raise", invalid="raise")
 def joint_loglik(data: DataSet, params: MoggeParams) -> float:
     """Joint log-likelihood of the sample: one log-sum-exp per observation."""
     _check_dimensions(data, params)
     return float(_e_step(_Sample.of(data), _Stack.of(params))[0])
 
 
+@np.errstate(over="raise", invalid="raise")
 def penalized_loglik(data: DataSet, params: MoggeParams,
                      lam: float, gamma: float) -> float:
     """L1-penalized joint log-likelihood: ``joint_loglik`` minus
@@ -726,6 +743,7 @@ def _penalize(loglik: np.ndarray, s: _Stack, lam: float, gamma: float) -> np.nda
     return loglik - lam * np.abs(s.B).sum((-3, -2, -1)) - gamma * np.abs(s.mu).sum((-2, -1))
 
 
+@np.errstate(over="raise", invalid="raise")
 def posterior_responsibilities(data: DataSet, params: MoggeParams) -> Responsibilities:
     """Posterior membership probabilities, rows normalized by log-sum-exp."""
     _check_dimensions(data, params)

@@ -806,10 +806,11 @@ class TestWorkspace:
         # the leading view of a compacted batch
         _assert_same_bits(model._e_step(sample, s.take(slice(0, 2)), work[:, :2], r2[:2]),
                           (x[:2] for x in model._e_step(sample, s)))
-        _assert_same_bits(em._gating_moments(sample, T, nk, diagonal, work),
-                          em._gating_moments(sample, T, nk, diagonal))
-        _assert_same_bits(em._expert_regressions(sample, T, nk, s.B, work[0], r2),
-                          em._expert_regressions(sample, T, nk, s.B))
+        moments = em._gating_moments(sample, T, nk, diagonal, work)
+        _assert_same_bits(moments, em._gating_moments(sample, T, nk, diagonal))
+        G = moments[3]  # the experts' Gram matrices, from the gating pass
+        _assert_same_bits(em._expert_regressions(sample, T, nk, s.B, G, r2),
+                          em._expert_regressions(sample, T, nk, s.B, G))
         # fit_em's M-step into NaN-filled buffers, whole and through the
         # leading views of a compacted batch: the bits of its kernels
         # without them, and the E-step's first pass at its result left in
@@ -818,8 +819,8 @@ class TestWorkspace:
             view, r2_view = np.full_like(work, np.nan)[:, :m], np.full_like(r2, np.nan)[:m]
             args = (sample, T[:m], nk[:m])
             new = em._ml_m_step(*args, s.take(slice(0, m)), view, r2_view)
-            _assert_same_bits(new, (*em._gating_moments(*args, diagonal),
-                                    *em._expert_regressions(*args, s.B[:m])))
+            *gating, G = em._gating_moments(*args, diagonal)
+            _assert_same_bits(new, (*gating, *em._expert_regressions(*args, s.B[:m], G)))
             _assert_hand_off(sample, new, view, r2_view)
 
     def test_lasso_kernels_give_the_same_bits(self):
@@ -909,6 +910,76 @@ class TestWorkspace:
         assert len(rises) >= 5
         for rise, limit in rises:
             assert rise < limit
+
+
+class TestWeightedGram:
+    """The experts' weighted Gram matrices ``G = X' W X`` come from the
+    gating pass, as ``C + nk mu mu'`` from the centred cross-moments ``C``
+    of the gating covariances: for either layout, with or without the
+    workspace, the same bits, and each entry within
+    ``1e-12 sqrt(G_ii G_jj)`` of the sum over observations taken in
+    extended precision, from 1e-150 to 1e150 and for means 1e6 spreads
+    away from 0."""
+
+    @pytest.mark.parametrize("scale, offset", [
+        (1e-150, 0.0), (1e-150, 1e6), (1e-3, 0.0), (1.0, 0.0), (1.0, 1e6),
+        (1e3, 1e6), (1e144, 1e6), (1e150, 0.0),
+    ])
+    def test_matches_an_extended_precision_sum(self, scale, offset):
+        rng = np.random.default_rng(41)
+        S, K, n, p = 2, 3, 120, 5
+        X = scale * (offset + rng.normal(size=(n, p)) * rng.uniform(0.5, 2.0, size=p))
+        sample = model._Sample.of(DataSet(X=X, Y=rng.normal(size=n)))
+        T = np.ascontiguousarray(
+            np.stack([rng.dirichlet(np.ones(K), size=n).T for _ in range(S)]))
+        nk = T.sum(axis=-1)
+        ld = np.longdouble
+        expected = np.einsum("ski,ia,ib->skab", T.astype(ld), X.astype(ld), X.astype(ld))
+        scale_ij = np.sqrt(np.einsum("ska,skb->skab", *[np.diagonal(expected, 0, -2, -1)] * 2))
+        grams = []
+        for diagonal in (False, True):
+            work = np.full((1 + (not diagonal), S, K, p, n), np.nan)
+            G = em._gating_moments(sample, T, nk, diagonal, work)[3]
+            assert np.array_equal(G, em._gating_moments(sample, T, nk, diagonal)[3])
+            assert (np.abs(G - expected) <= 1e-12 * scale_ij).all()
+            grams.append(G)
+        assert np.array_equal(*grams)
+
+    def test_diagonal_variances_are_those_of_the_full_covariances(self):
+        sample, s, T, nk, _ = _workspace_case("full")
+        R_full = em._gating_moments(sample, T, nk, False)[2]
+        R_diagonal = em._gating_moments(sample, T, nk, True)[2]
+        assert np.array_equal(R_diagonal, np.diagonal(R_full, 0, -2, -1))
+
+
+class TestSquaremMap:
+    """SQUAREM's coordinate map: :func:`em._from_theta` cuts ``theta`` into
+    views, the bits of splitting it, and :func:`em._where` hands back one
+    side unchanged when every start takes it."""
+
+    @pytest.mark.parametrize("case", ["full", "diagonal", "d2-K3"])
+    def test_from_theta_gives_the_bits_of_a_split(self, case):
+        _, s, _, _, _ = _workspace_case(case)
+        theta = em._theta(s)
+        cuts = np.cumsum([f[0].size for f in s])[:-1]
+        la, mu, R, a, B, Sigma = (x.reshape(f.shape)
+                                  for x, f in zip(np.split(theta, cuts, axis=1), s))
+        w = np.exp(la - la.max(axis=-1, keepdims=True))
+        R = em._exp_factor(R) if R.ndim > mu.ndim else np.exp(R)
+        expected = (w / w.sum(axis=-1, keepdims=True), mu, R, a, B, em._exp_factor(Sigma))
+        x = em._from_theta(theta, s)
+        _assert_same_bits(x, expected)
+        assert all(np.shares_memory(f, theta) for f in (x.mu, x.a, x.B))
+
+    def test_where_keeps_one_side_whole(self):
+        _, s, _, _, _ = _workspace_case("full")
+        other = em._from_theta(em._theta(s), s)
+        assert em._where(np.ones(3, bool), s, other) is s
+        assert em._where(np.zeros(3, bool), s, other) is other
+        keep = np.array([True, False, True])
+        mixed = em._where(keep, s, other)
+        for x, y, z in zip(mixed, s, other):
+            assert np.array_equal(x[keep], y[keep]) and np.array_equal(x[~keep], z[~keep])
 
 
 class TestRowMajorCopies:

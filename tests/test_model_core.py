@@ -577,3 +577,64 @@ class TestUnivariateExpertTerm:
         s.Sigma[1, 0, 0] = value
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
             model._e_step(model._Sample.of(data), s)
+
+
+class TestEvaluatorsRaiseOnOverflow:
+    """The public evaluators run under the fits' ``np.errstate(over="raise",
+    invalid="raise")``: a point whose squares overflow raises
+    ``FloatingPointError``, as it fails a fit's start, and never gives NaN,
+    -inf or a misleading error about the responsibilities."""
+
+    @pytest.fixture
+    def params(self):
+        gating = (GatingComponent(alpha=1.0, mu=[0.0], R=[1e300]),)
+        experts = (ExpertComponent(intercept=[0.0], coeffs=[0.0], cov=[[1e300]]),)
+        return MoggeParams(gating=gating, experts=experts)
+
+    @pytest.mark.parametrize("call", [
+        lambda data, params: joint_loglik(data, params),
+        lambda data, params: posterior_responsibilities(data, params),
+        lambda data, params: penalized_loglik(data, params, 0.0, 0.0),
+        lambda data, params: conditional_density(data.Y[0], data.X[0], params),
+        lambda data, params: gating_probs(data.Y[0], params),
+        lambda data, params: gaussian_logpdf(data.Y[0], [0.0], [1e300]),
+    ], ids=["joint_loglik", "posterior_responsibilities", "penalized_loglik",
+            "conditional_density", "gating_probs", "gaussian_logpdf"])
+    def test_an_overflowing_square_raises(self, params, call):
+        # y = 1e155 under a variance of 1e300: the residual square overflows
+        # (gating_probs and gaussian_logpdf: the same number as the point)
+        data = DataSet(X=[[0.0]], Y=[1e155])
+        with pytest.raises(FloatingPointError, match="overflow"):
+            call(data, params)
+        # 1e154 still squares to a finite number
+        assert np.isfinite(joint_loglik(DataSet(X=[[0.0]], Y=[1e154]), params))
+
+
+class TestVariancesMustBeFinite:
+    """Every public function that takes a variance, ``GatingComponent``
+    (variances or a covariance matrix), ``ExpertComponent`` and
+    ``gaussian_logpdf``, rejects NaN and +-inf with ``ValueError``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 4), layout=st.sampled_from(["vector", "matrix"]),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    def test_non_finite_variances_are_rejected(self, m, layout, bad, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        if layout == "vector":
+            cov = rng.uniform(0.5, 2.0, size=m)
+        else:
+            A = rng.normal(size=(m, m))
+            cov = A @ A.T + np.eye(m)
+        flat = cov.reshape(-1)
+        flat[data.draw(st.integers(0, flat.size - 1))] = bad
+        mean = rng.normal(size=m)
+        calls = [lambda: GatingComponent(alpha=1.0, mu=mean, R=cov),
+                 lambda: gaussian_logpdf(mean + 1.0, mean, cov)]
+        if layout == "matrix":
+            calls.append(lambda: ExpertComponent(intercept=np.zeros(m),
+                                                 coeffs=np.ones((2, m)), cov=cov))
+        elif m == 1:  # a scalar variance of a univariate expert
+            calls.append(lambda: ExpertComponent(intercept=0.0, coeffs=[1.0], cov=cov[0]))
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
