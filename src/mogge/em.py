@@ -9,8 +9,10 @@ the multi-start driver also run :mod:`mogge.em_lasso`, which supplies its
 own M-step and objective.  Multi-start in batches, best objective wins;
 any start whose components collapse, or whose arithmetic overflows, is
 abandoned and diagnosed rather than reinitialized mid-run.  The seeded
-starts, the arrays of :func:`init_params`, are checked at once, once per
-fit or per K of a penalty chain; only the returned run builds components.
+starts, the arrays of :func:`init_params`, are built in one stacked pass
+from their hard partitions, taken as one-hot responsibilities, and
+checked at once, once per fit or per K of a penalty chain; only the
+returned run builds components.
 
 :func:`fit_em` accelerates the smooth EM map by SQUAREM (Varadhan and
 Roland, 2008): every second trace entry may be an accepted
@@ -196,17 +198,23 @@ def _kmeans_labels(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarra
     return labels
 
 
-def _partition(data: DataSet, K: int, strategy: str, seed: int) -> np.ndarray:
-    """Labels of a hard partition into K non-empty groups, from the RNG of
-    ``seed``: ``random-partition`` draws uniform labels, ``kmeans-on-x``
-    clusters the predictors with k-means++-seeded k-means.  A partition
-    that leaves a group empty is redrawn, up to 100 attempts."""
+def _check_partition(data: DataSet, K: int, strategy: str) -> None:
+    """Raise ``ValueError`` unless the n observations can form K non-empty
+    groups by a known strategy: checked once per fit, not per seed."""
     if K < 1:
         raise ValueError("K must be at least 1")
     if K > data.n:
         raise ValueError(f"cannot split n={data.n} observations into K={K} groups")
     if strategy not in INIT_STRATEGIES:
         raise ValueError(f"unknown init strategy {strategy!r}")
+
+
+def _partition(data: DataSet, K: int, strategy: str, seed: int) -> np.ndarray:
+    """Labels of a hard partition into K non-empty groups, from the RNG of
+    ``seed``: ``random-partition`` draws uniform labels, ``kmeans-on-x``
+    clusters the predictors with k-means++-seeded k-means.  A partition
+    that leaves a group empty is redrawn, up to 100 attempts.  K, n and
+    the strategy are those :func:`_check_partition` accepts."""
     rng = np.random.default_rng(seed)
     for _ in range(100):
         if strategy == "random-partition":
@@ -221,27 +229,53 @@ def _partition(data: DataSet, K: int, strategy: str, seed: int) -> np.ndarray:
     )
 
 
-def _partition_stack(data: DataSet, labels: np.ndarray, K: int, diagonal: bool) -> _Stack:
-    """Empirical per-group parameters of a hard assignment, unchecked,
-    stacked over the K groups."""
-    groups = []
-    for k in range(K):
-        mask = labels == k
-        nk = int(mask.sum())
-        Xk, Yk = data.X[mask], data.Y[mask]
-        mu = Xk.mean(axis=0)
-        diff = Xk - mu
-        if diagonal:  # Xk.var(axis=0), without computing the mean again
-            R = (diff * diff).sum(axis=0) / nk + 1e-6
-        else:
-            R = _dot(diff.T, diff) / nk + 1e-6 * _identity(data.p)
-        Z = np.hstack([np.ones((nk, 1)), Xk])
-        C = np.linalg.solve(
-            Z.T @ Z + GRAM_RIDGE * _identity(data.p + 1), Z.T @ Yk
-        )
-        resid = Yk - Z @ C
-        groups.append((nk / data.n, mu, R, C[0], C[1:], _floor_spd(_dot(resid.T, resid) / nk)))
-    return _Stack(*map(np.array, zip(*groups)))  # stacks as np.stack does, at less cost per call
+def _partition_stack(sample: _Sample, labels: np.ndarray, K: int, diagonal: bool) -> _Stack:
+    """Empirical per-group parameters of the S hard partitions ``labels``
+    (S, n) into K groups, unchecked, stacked over starts and groups.
+
+    The groups are one-hot responsibilities ``W`` (S, K, n), and every
+    closed form reads them in one stacked pass: the weights ``n_k / n``,
+    the means from ``W X``, the covariances ``C / n_k`` (their diagonal
+    for ``diagonal``) plus the jitter 1e-6 from the syrk ``C = D D'`` of
+    the masked deviations ``D = (x - mu) W``, as :func:`_gating_moments`
+    forms it, and the experts' ridge least-squares fit of y on ``[1, x]``.
+    Its normal equations ``Z'WZ + GRAM_RIDGE I`` are solved with the
+    intercept eliminated in closed form, against the centred moments:
+    ``(C + r I + c mu mu') b = D (y - ybar)' + c mu ybar'`` with
+    ``c = n_k r / (n_k + r)``, ``r = GRAM_RIDGE``, then
+    ``a = n_k (ybar - b'mu) / (n_k + r)``, the same solution as the
+    uncentred system but without its condition number, which grows with
+    the squared offset of the means.  The covariances are the mean
+    products of the masked residuals (for d = 1 by
+    :func:`~mogge.model._sum_products`), floored by :func:`_floor_spd`.
+    Each start's products are its own 2-D BLAS calls and reductions, so
+    a start has the same bits in any batch."""
+    X, XT, YT = sample
+    W = (labels[:, None, :] == np.arange(K)[:, None]).astype(float)
+    nk = W.sum(axis=-1)  # the group sizes, exactly
+    mu = _dot(W, X) / nk[..., None]
+    D = _into(np.subtract, XT, mu[..., None], np.empty((*mu.shape, XT.shape[1])))
+    D *= W[..., None, :]  # 0 outside the group
+    C = _dot(D, np.swapaxes(D, -1, -2))
+    if diagonal:
+        R = np.diagonal(C, 0, -2, -1) / nk[..., None] + 1e-6
+    else:
+        R = C / nk[..., None, None] + 1e-6 * _identity(X.shape[1])
+    ybar = _sum_products(W[..., None, :], YT) / nk[..., None]
+    Yc = YT - ybar[..., None]
+    Yc *= W[..., None, :]
+    ridged = (nk + GRAM_RIDGE)[..., None]
+    c = (nk * GRAM_RIDGE)[..., None, None] / ridged[..., None]
+    B = np.linalg.solve(
+        C + GRAM_RIDGE * _identity(X.shape[1]) + c * (mu[..., :, None] * mu[..., None, :]),
+        _dot(D, np.swapaxes(Yc, -1, -2)) + c * (mu[..., :, None] * ybar[..., None, :]))
+    BT = np.swapaxes(B, -1, -2)
+    a0 = ybar - _sum_products(BT, mu[..., None, :])  # ybar - b'mu
+    # in the group, y - a - b'x = (y - ybar) - b'(x - mu) + r (ybar - b'mu) / (n_k + r)
+    E = Yc - BT @ D
+    E += (GRAM_RIDGE * a0 / ridged)[..., None] * W[..., None, :]
+    Sigma = _floor_spd(_dot(E, np.swapaxes(E, -1, -2)) / nk[..., None, None])
+    return _Stack(nk / XT.shape[1], mu, R, nk[..., None] * a0 / ridged, B, Sigma)
 
 
 def init_params(data: DataSet, K: int, strategy: str = "random-partition",
@@ -251,12 +285,16 @@ def init_params(data: DataSet, K: int, strategy: str = "random-partition",
     ``random-partition`` draws uniform labels; ``kmeans-on-x`` clusters the
     predictors with k-means++-seeded k-means.  Partitions that leave a group
     empty are redrawn (up to 100 attempts).  Deterministic under ``seed``.
-    The fits build the same parameters as unchecked stacks and check
-    those of a batch of starts at once; this function returns them
-    checked, and raises what the component constructors raise.
+    ``K`` is an int, a numpy integer or an integral float.  The fits build
+    the same parameters, bit for bit, with :func:`_partition_stack` for all
+    their seeds at once and check them at once; this function builds them
+    for one seed and returns them checked, and raises what the component
+    constructors raise.
     """
+    K = _integral("K", K)
+    _check_partition(data, K, strategy)
     labels = _partition(data, K, strategy, seed)
-    return _partition_stack(data, labels, K, diagonal_gating).params()
+    return _partition_stack(_Sample.of(data), labels[None], K, diagonal_gating).take(0).params()
 
 
 def _component_masses(T: np.ndarray) -> np.ndarray:
@@ -571,15 +609,17 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     return out
 
 
-def _per_start(f: Callable, s: _Stack) -> list:
-    """``f(s)``, a list of one outcome per start of ``s``, or if that raises a
-    start failure, ``f`` of each start alone, an exception for one that raises."""
+def _per_start(f: Callable, s) -> list:
+    """``f(s)``, a list of one outcome per start of ``s``, a stack or an
+    array with a start axis, or if that raises a start failure, ``f`` of
+    each start alone, an exception for one that raises."""
+    count = len(s.alpha if isinstance(s, _Stack) else s)
     try:
         return f(s)
     except _START_FAILURES as exc:
-        if len(s.alpha) == 1:
+        if count == 1:
             return [exc]
-    return [out for i in range(len(s.alpha)) for out in _per_start(f, s.take([i]))]
+    return [out for i in range(count) for out in _per_start(f, _rows(s, [i]))]
 
 
 def _check(s: _Stack) -> list:
@@ -596,15 +636,29 @@ def _stacked(stacks: list) -> _Stack:
 @np.errstate(over="raise", invalid="raise")  # an overflow fails its start, as in the runs
 def _seeded(data: DataSet, K: int, opts: FitOptions, diagonal_gating: bool) -> list:
     """Per seed of :func:`start_seeds`, the stack of :func:`init_params`,
-    built unchecked and checked with the others by one stacked validator
-    call, or the exception its partition or check raised."""
+    or the exception its partition, build or check raised.  The partitions
+    are drawn per seed; :func:`_partition_stack` builds their stacks
+    together, in batches of at most ``_BATCH_ELEMENTS // (K n max(p, d))``
+    starts, a batch that raises one start at a time, and one stacked
+    validator call checks them all."""
+    _check_partition(data, K, opts.init_strategy)
     starts = []
     for seed in start_seeds(opts.seed, opts.n_starts):
         try:
-            starts.append(_partition_stack(
-                data, _partition(data, K, opts.init_strategy, seed), K, diagonal_gating))
-        except (*_START_FAILURES, FitFailedError) as exc:
+            starts.append(_partition(data, K, opts.init_strategy, seed))
+        except FitFailedError as exc:
             starts.append(exc)
+    sample = _Sample.of(data)
+
+    def build(labels):  # one stack per start, without the start axis
+        s = _partition_stack(sample, labels, K, diagonal_gating)
+        return [s.take(i) for i in range(len(labels))]
+
+    ready = [i for i, s in enumerate(starts) if isinstance(s, np.ndarray)]
+    size = max(1, _BATCH_ELEMENTS // (K * max(sample.X.size, sample.YT.size)))
+    for batch in (ready[lo:lo + size] for lo in range(0, len(ready), size)):
+        for i, out in zip(batch, _per_start(build, np.stack([starts[i] for i in batch]))):
+            starts[i] = out
     ready = [i for i, s in enumerate(starts) if isinstance(s, _Stack)]
     if ready:
         for i, exc in zip(ready, _per_start(_check, _stacked([starts[i] for i in ready]))):
@@ -655,6 +709,6 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     floating-point overflow are dropped with a diagnosis; if every start
     fails a :class:`~mogge.model.FitFailedError` carries all diagnoses.
     """
-    opts = opts or FitOptions()
+    opts, K = opts or FitOptions(), _integral("K", K)
     return _multistart(_Sample.of(data), K, opts, _ml_m_step, lambda loglik, s: loglik,
                        _seeded(data, K, opts, diagonal_gating), squarem=True)[1]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import FitOptions, FitResult, _component_masses, _multistart, _seeded
+from .em import FitOptions, FitResult, _component_masses, _integral, _multistart, _seeded
 from .model import (
     VARIANCE_FLOOR,
     DataSet,
@@ -347,6 +347,7 @@ def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
     """
     if data.d != 1:
         raise UnsupportedConfigError("penalized fitting requires d = 1")
+    K = _integral("K", K)
     if warm_start is not None:
         if not warm_start.has_diagonal_gating:
             raise UnsupportedConfigError("warm start must use diagonal gating covariances")

@@ -244,30 +244,41 @@ def penalized_gate_mean_grid(xj: np.ndarray, tau: np.ndarray, nu2: float,
 
 
 def partition_params(data, labels, K: int, diagonal: bool):
-    """Empirical per-group parameters of a hard assignment, built component
-    by component through the checked constructors, gating then expert of
+    """Empirical per-group parameters of one hard assignment ``labels``
+    (n,), built through the checked constructors, gating then expert of
     each group: the construction the fits' seeded stacks replaced.  The
-    arithmetic and its guards are the library's, so the bits must match."""
+    groups are one-hot responsibilities ``W`` (K, n); the means come from
+    ``W X``, the covariances from the syrk of the masked deviations
+    ``D = (x - mu) W`` plus the jitter, and the experts solve their ridge
+    normal equations with the intercept eliminated, against the centred
+    moments.  The arithmetic and its guards are the library's, so the bits
+    must match."""
     from mogge.em import GRAM_RIDGE, _floor_spd
-    from mogge.model import ExpertComponent, GatingComponent, MoggeParams, _dot
+    from mogge.model import ExpertComponent, GatingComponent, MoggeParams, _dot, _sum_products
 
+    XT, YT = np.ascontiguousarray(data.X.T), np.ascontiguousarray(data.Y.T)
+    W = (labels == np.arange(K)[:, None]).astype(float)
+    nk = W.sum(axis=1)
+    mu = _dot(W, data.X) / nk[:, None]
+    D = (XT - mu[:, :, None]) * W[:, None, :]
+    C = _dot(D, np.swapaxes(D, 1, 2))
+    ybar = _sum_products(W[:, None, :], YT) / nk[:, None]
+    Yc = (YT - ybar[:, :, None]) * W[:, None, :]
+    ridged = nk + GRAM_RIDGE
     gating, experts = [], []
     for k in range(K):
-        mask = labels == k
-        nk = int(mask.sum())
-        Xk, Yk = data.X[mask], data.Y[mask]
-        mu = Xk.mean(axis=0)
         if diagonal:
-            R = Xk.var(axis=0) + 1e-6
+            R = np.diagonal(C[k]) / nk[k] + 1e-6
         else:
-            diff = Xk - mu
-            R = _dot(diff.T, diff) / nk + 1e-6 * np.eye(data.p)
-        gating.append(GatingComponent(alpha=nk / data.n, mu=mu, R=R))
-        Z = np.hstack([np.ones((nk, 1)), Xk])
-        C = np.linalg.solve(Z.T @ Z + GRAM_RIDGE * np.eye(data.p + 1), Z.T @ Yk)
-        resid = Yk - Z @ C
-        experts.append(ExpertComponent(intercept=C[0], coeffs=C[1:],
-                                       cov=_floor_spd(_dot(resid.T, resid) / nk)))
+            R = C[k] / nk[k] + 1e-6 * np.eye(data.p)
+        gating.append(GatingComponent(alpha=nk[k] / data.n, mu=mu[k], R=R))
+        c = nk[k] * GRAM_RIDGE / ridged[k]
+        B = np.linalg.solve(C[k] + GRAM_RIDGE * np.eye(data.p) + c * np.outer(mu[k], mu[k]),
+                            _dot(D[k], Yc[k].T) + c * np.outer(mu[k], ybar[k]))
+        a0 = ybar[k] - _sum_products(B.T, mu[k])
+        E = Yc[k] - B.T @ D[k] + (GRAM_RIDGE * a0 / ridged[k])[:, None] * W[k]
+        experts.append(ExpertComponent(intercept=nk[k] * a0 / ridged[k], coeffs=B,
+                                       cov=_floor_spd(_dot(E, E.T) / nk[k])))
     return MoggeParams(gating=tuple(gating), experts=tuple(experts))
 
 

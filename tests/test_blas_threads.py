@@ -3,8 +3,10 @@
 numpy sends a stacked (1, n) @ (n, 1) product to BLAS ``ddot``, and
 OpenBLAS splits that sum across threads once n passes about 10,000, so
 its bits depend on the thread count.  The fits sum such products by
-numpy's own loops instead (``model._dot``): a fit at n = 20000 gives the
-same full-bit digest at one BLAS thread and at two.  Each run is its own
+numpy's own loops instead (``model._dot``): fits at n = 20000, among them
+a K = 1 fit and one with three diagonal-gating starts, so that the seeded
+starts form every product shape they have, give the same full-bit
+digests at one BLAS thread and at two.  Each run is its own
 process, because OpenBLAS reads its thread count when it loads."""
 
 import os
@@ -27,6 +29,9 @@ data = DataSet(X=X, Y=X @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=20000))
 opts = FitOptions(n_starts=2, seed=1, max_iter=6)
 print(bit_digest(fit_em(data, 2, opts)))
 print(bit_digest(fit_em_lasso(data, 2, PenaltyConfig(lam=5.0, gamma=2.0), opts)))
+# the seeded starts' products at K = 1 (a one-row W) and for three diagonal starts
+print(bit_digest(fit_em(data, 1, opts)))
+print(bit_digest(fit_em(data, 2, FitOptions(n_starts=3, seed=2, max_iter=6), diagonal_gating=True)))
 """
 
 
@@ -44,5 +49,5 @@ def _digests(threads: int) -> list[str]:
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
 def test_fits_at_n_20000_give_the_same_bytes_at_one_and_two_blas_threads():
     one, two = _digests(1), _digests(2)
-    assert len(one) == 2
+    assert len(one) == 4
     assert one == two

@@ -10,8 +10,11 @@ from mogge.em import (
     m_step_experts,
     start_seeds,
 )
+from mogge.em_lasso import PenaltyConfig, fit_em_lasso
 from mogge.model import (
     DataSet,
+    MoggeParams,
+    _Stack,
     DegenerateComponentError,
     FitFailedError,
     Responsibilities,
@@ -70,6 +73,42 @@ class TestFitOptions:
         a, b = fit_em(data, K=2, opts=opts), fit_em(data, K=2, opts=FitOptions(
             max_iter=50, n_starts=2, seed=2 ** 63))
         assert a.loglik_trace.tobytes() == b.loglik_trace.tobytes()
+
+
+class TestKAtTheBoundary:
+    """``K`` passes through the integer check once per fit: integral floats
+    and numpy integers fit as the same int, bit for bit, and anything else
+    raises ``ValueError`` before a partition is drawn."""
+
+    FITS = {
+        "fit_em": lambda data, K: fit_em(data, K, FitOptions(n_starts=2, seed=3, max_iter=20)),
+        "fit_em_lasso": lambda data, K: fit_em_lasso(
+            data, K, PenaltyConfig(lam=1.0, gamma=1.0), FitOptions(n_starts=2, seed=3, max_iter=20)),
+        "init_params": lambda data, K: init_params(data, K, seed=3),
+    }
+
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_integral_values_fit_as_ints(self, fit):
+        data = sample_from_params(np.random.default_rng(5),
+                                  random_params(np.random.default_rng(5)), 60)[0]
+        expected = _Stack.of(_params(self.FITS[fit](data, 2)))
+        for K in (2.0, np.int64(2), np.uint8(2), np.float64(2.0)):
+            for x, y in zip(_Stack.of(_params(self.FITS[fit](data, K))), expected):
+                assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    @pytest.mark.parametrize("K, shown", [(2.5, "2.5"), ("2", "'2'"), (float("nan"), "nan"),
+                                          (None, "None")])
+    def test_other_values_are_rejected(self, fit, K, shown):
+        # 2.0 and 2.5 raised numpy's TypeError from np.bincount, and "2" a
+        # TypeError from a comparison
+        data = DataSet(X=np.arange(12.0).reshape(6, 2), Y=np.arange(6.0))
+        with pytest.raises(ValueError, match=f"^K must be an integer, got {shown}$"):
+            self.FITS[fit](data, K)
+
+
+def _params(out):
+    return out if isinstance(out, MoggeParams) else out.params
 
 
 class TestInitParams:

@@ -11,9 +11,13 @@ temporaries."""
 import functools
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mogge import em, em_lasso, model
 from mogge.em import (
@@ -614,16 +618,19 @@ class TestBatchedStarts:
 
 
 def _corrupt_start(field, index, value):
-    """A partition helper that writes ``value`` at ``index`` of ``field``
-    for one chosen partition, given to it as ``labels[0]``."""
+    """A stack builder that writes ``value`` at ``index`` of ``field`` for
+    each start whose partition is the chosen one, given to it as
+    ``labels[0]``."""
     real, labels = em._partition_stack, [None]
 
-    def corrupted(data, drawn, K, diagonal):
-        s = real(data, drawn, K, diagonal)
-        if not np.array_equal(drawn, labels[0]):
+    def corrupted(sample, drawn, K, diagonal):
+        s = real(sample, drawn, K, diagonal)
+        hits = np.flatnonzero((drawn == labels[0]).all(axis=-1))
+        if not hits.size:
             return s
         x = getattr(s, field).copy()
-        x[index] = value
+        for i in hits:
+            x[(i, *index)] = value
         return s._replace(**{field: x})
 
     return corrupted, labels
@@ -655,16 +662,43 @@ class TestSeededStarts:
                 assert x[i].shape == y.shape == z.shape
                 assert x[i].tobytes() == y.tobytes() == z.tobytes()
 
-    def test_diagonal_variances_are_those_of_var(self):
-        # the diagonal variances square the deviations from the group mean
-        # already computed; np.var computes the mean again, with the same bits
+    def test_diagonal_variances_are_the_diagonal_of_the_full_layout(self):
+        # both layouts take their covariances from the same C / n_k; the
+        # diagonal adds the jitter to its diagonal, as the full layout's 1e-6 I
         data, _ = sample_dataset(default_scenario(n=300, seed=1))
-        for seed in start_seeds(0, 10):
-            labels = em._partition(data, 2, "random-partition", seed)
-            s = em._partition_stack(data, labels, 2, diagonal=True)
-            for k in range(2):
-                var = data.X[labels == k].var(axis=0) + 1e-6
-                assert s.R[k].tobytes() == var.tobytes()
+        labels = np.stack([em._partition(data, 2, "random-partition", seed)
+                           for seed in start_seeds(0, 10)])
+        full, diagonal = (em._partition_stack(model._Sample.of(data), labels, 2, layout)
+                          for layout in (False, True))
+        assert diagonal.R.tobytes() == np.diagonal(full.R, 0, -2, -1).tobytes()
+        for name in ("alpha", "mu", "a", "B", "Sigma"):
+            assert getattr(diagonal, name).tobytes() == getattr(full, name).tobytes()
+
+    def test_a_raising_build_fails_only_its_start(self, monkeypatch):
+        # the batch's build raises, and each start is built alone: the one
+        # that raises gets the exception init_params raises for its seed
+        data, opts = _instance(14, n=80), FitOptions(n_starts=3, seed=9)
+        seeds = start_seeds(opts.seed, opts.n_starts)
+        clean = [_Stack.of(init_params(data, 2, opts.init_strategy, seed)) for seed in seeds]
+        chosen, real = em._partition(data, 2, opts.init_strategy, seeds[1]), em._partition_stack
+        builds = []
+
+        def raising(sample, drawn, K, diagonal):
+            builds.append(len(drawn))
+            if (drawn == chosen).all(axis=-1).any():
+                raise FloatingPointError("overflow encountered in multiply")
+            return real(sample, drawn, K, diagonal)
+
+        monkeypatch.setattr(em, "_partition_stack", raising)
+        with pytest.raises(FloatingPointError) as direct:
+            init_params(data, 2, opts.init_strategy, seeds[1])
+        del builds[:]
+        out = em._seeded(data, 2, opts, False)
+        assert builds == [3, 1, 1, 1]
+        assert (type(out[1]), str(out[1])) == (type(direct.value), str(direct.value))
+        for i in (0, 2):
+            for x, y in zip(out[i], clean[i]):
+                assert x.tobytes() == y.tobytes()
 
     def test_one_check_per_seeded_list_and_none_for_the_warm_start(self, monkeypatch):
         checked, check = [], _Stack.check
@@ -715,6 +749,113 @@ class TestSeededStarts:
         assert len(clean) == 3 and len(args[1].alpha) == len(out) == 2
         for run, alone in zip(out, (clean[0], clean[2])):
             _assert_same_run(run, alone)
+
+
+def _exact_ridge_fit(X, Y):
+    """Intercepts (d,), coefficients (p, d) and mean residual products
+    (d, d) of the ridge least-squares fit of the rows of ``Y`` on
+    ``[1, X]`` with the ridge ``GRAM_RIDGE`` on every coefficient, the
+    intercept included: the normal equations solved in exact rational
+    arithmetic, so that no formulation's conditioning enters the reference
+    (an uncentred solve in ``np.longdouble`` at means 1e6 spreads from 0
+    keeps about 7 digits)."""
+    rows = [[Fraction(1)] + [Fraction(v) for v in x] for x in X.tolist()]
+    ys = [[Fraction(v) for v in y] for y in Y.tolist()]
+    m, d, ridge = len(rows[0]), len(ys[0]), Fraction(em.GRAM_RIDGE)
+    M = [[sum(z[i] * z[j] for z in rows) + (ridge if i == j else 0) for j in range(m)]
+         + [sum(z[i] * y[j] for z, y in zip(rows, ys)) for j in range(d)] for i in range(m)]
+    for col in range(m):  # Gauss-Jordan; the ridged Gram is positive definite
+        for r in range(m):
+            if r != col and M[r][col]:
+                f = M[r][col] / M[col][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    coef = [[M[i][m + j] / M[i][i] for j in range(d)] for i in range(m)]
+    resid = [[y[j] - sum(z[i] * coef[i][j] for i in range(m)) for j in range(d)]
+             for z, y in zip(rows, ys)]
+    Sigma = [[sum(r[i] * r[j] for r in resid) / len(rows) for j in range(d)] for i in range(d)]
+    return (np.array(coef[0], dtype=float), np.array(coef[1:], dtype=float),
+            np.array(Sigma, dtype=float))
+
+
+class TestSeededAccuracy:
+    """The seeded stacks against a per-group reference: the means and
+    covariances summed in ``np.longdouble``, the experts' ridge fit in
+    exact rationals.  Every entry is within 1e-12 of its scale: the
+    column's largest magnitude for a mean, ``sqrt(R_ii R_jj)`` for a
+    covariance, the expert's largest coefficient for a coefficient, the
+    terms of ``ybar - b'mu`` for an intercept and ``sqrt(S_ii S_jj)`` for
+    an expert covariance, from 1e-150 to 1e150, for means 1e6 spreads from
+    0, and for groups of one point where the ridge fit is well posed."""
+
+    @pytest.mark.parametrize("K, d", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("scale, offset", [
+        (1e-150, 0.0), (1e-150, 1e6), (1e-3, 0.0), (1.0, 0.0), (1.0, 1e6),
+        (1e3, 1e6), (1e144, 1e6), (1e150, 0.0),
+    ])
+    def test_matches_a_per_group_reference(self, scale, offset, K, d):
+        rng = np.random.default_rng(59 + 7 * K + d)
+        n, p = 30, 3
+        labels = rng.permutation(np.arange(n) % K)
+        # a group of one point: its coefficients rest on the ridge alone, so
+        # only while |mu| is of order 1 is the problem itself well conditioned
+        lone = K > 1 and offset == 0.0 and scale <= 1.0
+        if lone:
+            labels[labels == K - 1] = 0
+            labels[rng.integers(n)] = K - 1
+        Z = rng.normal(size=(n, p)) * rng.uniform(0.5, 2.0, size=p)
+        X = scale * (offset + Z)
+        Y = offset + Z @ rng.normal(size=(p, d)) + rng.normal(size=(n, d))
+        data = DataSet(X=X, Y=Y)
+        stacks = [em._partition_stack(model._Sample.of(data), labels[None], K, diagonal)
+                  .take(0) for diagonal in (False, True)]
+        ld = np.longdouble
+        for k in range(K):
+            Xk = X[labels == k].astype(ld)
+            nk = len(Xk)
+            assert not lone or k < K - 1 or nk == 1
+            mu = Xk.sum(axis=0) / nk
+            R = (Xk - mu).T @ (Xk - mu) / nk + ld(1e-6) * np.eye(p, dtype=ld)
+            a, B, Sigma = _exact_ridge_fit(X[labels == k], Y[labels == k])
+            Sigma = em._floor_spd(Sigma)
+            r_scale = np.sqrt(np.outer(np.diagonal(R), np.diagonal(R)))
+            for s in stacks:
+                assert (np.abs(s.mu[k] - mu) <= 1e-12 * np.abs(Xk).max(axis=0)).all()
+                R_k = s.R[k] if s.R.ndim == 3 else np.diag(s.R[k])
+                off = np.eye(p, dtype=bool) if s.R.ndim == 2 else np.ones((p, p), bool)
+                assert (np.abs(R_k - R)[off] <= 1e-12 * r_scale[off]).all()
+                assert (np.abs(s.B[k] - B) <= 1e-12 * np.abs(B).max(axis=0)).all()
+                a_scale = np.abs(Y[labels == k]).mean(axis=0) + np.abs(mu.astype(float)) @ np.abs(B)
+                assert (np.abs(s.a[k] - a) <= 1e-12 * a_scale).all()
+                S_scale = np.sqrt(np.outer(np.diagonal(Sigma), np.diagonal(Sigma)))
+                assert (np.abs(s.Sigma[k] - Sigma) <= 1e-12 * S_scale).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_seeded_starts_do_not_depend_on_their_batch(draw):
+    """The stack built for S seeds holds, start by start, the bits of each
+    seed built alone and of ``init_params``, whether ``_BATCH_ELEMENTS``
+    builds them together or splits them."""
+    K, d, p = draw.draw(st.integers(1, 3)), draw.draw(st.integers(1, 2)), draw.draw(st.integers(1, 3))
+    n = draw.draw(st.integers(K, 40))
+    diagonal = draw.draw(st.booleans())
+    strategy = draw.draw(st.sampled_from(em.INIT_STRATEGIES))
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2 ** 32 - 1)))
+    data = DataSet(X=rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, size=p),
+                   Y=rng.normal(size=(n, d)))
+    opts = FitOptions(n_starts=draw.draw(st.integers(1, 5)), seed=draw.draw(st.integers(0, 99)),
+                      init_strategy=strategy)
+    elements = draw.draw(st.sampled_from([em._BATCH_ELEMENTS, 1, 2 * K * n * max(p, d)]))
+    with mock.patch.object(em, "_BATCH_ELEMENTS", elements):
+        seeded = em._seeded(data, K, opts, diagonal)
+    seeds = start_seeds(opts.seed, opts.n_starts)
+    labels = np.stack([em._partition(data, K, strategy, seed) for seed in seeds])
+    together = em._partition_stack(model._Sample.of(data), labels, K, diagonal)
+    for i, (seed, start) in enumerate(zip(seeds, seeded)):
+        alone = em._partition_stack(model._Sample.of(data), labels[[i]], K, diagonal)
+        params = init_params(data, K, strategy, seed, diagonal)
+        for w, x, y, z in zip(together, alone, _Stack.of(params), start):
+            assert w[i].tobytes() == x[0].tobytes() == y.tobytes() == z.tobytes()
 
 
 def _workspace_case(case):
