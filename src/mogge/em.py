@@ -71,8 +71,10 @@ _START_FAILURES = (DegenerateComponentError, NotPositiveDefiniteError,
 
 
 def _integral(what: str, value) -> int:
-    """``value``, an int, a numpy integer or an integral float, as an int."""
-    if isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer():
+    """``value``, an int, a numpy integer or an integral float (numpy's
+    too), as an int."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer()):
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
@@ -198,29 +200,30 @@ def _kmeans_labels(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarra
     return labels
 
 
-def _check_partition(data: DataSet, K: int, strategy: str) -> None:
-    """Raise ``ValueError`` unless the n observations can form K non-empty
+def _check_partition(n: int, K: int, strategy: str) -> None:
+    """Raise ``ValueError`` unless n observations can form K non-empty
     groups by a known strategy: checked once per fit, not per seed."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    if K > data.n:
-        raise ValueError(f"cannot split n={data.n} observations into K={K} groups")
+    if K > n:
+        raise ValueError(f"cannot split n={n} observations into K={K} groups")
     if strategy not in INIT_STRATEGIES:
         raise ValueError(f"unknown init strategy {strategy!r}")
 
 
-def _partition(data: DataSet, K: int, strategy: str, seed: int) -> np.ndarray:
-    """Labels of a hard partition into K non-empty groups, from the RNG of
-    ``seed``: ``random-partition`` draws uniform labels, ``kmeans-on-x``
-    clusters the predictors with k-means++-seeded k-means.  A partition
-    that leaves a group empty is redrawn, up to 100 attempts.  K, n and
-    the strategy are those :func:`_check_partition` accepts."""
+def _partition(X: np.ndarray, K: int, strategy: str, seed: int) -> np.ndarray:
+    """Labels of a hard partition of the rows of ``X`` into K non-empty
+    groups, from the RNG of ``seed``: ``random-partition`` draws uniform
+    labels, ``kmeans-on-x`` clusters the predictors with k-means++-seeded
+    k-means.  A partition that leaves a group empty is redrawn, up to 100
+    attempts.  K, n and the strategy are those :func:`_check_partition`
+    accepts."""
     rng = np.random.default_rng(seed)
     for _ in range(100):
         if strategy == "random-partition":
-            labels = rng.integers(0, K, size=data.n)
+            labels = rng.integers(0, K, size=len(X))
         else:
-            labels = _kmeans_labels(data.X, K, rng)
+            labels = _kmeans_labels(X, K, rng)
         if np.all(np.bincount(labels, minlength=K) > 0):
             return labels
     raise FitFailedError(
@@ -292,8 +295,8 @@ def init_params(data: DataSet, K: int, strategy: str = "random-partition",
     constructors raise.
     """
     K = _integral("K", K)
-    _check_partition(data, K, strategy)
-    labels = _partition(data, K, strategy, seed)
+    _check_partition(data.n, K, strategy)
+    labels = _partition(data.X, K, strategy, seed)
     return _partition_stack(_Sample.of(data), labels[None], K, diagonal_gating).take(0).params()
 
 
@@ -628,40 +631,51 @@ def _check(s: _Stack) -> list:
     return [None] * len(s.alpha)
 
 
-def _stacked(stacks: list) -> _Stack:
-    """The unbatched ``stacks`` along a new leading start axis."""
-    return _Stack(*(np.stack(f) if len(stacks) > 1 else f[0][None] for f in zip(*stacks)))
+def _stacked(items: list):
+    """The label arrays or unbatched stacks ``items`` along a new leading
+    start axis."""
+    if isinstance(items[0], np.ndarray):
+        return np.stack(items)
+    return _Stack(*(np.stack(f) if len(items) > 1 else f[0][None] for f in zip(*items)))
+
+
+def _batched(f: Callable, items: list, K: int, sample: _Sample) -> list:
+    """:func:`_per_start` of ``f`` over ``items``, stacked in consecutive
+    batches of at most ``_BATCH_ELEMENTS // (K n max(p, d))`` starts: one
+    outcome per item."""
+    size = max(1, _BATCH_ELEMENTS // (K * max(sample.X.size, sample.YT.size)))
+    return [out for lo in range(0, len(items), size)
+            for out in _per_start(f, _stacked(items[lo:lo + size]))]
 
 
 @np.errstate(over="raise", invalid="raise")  # an overflow fails its start, as in the runs
-def _seeded(data: DataSet, K: int, opts: FitOptions, diagonal_gating: bool) -> list:
+def _seeded(sample: _Sample, K: int, opts: FitOptions, diagonal_gating: bool) -> list:
     """Per seed of :func:`start_seeds`, the stack of :func:`init_params`,
     or the exception its partition, build or check raised.  The partitions
     are drawn per seed; :func:`_partition_stack` builds their stacks
-    together, in batches of at most ``_BATCH_ELEMENTS // (K n max(p, d))``
-    starts, a batch that raises one start at a time, and one stacked
-    validator call checks them all."""
-    _check_partition(data, K, opts.init_strategy)
+    together, in the batches of :func:`_batched`, a batch that raises one
+    start at a time, and one stacked validator call checks them all: the
+    built batch itself when there is one."""
+    _check_partition(len(sample.X), K, opts.init_strategy)
     starts = []
     for seed in start_seeds(opts.seed, opts.n_starts):
         try:
-            starts.append(_partition(data, K, opts.init_strategy, seed))
-        except FitFailedError as exc:
+            starts.append(_partition(sample.X, K, opts.init_strategy, seed))
+        except (*_START_FAILURES, FitFailedError) as exc:  # k-means may overflow
             starts.append(exc)
-    sample = _Sample.of(data)
+    built = []  # every stack that built, with its start axis, in start order
 
-    def build(labels):  # one stack per start, without the start axis
-        s = _partition_stack(sample, labels, K, diagonal_gating)
-        return [s.take(i) for i in range(len(labels))]
+    def build(labels):  # one view per start, without the start axis
+        built.append(_partition_stack(sample, labels, K, diagonal_gating))
+        return [built[-1].take(i) for i in range(len(labels))]
 
     ready = [i for i, s in enumerate(starts) if isinstance(s, np.ndarray)]
-    size = max(1, _BATCH_ELEMENTS // (K * max(sample.X.size, sample.YT.size)))
-    for batch in (ready[lo:lo + size] for lo in range(0, len(ready), size)):
-        for i, out in zip(batch, _per_start(build, np.stack([starts[i] for i in batch]))):
-            starts[i] = out
-    ready = [i for i, s in enumerate(starts) if isinstance(s, _Stack)]
-    if ready:
-        for i, exc in zip(ready, _per_start(_check, _stacked([starts[i] for i in ready]))):
+    for i, out in zip(ready, _batched(build, [starts[i] for i in ready], K, sample)):
+        starts[i] = out
+    if built:
+        ready = [i for i, s in enumerate(starts) if isinstance(s, _Stack)]
+        batch = built[0] if len(built) == 1 else _Stack(*map(np.concatenate, zip(*built)))
+        for i, exc in zip(ready, _per_start(_check, batch)):
             starts[i] = exc or starts[i]
     return starts
 
@@ -673,22 +687,20 @@ def _multistart(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
     """The start and ``accept(run)`` of the best run (the first with the
     largest objective) of ``starts``: checked stacks without a start axis,
     earlier :class:`_Run` s, which start from their stacks (a lone one
-    from its last E-step too), or exceptions.  The stacks run in batches
-    of at most ``_BATCH_ELEMENTS // (K n max(p, d))``, a batch that raises
-    one start at a time; ``squarem`` goes to :func:`_run_em`.  The runs go
-    to ``accept`` best first until one passes.  The one place where a
-    start's numerical trouble (a degenerate component, a failed covariance
-    check or factorization, an overflow or invalid operation) becomes a
-    diagnosis; underflow is routine."""
+    from its last E-step too), or exceptions.  The stacks run in the
+    batches of :func:`_batched`, a batch that raises one start at a time;
+    ``squarem`` goes to :func:`_run_em`.  The runs go to ``accept`` best
+    first until one passes.  The one place where a start's numerical
+    trouble (a degenerate component, a failed covariance check or
+    factorization, an overflow or invalid operation) becomes a diagnosis;
+    underflow is routine."""
     lone = len(starts) == 1 and isinstance(starts[0], _Run)
     carry = (np.array([starts[0].loglik]), starts[0].T[None]) if lone else None
     outcomes = {start: s.s if isinstance(s, _Run) else s for start, s in enumerate(starts)}
     ready = [start for start, s in outcomes.items() if isinstance(s, _Stack)]
-    size = max(1, _BATCH_ELEMENTS // (K * max(sample.X.size, sample.YT.size)))
-    for batch in (ready[lo:lo + size] for lo in range(0, len(ready), size)):
-        outcomes.update(zip(batch, _per_start(lambda s: _run_em(
-            sample, s, opts, m_step, objective, squarem, carry),
-            _stacked([outcomes[start] for start in batch]))))
+    outcomes.update(zip(ready, _batched(
+        lambda s: _run_em(sample, s, opts, m_step, objective, squarem, carry),
+        [outcomes[start] for start in ready], K, sample)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
         try:
@@ -709,6 +721,6 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     floating-point overflow are dropped with a diagnosis; if every start
     fails a :class:`~mogge.model.FitFailedError` carries all diagnoses.
     """
-    opts, K = opts or FitOptions(), _integral("K", K)
-    return _multistart(_Sample.of(data), K, opts, _ml_m_step, lambda loglik, s: loglik,
-                       _seeded(data, K, opts, diagonal_gating), squarem=True)[1]
+    opts, K, sample = opts or FitOptions(), _integral("K", K), _Sample.of(data)
+    return _multistart(sample, K, opts, _ml_m_step, lambda loglik, s: loglik,
+                       _seeded(sample, K, opts, diagonal_gating), squarem=True)[1]

@@ -353,6 +353,6 @@ def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,
             raise UnsupportedConfigError("warm start must use diagonal gating covariances")
         if warm_start.K != K or warm_start.p != data.p or warm_start.d != 1:
             raise ValueError("warm start dimensions do not match the request")
-    opts = opts or FitOptions()
-    starts = _seeded(data, K, opts, True) if warm_start is None else [_Stack.of(warm_start)]
-    return _fit_lasso(_Sample.of(data), K, penalty, opts, starts)[1]
+    opts, sample = opts or FitOptions(), _Sample.of(data)
+    starts = _seeded(sample, K, opts, True) if warm_start is None else [_Stack.of(warm_start)]
+    return _fit_lasso(sample, K, penalty, opts, starts)[1]

@@ -434,7 +434,7 @@ class _Stack(NamedTuple):
     :meth:`params` convert from and to checked components, :meth:`check`
     checks a stack without building them, every start of it at once,
     :meth:`take` selects starts.  The fits build their seeded starts as
-    stacks and check those of a batch with one :meth:`check`."""
+    stacks and check them with one :meth:`check` per fit."""
 
     alpha: np.ndarray
     mu: np.ndarray

@@ -150,7 +150,8 @@ def _chain(data: DataSet, K: int, pairs, opts: FitOptions, warm: bool, refit: bo
     if data.d != 1:
         raise UnsupportedConfigError("penalized fitting requires d = 1")
     penalties = [PenaltyConfig(lam=lam, gamma=gamma) for lam, gamma in pairs]
-    sample, seeded, prev = _Sample.of(data), _seeded(data, K, opts, True), None
+    sample = _Sample.of(data)
+    seeded, prev = _seeded(sample, K, opts, True), None
     for penalty in penalties:
         starts = seeded if prev is None else ([prev] + seeded if refit else [prev])
         try:

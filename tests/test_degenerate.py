@@ -24,6 +24,8 @@ from mogge import (
     grid_search,
     sample_dataset,
 )
+from mogge import em, model
+from mogge.em import start_seeds
 from mogge.model import DataSet
 
 OPTS = FitOptions(n_starts=3, seed=0)
@@ -201,3 +203,34 @@ def test_fits_finite_or_fail_as_the_contract_says(fitter, sample):
     except (FitFailedError, SelectionError):
         return
     _assert_finite(fit)
+
+
+
+def test_an_overflowing_kmeans_partition_fails_only_its_start():
+    # k-means++ squares the distances to its first centre: from a row at
+    # 1e154 the other nine squares sum past the float64 range, from any
+    # other row they do not; starts 1 and 2 draw that row first.  The
+    # moments of such a column overflow too, so the fits fail per start
+    opts = FitOptions(n_starts=3, seed=0, init_strategy="kmeans-on-x")
+    rng = np.random.default_rng(1)
+    X, y = rng.normal(size=(10, 2)) * [1e150, 1.0], rng.normal(size=10)
+    firsts = [np.random.default_rng(seed).integers(10) for seed in start_seeds(0, 3)]
+    assert firsts[0] != firsts[1] == firsts[2]
+    X[firsts[1], 0] = 1e154
+    data = DataSet(X=X, Y=y)
+    seeded = em._seeded(model._Sample.of(data), 2, opts, False)
+    assert [type(s) for s in seeded] == [model._Stack, FloatingPointError, FloatingPointError]
+    for fit in (lambda: fit_em(data, K=2, opts=opts),
+                lambda: fit_em(data, K=2, opts=opts, diagonal_gating=True),
+                lambda: fit_em_lasso(data, K=2, penalty=PenaltyConfig(lam=5.0, gamma=5.0),
+                                     opts=opts)):
+        try:
+            _assert_finite(fit())
+        except FitFailedError as err:
+            assert len(err.diagnoses) == opts.n_starts
+    grid = GridSpec(Ks=(2,), lambdas=(0.0, 5.0), gammas=(0.0, 5.0))
+    try:
+        grid_search(data, grid, opts=opts)
+    except SelectionError as err:
+        assert isinstance(err.__cause__, FitFailedError)
+        assert len(err.__cause__.diagnoses) == opts.n_starts

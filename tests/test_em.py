@@ -50,7 +50,7 @@ class TestFitOptions:
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("n_starts", 2.5), ("max_iter", 3.5), ("seed", float("nan")),
-        ("max_iter", float("inf")), ("n_starts", "2"),
+        ("max_iter", float("inf")), ("n_starts", "2"), ("seed", np.float32(1.5)),
     ])
     def test_non_integers_rejected(self, field, value):
         # 1.5 and the rest used to construct, and the fit then raised a
@@ -67,6 +67,8 @@ class TestFitOptions:
     def test_numpy_integers_and_integral_floats_are_ints(self):
         opts = FitOptions(max_iter=np.int64(50), n_starts=np.int32(2), seed=np.uint64(2 ** 63))
         assert opts == FitOptions(max_iter=50.0, n_starts=2, seed=2 ** 63)
+        assert FitOptions(n_starts=np.float32(2.0), seed=np.float16(3.0)) == FitOptions(
+            n_starts=2, seed=3)
         assert all(type(v) is int for v in (opts.max_iter, opts.n_starts, opts.seed))
         data = sample_from_params(np.random.default_rng(4),
                                   random_params(np.random.default_rng(4)), 60)[0]
@@ -92,13 +94,14 @@ class TestKAtTheBoundary:
         data = sample_from_params(np.random.default_rng(5),
                                   random_params(np.random.default_rng(5)), 60)[0]
         expected = _Stack.of(_params(self.FITS[fit](data, 2)))
-        for K in (2.0, np.int64(2), np.uint8(2), np.float64(2.0)):
+        for K in (2.0, np.int64(2), np.uint8(2), np.float64(2.0), np.float32(2.0)):
             for x, y in zip(_Stack.of(_params(self.FITS[fit](data, K))), expected):
                 assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("fit", sorted(FITS))
     @pytest.mark.parametrize("K, shown", [(2.5, "2.5"), ("2", "'2'"), (float("nan"), "nan"),
-                                          (None, "None")])
+                                          (None, "None"),
+                                          (np.float32(2.5), r"np\.float32\(2\.5\)")])
     def test_other_values_are_rejected(self, fit, K, shown):
         # 2.0 and 2.5 raised numpy's TypeError from np.bincount, and "2" a
         # TypeError from a comparison

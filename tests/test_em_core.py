@@ -656,7 +656,7 @@ class TestSeededStarts:
         stack = args[1]
         for i, seed in enumerate(start_seeds(opts.seed, opts.n_starts)):
             params = init_params(data, K, strategy, seed, diagonal)
-            labels = em._partition(data, K, strategy, seed)
+            labels = em._partition(data.X, K, strategy, seed)
             built = partition_params(data, labels, K, diagonal)
             for x, y, z in zip(stack, _Stack.of(params), _Stack.of(built)):
                 assert x[i].shape == y.shape == z.shape
@@ -666,7 +666,7 @@ class TestSeededStarts:
         # both layouts take their covariances from the same C / n_k; the
         # diagonal adds the jitter to its diagonal, as the full layout's 1e-6 I
         data, _ = sample_dataset(default_scenario(n=300, seed=1))
-        labels = np.stack([em._partition(data, 2, "random-partition", seed)
+        labels = np.stack([em._partition(data.X, 2, "random-partition", seed)
                            for seed in start_seeds(0, 10)])
         full, diagonal = (em._partition_stack(model._Sample.of(data), labels, 2, layout)
                           for layout in (False, True))
@@ -680,7 +680,7 @@ class TestSeededStarts:
         data, opts = _instance(14, n=80), FitOptions(n_starts=3, seed=9)
         seeds = start_seeds(opts.seed, opts.n_starts)
         clean = [_Stack.of(init_params(data, 2, opts.init_strategy, seed)) for seed in seeds]
-        chosen, real = em._partition(data, 2, opts.init_strategy, seeds[1]), em._partition_stack
+        chosen, real = em._partition(data.X, 2, opts.init_strategy, seeds[1]), em._partition_stack
         builds = []
 
         def raising(sample, drawn, K, diagonal):
@@ -693,7 +693,7 @@ class TestSeededStarts:
         with pytest.raises(FloatingPointError) as direct:
             init_params(data, 2, opts.init_strategy, seeds[1])
         del builds[:]
-        out = em._seeded(data, 2, opts, False)
+        out = em._seeded(model._Sample.of(data), 2, opts, False)
         assert builds == [3, 1, 1, 1]
         assert (type(out[1]), str(out[1])) == (type(direct.value), str(direct.value))
         for i in (0, 2):
@@ -728,7 +728,7 @@ class TestSeededStarts:
         fit_em(data, K=2, opts=opts, diagonal_gating=diagonal)
         seed = start_seeds(opts.seed, opts.n_starts)[1]
         corrupted, labels = _corrupt_start(field, index, value)
-        labels[0] = em._partition(data, 2, opts.init_strategy, seed)
+        labels[0] = em._partition(data.X, 2, opts.init_strategy, seed)
         monkeypatch.setattr(em, "_partition_stack", corrupted)
         with pytest.raises(NotPositiveDefiniteError) as direct:
             init_params(data, 2, opts.init_strategy, seed, diagonal)
@@ -847,9 +847,9 @@ def test_seeded_starts_do_not_depend_on_their_batch(draw):
                       init_strategy=strategy)
     elements = draw.draw(st.sampled_from([em._BATCH_ELEMENTS, 1, 2 * K * n * max(p, d)]))
     with mock.patch.object(em, "_BATCH_ELEMENTS", elements):
-        seeded = em._seeded(data, K, opts, diagonal)
+        seeded = em._seeded(model._Sample.of(data), K, opts, diagonal)
     seeds = start_seeds(opts.seed, opts.n_starts)
-    labels = np.stack([em._partition(data, K, strategy, seed) for seed in seeds])
+    labels = np.stack([em._partition(data.X, K, strategy, seed) for seed in seeds])
     together = em._partition_stack(model._Sample.of(data), labels, K, diagonal)
     for i, (seed, start) in enumerate(zip(seeds, seeded)):
         alone = em._partition_stack(model._Sample.of(data), labels[[i]], K, diagonal)
