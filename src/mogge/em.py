@@ -9,10 +9,10 @@ the multi-start driver also run :mod:`mogge.em_lasso`, which supplies its
 own M-step and objective.  Multi-start in batches, best objective wins;
 any start whose components collapse, or whose arithmetic overflows, is
 abandoned and diagnosed rather than reinitialized mid-run.  The seeded
-starts, the arrays of :func:`init_params`, are built in one stacked pass
-from their hard partitions, taken as one-hot responsibilities, and
-checked at once, once per fit or per K of a penalty chain; only the
-returned run builds components.
+starts, the arrays of :func:`init_params`, are drawn, built from their
+hard partitions, taken as one-hot responsibilities, and checked in one
+stacked pass per batch of starts, once per fit or per K of a penalty
+chain; only the returned run builds components.
 
 :func:`fit_em` accelerates the smooth EM map by SQUAREM (Varadhan and
 Roland, 2008): every second trace entry may be an accepted
@@ -67,7 +67,7 @@ DEGENERACY_FRACTION = 1e-8
 _BATCH_ELEMENTS = 2 ** 20
 
 _START_FAILURES = (DegenerateComponentError, NotPositiveDefiniteError,
-                   np.linalg.LinAlgError, FloatingPointError)
+                   np.linalg.LinAlgError, FloatingPointError, FitFailedError)
 
 
 def _integral(what: str, value) -> int:
@@ -289,8 +289,8 @@ def init_params(data: DataSet, K: int, strategy: str = "random-partition",
     predictors with k-means++-seeded k-means.  Partitions that leave a group
     empty are redrawn (up to 100 attempts).  Deterministic under ``seed``.
     ``K`` is an int, a numpy integer or an integral float.  The fits build
-    the same parameters, bit for bit, with :func:`_partition_stack` for all
-    their seeds at once and check them at once; this function builds them
+    the same parameters, bit for bit, with :func:`_partition_stack` for a
+    batch of seeds at once and check them at once; this function builds them
     for one seed and returns them checked, and raises what the component
     constructors raise.
     """
@@ -434,13 +434,17 @@ def _flat(s: _Stack) -> np.ndarray:
 
 def _log_factor(A: np.ndarray) -> np.ndarray:
     """Cholesky factors of the SPD stack ``A`` with the log of their diagonals."""
-    L = _cholesky(A)
-    return np.log(L, out=L, where=_identity(A.shape[-1], bool))
+    L, p = _cholesky(A), A.shape[-1]  # a fresh factor: C-contiguous
+    diagonal = L.reshape(-1, p * p)[:, ::p + 1]  # a view into L
+    np.log(diagonal, out=diagonal)
+    return L
 
 
 def _exp_factor(theta: np.ndarray) -> np.ndarray:
     """The SPD matrices ``L L'`` of log-Cholesky coordinates ``theta``."""
-    L = np.exp(theta, out=theta.copy(), where=_identity(theta.shape[-1], bool))
+    L, p = theta.copy(), theta.shape[-1]  # C-contiguous, whatever theta's strides
+    diagonal = L.reshape(-1, p * p)[:, ::p + 1]  # a view into L
+    np.exp(diagonal, out=diagonal)
     return L @ np.swapaxes(L, -1, -2)
 
 
@@ -625,17 +629,12 @@ def _per_start(f: Callable, s) -> list:
     return [out for i in range(count) for out in _per_start(f, _rows(s, [i]))]
 
 
-def _check(s: _Stack) -> list:
-    """None per start of ``s`` once it passes :meth:`_Stack.check`."""
-    (s.take(0) if len(s.alpha) == 1 else s).check()  # alone, as its constructors check it
-    return [None] * len(s.alpha)
-
-
 def _stacked(items: list):
-    """The label arrays or unbatched stacks ``items`` along a new leading
-    start axis."""
-    if isinstance(items[0], np.ndarray):
-        return np.stack(items)
+    """The seeds or unbatched stacks ``items`` along a new leading start
+    axis; seeds as ``np.uint64``, which holds every seed of
+    :func:`start_seeds` exactly."""
+    if not isinstance(items[0], _Stack):
+        return np.array(items, dtype=np.uint64)
     return _Stack(*(np.stack(f) if len(items) > 1 else f[0][None] for f in zip(*items)))
 
 
@@ -651,33 +650,19 @@ def _batched(f: Callable, items: list, K: int, sample: _Sample) -> list:
 @np.errstate(over="raise", invalid="raise")  # an overflow fails its start, as in the runs
 def _seeded(sample: _Sample, K: int, opts: FitOptions, diagonal_gating: bool) -> list:
     """Per seed of :func:`start_seeds`, the stack of :func:`init_params`,
-    or the exception its partition, build or check raised.  The partitions
-    are drawn per seed; :func:`_partition_stack` builds their stacks
-    together, in the batches of :func:`_batched`, a batch that raises one
-    start at a time, and one stacked validator call checks them all: the
-    built batch itself when there is one."""
+    or the exception its partition, build or check raised.  In the batches
+    of :func:`_batched`, a batch that raises one seed at a time, the
+    partitions of the batch's seeds are drawn, :func:`_partition_stack`
+    builds them together and one stacked validator call checks them."""
     _check_partition(len(sample.X), K, opts.init_strategy)
-    starts = []
-    for seed in start_seeds(opts.seed, opts.n_starts):
-        try:
-            starts.append(_partition(sample.X, K, opts.init_strategy, seed))
-        except (*_START_FAILURES, FitFailedError) as exc:  # k-means may overflow
-            starts.append(exc)
-    built = []  # every stack that built, with its start axis, in start order
 
-    def build(labels):  # one view per start, without the start axis
-        built.append(_partition_stack(sample, labels, K, diagonal_gating))
-        return [built[-1].take(i) for i in range(len(labels))]
+    def build(seeds):  # one view per start, without the start axis
+        labels = [_partition(sample.X, K, opts.init_strategy, int(seed)) for seed in seeds]
+        s = _partition_stack(sample, np.stack(labels), K, diagonal_gating)
+        (s.take(0) if len(seeds) == 1 else s).check()  # alone, as its constructors check it
+        return [s.take(i) for i in range(len(seeds))]
 
-    ready = [i for i, s in enumerate(starts) if isinstance(s, np.ndarray)]
-    for i, out in zip(ready, _batched(build, [starts[i] for i in ready], K, sample)):
-        starts[i] = out
-    if built:
-        ready = [i for i, s in enumerate(starts) if isinstance(s, _Stack)]
-        batch = built[0] if len(built) == 1 else _Stack(*map(np.concatenate, zip(*built)))
-        for i, exc in zip(ready, _per_start(_check, batch)):
-            starts[i] = exc or starts[i]
-    return starts
+    return _batched(build, start_seeds(opts.seed, opts.n_starts), K, sample)
 
 
 @np.errstate(over="raise", invalid="raise")

@@ -180,9 +180,9 @@ class _Sample(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _identity(p: int, dtype=float) -> np.ndarray:
-    """The p x p identity, read-only: one per p and dtype, shared by every call."""
-    eye = np.eye(p, dtype=dtype)
+def _identity(p: int) -> np.ndarray:
+    """The p x p identity, read-only: one per p, shared by every call."""
+    eye = np.eye(p)
     eye.flags.writeable = False
     return eye
 
@@ -434,7 +434,7 @@ class _Stack(NamedTuple):
     :meth:`params` convert from and to checked components, :meth:`check`
     checks a stack without building them, every start of it at once,
     :meth:`take` selects starts.  The fits build their seeded starts as
-    stacks and check them with one :meth:`check` per fit."""
+    stacks and check them with one :meth:`check` per batch of starts."""
 
     alpha: np.ndarray
     mu: np.ndarray

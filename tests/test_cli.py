@@ -353,6 +353,30 @@ class TestLassoPath:
             "--out-dir", str(tmp_path),
         ) == 1
 
+    def test_lambda_only_path_at_a_fixed_gamma(self, small_data, tmp_path):
+        out = tmp_path / "lpath"
+        assert run(
+            "lasso-path", "--data", str(small_data), "--k", "2",
+            "--lambdas", "0,100", "--gamma", "3",
+            "--n-starts", "2", "--seed", "1", "--out-dir", str(out),
+        ) == 0
+        points = json.loads((out / "path_params.json").read_text())
+        assert [(pt["lambda"], pt["gamma"]) for pt in points] == [(100.0, 3.0), (0.0, 3.0)]
+        rows = dataio.read_path_csv(out / "path.csv")
+        coeff_top = [r for r in rows if r["block"] == "expert_coeff" and r["lambda"] == 100.0]
+        assert coeff_top and all(r["estimate"] == 0.0 for r in coeff_top)
+        assert {r["gamma"] for r in rows} == {3.0}
+
+    @pytest.mark.parametrize("grid, message", [
+        (("--ratios", "0,0.5"), "--ratios requires --max-penalty"),
+        (("--penalties", "5,0,5"), "penalty grid contains duplicates"),
+        (("--lambdas", "2,2", "--gamma", "1"), "penalty grid contains duplicates"),
+    ], ids=["ratios-without-max", "duplicate-penalties", "duplicate-lambdas"])
+    def test_grid_errors(self, small_data, tmp_path, capsys, grid, message):
+        assert run("lasso-path", "--data", str(small_data), *grid,
+                   "--out-dir", str(tmp_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
 
 class TestEvaluate:
     def test_true_params_on_separated_data_score_perfectly(self, tmp_path):

@@ -102,6 +102,17 @@ class TestDatasetCsv:
         with pytest.raises(ValueError):
             dataio.read_dataset_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty dataset file"),
+        ("\n  \n", "empty dataset file"),
+        ("y,label\n3.0,1\n", "header must contain x1..xp and y columns"),
+        ("x1,x2,label\n1.0,2.0,1\n", "header must contain x1..xp and y columns"),
+    ], ids=["empty", "blank-lines", "no-x-columns", "no-y-column"])
+    def test_empty_file_and_missing_columns_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.csv: {message}"):
+            dataio.read_dataset_csv(path)
 
     @pytest.mark.parametrize("body", [
         "1.0,2.0,3.0,1\n",            # row wider than the header

@@ -206,6 +206,21 @@ def test_fits_finite_or_fail_as_the_contract_says(fitter, sample):
 
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_kmeans_on_a_constant_x_fails_every_start_at_its_partition(diagonal):
+    # every k-means++ centre is the one point, so every label is 0 and no
+    # draw has two non-empty groups: one diagnosis per start, as for any
+    # start failure
+    opts = FitOptions(n_starts=3, seed=0, init_strategy="kmeans-on-x")
+    data = DataSet(X=np.full((10, 2), 1.5), Y=np.arange(10.0))
+    with pytest.raises(FitFailedError, match="^all 3 starts failed$") as err:
+        fit_em(data, K=2, opts=opts, diagonal_gating=diagonal)
+    assert err.value.diagnoses == [
+        f"start {i}: FitFailedError: could not draw a partition with 2 non-empty groups "
+        "in 100 attempts" for i in range(3)
+    ]
+
+
 def test_an_overflowing_kmeans_partition_fails_only_its_start():
     # k-means++ squares the distances to its first centre: from a row at
     # 1e154 the other nine squares sum past the float64 range, from any

@@ -109,6 +109,18 @@ class TestKAtTheBoundary:
         with pytest.raises(ValueError, match=f"^K must be an integer, got {shown}$"):
             self.FITS[fit](data, K)
 
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    @pytest.mark.parametrize("K", [0, -1, 0.0])
+    def test_fewer_than_one_component_is_rejected(self, fit, K):
+        data = DataSet(X=np.arange(12.0).reshape(6, 2), Y=np.arange(6.0))
+        with pytest.raises(ValueError, match="^K must be at least 1$"):
+            self.FITS[fit](data, K)
+
+    def test_an_unknown_strategy_is_rejected(self):
+        data = DataSet(X=np.arange(12.0).reshape(6, 2), Y=np.arange(6.0))
+        with pytest.raises(ValueError, match="^unknown init strategy 'k-medoids'$"):
+            init_params(data, 2, strategy="k-medoids")
+
 
 def _params(out):
     return out if isinstance(out, MoggeParams) else out.params

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mogge import em, em_lasso, model
@@ -712,10 +712,10 @@ class TestSeededStarts:
         cold = fit_em_lasso(data, K=2, penalty=PENALTY, opts=opts)
         fit_em_lasso(data, K=2, penalty=PENALTY, opts=opts, warm_start=cold.params)
         monkeypatch.setattr(em, "_BATCH_ELEMENTS", 1)
-        fit_em(data, K=2, opts=opts)  # three batches of one, still one check
+        fit_em(data, K=2, opts=opts)  # three batches of one: one check each
         fit_em(data, K=2, opts=replace(opts, n_starts=1))
         # a lone start is checked without its start axis
-        assert checked == [(3, 2), (3, 2), (2,)]
+        assert checked == [(3, 2), (2,), (2,), (2,), (2,)]
 
     @pytest.mark.parametrize("diagonal, field, index, value", [
         (False, "R", (0, 0, 1), 1.0),
@@ -856,6 +856,53 @@ def test_seeded_starts_do_not_depend_on_their_batch(draw):
         params = init_params(data, K, strategy, seed, diagonal)
         for w, x, y, z in zip(together, alone, _Stack.of(params), start):
             assert w[i].tobytes() == x[0].tobytes() == y.tobytes() == z.tobytes()
+
+
+SEEDED_KINDS = ("plain", "overflow-column", "constant")
+ELEMENTS = (em._BATCH_ELEMENTS, 1)  # all starts in one batch, or one per batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(1, 3), p=st.integers(1, 3), d=st.integers(1, 2), n=st.integers(3, 30),
+       kind=st.sampled_from(SEEDED_KINDS), data_seed=st.integers(0, 2 ** 32 - 1),
+       strategy=st.sampled_from(em.INIT_STRATEGIES), diagonal=st.booleans(),
+       n_starts=st.integers(1, 4), seed=st.integers(0, 99), elements=st.sampled_from(ELEMENTS))
+@example(K=2, p=2, d=1, n=10, kind="overflow-column", data_seed=1, strategy="kmeans-on-x",
+         diagonal=False, n_starts=3, seed=0, elements=ELEMENTS[0])  # as in test_degenerate
+@example(K=2, p=2, d=1, n=10, kind="constant", data_seed=1, strategy="kmeans-on-x",
+         diagonal=True, n_starts=3, seed=0, elements=ELEMENTS[1])
+def test_each_seeded_start_is_init_params_or_its_exception(K, p, d, n, kind, data_seed,
+                                                           strategy, diagonal, n_starts,
+                                                           seed, elements):
+    """Every entry of ``_seeded`` is, for its seed, the stack of
+    ``init_params`` to the bit, or an exception of the type and text that
+    ``init_params`` raises under the fits' floating-point error state,
+    whether the starts share a batch or not.  ``overflow-column`` scales
+    the first column to 1e150 and puts 1e154 in the row that k-means++
+    draws first for the last seed, so that its partition overflows;
+    k-means on a ``constant`` X cannot draw K > 1 non-empty groups."""
+    rng = np.random.default_rng(data_seed)
+    X = rng.normal(size=(n, p))
+    if kind == "overflow-column":
+        X[:, 0] *= 1e150
+        X[np.random.default_rng(start_seeds(seed, n_starts)[-1]).integers(n), 0] = 1e154
+    elif kind == "constant":
+        X[:] = 1.5
+    data = DataSet(X=X, Y=rng.normal(size=(n, d)))
+    opts = FitOptions(n_starts=n_starts, seed=seed, init_strategy=strategy)
+    with mock.patch.object(em, "_BATCH_ELEMENTS", elements):
+        seeded = em._seeded(model._Sample.of(data), K, opts, diagonal)
+    assert len(seeded) == n_starts
+    for start, seed in zip(seeded, start_seeds(seed, n_starts)):
+        try:
+            with np.errstate(over="raise", invalid="raise"):  # as in the fits
+                expected = _Stack.of(init_params(data, K, strategy, seed, diagonal))
+        except Exception as exc:
+            assert (type(start), str(start)) == (type(exc), str(exc))
+        else:
+            assert isinstance(start, _Stack)
+            for x, y in zip(start, expected, strict=True):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def _workspace_case(case):

@@ -847,6 +847,14 @@ class TestFitEmLasso:
                 warm_start=full,
             )
 
+    @pytest.mark.parametrize("K, p", [(2, 3), (2, 1), (3, 2)], ids=["more-p", "fewer-p", "other-K"])
+    def test_rejects_warm_start_of_other_dimensions(self, K, p):
+        rng = np.random.default_rng(19)
+        data, _ = sample_from_params(rng, random_params(rng, K=2, p=2, spread=3.0), n=40)
+        warm = random_params(rng, K=K, p=p, diagonal=True)
+        with pytest.raises(ValueError, match="^warm start dimensions do not match the request$"):
+            fit_em_lasso(data, K=2, penalty=PenaltyConfig(lam=1.0, gamma=1.0), warm_start=warm)
+
     def test_zero_penalty_matches_plain_em_with_diagonal_gating(self):
         rng = np.random.default_rng(20)
         for trial in range(3):

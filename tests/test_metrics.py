@@ -221,6 +221,16 @@ class TestSensitivitySpecificity:
         assert set(summary) == {"expert_1", "expert_2", "gate"}
         assert summary["gate"].component == 1
 
+    def test_summary_scores_every_gate_for_three_components(self):
+        params = random_params(np.random.default_rng(4), K=3, p=2)
+        report = sensitivity_specificity(params, params)
+        summary = report.summary()
+        assert list(summary) == ["expert_1", "expert_2", "expert_3",
+                                 "gate_1", "gate_2", "gate_3"]
+        for name, block in summary.items():
+            kind, k = name.split("_")
+            assert block is report.block(kind, int(k))
+
     def test_absent_score_when_no_true_zeros(self):
         g = GatingComponent(alpha=1.0, mu=np.array([1.0, 2.0]), R=np.ones(2))
         e = ExpertComponent(intercept=[0.0], coeffs=[[1.0], [2.0]], cov=[[1.0]])
