@@ -161,11 +161,8 @@ def _floor_spd(S: np.ndarray) -> np.ndarray:
     """Symmetrize a matrix, or a stack of matrices along the leading axes,
     and floor the eigenvalues of each at the variance floor, and then the
     diagonal, which rounding in the product of the eigenvectors can leave
-    an ulp below it: for 1 x 1 matrices the floored entries, which is what
-    the eigh path gives."""
+    an ulp below it."""
     d = S.shape[-1]
-    if d == 1:
-        return np.maximum(S, VARIANCE_FLOOR)
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
     vals, vecs = np.linalg.eigh(S)
     floored = vecs * np.maximum(vals, VARIANCE_FLOOR)[..., None, :]
@@ -326,28 +323,23 @@ def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray,
     root-weighted deviations ``D = (x - mu) sqrt(tau)``: the covariances
     are ``C / nk`` (its diagonal for ``diagonal``) plus the jitter, and
     ``G = C + nk mu mu'``, the same bits for either layout.
-    ``work`` (see :func:`~mogge.model._gate_terms`) ends holding the
-    E-step's first pass at the result, the deviations in ``work[0]``
-    (squared if ``diagonal``), and for full covariances ``D`` in
-    ``work[1]``; a diagonal layout forms ``D`` in ``work[0]`` and then
-    writes the squared deviations over it."""
-    XT = sample.XT
+    ``work`` (see :func:`~mogge.model._gate_terms`) ends holding ``D`` in
+    ``work[1]`` and the E-step's first pass at the result in ``work[0]``:
+    the deviations from the new means, squared in place if ``diagonal``."""
     mu = _dot(T, sample.X) / nk[..., None]
-    diff = _into(np.subtract, XT, mu[..., None], None if work is None else work[0])
+    diff = _into(np.subtract, sample.XT, mu[..., None], None if work is None else work[0])
     # weighted by the root of T, then times its own transpose: numpy's
-    # matmul runs syrk there, half the work of a general product
-    D = np.multiply(diff, np.sqrt(T)[..., None, :],
-                    out=diff if work is None or diagonal else work[1])
+    # matmul runs syrk there, half the work of a general product, and
+    # copies one triangle over the other, so C is exactly symmetric
+    D = np.multiply(diff, np.sqrt(T)[..., None, :], out=diff if work is None else work[1])
     C = _dot(D, np.swapaxes(D, -1, -2))
     G = C + nk[..., None, None] * (mu[..., :, None] * mu[..., None, :])
     if diagonal:
         R = np.diagonal(C, 0, -2, -1) / nk[..., None] + COV_JITTER
-        if work is not None:  # the E-step's first pass, written over D
-            sq = _into(np.subtract, XT, mu[..., None], work[0])
-            sq *= sq
+        if work is not None:
+            diff *= diff
     else:
-        R = C / nk[..., None, None]
-        R = 0.5 * (R + np.swapaxes(R, -1, -2)) + COV_JITTER * _identity(mu.shape[-1])
+        R = C / nk[..., None, None] + COV_JITTER * _identity(mu.shape[-1])
     return nk / nk.sum(axis=-1, keepdims=True), mu, R, G
 
 
@@ -527,12 +519,11 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     Every decision is taken per start, so a start has the same bits in
     any batch, and a batch raises exactly when a start raises alone.
 
-    ``work`` is the batch's workspace of (S, K, p, n) buffers, allocated
-    once here: the first for the E-step's deviations and the M-step's
-    (S, K, p, n) temporaries, and for full gating covariances a second
-    for the whitened or root-weighted deviations.  Beside it, in a buffer
-    of its own so that the gating views stay contiguous, ``r2`` (S, K, n)
-    holds the residual squares of d = 1 experts.  No returned or kept
+    ``work`` is the batch's workspace of two (S, K, p, n) buffers,
+    allocated once here: the first for the deviations from the gating
+    means, the second for the whitened or root-weighted ones.  Beside it,
+    in a buffer of its own so that the gating views stay contiguous,
+    ``r2`` (S, K, n) holds the residual squares of d = 1 experts.  No returned or kept
     array is a view of either.  When m starts run, the live ones or one
     alone, the kernels get the leading views ``work[:, :m]`` and
     ``r2[:m]`` (still C-contiguous).
@@ -593,7 +584,7 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     traces: list[list[float]] = [[] for _ in out]
     live, state = list(range(len(out))), (s, None, None, None)
     n = sample.XT.shape[1]
-    work = np.empty((1 + (s.R.ndim > s.mu.ndim), *s.mu.shape, n))
+    work = np.empty((2, *s.mu.shape, n))
     r2 = np.empty((*s.alpha.shape, n))
     for it in range(last + 1):
         step = cycle if cycles and it % 2 == 0 and 0 < it < last else plain

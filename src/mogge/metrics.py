@@ -71,6 +71,12 @@ def _validate_labels(labels, K: int, name: str) -> np.ndarray:
     return arr.astype(int)
 
 
+def _count_table(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The ``shape`` table of how often each pair ``(rows[i], cols[i])`` of
+    0-based labels occurs, from one count of the flat indices."""
+    return np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1]).reshape(shape)
+
+
 def best_label_permutation(true_labels, est_labels, K: int):
     """Agreement-maximizing relabeling of the estimated partition.
 
@@ -84,8 +90,7 @@ def best_label_permutation(true_labels, est_labels, K: int):
     e = _validate_labels(est_labels, K, "est_labels")
     if t.shape != e.shape:
         raise ValueError("label vectors must have equal length")
-    counts = np.zeros((K, K), dtype=np.int64)
-    np.add.at(counts, (e - 1, t - 1), 1)
+    counts = _count_table(e - 1, t - 1, (K, K))
     true = _min_cost_assignment(-counts)
     return counts[np.arange(K), true].sum() / t.size, tuple(int(q) + 1 for q in true)
 
@@ -107,8 +112,7 @@ def adjusted_rand_index(true_labels, est_labels) -> float:
         raise ValueError("ARI needs at least two observations")
     _, ti = np.unique(t, return_inverse=True)
     _, ei = np.unique(e, return_inverse=True)
-    C = np.zeros((ti.max() + 1, ei.max() + 1), dtype=np.int64)
-    np.add.at(C, (ti, ei), 1)
+    C = _count_table(ti, ei, (ti.max() + 1, ei.max() + 1))
 
     def comb2(x):
         return x * (x - 1) / 2.0

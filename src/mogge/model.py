@@ -41,13 +41,13 @@ invalid="raise")``: a square that overflows raises
 or -inf.
 
 The EM loop allocates its largest temporaries, the (S, K, p, n)
-deviations of the predictors, once per batch: one workspace of such
-buffers (two for full gating covariances, one for diagonal ones), passed
-to the kernels as ``work`` or ``out`` and filled by :func:`_into`, so
-that an iteration allocates nothing of that size and maps no fresh
-pages.  Every kernel defaults to ``None`` and then allocates as numpy
-would; the public functions run the same code that way.  No array a
-kernel returns is a view of the workspace.  Beside it the loop keeps
+deviations of the predictors, once per batch: one workspace of two
+such buffers for either gating layout, passed to the kernels as
+``work`` or ``out`` and filled by :func:`_into`, so that an iteration
+allocates nothing of that size and maps no fresh pages.  Every kernel
+defaults to ``None`` and then allocates as numpy would; the public
+functions run the same code that way.  No array a kernel returns is a
+view of the workspace.  Beside it the loop keeps
 one (S, K, n) buffer ``r2`` for the d = 1 experts' residual squares.
 Every plain M-step of the loop leaves in them the E-step's first pass at
 its result, the deviations from its gating means (squared if diagonal)
@@ -58,7 +58,7 @@ pass also forms the experts' weighted Gram matrices ``X' W X``, as
 ``C + n_k mu mu'`` from the centred cross-moments ``C`` of its
 covariances (the root-weighted deviations times their own transpose),
 so X is weighted once per M-step; for diagonal covariances that pass
-writes the squared deviations over the root-weighted ones afterwards.
+then squares the deviations in place.
 
 Component layout conventions:
 
@@ -504,9 +504,9 @@ def _mahalanobis(diff: np.ndarray, cov: np.ndarray, chol: np.ndarray | None,
     Mahalanobis distances, a new array.  Under K variance vectors ``cov``
     (K, m), with ``chol`` None, ``Q`` is one product of the reciprocals
     with the squared deviations, summing over m; under K full matrices
-    with lower factors ``chol``, the sums of the squared whitened
-    deviations, by the m x m inverses of the factors (no solve against n
-    columns; for m = 1 the reciprocal, the number that solve returns).
+    with lower factors ``chol``, one reduction of the whitened deviations
+    ``Z`` times themselves over m, with ``Z`` from the m x m inverses of
+    the factors (no solve against n columns).
 
     Every caller passes a fresh ``diff``: the diagonal case squares it in
     place, or with ``filled`` finds it squared already, and the full case
@@ -517,12 +517,9 @@ def _mahalanobis(diff: np.ndarray, cov: np.ndarray, chol: np.ndarray | None,
         sq = diff if filled else np.multiply(diff, diff, out=diff)
         return (m * LOG_2PI + np.log(cov).sum(axis=-1),
                 ((1.0 / cov)[..., None, :] @ sq)[..., 0, :])
-    if m == 1:  # the sums below, over length-one axes, would return their one term
-        Z = np.multiply(1.0 / chol, diff, out=out)[..., 0, :]
-        return LOG_2PI + 2.0 * np.log(chol[..., 0, 0]), Z * Z
     Z = np.matmul(np.linalg.solve(chol, _identity(m)), diff, out=out)
-    Z *= Z
-    return m * LOG_2PI + 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1), Z.sum(axis=-2)
+    return (m * LOG_2PI + 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1),
+            np.einsum("...jn,...jn->...n", Z, Z))
 
 
 def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,

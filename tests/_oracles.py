@@ -243,6 +243,35 @@ def penalized_gate_mean_grid(xj: np.ndarray, tau: np.ndarray, nu2: float,
     return float(grid[int(np.argmax(vals))])
 
 
+def mahalanobis_three_branch(diff, cov, chol, out=None, filled=False):
+    """``model._mahalanobis`` as it was with its own branch for 1 x 1 full
+    covariances (the reciprocal of the factor, the one squared term) and
+    the general one squaring the whitened deviations in place and summing
+    them over m: the reference its single reduction must match bit for
+    bit.  Returns ``(const, Q)``."""
+    from mogge.model import LOG_2PI
+
+    m = diff.shape[-2]
+    if chol is None:
+        sq = diff if filled else np.multiply(diff, diff, out=diff)
+        return (m * LOG_2PI + np.log(cov).sum(axis=-1),
+                ((1.0 / cov)[..., None, :] @ sq)[..., 0, :])
+    if m == 1:
+        Z = np.multiply(1.0 / chol, diff, out=out)[..., 0, :]
+        return LOG_2PI + 2.0 * np.log(chol[..., 0, 0]), Z * Z
+    Z = np.matmul(np.linalg.solve(chol, np.eye(m)), diff, out=out)
+    Z *= Z
+    return m * LOG_2PI + 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1), Z.sum(axis=-2)
+
+
+def floor_one_by_one(S):
+    """``em._floor_spd``'s own floor of a stack of 1 x 1 matrices: each
+    entry, or the variance floor if it is below it."""
+    from mogge.model import VARIANCE_FLOOR
+
+    return np.maximum(S, VARIANCE_FLOOR)
+
+
 def partition_params(data, labels, K: int, diagonal: bool):
     """Empirical per-group parameters of one hard assignment ``labels``
     (n,), built through the checked constructors, gating then expert of

@@ -947,7 +947,9 @@ def _assert_hand_off(sample, s, work, r2):
     """``work[0]`` and, for d = 1, ``r2`` hold, bit for bit, the first pass
     of the E-step at ``s``, and the E-step that takes them from there
     (``filled``) gives the bits of a fresh E-step at ``s``, returned and
-    left in both buffers, as one into NaN-filled buffers of its own;
+    left in the buffers it reads or writes, as one into NaN-filled buffers
+    of its own: every buffer for full gating, ``work[0]`` and ``r2`` for
+    diagonal gating, whose E-step leaves ``work[1]`` as it found it;
     returns the E-step's result."""
     gate, resid = _first_pass(sample, s)
     assert np.array_equal(work[0], gate)
@@ -956,7 +958,9 @@ def _assert_hand_off(sample, s, work, r2):
     expected = E_STEP(sample, s, fresh, fresh_r2)
     out = E_STEP(sample, s, work, r2, True)
     _assert_same_bits(out, expected)
-    assert np.array_equal(work, fresh)
+    used = len(work) if s.R.ndim > s.mu.ndim else 1
+    assert np.array_equal(work[:used], fresh[:used])
+    assert np.isnan(fresh[used:]).all()
     assert resid is None or np.array_equal(r2, fresh_r2)
     return out
 
@@ -977,16 +981,16 @@ def workspaces(monkeypatch):
 
 class TestWorkspace:
     """The EM loop's per-batch workspace: each kernel gives the same bits
-    with it as without, nothing kept is a view of it, diagonal gating gets
-    one buffer and full gating two, and an iteration allocates less than
-    one (S, K, p, n) array."""
+    with it as without, nothing kept is a view of it, either gating layout
+    gets two buffers, and an iteration allocates less than one (S, K, p, n)
+    array."""
 
     @pytest.mark.parametrize("case", ["full", "diagonal", "d2-K3"])
     def test_em_kernels_give_the_same_bits(self, case):
         sample, s, T, nk, diagonal = _workspace_case(case)
         # shaped as the loop shapes it, NaN where a kernel would read a
         # buffer before writing it
-        work = np.full((1 + (not diagonal), *s.mu.shape, sample.XT.shape[1]), np.nan)
+        work = np.full((2, *s.mu.shape, sample.XT.shape[1]), np.nan)
         r2 = np.full((*s.alpha.shape, sample.XT.shape[1]), np.nan)
         _assert_same_bits(model._log_gate_matrix(sample.XT, s, work),
                           model._log_gate_matrix(sample.XT, s))
@@ -1013,7 +1017,7 @@ class TestWorkspace:
 
     def test_lasso_kernels_give_the_same_bits(self):
         sample, s, T, nk, _ = _workspace_case("lasso")
-        work = np.full((1, *s.mu.shape, sample.XT.shape[1]), np.nan)
+        work = np.full((2, *s.mu.shape, sample.XT.shape[1]), np.nan)
         r2 = np.full((*s.alpha.shape, sample.XT.shape[1]), np.nan)
         args = (sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0], PENALTY.lam)
         assert np.array_equal(em_lasso._expert_coeffs(*args, work[0]),
@@ -1063,8 +1067,8 @@ class TestWorkspace:
         kept += [a for g in fit.params.gating for a in (g.mu, g.R)]
         kept += [a for e in fit.params.experts for a in (e.intercept, e.coeffs, e.cov)]
         (buffer,) = workspaces.values()
-        # the whitened deviations of full gating need the second buffer
-        assert buffer.shape == (1 + (fitter == "em-full"), 4, 2, 8, 80)
+        # the deviations, and the whitened or root-weighted ones
+        assert buffer.shape == (2, 4, 2, 8, 80)
         assert not any(np.shares_memory(a, buffer) for a in kept)
 
     @pytest.mark.parametrize("fitter", sorted(FITTERS))
@@ -1126,7 +1130,7 @@ class TestWeightedGram:
         scale_ij = np.sqrt(np.einsum("ska,skb->skab", *[np.diagonal(expected, 0, -2, -1)] * 2))
         grams = []
         for diagonal in (False, True):
-            work = np.full((1 + (not diagonal), S, K, p, n), np.nan)
+            work = np.full((2, S, K, p, n), np.nan)
             G = em._gating_moments(sample, T, nk, diagonal, work)[3]
             assert np.array_equal(G, em._gating_moments(sample, T, nk, diagonal)[3])
             assert (np.abs(G - expected) <= 1e-12 * scale_ij).all()
@@ -1138,6 +1142,25 @@ class TestWeightedGram:
         R_full = em._gating_moments(sample, T, nk, False)[2]
         R_diagonal = em._gating_moments(sample, T, nk, True)[2]
         assert np.array_equal(R_diagonal, np.diagonal(R_full, 0, -2, -1))
+
+
+@pytest.mark.parametrize("p", [1, 2, 8, 40])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_full_gating_covariances_are_exactly_symmetric(p, scale):
+    # the syrk of the root-weighted deviations is symmetric to the bit, so
+    # the covariances need no symmetrizing, with the workspace or without
+    rng = np.random.default_rng(p)
+    S, K, n = 3, 2, 300
+    X = scale * (rng.normal(size=(n, p)) * rng.uniform(0.5, 2.0, size=p) + rng.normal(size=p))
+    sample = model._Sample.of(DataSet(X=X, Y=rng.normal(size=n)))
+    T = np.ascontiguousarray(
+        np.stack([rng.dirichlet(np.ones(K), size=n).T for _ in range(S)]))
+    nk = T.sum(axis=-1)
+    covariances = [em._gating_moments(sample, T, nk, False, work)[2]
+                   for work in (None, np.full((2, S, K, p, n), np.nan))]
+    for R in covariances:
+        assert np.array_equal(R, np.swapaxes(R, -1, -2))
+    assert np.array_equal(*covariances)
 
 
 class TestSquaremMap:

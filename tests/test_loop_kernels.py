@@ -3,9 +3,12 @@
 Inside :func:`mogge.em._run_em` no function of ``mogge.__all__`` runs and
 no penalty check (``model._check_penalty``): the lasso M-step thresholds
 its gating means with the kernel ``em_lasso._soft_threshold``, not the
-checked ``soft_threshold``, and 1 x 1 full covariances take their own
-branch of ``model._mahalanobis``.  Both kernels give the bits of the
-paths they replaced, proven by full-bit digests of whole fits."""
+checked ``soft_threshold``, which gives the bits of the path it replaced,
+proven by full-bit digests of whole fits.  The Gaussian kernels keep one
+path for every size: ``model._mahalanobis`` one reduction for full
+covariances, 1 x 1 ones included, and ``em._floor_spd`` the eigenvalue
+floor for 1 x 1 stacks too, with the bits of the special cases they
+replaced, kept as references in ``_oracles``."""
 
 import inspect
 import sys
@@ -22,7 +25,7 @@ from mogge.model import LOG_2PI, GatingComponent, MoggeParams, _cholesky, _log_g
 from mogge.selection import GridSpec, _chain, grid_search
 from mogge.simulate import default_scenario, sample_dataset
 
-from _oracles import bit_digest
+from _oracles import bit_digest, floor_one_by_one, mahalanobis_three_branch
 
 GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)  # the paper's 6 x 6 penalty grid
 
@@ -146,6 +149,62 @@ class TestSameBits:
                     _log_gauss_rows(diff.copy(), cov, chol, out)):
             assert got.shape == (*lead, 17)
             assert got.tobytes() == general.tobytes()
+
+    @staticmethod
+    def _gaussians(p, lead, n, scale):
+        """Deviations (*lead, p, n), full covariances and variances, with
+        entries scaled by ``scale`` and the covariances by its square."""
+        rng = np.random.default_rng([p, n, len(lead)])
+        A = rng.normal(size=(*lead, p, p))
+        cov = (A @ np.swapaxes(A, -1, -2) + p * np.eye(p)) * (scale * scale)
+        variances = rng.uniform(0.01, 100.0, size=(*lead, p)) * (scale * scale)
+        return rng.normal(size=(*lead, p, n)) * scale, cov, variances
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 40])
+    @pytest.mark.parametrize("lead, n", [((), 2), ((), 20000), ((3,), 20000), ((10, 2), 300)])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e3, 1e150])
+    def test_mahalanobis_gives_the_bits_of_its_three_branches(self, p, lead, n, scale):
+        diff, cov, variances = self._gaussians(p, lead, n, scale)
+        for cov_, chol in ((cov, _cholesky(cov)), (variances, None)):
+            expected = mahalanobis_three_branch(diff.copy(), cov_, chol)
+            for out in (None, np.full_like(diff, np.nan)):
+                got = model._mahalanobis(diff.copy(), cov_, chol, out)
+                assert got[1].shape == (*lead, n)
+                for x, y in zip(got, expected, strict=True):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        squared = diff * diff  # the diagonal case given its first pass
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(
+            model._mahalanobis(squared.copy(), variances, None, None, True),
+            mahalanobis_three_branch(squared.copy(), variances, None, None, True)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize("lead", [(), (3,), (10, 2)])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_one_point_sums_within_the_reordering_bound(self, p, lead, scale):
+        # with one column the reduction over m runs along contiguous terms,
+        # which einsum adds in another order than numpy's sum did: the two
+        # sums of the same p non-negative squares differ by at most
+        # (p - 1) eps times the sum; the constants keep their bits
+        diff, cov, _ = self._gaussians(p, lead, 1, scale)
+        chol = _cholesky(cov)
+        const, Q = model._mahalanobis(diff.copy(), cov, chol)
+        const_ref, Q_ref = mahalanobis_three_branch(diff.copy(), cov, chol)
+        assert const.tobytes() == const_ref.tobytes()
+        assert (np.abs(Q - Q_ref) <= (p - 1) * np.finfo(float).eps * Q_ref).all()
+
+    @pytest.mark.parametrize("lead", [(), (3,), (10, 2)])
+    def test_one_by_one_floor_gives_the_bits_of_the_closed_form(self, lead):
+        rng = np.random.default_rng(len(lead))
+        floor = model.VARIANCE_FLOOR
+        values = np.concatenate([
+            10.0 ** rng.uniform(-300.0, 300.0, 400), -(10.0 ** rng.uniform(-300.0, 300.0, 100)),
+            [0.0, -0.0, floor, np.nextafter(floor, 0.0), np.nextafter(floor, 1.0)]])
+        size = int(np.prod(lead))
+        for lo in range(0, len(values), size):
+            chunk = np.resize(values[lo:lo + size], size)
+            S = chunk.reshape(*lead, 1, 1)
+            got, expected = em._floor_spd(S), floor_one_by_one(S)
+            assert got.shape == S.shape and got.tobytes() == expected.tobytes()
 
     def test_the_digest_sees_the_last_bit(self, inputs):
         fit = fit_em_lasso(inputs[0], 2, PenaltyConfig(lam=5.0, gamma=3.0),

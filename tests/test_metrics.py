@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mogge import metrics
 from mogge.metrics import (
     adjusted_rand_index,
     bayes_labels,
@@ -150,6 +151,50 @@ class TestAdjustedRandIndex:
     def test_too_short(self):
         with pytest.raises(ValueError):
             adjusted_rand_index([1], [1])
+
+
+def _reference_table(rows, cols, shape):
+    counts = np.zeros(shape, dtype=np.int64)
+    np.add.at(counts, (rows, cols), 1)
+    return counts
+
+
+class TestCountTables:
+    """The count tables of the classification rate and the ARI are the
+    pair counts of an unbuffered ``np.add.at``, integers of the same dtype,
+    on random labels, for one class and for classes empty on one side."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(8)
+        for K in (2, 3, 5):
+            for n in (2, 17, 300):
+                yield K, rng.integers(1, K + 1, size=n), rng.integers(1, K + 1, size=n)
+        yield 1, np.ones(7, int), np.ones(7, int)
+        yield 4, np.array([1, 2, 2, 1, 2]), np.array([3, 4, 4, 4, 3])  # true 3, 4 empty
+        yield 3, np.array([1, 2, 3, 3, 1, 2]), np.ones(6, int)  # est 2, 3 empty
+
+    def test_tables_are_the_pair_counts(self, monkeypatch):
+        tables = []
+        count_table = metrics._count_table
+
+        def recorded(rows, cols, shape):
+            tables.append(count_table(rows, cols, shape))
+            return tables[-1]
+
+        monkeypatch.setattr(metrics, "_count_table", recorded)
+        for K, t, e in self._cases():
+            best_label_permutation(t, e, K)
+            (counts,) = tables
+            expected = _reference_table(e - 1, t - 1, (K, K))
+            assert counts.dtype == expected.dtype and np.array_equal(counts, expected)
+            tables.clear()
+            adjusted_rand_index(t, e)
+            (C,) = tables
+            ti, ei = (np.unique(x, return_inverse=True)[1] for x in (t, e))
+            expected = _reference_table(ti, ei, (ti.max() + 1, ei.max() + 1))
+            assert C.dtype == expected.dtype and np.array_equal(C, expected)
+            tables.clear()
 
 
 class TestSensitivitySpecificity:

@@ -461,10 +461,10 @@ def _eigh_floor(S):
 
 
 class TestOneByOneClosedForms:
-    """For a stack of 1 x 1 covariances the factor, its inverse and the
-    floor are closed forms with exactly the bits of ``cholesky``,
-    ``solve(L, I)`` and the eigenvalue floor, and a non-positive or NaN
-    entry raises ``LinAlgError``."""
+    """For a stack of 1 x 1 covariances the factor is a closed form with
+    exactly the bits of ``cholesky``, its reciprocal has those of
+    ``solve(L, I)``, ``em._floor_spd`` those of the eigenvalue floor, and
+    a non-positive or NaN entry raises ``LinAlgError``."""
 
     @staticmethod
     def _stack(values):
