@@ -4,14 +4,16 @@ the EM core shared with the penalized fit.
 The E-step computes posterior responsibilities; the M-step has closed
 forms: weighted Gaussian-mixture moments for the gating network and
 weighted linear regressions for the experts, which solve against the
-weighted Gram matrices the gating moments form.  The iteration loop and
-the multi-start driver also run :mod:`mogge.em_lasso`, which supplies its
-own M-step and objective.  Multi-start in batches, best objective wins;
-any start whose components collapse, or whose arithmetic overflows, is
-abandoned and diagnosed rather than reinitialized mid-run.  The seeded
-starts, the arrays of :func:`init_params`, are drawn, built from their
-hard partitions, taken as one-hot responsibilities, and checked in one
-stacked pass per batch of starts, once per fit or per K of a penalty
+weighted Gram matrices the gating moments form, with the ridge
+``GRAM_RIDGE`` on the coefficients and none on the intercepts.  The
+iteration loop and the multi-start driver also run :mod:`mogge.em_lasso`,
+which supplies its own M-step and objective.  Multi-start in batches,
+best objective wins; any start whose components collapse, or whose
+arithmetic overflows, is abandoned and diagnosed rather than
+reinitialized mid-run.  The seeded starts, the arrays of
+:func:`init_params`, are drawn, built from their hard partitions, taken
+as one-hot responsibilities, by the same closed forms, and checked in
+one stacked pass per batch of starts, once per fit or per K of a penalty
 chain; only the returned run builds components.
 
 :func:`fit_em` accelerates the smooth EM map by SQUAREM (Varadhan and
@@ -238,15 +240,13 @@ def _partition_stack(sample: _Sample, labels: np.ndarray, K: int, diagonal: bool
     the means from ``W X``, the covariances ``C / n_k`` (their diagonal
     for ``diagonal``) plus the jitter 1e-6 from the syrk ``C = D D'`` of
     the masked deviations ``D = (x - mu) W``, as :func:`_gating_moments`
-    forms it, and the experts' ridge least-squares fit of y on ``[1, x]``.
-    Its normal equations ``Z'WZ + GRAM_RIDGE I`` are solved with the
-    intercept eliminated in closed form, against the centred moments:
-    ``(C + r I + c mu mu') b = D (y - ybar)' + c mu ybar'`` with
-    ``c = n_k r / (n_k + r)``, ``r = GRAM_RIDGE``, then
-    ``a = n_k (ybar - b'mu) / (n_k + r)``, the same solution as the
-    uncentred system but without its condition number, which grows with
-    the squared offset of the means.  The covariances are the mean
-    products of the masked residuals (for d = 1 by
+    forms it, and the experts' least-squares fit of y on ``[1, x]`` with
+    the ridge ``GRAM_RIDGE`` on the coefficients only, as in every
+    M-step: from the centred moments, ``(C + GRAM_RIDGE I) b =
+    D (y - ybar)'`` and ``a = ybar - b'mu``, without the condition number
+    of the uncentred system, which grows with the squared offset of the
+    means.  The covariances are the mean products of the masked
+    residuals ``(y - ybar) - b'(x - mu)`` (for d = 1 by
     :func:`~mogge.model._sum_products`), floored by :func:`_floor_spd`.
     Each start's products are its own 2-D BLAS calls and reductions, so
     a start has the same bits in any batch."""
@@ -264,18 +264,11 @@ def _partition_stack(sample: _Sample, labels: np.ndarray, K: int, diagonal: bool
     ybar = _sum_products(W[..., None, :], YT) / nk[..., None]
     Yc = YT - ybar[..., None]
     Yc *= W[..., None, :]
-    ridged = (nk + GRAM_RIDGE)[..., None]
-    c = (nk * GRAM_RIDGE)[..., None, None] / ridged[..., None]
-    B = np.linalg.solve(
-        C + GRAM_RIDGE * _identity(X.shape[1]) + c * (mu[..., :, None] * mu[..., None, :]),
-        _dot(D, np.swapaxes(Yc, -1, -2)) + c * (mu[..., :, None] * ybar[..., None, :]))
+    B = np.linalg.solve(C + GRAM_RIDGE * _identity(X.shape[1]), _dot(D, np.swapaxes(Yc, -1, -2)))
     BT = np.swapaxes(B, -1, -2)
-    a0 = ybar - _sum_products(BT, mu[..., None, :])  # ybar - b'mu
-    # in the group, y - a - b'x = (y - ybar) - b'(x - mu) + r (ybar - b'mu) / (n_k + r)
     E = Yc - BT @ D
-    E += (GRAM_RIDGE * a0 / ridged)[..., None] * W[..., None, :]
     Sigma = _floor_spd(_dot(E, np.swapaxes(E, -1, -2)) / nk[..., None, None])
-    return _Stack(nk / XT.shape[1], mu, R, nk[..., None] * a0 / ridged, B, Sigma)
+    return _Stack(nk / XT.shape[1], mu, R, ybar - _sum_products(BT, mu[..., None, :]), B, Sigma)
 
 
 def init_params(data: DataSet, K: int, strategy: str = "random-partition",
@@ -285,6 +278,9 @@ def init_params(data: DataSet, K: int, strategy: str = "random-partition",
     ``random-partition`` draws uniform labels; ``kmeans-on-x`` clusters the
     predictors with k-means++-seeded k-means.  Partitions that leave a group
     empty are redrawn (up to 100 attempts).  Deterministic under ``seed``.
+    Each group gives the gating moments and the least-squares expert of
+    its points, with the ridge ``GRAM_RIDGE`` on the coefficients and,
+    as in every M-step, none on the intercept.
     ``K`` is an int, a numpy integer or an integral float.  The fits build
     the same parameters, bit for bit, with :func:`_partition_stack` for a
     batch of seeds at once and check them at once; this function builds them

@@ -304,16 +304,15 @@ def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
 
 
 def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
-                  penalty: PenaltyConfig, out: np.ndarray | None = None,
-                  r2: np.ndarray | None = None) -> _Stack:
+                  penalty: PenaltyConfig, out: np.ndarray, r2: np.ndarray) -> _Stack:
     """Closed-form mixing weights, soft-threshold gating means, floored
     gating variances, then for all experts of the (S, K) stack at once the
     lasso coefficients (certified step, active-set rounds where it fails)
     and the intercepts and variances.  The (K, p, n) temporaries of the
     coefficients and of the variances are written into ``out``, one after
-    the other, when given: ``out`` ends holding the squared deviations of
-    X from the new gating means, and ``r2`` (K, n), when given, the
-    experts' residual squares, the E-step's first pass at the result."""
+    the other: ``out`` ends holding the squared deviations of X from the
+    new gating means, and ``r2`` (K, n) the experts' residual squares, the
+    E-step's first pass at the result."""
     mu = _gating_means(sample.X, T, nk, s.R, penalty.gamma)
     beta = _expert_coeffs(sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
                           penalty.lam, out)

@@ -522,11 +522,10 @@ def _mahalanobis(diff: np.ndarray, cov: np.ndarray, chol: np.ndarray | None,
             np.einsum("...jn,...jn->...n", Z, Z))
 
 
-def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray,
-                    chol: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
+def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray, chol: np.ndarray | None) -> np.ndarray:
     """``(K, n)`` Gaussian log-densities ``-(const + Q) / 2`` of the
     deviations ``diff`` (K, m, n); arguments as for :func:`_mahalanobis`."""
-    const, Q = _mahalanobis(diff, cov, chol, out)
+    const, Q = _mahalanobis(diff, cov, chol)
     return -0.5 * (const[..., None] + Q)
 
 
@@ -596,12 +595,11 @@ def _gate_terms(XT: np.ndarray, s: _Stack, work: np.ndarray | None = None,
     return _mahalanobis(diff, s.R, chol, out, filled)
 
 
-def _log_gate_matrix(XT: np.ndarray, s: _Stack, work: np.ndarray | None = None,
-                     filled: bool = False) -> np.ndarray:
+def _log_gate_matrix(XT: np.ndarray, s: _Stack) -> np.ndarray:
     """``(K, n)`` unnormalized gating log-weights
     ``log alpha_k + log phi_p(x_i; mu_k, R_k)`` of the columns of ``XT``
-    (p, n); ``work`` and ``filled`` as for :func:`_gate_terms`."""
-    return _log_weights(s.alpha, *_gate_terms(XT, s, work, filled))
+    (p, n)."""
+    return _log_weights(s.alpha, *_gate_terms(XT, s))
 
 
 def _residuals(sample: _Sample, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -278,10 +278,10 @@ def partition_params(data, labels, K: int, diagonal: bool):
     each group: the construction the fits' seeded stacks replaced.  The
     groups are one-hot responsibilities ``W`` (K, n); the means come from
     ``W X``, the covariances from the syrk of the masked deviations
-    ``D = (x - mu) W`` plus the jitter, and the experts solve their ridge
-    normal equations with the intercept eliminated, against the centred
-    moments.  The arithmetic and its guards are the library's, so the bits
-    must match."""
+    ``D = (x - mu) W`` plus the jitter, and the experts solve their normal
+    equations against the centred moments, with the ridge on the
+    coefficients only, and take the intercept ``ybar - b'mu``.  The
+    arithmetic and its guards are the library's, so the bits must match."""
     from mogge.em import GRAM_RIDGE, _floor_spd
     from mogge.model import ExpertComponent, GatingComponent, MoggeParams, _dot, _sum_products
 
@@ -293,7 +293,6 @@ def partition_params(data, labels, K: int, diagonal: bool):
     C = _dot(D, np.swapaxes(D, 1, 2))
     ybar = _sum_products(W[:, None, :], YT) / nk[:, None]
     Yc = (YT - ybar[:, :, None]) * W[:, None, :]
-    ridged = nk + GRAM_RIDGE
     gating, experts = [], []
     for k in range(K):
         if diagonal:
@@ -301,13 +300,10 @@ def partition_params(data, labels, K: int, diagonal: bool):
         else:
             R = C[k] / nk[k] + 1e-6 * np.eye(data.p)
         gating.append(GatingComponent(alpha=nk[k] / data.n, mu=mu[k], R=R))
-        c = nk[k] * GRAM_RIDGE / ridged[k]
-        B = np.linalg.solve(C[k] + GRAM_RIDGE * np.eye(data.p) + c * np.outer(mu[k], mu[k]),
-                            _dot(D[k], Yc[k].T) + c * np.outer(mu[k], ybar[k]))
-        a0 = ybar[k] - _sum_products(B.T, mu[k])
-        E = Yc[k] - B.T @ D[k] + (GRAM_RIDGE * a0 / ridged[k])[:, None] * W[k]
-        experts.append(ExpertComponent(intercept=nk[k] * a0 / ridged[k], coeffs=B,
-                                       cov=_floor_spd(_dot(E, E.T) / nk[k])))
+        B = np.linalg.solve(C[k] + GRAM_RIDGE * np.eye(data.p), _dot(D[k], Yc[k].T))
+        E = Yc[k] - B.T @ D[k]
+        experts.append(ExpertComponent(intercept=ybar[k] - _sum_products(B.T, mu[k]),
+                                       coeffs=B, cov=_floor_spd(_dot(E, E.T) / nk[k])))
     return MoggeParams(gating=tuple(gating), experts=tuple(experts))
 
 

@@ -9,6 +9,7 @@ from mogge.em import (
     m_step_gating,
     m_step_experts,
     start_seeds,
+    _partition,
 )
 from mogge.em_lasso import PenaltyConfig, fit_em_lasso
 from mogge.model import (
@@ -136,9 +137,24 @@ class TestInitParams:
         assert params.gating[0].alpha == 1.0
         assert params.gating[0].mu == pytest.approx(X.mean(axis=0))
         Z = np.hstack([np.ones((40, 1)), X])
-        C = np.linalg.solve(Z.T @ Z + 1e-8 * np.eye(3), Z.T @ y[:, None])
+        # the ridge on the slopes only, as in every M-step
+        C = np.linalg.solve(Z.T @ Z + 1e-8 * np.diag([0.0, 1.0, 1.0]), Z.T @ y[:, None])
         assert params.experts[0].intercept == pytest.approx(C[0], abs=1e-12)
         assert params.experts[0].coeffs == pytest.approx(C[1:], abs=1e-12)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_the_intercept_is_not_ridged(self, K, d):
+        # an unpenalized intercept centres each group's residuals, as in
+        # every M-step; a ridged one leaves them the mean r a / (n_k + r)
+        rng = np.random.default_rng(10 * K + d)
+        X = rng.normal(size=(60, 2))
+        Y = 3.0 + X @ rng.normal(size=(2, d)) + 0.1 * rng.normal(size=(60, d))
+        params = init_params(DataSet(X=X, Y=Y), K, seed=5)
+        labels = _partition(X, K, "random-partition", 5)
+        for k, e in enumerate(params.experts):
+            resid = Y[labels == k] - e.intercept - X[labels == k] @ e.coeffs
+            assert (np.abs(resid.sum(axis=0)) <= 1e-12 * np.abs(resid).sum(axis=0)).all()
 
     def test_singleton_groups_center_on_points(self):
         X = np.array([[0.0, 0.0], [5.0, 5.0], [-5.0, 5.0]])

@@ -609,9 +609,11 @@ class TestBatchedStarts:
         sample = model._Sample.of(data)
         _, T = model._e_step(sample, s)
         nk = T.sum(axis=-1)
-        batch = em_lasso._lasso_m_step(sample, T, nk, s, PENALTY)
+        work, r2 = np.empty((*s.mu.shape, data.n)), np.empty((*s.alpha.shape, data.n))
+        batch = em_lasso._lasso_m_step(sample, T, nk, s, PENALTY, work, r2)
         for i in range(3):
-            alone = em_lasso._lasso_m_step(sample, T[[i]], nk[[i]], s.take([i]), PENALTY)
+            alone = em_lasso._lasso_m_step(sample, T[[i]], nk[[i]], s.take([i]), PENALTY,
+                                           work[:1], r2[:1])
             for x, y in zip(batch, alone):
                 assert np.array_equal(x[i], y[0])
         assert batch.B[1, 0, 1, 0] == 0.0  # the rounds drop it
@@ -754,15 +756,15 @@ class TestSeededStarts:
 def _exact_ridge_fit(X, Y):
     """Intercepts (d,), coefficients (p, d) and mean residual products
     (d, d) of the ridge least-squares fit of the rows of ``Y`` on
-    ``[1, X]`` with the ridge ``GRAM_RIDGE`` on every coefficient, the
-    intercept included: the normal equations solved in exact rational
+    ``[1, X]`` with the ridge ``GRAM_RIDGE`` on the coefficients and none
+    on the intercept: the normal equations solved in exact rational
     arithmetic, so that no formulation's conditioning enters the reference
     (an uncentred solve in ``np.longdouble`` at means 1e6 spreads from 0
     keeps about 7 digits)."""
     rows = [[Fraction(1)] + [Fraction(v) for v in x] for x in X.tolist()]
     ys = [[Fraction(v) for v in y] for y in Y.tolist()]
     m, d, ridge = len(rows[0]), len(ys[0]), Fraction(em.GRAM_RIDGE)
-    M = [[sum(z[i] * z[j] for z in rows) + (ridge if i == j else 0) for j in range(m)]
+    M = [[sum(z[i] * z[j] for z in rows) + (ridge if i == j > 0 else 0) for j in range(m)]
          + [sum(z[i] * y[j] for z, y in zip(rows, ys)) for j in range(d)] for i in range(m)]
     for col in range(m):  # Gauss-Jordan; the ridged Gram is positive definite
         for r in range(m):
@@ -785,7 +787,7 @@ class TestSeededAccuracy:
     covariance, the expert's largest coefficient for a coefficient, the
     terms of ``ybar - b'mu`` for an intercept and ``sqrt(S_ii S_jj)`` for
     an expert covariance, from 1e-150 to 1e150, for means 1e6 spreads from
-    0, and for groups of one point where the ridge fit is well posed."""
+    0, and for groups of one point."""
 
     @pytest.mark.parametrize("K, d", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
     @pytest.mark.parametrize("scale, offset", [
@@ -796,9 +798,8 @@ class TestSeededAccuracy:
         rng = np.random.default_rng(59 + 7 * K + d)
         n, p = 30, 3
         labels = rng.permutation(np.arange(n) % K)
-        # a group of one point: its coefficients rest on the ridge alone, so
-        # only while |mu| is of order 1 is the problem itself well conditioned
-        lone = K > 1 and offset == 0.0 and scale <= 1.0
+        # a group of one point: its coefficients rest on the ridge alone
+        lone = K > 1
         if lone:
             labels[labels == K - 1] = 0
             labels[rng.integers(n)] = K - 1
@@ -992,8 +993,8 @@ class TestWorkspace:
         # buffer before writing it
         work = np.full((2, *s.mu.shape, sample.XT.shape[1]), np.nan)
         r2 = np.full((*s.alpha.shape, sample.XT.shape[1]), np.nan)
-        _assert_same_bits(model._log_gate_matrix(sample.XT, s, work),
-                          model._log_gate_matrix(sample.XT, s))
+        _assert_same_bits(model._gate_terms(sample.XT, s, work),
+                          model._gate_terms(sample.XT, s))
         _assert_same_bits(model._e_step(sample, s, work, r2), model._e_step(sample, s))
         # the leading view of a compacted batch
         _assert_same_bits(model._e_step(sample, s.take(slice(0, 2)), work[:, :2], r2[:2]),
@@ -1026,8 +1027,14 @@ class TestWorkspace:
                               em_lasso._gating_variances(sample.XT, T, nk, s.mu))
         _assert_same_bits(em_lasso._intercepts_variances(sample, T, nk, s.B[..., 0], r2),
                           em_lasso._intercepts_variances(sample, T, nk, s.B[..., 0]))
+        # the M-step through the buffers: the bits of its kernels without them
+        mu = em_lasso._gating_means(sample.X, T, nk, s.R, PENALTY.gamma)
+        beta = em_lasso._expert_coeffs(*args)
+        b0, sigma2 = em_lasso._intercepts_variances(sample, T, nk, beta)
         _assert_same_bits(em_lasso._lasso_m_step(sample, T, nk, s, PENALTY, work[0], r2),
-                          em_lasso._lasso_m_step(sample, T, nk, s, PENALTY))
+                          (nk / nk.sum(axis=-1, keepdims=True), mu,
+                           em_lasso._gating_variances(sample.XT, T, nk, mu),
+                           b0[..., None], beta[..., None], sigma2[..., None, None]))
         _assert_same_bits(model._e_step(sample, s, work, r2), model._e_step(sample, s))
         # the hand-off: the M-step leaves the squared deviations from its
         # gating means and the experts' residual squares in the buffers,

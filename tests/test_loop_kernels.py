@@ -21,7 +21,8 @@ import mogge
 from mogge import em, em_lasso, model
 from mogge.em import FitOptions, fit_em
 from mogge.em_lasso import PenaltyConfig, fit_em_lasso
-from mogge.model import LOG_2PI, GatingComponent, MoggeParams, _cholesky, _log_gauss_rows
+from mogge.model import (LOG_2PI, GatingComponent, MoggeParams, _cholesky, _log_gauss_rows,
+                         _mahalanobis)
 from mogge.selection import GridSpec, _chain, grid_search
 from mogge.simulate import default_scenario, sample_dataset
 
@@ -144,11 +145,12 @@ class TestSameBits:
         Z *= Z
         logdet = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1)
         general = -0.5 * ((1 * LOG_2PI + logdet)[..., None] + Z.sum(axis=-2))
-        out = np.full_like(diff, np.nan)
-        for got in (_log_gauss_rows(diff.copy(), cov, chol),
-                    _log_gauss_rows(diff.copy(), cov, chol, out)):
-            assert got.shape == (*lead, 17)
-            assert got.tobytes() == general.tobytes()
+        got = _log_gauss_rows(diff.copy(), cov, chol)
+        assert got.shape == (*lead, 17)
+        assert got.tobytes() == general.tobytes()
+        # and through a buffer for the whitened deviations
+        const, Q = _mahalanobis(diff.copy(), cov, chol, np.full_like(diff, np.nan))
+        assert (-0.5 * (const[..., None] + Q)).tobytes() == general.tobytes()
 
     @staticmethod
     def _gaussians(p, lead, n, scale):
