@@ -3,8 +3,8 @@ the EM core shared with the penalized fit.
 
 The E-step computes posterior responsibilities; the M-step has closed
 forms: weighted Gaussian-mixture moments for the gating network and
-weighted linear regressions for the experts, which solve against the
-weighted Gram matrices the gating moments form, with the ridge
+weighted linear regressions for the experts, which solve against
+weighted Gram matrices formed from the gating moments, with the ridge
 ``GRAM_RIDGE`` on the coefficients and none on the intercepts.  The
 iteration loop and the multi-start driver also run :mod:`mogge.em_lasso`,
 which supplies its own M-step and objective.  Multi-start in batches,
@@ -12,9 +12,10 @@ best objective wins; any start whose components collapse, or whose
 arithmetic overflows, is abandoned and diagnosed rather than
 reinitialized mid-run.  The seeded starts, the arrays of
 :func:`init_params`, are drawn, built from their hard partitions, taken
-as one-hot responsibilities, by the same closed forms, and checked in
-one stacked pass per batch of starts, once per fit or per K of a penalty
-chain; only the returned run builds components.
+as one-hot responsibilities, by the M-step's gating pass and the
+experts' centred least-squares fit, and checked in one stacked pass per
+batch of starts, once per fit or per K of a penalty chain; only the
+returned run builds components.
 
 :func:`fit_em` accelerates the smooth EM map by SQUAREM (Varadhan and
 Roland, 2008): every second trace entry may be an accepted
@@ -235,32 +236,25 @@ def _partition_stack(sample: _Sample, labels: np.ndarray, K: int, diagonal: bool
     """Empirical per-group parameters of the S hard partitions ``labels``
     (S, n) into K groups, unchecked, stacked over starts and groups.
 
-    The groups are one-hot responsibilities ``W`` (S, K, n), and every
-    closed form reads them in one stacked pass: the weights ``n_k / n``,
-    the means from ``W X``, the covariances ``C / n_k`` (their diagonal
-    for ``diagonal``) plus the jitter 1e-6 from the syrk ``C = D D'`` of
-    the masked deviations ``D = (x - mu) W``, as :func:`_gating_moments`
-    forms it, and the experts' least-squares fit of y on ``[1, x]`` with
-    the ridge ``GRAM_RIDGE`` on the coefficients only, as in every
-    M-step: from the centred moments, ``(C + GRAM_RIDGE I) b =
-    D (y - ybar)'`` and ``a = ybar - b'mu``, without the condition number
-    of the uncentred system, which grows with the squared offset of the
-    means.  The covariances are the mean products of the masked
-    residuals ``(y - ybar) - b'(x - mu)`` (for d = 1 by
+    The groups are one-hot responsibilities ``W`` (S, K, n), and the
+    gating half is :func:`_gating_moments` of them with the jitter 1e-6:
+    the weights ``n_k / n``, the means and the covariances ``C / n_k``,
+    bit for bit those of the masked deviations ``D = (x - mu) W``, since
+    the roots of 0 and 1 are exact and the group sizes sum to n exactly.
+    The experts are the least-squares fit of y on ``[1, x]`` with the
+    ridge ``GRAM_RIDGE`` on the coefficients only, as in every M-step:
+    from the centred moments ``C`` and ``D`` of that pass, ``(C +
+    GRAM_RIDGE I) b = D (y - ybar)'`` and ``a = ybar - b'mu``, without the
+    condition number of the uncentred system, which grows with the
+    squared offset of the means.  The covariances are the mean products
+    of the masked residuals ``(y - ybar) - b'(x - mu)`` (for d = 1 by
     :func:`~mogge.model._sum_products`), floored by :func:`_floor_spd`.
     Each start's products are its own 2-D BLAS calls and reductions, so
     a start has the same bits in any batch."""
-    X, XT, YT = sample
+    X, _, YT = sample
     W = (labels[:, None, :] == np.arange(K)[:, None]).astype(float)
     nk = W.sum(axis=-1)  # the group sizes, exactly
-    mu = _dot(W, X) / nk[..., None]
-    D = _into(np.subtract, XT, mu[..., None], np.empty((*mu.shape, XT.shape[1])))
-    D *= W[..., None, :]  # 0 outside the group
-    C = _dot(D, np.swapaxes(D, -1, -2))
-    if diagonal:
-        R = np.diagonal(C, 0, -2, -1) / nk[..., None] + 1e-6
-    else:
-        R = C / nk[..., None, None] + 1e-6 * _identity(X.shape[1])
+    alpha, mu, R, C, D = _gating_moments(sample, W, nk, diagonal, jitter=1e-6)
     ybar = _sum_products(W[..., None, :], YT) / nk[..., None]
     Yc = YT - ybar[..., None]
     Yc *= W[..., None, :]
@@ -268,7 +262,7 @@ def _partition_stack(sample: _Sample, labels: np.ndarray, K: int, diagonal: bool
     BT = np.swapaxes(B, -1, -2)
     E = Yc - BT @ D
     Sigma = _floor_spd(_dot(E, np.swapaxes(E, -1, -2)) / nk[..., None, None])
-    return _Stack(nk / XT.shape[1], mu, R, ybar - _sum_products(BT, mu[..., None, :]), B, Sigma)
+    return _Stack(alpha, mu, R, ybar - _sum_products(BT, mu[..., None, :]), B, Sigma)
 
 
 def init_params(data: DataSet, K: int, strategy: str = "random-partition",
@@ -278,9 +272,11 @@ def init_params(data: DataSet, K: int, strategy: str = "random-partition",
     ``random-partition`` draws uniform labels; ``kmeans-on-x`` clusters the
     predictors with k-means++-seeded k-means.  Partitions that leave a group
     empty are redrawn (up to 100 attempts).  Deterministic under ``seed``.
-    Each group gives the gating moments and the least-squares expert of
-    its points, with the ridge ``GRAM_RIDGE`` on the coefficients and,
-    as in every M-step, none on the intercept.
+    Each group, taken as one-hot responsibilities, gives the gating
+    moments of the M-step's gating pass (with the jitter 1e-6 on the
+    covariances) and the least-squares expert of its points, with the
+    ridge ``GRAM_RIDGE`` on the coefficients and, as in every M-step,
+    none on the intercept.
     ``K`` is an int, a numpy integer or an integral float.  The fits build
     the same parameters, bit for bit, with :func:`_partition_stack` for a
     batch of seeds at once and check them at once; this function builds them
@@ -309,19 +305,21 @@ def _component_masses(T: np.ndarray) -> np.ndarray:
     return nk
 
 
-def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray,
-                    diagonal: bool, work: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray, diagonal: bool,
+                    work: np.ndarray | None = None,
+                    jitter: float = COV_JITTER) -> tuple[np.ndarray, ...]:
     """Stacked gating update from the (K, n) responsibilities ``T`` and their
     sums ``nk``: weights (K,), means (K, p), covariances (K, p) or (K, p, p),
-    and the experts' weighted Gram matrices ``G = X' W X`` (K, p, p).
+    and the centred moments the experts' solves read, the cross-moments
+    ``C = D D'`` (K, p, p) of the root-weighted deviations ``D = (x - mu)
+    sqrt(tau)`` (K, p, n) and ``D`` itself.
 
-    Both come from the centred cross-moments ``C = D D'`` of the
-    root-weighted deviations ``D = (x - mu) sqrt(tau)``: the covariances
-    are ``C / nk`` (its diagonal for ``diagonal``) plus the jitter, and
-    ``G = C + nk mu mu'``, the same bits for either layout.
+    The covariances are ``C / nk`` (its diagonal for ``diagonal``) plus
+    ``jitter``, and ``C`` has the same bits for either layout.
     ``work`` (see :func:`~mogge.model._gate_terms`) ends holding ``D`` in
     ``work[1]`` and the E-step's first pass at the result in ``work[0]``:
-    the deviations from the new means, squared in place if ``diagonal``."""
+    the deviations from the new means, squared in place if ``diagonal``;
+    without it ``D`` is the one (K, p, n) array allocated."""
     mu = _dot(T, sample.X) / nk[..., None]
     diff = _into(np.subtract, sample.XT, mu[..., None], None if work is None else work[0])
     # weighted by the root of T, then times its own transpose: numpy's
@@ -329,24 +327,25 @@ def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray,
     # copies one triangle over the other, so C is exactly symmetric
     D = np.multiply(diff, np.sqrt(T)[..., None, :], out=diff if work is None else work[1])
     C = _dot(D, np.swapaxes(D, -1, -2))
-    G = C + nk[..., None, None] * (mu[..., :, None] * mu[..., None, :])
     if diagonal:
-        R = np.diagonal(C, 0, -2, -1) / nk[..., None] + COV_JITTER
+        R = np.diagonal(C, 0, -2, -1) / nk[..., None] + jitter
         if work is not None:
             diff *= diff
     else:
-        R = C / nk[..., None, None] + COV_JITTER * _identity(mu.shape[-1])
-    return nk / nk.sum(axis=-1, keepdims=True), mu, R, G
+        R = C / nk[..., None, None] + jitter * _identity(mu.shape[-1])
+    return nk / nk.sum(axis=-1, keepdims=True), mu, R, C, D
 
 
 def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray,
-                        B_prev: np.ndarray, G: np.ndarray,
+                        B_prev: np.ndarray, mu: np.ndarray, C: np.ndarray,
                         r2: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Stacked expert update in the coupled order: intercepts (K, d) from
     the previous coefficients ``B_prev`` (K, p, d), coefficients (K, p, d)
     from the new intercepts, floored covariances (K, d, d) from both.  The
-    coefficients solve against the weighted Gram matrices ``G`` (K, p, p)
-    of :func:`_gating_moments` plus the ridge ``GRAM_RIDGE``.
+    coefficients solve against the weighted Gram matrices ``G = X' W X``
+    (K, p, p) plus the ridge ``GRAM_RIDGE``, formed here as ``C + nk mu
+    mu'`` from the means ``mu`` and centred cross-moments ``C`` of
+    :func:`_gating_moments`, so X is weighted once per M-step.
     For d = 1 the variances are the weighted means of the residual squares
     of :func:`~mogge.model._residual_squares` at the new intercepts and
     coefficients, written into ``r2`` (K, n) when given: the E-step's
@@ -354,6 +353,7 @@ def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray,
     X, XT, YT = sample
     resid = YT - np.swapaxes(B_prev, -1, -2) @ XT  # (K, d, n)
     a = _dot(resid, T[..., None])[..., 0] / nk[..., None]
+    G = C + nk[..., None, None] * (mu[..., :, None] * mu[..., None, :])
     B = np.linalg.solve(G + GRAM_RIDGE * _identity(X.shape[1]),
                         np.swapaxes(_dot(T[..., None, :] * (YT - a[..., None]), X), -1, -2))
     if B.shape[-1] == 1:
@@ -369,7 +369,7 @@ def m_step_gating(data: DataSet, tau: Responsibilities,
     """Closed-form gating update: weighted mixing weights, means and
     covariances (with jitter added to the covariance)."""
     T = np.ascontiguousarray(tau.tau.T)  # (K, n): a strided view makes every pass slower
-    alpha, mu, R, _ = _gating_moments(_Sample.of(data), T, _component_masses(T), diagonal)
+    alpha, mu, R, *_ = _gating_moments(_Sample.of(data), T, _component_masses(T), diagonal)
     return list(map(GatingComponent, alpha.tolist(), mu, R))
 
 
@@ -377,22 +377,23 @@ def m_step_experts(data: DataSet, tau: Responsibilities,
                    experts_prev: tuple[ExpertComponent, ...]) -> list[ExpertComponent]:
     """Closed-form expert update in the coupled order: intercept from the
     previous coefficients, coefficients from the new intercept, covariance
-    from both new values, against the Gram matrices of the gating pass
-    (of either layout: their bits do not depend on it)."""
+    from both new values, against the Gram matrices formed from the
+    centred moments of the gating pass (of either layout: their bits do
+    not depend on it)."""
     T = np.ascontiguousarray(tau.tau.T)
     B_prev = np.stack([e.coeffs for e in experts_prev])
     sample, nk = _Sample.of(data), _component_masses(T)
-    G = _gating_moments(sample, T, nk, False)[3]
-    return list(map(ExpertComponent, *_expert_regressions(sample, T, nk, B_prev, G)))
+    _, mu, _, C, _ = _gating_moments(sample, T, nk, False)
+    return list(map(ExpertComponent, *_expert_regressions(sample, T, nk, B_prev, mu, C)))
 
 
 def _ml_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack, work,
                r2) -> _Stack:
     """:func:`fit_em`'s M-step: the gating pass, which leaves the E-step's
-    first pass at its result in ``work`` and hands the weighted Gram
-    matrices to the experts, which leave theirs in ``r2`` (d = 1)."""
-    alpha, mu, R, G = _gating_moments(sample, T, nk, s.R.ndim == s.mu.ndim, work)
-    return _Stack(alpha, mu, R, *_expert_regressions(sample, T, nk, s.B, G, r2))
+    first pass at its result in ``work`` and hands its means and centred
+    cross-moments to the experts, which leave theirs in ``r2`` (d = 1)."""
+    alpha, mu, R, C, _ = _gating_moments(sample, T, nk, s.R.ndim == s.mu.ndim, work)
+    return _Stack(alpha, mu, R, *_expert_regressions(sample, T, nk, s.B, mu, C, r2))
 
 
 class _Run(NamedTuple):
@@ -483,7 +484,7 @@ def _rows(x, index):
 
 def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
             m_step: Callable, objective: Callable, squarem: bool = False,
-            carry: tuple | None = None) -> list[_Run]:
+            carry: tuple | None = None, buffers: int = 1) -> list[_Run]:
     """EM iterations for the starts along the leading axis of ``s``, each
     until its relative objective change drops below ``opts.tol`` or
     ``opts.max_iter`` trace entries follow the initial one; returns an
@@ -515,9 +516,11 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     Every decision is taken per start, so a start has the same bits in
     any batch, and a batch raises exactly when a start raises alone.
 
-    ``work`` is the batch's workspace of two (S, K, p, n) buffers,
+    ``work`` is the batch's workspace of ``buffers`` (S, K, p, n) buffers,
     allocated once here: the first for the deviations from the gating
-    means, the second for the whitened or root-weighted ones.  Beside it,
+    means, and for :func:`fit_em` a second, where its gating pass writes
+    the root-weighted deviations and its full-covariance E-step the
+    whitened ones; the penalized fit writes only the first.  Beside it,
     in a buffer of its own so that the gating views stay contiguous,
     ``r2`` (S, K, n) holds the residual squares of d = 1 experts.  No returned or kept
     array is a view of either.  When m starts run, the live ones or one
@@ -580,7 +583,7 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     traces: list[list[float]] = [[] for _ in out]
     live, state = list(range(len(out))), (s, None, None, None)
     n = sample.XT.shape[1]
-    work = np.empty((2, *s.mu.shape, n))
+    work = np.empty((buffers, *s.mu.shape, n))
     r2 = np.empty((*s.alpha.shape, n))
     for it in range(last + 1):
         step = cycle if cycles and it % 2 == 0 and 0 < it < last else plain
@@ -655,14 +658,14 @@ def _seeded(sample: _Sample, K: int, opts: FitOptions, diagonal_gating: bool) ->
 @np.errstate(over="raise", invalid="raise")
 def _multistart(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
                 objective: Callable, starts: list, accept: Callable = _Run.result,
-                squarem: bool = False) -> tuple:
+                squarem: bool = False, buffers: int = 1) -> tuple:
     """The start and ``accept(run)`` of the best run (the first with the
     largest objective) of ``starts``: checked stacks without a start axis,
     earlier :class:`_Run` s, which start from their stacks (a lone one
     from its last E-step too), or exceptions.  The stacks run in the
     batches of :func:`_batched`, a batch that raises one start at a time;
-    ``squarem`` goes to :func:`_run_em`.  The runs go to ``accept`` best
-    first until one passes.  The one place where a start's numerical
+    ``squarem`` and ``buffers`` go to :func:`_run_em`.  The runs go to
+    ``accept`` best first until one passes.  The one place where a start's numerical
     trouble (a degenerate component, a failed covariance check or
     factorization, an overflow or invalid operation) becomes a diagnosis;
     underflow is routine."""
@@ -671,7 +674,7 @@ def _multistart(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
     outcomes = {start: s.s if isinstance(s, _Run) else s for start, s in enumerate(starts)}
     ready = [start for start, s in outcomes.items() if isinstance(s, _Stack)]
     outcomes.update(zip(ready, _batched(
-        lambda s: _run_em(sample, s, opts, m_step, objective, squarem, carry),
+        lambda s: _run_em(sample, s, opts, m_step, objective, squarem, carry, buffers),
         [outcomes[start] for start in ready], K, sample)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
@@ -695,4 +698,4 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     """
     opts, K, sample = opts or FitOptions(), _integral("K", K), _Sample.of(data)
     return _multistart(sample, K, opts, _ml_m_step, lambda loglik, s: loglik,
-                       _seeded(sample, K, opts, diagonal_gating), squarem=True)[1]
+                       _seeded(sample, K, opts, diagonal_gating), squarem=True, buffers=2)[1]

@@ -41,12 +41,14 @@ invalid="raise")``: a square that overflows raises
 or -inf.
 
 The EM loop allocates its largest temporaries, the (S, K, p, n)
-deviations of the predictors, once per batch: one workspace of two
-such buffers for either gating layout, passed to the kernels as
-``work`` or ``out`` and filled by :func:`_into`, so that an iteration
-allocates nothing of that size and maps no fresh pages.  Every kernel
-defaults to ``None`` and then allocates as numpy would; the public
-functions run the same code that way.  No array a kernel returns is a
+deviations of the predictors, once per batch: one workspace, of two
+such buffers for :func:`~mogge.em.fit_em` (either gating layout) and of
+one for the penalized fit, whose kernels write only the first, passed
+to the kernels as ``work`` or ``out`` and filled by
+:func:`_into`, so that an iteration allocates nothing of that size and
+maps no fresh pages.  Every kernel defaults to ``None`` and then
+allocates its own arrays; the public functions and the seeded starts
+run the same code that way.  No array a kernel returns is a
 view of the workspace.  Beside it the loop keeps
 one (S, K, n) buffer ``r2`` for the d = 1 experts' residual squares.
 Every plain M-step of the loop leaves in them the E-step's first pass at
@@ -54,11 +56,11 @@ its result, the deviations from its gating means (squared if diagonal)
 in the first buffer and the residual squares ``((y - B'x) - a) ** 2`` in
 ``r2``, and that E-step reads them there (``filled``) instead of
 computing them again.  In :func:`~mogge.em.fit_em`'s M-step the gating
-pass also forms the experts' weighted Gram matrices ``X' W X``, as
-``C + n_k mu mu'`` from the centred cross-moments ``C`` of its
+pass also hands the experts the centred cross-moments ``C`` of its
 covariances (the root-weighted deviations times their own transpose),
-so X is weighted once per M-step; for diagonal covariances that pass
-then squares the deviations in place.
+from which they form their weighted Gram matrices ``X' W X`` as
+``C + n_k mu mu'``, so X is weighted once per M-step; for diagonal
+covariances that pass then squares the deviations in place.
 
 Component layout conventions:
 
@@ -522,13 +524,6 @@ def _mahalanobis(diff: np.ndarray, cov: np.ndarray, chol: np.ndarray | None,
             np.einsum("...jn,...jn->...n", Z, Z))
 
 
-def _log_gauss_rows(diff: np.ndarray, cov: np.ndarray, chol: np.ndarray | None) -> np.ndarray:
-    """``(K, n)`` Gaussian log-densities ``-(const + Q) / 2`` of the
-    deviations ``diff`` (K, m, n); arguments as for :func:`_mahalanobis`."""
-    const, Q = _mahalanobis(diff, cov, chol)
-    return -0.5 * (const[..., None] + Q)
-
-
 def _log_weights(alpha: np.ndarray, const: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """``log alpha - (const + Q) / 2`` (K, n), assembled once as ``c - Q / 2``
     with ``c = log alpha - const / 2`` (K,), in place of ``Q``."""
@@ -565,15 +560,17 @@ def gaussian_logpdf(v, mean, cov) -> float:
     if cov.shape not in ((m,), (m, m)):
         raise ValueError(f"cov must be a length-{m} vector (diagonal) or {m}x{m}")
     chol = _check_components("cov", cov, mean)
-    return float(_log_gauss_rows((v - mean)[:, None], cov, chol)[0])
+    const, Q = _mahalanobis((v - mean)[:, None], cov, chol)
+    return float(-0.5 * (const + Q[0]))
 
 
 def _into(op, XT: np.ndarray, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``op(XT, v)`` of the columns ``XT`` (p, n); into ``out`` when given, by
-    copying ``XT`` in and applying ``op`` in place, which takes about half
-    the iterator scratch of broadcasting both operands into ``out``."""
+    """``op(XT, v)`` of the columns ``XT`` (p, n), into ``out``, a new array
+    when None, by copying ``XT`` in and applying ``op`` in place, which
+    takes about half the iterator scratch of broadcasting both operands
+    into ``out``, and less time."""
     if out is None:
-        return op(XT, v)
+        out = np.empty(np.broadcast_shapes(XT.shape, v.shape))
     np.copyto(out, XT)
     return op(out, v, out=out)
 
@@ -593,13 +590,6 @@ def _gate_terms(XT: np.ndarray, s: _Stack, work: np.ndarray | None = None,
         np.subtract, XT, s.mu[..., None], None if work is None else work[0])
     out = None if work is None or chol is None else work[1]
     return _mahalanobis(diff, s.R, chol, out, filled)
-
-
-def _log_gate_matrix(XT: np.ndarray, s: _Stack) -> np.ndarray:
-    """``(K, n)`` unnormalized gating log-weights
-    ``log alpha_k + log phi_p(x_i; mu_k, R_k)`` of the columns of ``XT``
-    (p, n)."""
-    return _log_weights(s.alpha, *_gate_terms(XT, s))
 
 
 def _residuals(sample: _Sample, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -668,7 +658,8 @@ def gating_probs(x, params: MoggeParams) -> np.ndarray:
     x = _as_float_array(np.atleast_1d(x), "x", 1)
     if x.shape[0] != params.p:
         raise ValueError(f"x has length {x.shape[0]} but the model has p={params.p}")
-    return _log_normalize(_log_gate_matrix(x[:, None], _Stack.of(params)))[1][:, 0]
+    s = _Stack.of(params)
+    return _log_normalize(_log_weights(s.alpha, *_gate_terms(x[:, None], s)))[1][:, 0]
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -679,7 +670,7 @@ def conditional_density(y, x, params: MoggeParams) -> float:
     _check_dimensions(pair, params)
     pair, s = _Sample.of(pair), _Stack.of(params)
     joint = _log_normalize(_log_joint_matrix(pair, s))[0]
-    marginal = _log_normalize(_log_gate_matrix(pair.XT, s))[0]
+    marginal = _log_normalize(_log_weights(s.alpha, *_gate_terms(pair.XT, s)))[0]
     return float(joint[0] - marginal[0])
 
 

@@ -676,6 +676,25 @@ class TestSeededStarts:
         for name in ("alpha", "mu", "a", "B", "Sigma"):
             assert getattr(diagonal, name).tobytes() == getattr(full, name).tobytes()
 
+    @pytest.mark.parametrize("starts", [1, 3])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+    def test_gating_half_is_the_m_steps_gating_pass(self, diagonal, K, starts):
+        # the weights, means and covariances of a partition are those of
+        # the gating pass on its one-hot responsibilities, with the jitter
+        # 1e-6, to the bit
+        rng = np.random.default_rng([K, starts])
+        data = DataSet(X=rng.normal(size=(40, 3)) * [1e-3, 1.0, 1e3] + 5.0,
+                       Y=rng.normal(size=40))
+        sample = model._Sample.of(data)
+        labels = np.stack([em._partition(data.X, K, "random-partition", seed)
+                           for seed in start_seeds(K, starts)])
+        W = (labels[:, None, :] == np.arange(K)[:, None]).astype(float)
+        moments = em._gating_moments(sample, W, W.sum(axis=-1), diagonal, jitter=1e-6)
+        built = em._partition_stack(sample, labels, K, diagonal)
+        for x, y in zip(built[:3], moments[:3]):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
     def test_a_raising_build_fails_only_its_start(self, monkeypatch):
         # the batch's build raises, and each start is built alone: the one
         # that raises gets the exception init_params raises for its seed
@@ -982,9 +1001,9 @@ def workspaces(monkeypatch):
 
 class TestWorkspace:
     """The EM loop's per-batch workspace: each kernel gives the same bits
-    with it as without, nothing kept is a view of it, either gating layout
-    gets two buffers, and an iteration allocates less than one (S, K, p, n)
-    array."""
+    with it as without, nothing kept is a view of it, ``fit_em`` gets two
+    buffers for either gating layout and ``fit_em_lasso`` one, and an
+    iteration allocates less than one (S, K, p, n) array."""
 
     @pytest.mark.parametrize("case", ["full", "diagonal", "d2-K3"])
     def test_em_kernels_give_the_same_bits(self, case):
@@ -1001,9 +1020,9 @@ class TestWorkspace:
                           (x[:2] for x in model._e_step(sample, s)))
         moments = em._gating_moments(sample, T, nk, diagonal, work)
         _assert_same_bits(moments, em._gating_moments(sample, T, nk, diagonal))
-        G = moments[3]  # the experts' Gram matrices, from the gating pass
-        _assert_same_bits(em._expert_regressions(sample, T, nk, s.B, G, r2),
-                          em._expert_regressions(sample, T, nk, s.B, G))
+        mu, C = moments[1], moments[3]  # what the experts' Gram matrices come from
+        _assert_same_bits(em._expert_regressions(sample, T, nk, s.B, mu, C, r2),
+                          em._expert_regressions(sample, T, nk, s.B, mu, C))
         # fit_em's M-step into NaN-filled buffers, whole and through the
         # leading views of a compacted batch: the bits of its kernels
         # without them, and the E-step's first pass at its result left in
@@ -1012,13 +1031,15 @@ class TestWorkspace:
             view, r2_view = np.full_like(work, np.nan)[:, :m], np.full_like(r2, np.nan)[:m]
             args = (sample, T[:m], nk[:m])
             new = em._ml_m_step(*args, s.take(slice(0, m)), view, r2_view)
-            *gating, G = em._gating_moments(*args, diagonal)
-            _assert_same_bits(new, (*gating, *em._expert_regressions(*args, s.B[:m], G)))
+            *gating, C, _ = em._gating_moments(*args, diagonal)
+            _assert_same_bits(new, (*gating, *em._expert_regressions(*args, s.B[:m],
+                                                                      gating[1], C)))
             _assert_hand_off(sample, new, view, r2_view)
 
     def test_lasso_kernels_give_the_same_bits(self):
         sample, s, T, nk, _ = _workspace_case("lasso")
-        work = np.full((2, *s.mu.shape, sample.XT.shape[1]), np.nan)
+        # one buffer, as the loop shapes it for the penalized fit
+        work = np.full((1, *s.mu.shape, sample.XT.shape[1]), np.nan)
         r2 = np.full((*s.alpha.shape, sample.XT.shape[1]), np.nan)
         args = (sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0], PENALTY.lam)
         assert np.array_equal(em_lasso._expert_coeffs(*args, work[0]),
@@ -1074,8 +1095,9 @@ class TestWorkspace:
         kept += [a for g in fit.params.gating for a in (g.mu, g.R)]
         kept += [a for e in fit.params.experts for a in (e.intercept, e.coeffs, e.cov)]
         (buffer,) = workspaces.values()
-        # the deviations, and the whitened or root-weighted ones
-        assert buffer.shape == (2, 4, 2, 8, 80)
+        # the deviations, and for fit_em the whitened or root-weighted ones
+        buffers = 1 if fitter == "em-lasso" else 2
+        assert buffer.shape == (buffers, 4, 2, 8, 80)
         assert not any(np.shares_memory(a, buffer) for a in kept)
 
     @pytest.mark.parametrize("fitter", sorted(FITTERS))
@@ -1111,10 +1133,18 @@ class TestWorkspace:
             assert rise < limit
 
 
+def _gram(moments, nk):
+    """The Gram matrices ``C + nk mu mu'`` that ``em._expert_regressions``
+    forms from the means and centred cross-moments of the gating pass
+    ``moments``."""
+    _, mu, _, C, _ = moments
+    return C + nk[..., None, None] * (mu[..., :, None] * mu[..., None, :])
+
+
 class TestWeightedGram:
-    """The experts' weighted Gram matrices ``G = X' W X`` come from the
-    gating pass, as ``C + nk mu mu'`` from the centred cross-moments ``C``
-    of the gating covariances: for either layout, with or without the
+    """The experts' weighted Gram matrices ``G = X' W X`` are formed from
+    the gating pass, as ``C + nk mu mu'`` from the centred cross-moments
+    ``C`` of the gating covariances: for either layout, with or without the
     workspace, the same bits, and each entry within
     ``1e-12 sqrt(G_ii G_jj)`` of the sum over observations taken in
     extended precision, from 1e-150 to 1e150 and for means 1e6 spreads
@@ -1138,11 +1168,20 @@ class TestWeightedGram:
         grams = []
         for diagonal in (False, True):
             work = np.full((2, S, K, p, n), np.nan)
-            G = em._gating_moments(sample, T, nk, diagonal, work)[3]
-            assert np.array_equal(G, em._gating_moments(sample, T, nk, diagonal)[3])
+            G = _gram(em._gating_moments(sample, T, nk, diagonal, work), nk)
+            assert np.array_equal(G, _gram(em._gating_moments(sample, T, nk, diagonal), nk))
             assert (np.abs(G - expected) <= 1e-12 * scale_ij).all()
             grams.append(G)
         assert np.array_equal(*grams)
+
+    @pytest.mark.parametrize("case", ["full", "d2-K3"])
+    def test_the_experts_solve_against_them(self, case):
+        sample, s, T, nk, diagonal = _workspace_case(case)
+        moments = em._gating_moments(sample, T, nk, diagonal)
+        a, B, _ = em._expert_regressions(sample, T, nk, s.B, moments[1], moments[3])
+        rhs = np.swapaxes((T[..., None, :] * (sample.YT - a[..., None])) @ sample.X, -1, -2)
+        ridged = _gram(moments, nk) + em.GRAM_RIDGE * np.eye(sample.X.shape[1])
+        assert np.array_equal(B, np.linalg.solve(ridged, rhs))
 
     def test_diagonal_variances_are_those_of_the_full_covariances(self):
         sample, s, T, nk, _ = _workspace_case("full")

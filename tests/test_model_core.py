@@ -437,7 +437,8 @@ class TestInverseFactorMahalanobis:
             assert np.linalg.cond(g.R) >= 1e10
             chol = np.linalg.cholesky(g.R)
             diff = X - g.mu
-            logdens = model._log_gauss_rows(diff.T, g.R, chol)
+            const, Q = model._mahalanobis(diff.T, g.R, chol)
+            logdens = -0.5 * (const + Q)
             logdet = 2.0 * np.sum(np.log(np.diagonal(chol)))
             quad = -2.0 * logdens - (X.shape[1] * model.LOG_2PI + logdet)
             R_inv = mp.matrix(g.R.tolist()) ** -1
@@ -560,7 +561,8 @@ class TestUnivariateExpertTerm:
         X = rng.normal(size=(40, 2))
         Y = rng.normal(size=40) * scale
         sample = model._Sample.of(DataSet(X=X, Y=Y))
-        expert = model._log_joint_matrix(sample, s) - model._log_gate_matrix(sample.XT, s)
+        gate = model._log_weights(s.alpha, *model._gate_terms(sample.XT, s))
+        expert = model._log_joint_matrix(sample, s) - gate
         for k in range(3):
             expected = norm.logpdf(Y, loc=s.a[k, 0] + X @ s.B[k, :, 0],
                                    scale=np.sqrt(s.Sigma[k, 0, 0]))

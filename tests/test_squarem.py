@@ -83,7 +83,7 @@ def test_a_failed_extrapolation_falls_back_to_the_plain_step(monkeypatch, diagon
         outcomes.extend(RUN_EM(*args))
         return outcomes[-len(args[1].alpha):]
 
-    monkeypatch.setattr(em, "_run_em", lambda *args: RUN_EM(*args[:5]))
+    monkeypatch.setattr(em, "_run_em", lambda *args: RUN_EM(*args[:5], False, *args[6:]))
     plain = fit_em(data, K=2, opts=opts, diagonal_gating=diagonal)
     monkeypatch.setattr(em, "_run_em", recorded)
     if failure == "overflow":
@@ -122,9 +122,9 @@ def test_a_batch_does_no_more_m_step_work_than_its_starts_alone(monkeypatch):
     opts = FitOptions(n_starts=10, seed=11)
     moments, counts, runs = em._gating_moments, [], []
 
-    def counted(sample, T, *args):
+    def counted(sample, T, *args, **kwargs):  # the seeded starts' jitter too
         counts[-1] += len(T)  # the starts of the (S, K, n) responsibilities
-        return moments(sample, T, *args)
+        return moments(sample, T, *args, **kwargs)
 
     def recorded(*args):
         runs[-1].extend(RUN_EM(*args))
