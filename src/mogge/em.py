@@ -396,6 +396,9 @@ def _ml_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack, work,
     return _Stack(alpha, mu, R, *_expert_regressions(sample, T, nk, s.B, mu, C, r2))
 
 
+_ml_m_step.buffers = 2  # the workspace depth it and its E-steps write
+
+
 class _Run(NamedTuple):
     """A finished start before its check: its stack without the start
     axis, objective trace, (K, n) responsibilities and counts."""
@@ -484,7 +487,7 @@ def _rows(x, index):
 
 def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
             m_step: Callable, objective: Callable, squarem: bool = False,
-            carry: tuple | None = None, buffers: int = 1) -> list[_Run]:
+            carry: tuple | None = None) -> list[_Run]:
     """EM iterations for the starts along the leading axis of ``s``, each
     until its relative objective change drops below ``opts.tol`` or
     ``opts.max_iter`` trace entries follow the initial one; returns an
@@ -516,11 +519,12 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     Every decision is taken per start, so a start has the same bits in
     any batch, and a batch raises exactly when a start raises alone.
 
-    ``work`` is the batch's workspace of ``buffers`` (S, K, p, n) buffers,
-    allocated once here: the first for the deviations from the gating
-    means, and for :func:`fit_em` a second, where its gating pass writes
-    the root-weighted deviations and its full-covariance E-step the
-    whitened ones; the penalized fit writes only the first.  Beside it,
+    ``work`` is the batch's workspace of (S, K, p, n) buffers, as many as
+    the M-step's ``buffers`` attribute asks for (one without it), allocated
+    once here: the first for the deviations from the gating means, and for
+    :func:`_ml_m_step` a second, where its gating pass writes the
+    root-weighted deviations and its full-covariance E-step the whitened
+    ones; the penalized fit writes only the first.  Beside it,
     in a buffer of its own so that the gating views stay contiguous,
     ``r2`` (S, K, n) holds the residual squares of d = 1 experts.  No returned or kept
     array is a view of either.  When m starts run, the live ones or one
@@ -583,7 +587,7 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     traces: list[list[float]] = [[] for _ in out]
     live, state = list(range(len(out))), (s, None, None, None)
     n = sample.XT.shape[1]
-    work = np.empty((buffers, *s.mu.shape, n))
+    work = np.empty((getattr(m_step, "buffers", 1), *s.mu.shape, n))
     r2 = np.empty((*s.alpha.shape, n))
     for it in range(last + 1):
         step = cycle if cycles and it % 2 == 0 and 0 < it < last else plain
@@ -658,14 +662,14 @@ def _seeded(sample: _Sample, K: int, opts: FitOptions, diagonal_gating: bool) ->
 @np.errstate(over="raise", invalid="raise")
 def _multistart(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
                 objective: Callable, starts: list, accept: Callable = _Run.result,
-                squarem: bool = False, buffers: int = 1) -> tuple:
+                squarem: bool = False) -> tuple:
     """The start and ``accept(run)`` of the best run (the first with the
     largest objective) of ``starts``: checked stacks without a start axis,
     earlier :class:`_Run` s, which start from their stacks (a lone one
     from its last E-step too), or exceptions.  The stacks run in the
     batches of :func:`_batched`, a batch that raises one start at a time;
-    ``squarem`` and ``buffers`` go to :func:`_run_em`.  The runs go to
-    ``accept`` best first until one passes.  The one place where a start's numerical
+    ``squarem`` goes to :func:`_run_em`.  The runs go to ``accept`` best
+    first until one passes.  The one place where a start's numerical
     trouble (a degenerate component, a failed covariance check or
     factorization, an overflow or invalid operation) becomes a diagnosis;
     underflow is routine."""
@@ -674,7 +678,7 @@ def _multistart(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
     outcomes = {start: s.s if isinstance(s, _Run) else s for start, s in enumerate(starts)}
     ready = [start for start, s in outcomes.items() if isinstance(s, _Stack)]
     outcomes.update(zip(ready, _batched(
-        lambda s: _run_em(sample, s, opts, m_step, objective, squarem, carry, buffers),
+        lambda s: _run_em(sample, s, opts, m_step, objective, squarem, carry),
         [outcomes[start] for start in ready], K, sample)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
@@ -698,4 +702,4 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     """
     opts, K, sample = opts or FitOptions(), _integral("K", K), _Sample.of(data)
     return _multistart(sample, K, opts, _ml_m_step, lambda loglik, s: loglik,
-                       _seeded(sample, K, opts, diagonal_gating), squarem=True, buffers=2)[1]
+                       _seeded(sample, K, opts, diagonal_gating), squarem=True)[1]

@@ -1141,6 +1141,15 @@ def _gram(moments, nk):
     return C + nk[..., None, None] * (mu[..., :, None] * mu[..., None, :])
 
 
+def _assert_the_experts_solve_against_them(sample, T, nk, B_prev, moments):
+    """``em._expert_regressions``' coefficients are the solve against
+    ``_gram(moments, nk)`` plus the ridge, to the bit."""
+    a, B, _ = em._expert_regressions(sample, T, nk, B_prev, moments[1], moments[3])
+    rhs = np.swapaxes((T[..., None, :] * (sample.YT - a[..., None])) @ sample.X, -1, -2)
+    ridged = _gram(moments, nk) + em.GRAM_RIDGE * np.eye(sample.X.shape[1])
+    assert np.array_equal(B, np.linalg.solve(ridged, rhs))
+
+
 class TestWeightedGram:
     """The experts' weighted Gram matrices ``G = X' W X`` are formed from
     the gating pass, as ``C + nk mu mu'`` from the centred cross-moments
@@ -1148,7 +1157,7 @@ class TestWeightedGram:
     workspace, the same bits, and each entry within
     ``1e-12 sqrt(G_ii G_jj)`` of the sum over observations taken in
     extended precision, from 1e-150 to 1e150 and for means 1e6 spreads
-    away from 0."""
+    away from 0; the experts' coefficients solve against these G."""
 
     @pytest.mark.parametrize("scale, offset", [
         (1e-150, 0.0), (1e-150, 1e6), (1e-3, 0.0), (1.0, 0.0), (1.0, 1e6),
@@ -1168,20 +1177,20 @@ class TestWeightedGram:
         grams = []
         for diagonal in (False, True):
             work = np.full((2, S, K, p, n), np.nan)
-            G = _gram(em._gating_moments(sample, T, nk, diagonal, work), nk)
+            moments = em._gating_moments(sample, T, nk, diagonal, work)
+            G = _gram(moments, nk)
             assert np.array_equal(G, _gram(em._gating_moments(sample, T, nk, diagonal), nk))
             assert (np.abs(G - expected) <= 1e-12 * scale_ij).all()
+            _assert_the_experts_solve_against_them(sample, T, nk, np.zeros((S, K, p, 1)),
+                                                   moments)
             grams.append(G)
         assert np.array_equal(*grams)
 
     @pytest.mark.parametrize("case", ["full", "d2-K3"])
     def test_the_experts_solve_against_them(self, case):
         sample, s, T, nk, diagonal = _workspace_case(case)
-        moments = em._gating_moments(sample, T, nk, diagonal)
-        a, B, _ = em._expert_regressions(sample, T, nk, s.B, moments[1], moments[3])
-        rhs = np.swapaxes((T[..., None, :] * (sample.YT - a[..., None])) @ sample.X, -1, -2)
-        ridged = _gram(moments, nk) + em.GRAM_RIDGE * np.eye(sample.X.shape[1])
-        assert np.array_equal(B, np.linalg.solve(ridged, rhs))
+        _assert_the_experts_solve_against_them(
+            sample, T, nk, s.B, em._gating_moments(sample, T, nk, diagonal))
 
     def test_diagonal_variances_are_those_of_the_full_covariances(self):
         sample, s, T, nk, _ = _workspace_case("full")

@@ -83,7 +83,7 @@ def test_a_failed_extrapolation_falls_back_to_the_plain_step(monkeypatch, diagon
         outcomes.extend(RUN_EM(*args))
         return outcomes[-len(args[1].alpha):]
 
-    monkeypatch.setattr(em, "_run_em", lambda *args: RUN_EM(*args[:5], False, *args[6:]))
+    monkeypatch.setattr(em, "_run_em", lambda *args: RUN_EM(*args[:5]))
     plain = fit_em(data, K=2, opts=opts, diagonal_gating=diagonal)
     monkeypatch.setattr(em, "_run_em", recorded)
     if failure == "overflow":
