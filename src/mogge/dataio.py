@@ -194,8 +194,8 @@ def scenario_to_dict(scenario: Scenario, **extra) -> dict:
 def scenario_from_dict(obj: dict) -> Scenario:
     return Scenario(
         true_params=params_from_dict(obj["true_params"]),
-        n=int(obj["n"]),
-        seed=int(obj["seed"]),
+        n=obj["n"],
+        seed=obj["seed"],
     )
 
 

@@ -31,6 +31,7 @@ moved (mean classification rate 0.955 -> 0.935).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -397,6 +398,7 @@ def _ml_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack, work,
 
 
 _ml_m_step.buffers = 2  # the workspace depth it and its E-steps write
+_ml_m_step.squarem = True  # its runs extrapolate (see _run_em)
 
 
 class _Run(NamedTuple):
@@ -480,14 +482,8 @@ def _where(keep: np.ndarray, a: _Stack, b: _Stack) -> _Stack:
                     for x, y in zip(a, b)))
 
 
-def _rows(x, index):
-    """Starts ``index`` of a stack or an array with a start axis; None stays."""
-    return x if x is None else x.take(index) if isinstance(x, _Stack) else x[index]
-
-
 def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
-            m_step: Callable, objective: Callable, squarem: bool = False,
-            carry: tuple | None = None) -> list[_Run]:
+            m_step: Callable, objective: Callable, carry: tuple | None = None) -> list[_Run]:
     """EM iterations for the starts along the leading axis of ``s``, each
     until its relative objective change drops below ``opts.tol`` or
     ``opts.max_iter`` trace entries follow the initial one; returns an
@@ -502,10 +498,11 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     other stacks, do not.
     ``objective(loglik, s)`` returns the (S,) trace entries.
 
-    With ``squarem`` every second entry comes from a SQUAREM cycle
-    (Varadhan and Roland, 2008, step length S3): from the base point x0
-    the previous entry took the plain step x1 = F(x0); the cycle takes the
-    M-step x2 = F(x1) and extrapolates each start in the coordinates of
+    When the M-step's ``squarem`` attribute is set, as :func:`_ml_m_step`'s
+    is, every second entry comes from a SQUAREM cycle (Varadhan and
+    Roland, 2008, step length S3): from the base point x0 the previous
+    entry took the plain step x1 = F(x0); the cycle takes the M-step
+    x2 = F(x1) and extrapolates each start in the coordinates of
     :func:`_theta` to ``x' = theta0 - 2 alpha r + alpha^2 v``, with
     ``r = theta1 - theta0`` and ``v = theta2 - 2 theta1 + theta0``.  Its
     entry is the objective at x' when x' is finite with positive weights
@@ -534,7 +531,7 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     ``carry`` is the (S,) log-likelihoods and (S, K, n) responsibilities
     of an E-step at ``s`` run before, by the run ``s`` comes from; the
     initial entries then take them instead of running it again."""
-    cycles = squarem and opts.max_iter > 2
+    cycles = getattr(m_step, "squarem", False) and opts.max_iter > 2
 
     def e_step(s, work, r2, known=None, filled=False):  # known: (loglik, T) of an E-step at s
         loglik, T = _e_step(sample, s, work, r2, filled) if known is None else known
@@ -606,53 +603,49 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
             break
         if not all(keep):  # compacting copies every array: about 30 us at S=1
             live = [start for start, kept in zip(live, keep) if kept]
-            state = tuple(_rows(x, keep) for x in state)
+            state = (s.take(keep), T[keep], obj[keep], theta if theta is None else theta[keep])
     return out
 
 
-def _per_start(f: Callable, s) -> list:
-    """``f(s)``, a list of one outcome per start of ``s``, a stack or an
-    array with a start axis, or if that raises a start failure, ``f`` of
-    each start alone, an exception for one that raises."""
-    count = len(s.alpha if isinstance(s, _Stack) else s)
-    try:
-        return f(s)
-    except _START_FAILURES as exc:
-        if count == 1:
-            return [exc]
-    return [out for i in range(count) for out in _per_start(f, _rows(s, [i]))]
-
-
-def _stacked(items: list):
-    """The seeds or unbatched stacks ``items`` along a new leading start
-    axis; seeds as ``np.uint64``, which holds every seed of
-    :func:`start_seeds` exactly."""
-    if not isinstance(items[0], _Stack):
-        return np.array(items, dtype=np.uint64)
-    return _Stack(*(np.stack(f) if len(items) > 1 else f[0][None] for f in zip(*items)))
+def _stacked(stacks: list[_Stack]) -> _Stack:
+    """The stacks ``stacks``, without a start axis, along a new leading
+    one; a lone stack's fields as views."""
+    return _Stack(*(np.stack(f) if len(stacks) > 1 else f[0][None] for f in zip(*stacks)))
 
 
 def _batched(f: Callable, items: list, K: int, sample: _Sample) -> list:
-    """:func:`_per_start` of ``f`` over ``items``, stacked in consecutive
-    batches of at most ``_BATCH_ELEMENTS // (K n max(p, d))`` starts: one
-    outcome per item."""
+    """One outcome per item of ``items``: ``f`` of consecutive slices of at
+    most ``_BATCH_ELEMENTS // (K n max(p, d))`` items, a list of one
+    outcome per item; where a slice raises a start failure, ``f`` of each
+    of its items alone, and for an item that raises alone its exception.
+    The one place where a start's numerical trouble becomes its outcome."""
     size = max(1, _BATCH_ELEMENTS // (K * max(sample.X.size, sample.YT.size)))
-    return [out for lo in range(0, len(items), size)
-            for out in _per_start(f, _stacked(items[lo:lo + size]))]
+    out = []
+    for lo in range(0, len(items), size):
+        batch = items[lo:lo + size]
+        try:
+            out += f(batch)
+        except _START_FAILURES as exc:
+            out += [exc] if len(batch) == 1 else [
+                one for item in batch for one in _batched(f, [item], K, sample)]
+    return out
 
 
 @np.errstate(over="raise", invalid="raise")  # an overflow fails its start, as in the runs
 def _seeded(sample: _Sample, K: int, opts: FitOptions, diagonal_gating: bool) -> list:
     """Per seed of :func:`start_seeds`, the stack of :func:`init_params`,
     or the exception its partition, build or check raised.  In the batches
-    of :func:`_batched`, a batch that raises one seed at a time, the
-    partitions of the batch's seeds are drawn, :func:`_partition_stack`
-    builds them together and one stacked validator call checks them."""
+    of :func:`_batched`, the partitions of the batch's seeds are drawn,
+    :func:`_partition_stack` builds them together and one stacked
+    validator call checks them; a batch that raises is built and checked
+    again one seed at a time, from the partitions it has drawn."""
     _check_partition(len(sample.X), K, opts.init_strategy)
+    # each seed's partition, drawn once: a batch that runs again reuses it
+    draw = functools.cache(lambda seed: _partition(sample.X, K, opts.init_strategy, seed))
 
     def build(seeds):  # one view per start, without the start axis
-        labels = [_partition(sample.X, K, opts.init_strategy, int(seed)) for seed in seeds]
-        s = _partition_stack(sample, np.stack(labels), K, diagonal_gating)
+        s = _partition_stack(sample, np.stack([draw(seed) for seed in seeds]), K,
+                             diagonal_gating)
         (s.take(0) if len(seeds) == 1 else s).check()  # alone, as its constructors check it
         return [s.take(i) for i in range(len(seeds))]
 
@@ -661,24 +654,23 @@ def _seeded(sample: _Sample, K: int, opts: FitOptions, diagonal_gating: bool) ->
 
 @np.errstate(over="raise", invalid="raise")
 def _multistart(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
-                objective: Callable, starts: list, accept: Callable = _Run.result,
-                squarem: bool = False) -> tuple:
+                objective: Callable, starts: list, accept: Callable = _Run.result) -> tuple:
     """The start and ``accept(run)`` of the best run (the first with the
     largest objective) of ``starts``: checked stacks without a start axis,
     earlier :class:`_Run` s, which start from their stacks (a lone one
-    from its last E-step too), or exceptions.  The stacks run in the
-    batches of :func:`_batched`, a batch that raises one start at a time;
-    ``squarem`` goes to :func:`_run_em`.  The runs go to ``accept`` best
-    first until one passes.  The one place where a start's numerical
-    trouble (a degenerate component, a failed covariance check or
-    factorization, an overflow or invalid operation) becomes a diagnosis;
-    underflow is routine."""
+    from its last E-step too), or exceptions.  The stacks run through
+    :func:`_run_em` in the batches of :func:`_batched`, stacked there
+    along a start axis, and a start that fails alone (a degenerate
+    component, a failed covariance check or factorization, an overflow or
+    invalid operation; underflow is routine) keeps its exception.  The
+    runs go to ``accept`` best first until one passes, and every start
+    left with an exception is a diagnosis if none does."""
     lone = len(starts) == 1 and isinstance(starts[0], _Run)
     carry = (np.array([starts[0].loglik]), starts[0].T[None]) if lone else None
     outcomes = {start: s.s if isinstance(s, _Run) else s for start, s in enumerate(starts)}
     ready = [start for start, s in outcomes.items() if isinstance(s, _Stack)]
     outcomes.update(zip(ready, _batched(
-        lambda s: _run_em(sample, s, opts, m_step, objective, squarem, carry),
+        lambda stacks: _run_em(sample, _stacked(stacks), opts, m_step, objective, carry),
         [outcomes[start] for start in ready], K, sample)))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
@@ -702,4 +694,4 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     """
     opts, K, sample = opts or FitOptions(), _integral("K", K), _Sample.of(data)
     return _multistart(sample, K, opts, _ml_m_step, lambda loglik, s: loglik,
-                       _seeded(sample, K, opts, diagonal_gating), squarem=True)[1]
+                       _seeded(sample, K, opts, diagonal_gating))[1]

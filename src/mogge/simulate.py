@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .em import _integral
 from .model import (
     DataSet,
     ExpertComponent,
@@ -22,16 +23,19 @@ INTERCEPT_CONVENTIONS = ("zero", "first-entry")
 
 @dataclass(frozen=True)
 class Scenario:
-    """Ground-truth parameters plus a sample size and seed."""
+    """Ground-truth parameters plus a sample size and seed, each an int, a
+    numpy integer or an integral float, stored as an int."""
 
     true_params: MoggeParams
     n: int
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "seed"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 unsigned bits")
 
 

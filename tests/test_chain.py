@@ -207,7 +207,7 @@ class TestChainCarry:
         real, carries = em._run_em, []
 
         def recorded(*args):
-            carries.append(args[6])
+            carries.append(args[5])
             return real(*args)
 
         monkeypatch.setattr(em, "_run_em", recorded)
@@ -243,6 +243,24 @@ class TestSeededOncePerChain:
         table = grid_search(data, GridSpec(Ks=(2,), lambdas=values, gammas=values),
                             opts=FitOptions(n_starts=5, seed=5), warm_start=False)
         assert len(table.rows) == 36 and len(partitions) == 5  # 180 when built per point
+        del partitions[:]
+        # start 3 fails the batch's check, so the batch is built and checked
+        # again one start at a time, from the partitions it has drawn
+        build, builds = em._partition_stack, []
+
+        def corrupted(sample, labels, K, diagonal):
+            builds.append(len(labels))
+            s = build(sample, labels, K, diagonal)
+            if len(labels) == 1:
+                return s
+            Sigma = s.Sigma.copy()
+            Sigma[3, 0] = 0.5 * VARIANCE_FLOOR
+            return s._replace(Sigma=Sigma)
+
+        monkeypatch.setattr(em, "_partition_stack", corrupted)
+        em.fit_em(data, 2, FitOptions(n_starts=10, seed=5, init_strategy="kmeans-on-x"))
+        assert builds == [10] + [1] * 10
+        assert len(partitions) == 10  # 20 when a raising batch draws them again
 
     def test_a_bad_penalty_fails_before_any_fit(self, monkeypatch):
         data = _instance(5)

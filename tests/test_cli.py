@@ -101,6 +101,18 @@ class TestSimulate:
         data, labels = dataio.read_dataset_csv(out / "data_0001.csv")
         assert data.p == 2 and labels is not None
 
+    def test_fractional_scenario_file_n_rejected(self, tmp_path, capsys):
+        # "n": 25.7 was truncated by int(), silently: 25-row datasets
+        path, _ = separated_scenario_json(tmp_path)
+        scenario = dataio.read_json(path)
+        dataio.write_json(path, {**scenario, "n": 25.7})
+        out = tmp_path / "o"
+        assert run("simulate", "--scenario", str(path), "--replicates", "1",
+                   "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: n must be an integer, got 25.7"]
+        assert not out.exists()
+
     def test_jobs_do_not_change_results(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         base = ["simulate", "--default-scenario", "--replicates", "3",

@@ -542,7 +542,7 @@ class TestBatchedStarts:
         ("em-full", 5), ("em-diagonal", 5), ("em-lasso", 9),
     ])
     def test_starts_failing_midway(self, monkeypatch, batches, fitter, failed):
-        # the batch raises, and _multistart runs each of its starts alone
+        # the batch raises, and _batched runs each of its starts alone
         data, opts = _two_distinct_rows(), FitOptions(n_starts=10, seed=0)
         together = FITTERS[fitter](data, 3, opts)
         (args, raised), *rerun = batches
@@ -583,7 +583,8 @@ class TestBatchedStarts:
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(np.linalg.LinAlgError):
                 RUN_EM(sample, bad, *rest)
-            out = em._per_start(lambda s: RUN_EM(sample, s, *rest), bad)
+            out = em._batched(lambda stacks: RUN_EM(sample, em._stacked(stacks), *rest),
+                              [bad.take(i) for i in range(3)], 2, sample)
         assert [type(o).__name__ for o in out] == ["_Run", "LinAlgError", "_Run"]
         for i in (0, 2):
             _assert_same_run(out[i], _alone((sample, bad, *rest), i))

@@ -138,6 +138,12 @@ class TestScenario:
             Scenario(true_params=params, n=0, seed=0)
         with pytest.raises(ValueError):
             Scenario(true_params=params, n=10, seed=-1)
+        # each was accepted, and sample_dataset raised TypeError
+        for n, seed in ((2.5, 0), (10, -0.5), ("300", 0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                Scenario(true_params=params, n=n, seed=seed)
+        scenario = Scenario(true_params=params, n=np.float64(30.0), seed=np.float64(2.0))
+        assert (type(scenario.n), scenario.n, type(scenario.seed)) == (int, 30, int)
 
     def test_replicate_seeds_distinct_and_stable(self):
         seeds = [replicate_seed(42, i) for i in range(10)]

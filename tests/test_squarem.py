@@ -30,6 +30,7 @@ from mogge.simulate import default_scenario, replicate_seed, sample_dataset
 
 RUN_EM = em._run_em
 FROM_THETA = em._from_theta
+ML_M_STEP = em._ml_m_step
 
 
 def _plain_em(data, K, opts):
@@ -83,8 +84,13 @@ def test_a_failed_extrapolation_falls_back_to_the_plain_step(monkeypatch, diagon
         outcomes.extend(RUN_EM(*args))
         return outcomes[-len(args[1].alpha):]
 
-    monkeypatch.setattr(em, "_run_em", lambda *args: RUN_EM(*args[:5]))
+    def plain_m_step(*args):  # fit_em's M-step without the squarem attribute
+        return ML_M_STEP(*args)
+
+    plain_m_step.buffers = ML_M_STEP.buffers
+    monkeypatch.setattr(em, "_ml_m_step", plain_m_step)
     plain = fit_em(data, K=2, opts=opts, diagonal_gating=diagonal)
+    monkeypatch.setattr(em, "_ml_m_step", ML_M_STEP)
     monkeypatch.setattr(em, "_run_em", recorded)
     if failure == "overflow":
         monkeypatch.setattr(em, "_step_length", lambda r, v: np.full(len(r), -1e300))
