@@ -116,7 +116,7 @@ def _run_parallel(fn, items: list, jobs: int) -> list:
 # ---------------------------------------------------------------------------
 
 SIMULATE_DEFAULTS = {
-    "out_dir": ".", "seed": 0, "jobs": 1,
+    "out_dir": ".", "seed": None, "jobs": 1,
     "default_scenario": False, "scenario": None,
     "replicates": 1, "n": None, "intercept_convention": "zero",
 }
@@ -133,19 +133,25 @@ def cmd_simulate(args) -> int:
     replicates = _integral("replicates", cfg["replicates"])
     if replicates < 1:
         raise ValueError("--replicates must be at least 1")
-    seed, jobs = _integral("seed", cfg["seed"]), _integral("jobs", cfg["jobs"])
+    jobs = _integral("jobs", cfg["jobs"])
+    # n and the seed: the flag or config value, else the scenario file's,
+    # else the built-in scenario's defaults
     n = None if cfg["n"] is None else _integral("n", cfg["n"])
+    seed = None if cfg["seed"] is None else _integral("seed", cfg["seed"])
     if cfg["scenario"]:
         base = dataio.scenario_from_dict(dataio.read_json(cfg["scenario"]))
         n = n if n is not None else base.n
+        seed = seed if seed is not None else base.seed
         base = Scenario(true_params=base.true_params, n=n, seed=seed)
     elif cfg["default_scenario"]:
         n = n if n is not None else 300
+        seed = seed if seed is not None else 0
         base = default_scenario(
             n=n, seed=seed, intercept_convention=cfg["intercept_convention"]
         )
     else:
         raise ValueError("provide --default-scenario or --scenario FILE")
+    cfg["seed"] = base.seed  # the manifest records the seed used
 
     out = _out_dir(cfg)
     rep_seeds = [replicate_seed(seed, r) for r in range(replicates)]

@@ -3,9 +3,10 @@ the EM core shared with the penalized fit.
 
 The E-step computes posterior responsibilities; the M-step has closed
 forms: weighted Gaussian-mixture moments for the gating network and
-weighted linear regressions for the experts, which solve against
-weighted Gram matrices formed from the gating moments, with the ridge
-``GRAM_RIDGE`` on the coefficients and none on the intercepts.  The
+weighted least squares of y on ``[1, x]`` for the experts, which solve
+the centred system of the gating moments, with the ridge ``GRAM_RIDGE``
+on the coefficients and none on the intercepts.  Every iteration is one
+M-step and one E-step, and every trace entry one EM step.  The
 iteration loop and the multi-start driver also run :mod:`mogge.em_lasso`,
 which supplies its own M-step and objective.  Multi-start in batches,
 best objective wins; any start whose components collapse, or whose
@@ -16,17 +17,6 @@ as one-hot responsibilities, by the M-step's gating pass and the
 experts' centred least-squares fit, and checked in one stacked pass per
 batch of starts, once per fit or per K of a penalty chain; only the
 returned run builds components.
-
-:func:`fit_em` accelerates the smooth EM map by SQUAREM (Varadhan and
-Roland, 2008): every second trace entry may be an accepted
-extrapolation of the last two EM steps instead of an EM step, and
-``max_iter`` caps the recorded objective evaluations.  The penalized
-fit runs plain EM steps.  Extrapolating its cold starts, with the exact
-expert-lasso solve, was measured on the benchmark's 24 ``grid_search``
-inputs (6 x 6 penalty grid, 5 starts, seed 7777): the cold starts' median
-iterations fell from 39 to 23 and the E-steps per search from 188 to 174,
-but the searches ran about 8% slower and one of the 24 selected rows
-moved (mean classification rate 0.955 -> 0.935).
 """
 
 from __future__ import annotations
@@ -47,7 +37,6 @@ from .model import (
     MoggeParams,
     NotPositiveDefiniteError,
     Responsibilities,
-    _cholesky,
     _dot,
     _e_step,
     _identity,
@@ -87,10 +76,8 @@ def _integral(what: str, value) -> int:
 class FitOptions:
     """Knobs shared by the EM fitting loops.
 
-    ``max_iter`` caps the objective evaluations recorded after the
-    initial one, which for :func:`fit_em` may be accepted SQUAREM
-    extrapolations as well as EM steps; the penalized fit records one
-    per EM step.  ``tol`` bounds the relative objective change at which
+    ``max_iter`` caps the EM steps after the initial objective, for
+    either fitter.  ``tol`` bounds the relative objective change at which
     a start has converged."""
 
     max_iter: int = 1000
@@ -122,11 +109,9 @@ class FitResult:
     """Converged parameters plus the objective trace and diagnostics.
 
     ``loglik_trace[0]`` is the objective at initialization and one entry is
-    appended after each iteration, so ``len(loglik_trace) == n_iter + 1``
-    and ``n_iter <= max_iter``.  For :func:`fit_em` an entry may be an
-    accepted SQUAREM extrapolation rather than an EM step; the trace never
-    falls either way.  The penalized fit runs EM steps only, and its
-    trace holds the penalized objective.
+    appended after each EM step, so ``len(loglik_trace) == n_iter + 1``
+    and ``n_iter <= max_iter``.  The penalized fit's trace holds the
+    penalized objective.
     ``loglik`` is the unpenalized joint log-likelihood at ``params``; for
     :func:`fit_em` it equals ``objective``.
     """
@@ -242,28 +227,14 @@ def _partition_stack(sample: _Sample, labels: np.ndarray, K: int, diagonal: bool
     the weights ``n_k / n``, the means and the covariances ``C / n_k``,
     bit for bit those of the masked deviations ``D = (x - mu) W``, since
     the roots of 0 and 1 are exact and the group sizes sum to n exactly.
-    The experts are the least-squares fit of y on ``[1, x]`` with the
-    ridge ``GRAM_RIDGE`` on the coefficients only, as in every M-step:
-    from the centred moments ``C`` and ``D`` of that pass, ``(C +
-    GRAM_RIDGE I) b = D (y - ybar)'`` and ``a = ybar - b'mu``, without the
-    condition number of the uncentred system, which grows with the
-    squared offset of the means.  The covariances are the mean products
-    of the masked residuals ``(y - ybar) - b'(x - mu)`` (for d = 1 by
-    :func:`~mogge.model._sum_products`), floored by :func:`_floor_spd`.
-    Each start's products are its own 2-D BLAS calls and reductions, so
-    a start has the same bits in any batch."""
-    X, _, YT = sample
+    The experts are those of every M-step, :func:`_expert_regressions`
+    of the same moments: the least-squares fit of y on ``[1, x]`` of each
+    group's points.  Each start's products are its own 2-D BLAS calls and
+    reductions, so a start has the same bits in any batch."""
     W = (labels[:, None, :] == np.arange(K)[:, None]).astype(float)
     nk = W.sum(axis=-1)  # the group sizes, exactly
     alpha, mu, R, C, D = _gating_moments(sample, W, nk, diagonal, jitter=1e-6)
-    ybar = _sum_products(W[..., None, :], YT) / nk[..., None]
-    Yc = YT - ybar[..., None]
-    Yc *= W[..., None, :]
-    B = np.linalg.solve(C + GRAM_RIDGE * _identity(X.shape[1]), _dot(D, np.swapaxes(Yc, -1, -2)))
-    BT = np.swapaxes(B, -1, -2)
-    E = Yc - BT @ D
-    Sigma = _floor_spd(_dot(E, np.swapaxes(E, -1, -2)) / nk[..., None, None])
-    return _Stack(alpha, mu, R, ybar - _sum_products(BT, mu[..., None, :]), B, Sigma)
+    return _Stack(alpha, mu, R, *_expert_regressions(sample, W, nk, mu, C, D))
 
 
 def init_params(data: DataSet, K: int, strategy: str = "random-partition",
@@ -337,32 +308,27 @@ def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray, diagonal: bo
     return nk / nk.sum(axis=-1, keepdims=True), mu, R, C, D
 
 
-def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray,
-                        B_prev: np.ndarray, mu: np.ndarray, C: np.ndarray,
-                        r2: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Stacked expert update in the coupled order: intercepts (K, d) from
-    the previous coefficients ``B_prev`` (K, p, d), coefficients (K, p, d)
-    from the new intercepts, floored covariances (K, d, d) from both.  The
-    coefficients solve against the weighted Gram matrices ``G = X' W X``
-    (K, p, p) plus the ridge ``GRAM_RIDGE``, formed here as ``C + nk mu
-    mu'`` from the means ``mu`` and centred cross-moments ``C`` of
-    :func:`_gating_moments`, so X is weighted once per M-step.
-    For d = 1 the variances are the weighted means of the residual squares
-    of :func:`~mogge.model._residual_squares` at the new intercepts and
-    coefficients, written into ``r2`` (K, n) when given: the E-step's
-    expert pass at the result."""
-    X, XT, YT = sample
-    resid = YT - np.swapaxes(B_prev, -1, -2) @ XT  # (K, d, n)
-    a = _dot(resid, T[..., None])[..., 0] / nk[..., None]
-    G = C + nk[..., None, None] * (mu[..., :, None] * mu[..., None, :])
-    B = np.linalg.solve(G + GRAM_RIDGE * _identity(X.shape[1]),
-                        np.swapaxes(_dot(T[..., None, :] * (YT - a[..., None]), X), -1, -2))
-    if B.shape[-1] == 1:
-        r2 = _residual_squares(sample, a, B[..., 0], r2)
-        return a, B, np.maximum(_sum_products(T, r2) / nk, VARIANCE_FLOOR)[..., None, None]
-    resid = YT - a[..., None] - np.swapaxes(B, -1, -2) @ XT
-    resid *= np.sqrt(T)[..., None, :]  # D W D' as (D root)(D root)': syrk, as for C
-    return a, B, _floor_spd(resid @ np.swapaxes(resid, -1, -2) / nk[..., None, None])
+def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray, mu: np.ndarray,
+                        C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stacked expert update from the (K, n) responsibilities ``T``, their
+    sums ``nk`` and the means ``mu``, centred cross-moments ``C`` and
+    root-weighted deviations ``D`` of :func:`_gating_moments`: the
+    weighted least squares of y on ``[1, x]`` with the ridge
+    ``GRAM_RIDGE`` on the coefficients only.  The coefficients (K, p, d)
+    solve ``(C + GRAM_RIDGE I) B = D Yc'`` with the root-weighted
+    responses ``Yc = (y - ybar) sqrt(T)``, without the condition number
+    of the uncentred system, which grows with the squared offset of the
+    means; the intercepts (K, d) are ``ybar - B'mu``, and the covariances
+    (K, d, d) the mean products of the rooted residuals ``E = Yc - B'D``,
+    floored by :func:`_floor_spd`."""
+    ybar = _sum_products(T[..., None, :], sample.YT) / nk[..., None]
+    Yc = sample.YT - ybar[..., None]
+    Yc *= np.sqrt(T)[..., None, :]
+    B = np.linalg.solve(C + GRAM_RIDGE * _identity(C.shape[-1]), _dot(D, np.swapaxes(Yc, -1, -2)))
+    BT = np.swapaxes(B, -1, -2)
+    E = Yc - BT @ D
+    Sigma = _floor_spd(_dot(E, np.swapaxes(E, -1, -2)) / nk[..., None, None])
+    return ybar - _sum_products(BT, mu[..., None, :]), B, Sigma
 
 
 def m_step_gating(data: DataSet, tau: Responsibilities,
@@ -376,29 +342,30 @@ def m_step_gating(data: DataSet, tau: Responsibilities,
 
 def m_step_experts(data: DataSet, tau: Responsibilities,
                    experts_prev: tuple[ExpertComponent, ...]) -> list[ExpertComponent]:
-    """Closed-form expert update in the coupled order: intercept from the
-    previous coefficients, coefficients from the new intercept, covariance
-    from both new values, against the Gram matrices formed from the
-    centred moments of the gating pass (of either layout: their bits do
-    not depend on it)."""
+    """Closed-form expert update: the weighted least squares of y on ``[1,
+    x]`` of :func:`_expert_regressions`, from the centred moments of the
+    gating pass (of either layout: their bits do not depend on it).  The
+    exact step does not read ``experts_prev``, which the signature keeps."""
     T = np.ascontiguousarray(tau.tau.T)
-    B_prev = np.stack([e.coeffs for e in experts_prev])
     sample, nk = _Sample.of(data), _component_masses(T)
-    _, mu, _, C, _ = _gating_moments(sample, T, nk, False)
-    return list(map(ExpertComponent, *_expert_regressions(sample, T, nk, B_prev, mu, C)))
+    _, mu, _, C, D = _gating_moments(sample, T, nk, False)
+    return list(map(ExpertComponent, *_expert_regressions(sample, T, nk, mu, C, D)))
 
 
 def _ml_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack, work,
                r2) -> _Stack:
     """:func:`fit_em`'s M-step: the gating pass, which leaves the E-step's
     first pass at its result in ``work`` and hands its means and centred
-    cross-moments to the experts, which leave theirs in ``r2`` (d = 1)."""
-    alpha, mu, R, C, _ = _gating_moments(sample, T, nk, s.R.ndim == s.mu.ndim, work)
-    return _Stack(alpha, mu, R, *_expert_regressions(sample, T, nk, s.B, mu, C, r2))
+    moments to the experts, and for d = 1 the experts' residual squares at
+    the result in ``r2``, the E-step's other first pass."""
+    alpha, mu, R, C, D = _gating_moments(sample, T, nk, s.R.ndim == s.mu.ndim, work)
+    a, B, Sigma = _expert_regressions(sample, T, nk, mu, C, D)
+    if B.shape[-1] == 1:
+        _residual_squares(sample, a, B[..., 0], r2)
+    return _Stack(alpha, mu, R, a, B, Sigma)
 
 
 _ml_m_step.buffers = 2  # the workspace depth it and its E-steps write
-_ml_m_step.squarem = True  # its runs extrapolate (see _run_em)
 
 
 class _Run(NamedTuple):
@@ -421,72 +388,11 @@ class _Run(NamedTuple):
                          loglik=self.loglik)
 
 
-def _flat(s: _Stack) -> np.ndarray:
-    """The fields of a stack with a start axis, one row per start."""
-    return np.concatenate([f.reshape(len(f), -1) for f in s], axis=1)
-
-
-def _log_factor(A: np.ndarray) -> np.ndarray:
-    """Cholesky factors of the SPD stack ``A`` with the log of their diagonals."""
-    L, p = _cholesky(A), A.shape[-1]  # a fresh factor: C-contiguous
-    diagonal = L.reshape(-1, p * p)[:, ::p + 1]  # a view into L
-    np.log(diagonal, out=diagonal)
-    return L
-
-
-def _exp_factor(theta: np.ndarray) -> np.ndarray:
-    """The SPD matrices ``L L'`` of log-Cholesky coordinates ``theta``."""
-    L, p = theta.copy(), theta.shape[-1]  # C-contiguous, whatever theta's strides
-    diagonal = L.reshape(-1, p * p)[:, ::p + 1]  # a view into L
-    np.exp(diagonal, out=diagonal)
-    return L @ np.swapaxes(L, -1, -2)
-
-
-def _theta(s: _Stack) -> np.ndarray:
-    """The unconstrained coordinates SQUAREM extrapolates, one row per start
-    of the stack ``s``: log weights, means, log variances (diagonal gating)
-    or log-Cholesky factors, intercepts, coefficients, and log-Cholesky
-    factors of the expert covariances."""
-    R = _log_factor(s.R) if s.R.ndim > s.mu.ndim else np.log(s.R)
-    return _flat(_Stack(np.log(s.alpha), s.mu, R, s.a, s.B, _log_factor(s.Sigma)))
-
-
-def _from_theta(theta: np.ndarray, like: _Stack) -> _Stack:
-    """The stack shaped like ``like`` at the coordinates ``theta`` of
-    :func:`_theta`: weights by softmax, covariances by ``L L'``; the means,
-    intercepts and coefficients are views into ``theta``."""
-    fields, lo = [], 0
-    for f in like:  # column slices of the rows, reshaped as views
-        fields.append(theta[:, lo:lo + f[0].size].reshape(f.shape))
-        lo += f[0].size
-    la, mu, R, a, B, Sigma = fields
-    w = np.exp(la - la.max(axis=-1, keepdims=True))
-    R = _exp_factor(R) if R.ndim > mu.ndim else np.exp(R)
-    return _Stack(w / w.sum(axis=-1, keepdims=True), mu, R, a, B, _exp_factor(Sigma))
-
-
-def _step_length(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """SQUAREM's S3 step length per start (Varadhan and Roland, 2008):
-    ``-max(1, |r| / |v|)`` of the rows of ``r`` and ``v``."""
-    return -np.maximum(1.0, np.sqrt(np.sum(r * r, axis=-1) / np.sum(v * v, axis=-1)))
-
-
-def _where(keep: np.ndarray, a: _Stack, b: _Stack) -> _Stack:
-    """Per start, ``a`` where ``keep`` and ``b`` elsewhere; one of them
-    unchanged when every start keeps the same side."""
-    if keep.all():
-        return a
-    if not keep.any():
-        return b
-    return _Stack(*(np.where(keep.reshape(-1, *[1] * (x.ndim - 1)), x, y)
-                    for x, y in zip(a, b)))
-
-
 def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
             m_step: Callable, objective: Callable, carry: tuple | None = None) -> list[_Run]:
     """EM iterations for the starts along the leading axis of ``s``, each
     until its relative objective change drops below ``opts.tol`` or
-    ``opts.max_iter`` trace entries follow the initial one; returns an
+    ``opts.max_iter`` EM steps follow the initial entry; returns an
     unchecked :class:`_Run` per start, or raises.
 
     ``m_step(sample, T, nk, s, work, r2)`` returns the next stack, checked
@@ -494,25 +400,8 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     (S, K) masses ``nk``, and leaves in ``work[0]`` and, for d = 1, in
     ``r2`` the E-step's first pass at that stack: the deviations from the
     gating means and the experts' residual squares; the E-step right after
-    a plain M-step reads them there (``filled``), a cycle's E-steps, at
-    other stacks, do not.
+    it reads them there (``filled``).
     ``objective(loglik, s)`` returns the (S,) trace entries.
-
-    When the M-step's ``squarem`` attribute is set, as :func:`_ml_m_step`'s
-    is, every second entry comes from a SQUAREM cycle (Varadhan and
-    Roland, 2008, step length S3): from the base point x0 the previous
-    entry took the plain step x1 = F(x0); the cycle takes the M-step
-    x2 = F(x1) and extrapolates each start in the coordinates of
-    :func:`_theta` to ``x' = theta0 - 2 alpha r + alpha^2 v``, with
-    ``r = theta1 - theta0`` and ``v = theta2 - 2 theta1 + theta0``.  Its
-    entry is the objective at x' when x' is finite with positive weights
-    and diagonal variances, its E-step succeeds (alone, when the batch's
-    raises), no component mass is degenerate and the objective is at
-    least that at x1; otherwise the objective at x2, from one E-step for
-    all such starts, so traces never fall.  The cycle
-    carries theta of its result as the next base.  It runs only while two
-    entries remain, so a run ends on a plain step, and only entries after
-    a plain M-step are tested for convergence.
     Every decision is taken per start, so a start has the same bits in
     any batch, and a batch raises exactly when a start raises alone.
 
@@ -531,79 +420,34 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     ``carry`` is the (S,) log-likelihoods and (S, K, n) responsibilities
     of an E-step at ``s`` run before, by the run ``s`` comes from; the
     initial entries then take them instead of running it again."""
-    cycles = getattr(m_step, "squarem", False) and opts.max_iter > 2
-
-    def e_step(s, work, r2, known=None, filled=False):  # known: (loglik, T) of an E-step at s
-        loglik, T = _e_step(sample, s, work, r2, filled) if known is None else known
-        return T, loglik, objective(loglik, s)
-
-    def plain(s, T, obj, theta, work, r2):  # the M-step (none at the start), then the E-step
-        if T is None:
-            T, loglik, obj = e_step(s, work, r2, carry)
-        else:
-            s = m_step(sample, T, _component_masses(T), s, work, r2)
-            T, loglik, obj = e_step(s, work, r2, filled=True)
-        if theta is None and cycles:
-            theta = _theta(s)  # of the first base point
-        return s, T, loglik, obj, theta, None  # every entry is tested
-
-    def cycle(s, T, obj, theta, work, r2):  # s is x1, obj its entry, theta that of x0
-        s2 = m_step(sample, T, _component_masses(T), s, work, r2)
-        theta1, theta2 = _theta(s), _theta(s2)
-        r, v = theta1 - theta, theta2 - 2.0 * theta1 + theta
-        with np.errstate(all="ignore"):  # an extrapolation that overflows is rejected
-            alpha = _step_length(r, v)[:, None]
-            theta_x = theta - 2.0 * alpha * r + alpha * alpha * v
-            x = _from_theta(theta_x, s)
-            ok = np.isfinite(_flat(x)).all(axis=-1) & (x.alpha > 0.0).all(axis=-1)
-            if x.R.ndim == x.mu.ndim:  # diagonal variances that underflowed to 0
-                ok &= (x.R > 0.0).all(axis=(-2, -1))
-        at_x2 = ~ok  # the starts whose E-step ran at x2
-        try:
-            T, loglik, obj_x = e_step(_where(ok, x, s2), work, r2)
-        except _START_FAILURES:  # each extrapolation alone; a failed one is rejected below
-            at_x2[:] = False
-            T, loglik, obj_x = np.zeros_like(T), np.empty_like(obj), np.full_like(obj, -np.inf)
-            for i in np.flatnonzero(ok).tolist() if len(ok) > 1 else ():  # a lone one has run
-                try:
-                    T[[i]], loglik[[i]], obj_x[[i]] = e_step(x.take([i]), work[:, :1],
-                                                             r2[:1])
-                except _START_FAILURES:
-                    pass
-        ok &= np.isfinite(obj_x) & (obj_x >= obj) & (
-            T.sum(axis=-1) > DEGENERACY_FRACTION * T.shape[-1]).all(axis=-1)
-        back = ~ok & ~at_x2  # the plain step's E-step, for these starts only
-        if back.any():
-            m = back.sum()
-            T[back], loglik[back], obj_x[back] = e_step(s2.take(back), work[:, :m], r2[:m])
-        theta = np.where(ok[:, None], theta_x, theta2)
-        return _where(ok, x, s2), T, loglik, obj_x, theta, ~ok
-
     tol, last = opts.tol, opts.max_iter
     out: list = [None] * len(s.alpha)
     traces: list[list[float]] = [[] for _ in out]
-    live, state = list(range(len(out))), (s, None, None, None)
+    live, T = list(range(len(out))), None
     n = sample.XT.shape[1]
     work = np.empty((getattr(m_step, "buffers", 1), *s.mu.shape, n))
     r2 = np.empty((*s.alpha.shape, n))
     for it in range(last + 1):
-        step = cycle if cycles and it % 2 == 0 and 0 < it < last else plain
-        m = len(live)
-        s, T, loglik, obj, theta, tested = step(*state, work[:, :m], r2[:m])
-        for i, (start, value) in enumerate(zip(live, obj.tolist())):
+        views = work[:, :len(live)], r2[:len(live)]
+        if T is None:  # the initial entries
+            loglik, T = _e_step(sample, s, *views) if carry is None else carry
+        else:
+            s = m_step(sample, T, _component_masses(T), s, *views)
+            loglik, T = _e_step(sample, s, *views, True)
+        for i, (start, value) in enumerate(zip(live, objective(loglik, s).tolist())):
             trace = traces[start]
             trace.append(value)
-            converged = it > 0 and (tested is None or tested[i]) and abs(
-                value - trace[-2]) / max(abs(trace[-2]), 2.0 ** -1022) < tol  # smallest normal
+            converged = it > 0 and abs(value - trace[-2]) / max(
+                abs(trace[-2]), 2.0 ** -1022) < tol  # smallest normal
             if converged or it == last:
                 out[start] = _Run(s.take(i), trace, T[i].copy(), it, bool(converged), value,
                                   float(loglik[i]))
-        state, keep = (s, T, obj, theta), [out[start] is None for start in live]
+        keep = [out[start] is None for start in live]
         if not any(keep):
             break
         if not all(keep):  # compacting copies every array: about 30 us at S=1
             live = [start for start, kept in zip(live, keep) if kept]
-            state = (s.take(keep), T[keep], obj[keep], theta if theta is None else theta[keep])
+            s, T = s.take(keep), T[keep]
     return out
 
 
@@ -685,8 +529,7 @@ def _multistart(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
 
 def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
            diagonal_gating: bool = False) -> FitResult:
-    """Fit by EM, accelerated by SQUAREM, with multiple starts; returns the
-    best-objective run.
+    """Fit by EM with multiple starts; returns the best-objective run.
 
     Starts that hit a degenerate component, a covariance failure or a
     floating-point overflow are dropped with a diagnosis; if every start

@@ -101,13 +101,20 @@ def weighted_moments(X: np.ndarray, w: np.ndarray):
 
 
 def wls_ridge_lstsq(Z: np.ndarray, w: np.ndarray, T: np.ndarray,
-                    ridge: float) -> np.ndarray:
+                    ridge: float, intercept: bool = False) -> np.ndarray:
     """Solve (Z' W Z + ridge I) C = Z' W T by lstsq on the augmented system
-    [sqrt(W) Z; sqrt(ridge) I] C ~ [sqrt(W) T; 0]."""
+    [sqrt(W) Z; sqrt(ridge) I] C ~ [sqrt(W) T; 0].  With ``intercept``, Z
+    gets a leading column of ones that the ridge leaves out, and the first
+    row of C is the intercept."""
+    if intercept:
+        Z = np.hstack([np.ones((len(Z), 1)), Z])
     q = Z.shape[1]
     T = T if T.ndim == 2 else T[:, None]
     sw = np.sqrt(w)[:, None]
-    A = np.vstack([sw * Z, np.sqrt(ridge) * np.eye(q)])
+    penalty = np.sqrt(ridge) * np.eye(q)
+    if intercept:
+        penalty[0, 0] = 0.0
+    A = np.vstack([sw * Z, penalty])
     B = np.vstack([sw * T, np.zeros((q, T.shape[1]))])
     C, *_ = np.linalg.lstsq(A, B, rcond=None)
     return C

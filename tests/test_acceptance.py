@@ -285,13 +285,13 @@ def test_criterion_6_oracle_equivalence():
                 float(np.max(np.abs(gates[k].mu - mean))),
                 float(np.max(np.abs(gates[k].R - (cov + 1e-10 * np.eye(p))))),
             )
-            a = (wk @ (y - X @ prev[k].coeffs) / nk).item()
-            B = wls_ridge_lstsq(X, wk, y - a, ridge=1e-8)
-            resid = y[:, 0] - a - X @ B[:, 0]
+            a, *B = wls_ridge_lstsq(X, wk, y, ridge=1e-8, intercept=True)
+            B = np.array(B)
+            resid = y[:, 0] - a[0] - X @ B[:, 0]
             s2 = max(float(wk @ resid ** 2 / nk), 1e-10)
             worst_mstep = max(
                 worst_mstep,
-                float(np.abs(experts[k].intercept[0] - a)),
+                float(np.abs(experts[k].intercept[0] - a[0])),
                 float(np.max(np.abs(experts[k].coeffs - B))),
                 float(np.abs(experts[k].variance - s2)),
             )

@@ -101,6 +101,29 @@ class TestSimulate:
         data, labels = dataio.read_dataset_csv(out / "data_0001.csv")
         assert data.p == 2 and labels is not None
 
+    def test_scenario_file_seed_is_used(self, tmp_path):
+        # two scenario files that differ only in their seed write different
+        # datasets, and each run records the seed it used; --seed overrides
+        path, _ = separated_scenario_json(tmp_path)
+        scenario = dataio.read_json(path)
+        outs = []
+        for seed in (11, 12):
+            dataio.write_json(path, {**scenario, "seed": seed})
+            out = tmp_path / f"seed{seed}"
+            assert run("simulate", "--scenario", str(path), "--replicates", "1",
+                       "--out-dir", str(out)) == 0
+            assert dataio.read_json(out / "scenario.json")["seed"] == seed
+            manifest = dataio.read_json(out / "manifest.json")
+            assert manifest["config"]["seed"] == manifest["scenario"]["seed"] == seed
+            outs.append(out)
+        a, b = ((out / "data_0001.csv").read_bytes() for out in outs)
+        assert a != b
+        override = tmp_path / "override"
+        assert run("simulate", "--scenario", str(path), "--replicates", "1",
+                   "--seed", "11", "--out-dir", str(override)) == 0
+        assert (override / "data_0001.csv").read_bytes() == a
+        assert dataio.read_json(override / "scenario.json")["seed"] == 11
+
     def test_fractional_scenario_file_n_rejected(self, tmp_path, capsys):
         # "n": 25.7 was truncated by int(), silently: 25-row datasets
         path, _ = separated_scenario_json(tmp_path)

@@ -249,3 +249,16 @@ def test_an_overflowing_kmeans_partition_fails_only_its_start():
     except SelectionError as err:
         assert isinstance(err.__cause__, FitFailedError)
         assert len(err.__cause__.diagnoses) == opts.n_starts
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_repeated_rows_with_diagonal_gating_never_divide_by_zero():
+    # half the rows repeat one row: the fit stays finite, and no step
+    # divides by zero or overflows
+    rng = np.random.default_rng(158)
+    X = rng.normal(size=(20, 1))
+    X[10:] = X[0]
+    fit = fit_em(DataSet(X=X, Y=X[:, 0]), 2, FitOptions(n_starts=10, seed=1),
+                 diagonal_gating=True)
+    assert np.isfinite(fit.objective)
+    assert all(np.isfinite(x).all() for x in model._Stack.of(fit.params))

@@ -268,7 +268,10 @@ class TestMStepExperts:
         assert e.coeffs[0, 0] == 0.0
         assert e.intercept == pytest.approx([3.0], abs=1e-6)
 
-    def test_matches_wls_oracle_with_coupled_order(self):
+    def test_matches_the_joint_ridge_wls_oracle(self):
+        # the exact step: the weighted least squares of y on [1, x], with
+        # the ridge on the coefficients only; the previous experts are
+        # not read
         rng = np.random.default_rng(15)
         for _ in range(10):
             X = rng.normal(size=(6, 2))
@@ -282,11 +285,11 @@ class TestMStepExperts:
             for k in range(2):
                 w = T[:, k]
                 nk = w.sum()
-                a = (w @ (y - X @ prev[k].coeffs) / nk).item()
-                B = wls_ridge_lstsq(X, w, y - a, ridge=1e-8)
-                assert comps[k].intercept == pytest.approx([a], abs=1e-10)
+                a, *B = wls_ridge_lstsq(X, w, y, ridge=1e-8, intercept=True)
+                B = np.array(B)
+                assert comps[k].intercept == pytest.approx(a, abs=1e-10)
                 assert comps[k].coeffs == pytest.approx(B, abs=1e-10)
-                resid = y[:, 0] - a - X @ B[:, 0]
+                resid = y[:, 0] - a[0] - X @ B[:, 0]
                 s2 = max(float(w @ resid ** 2 / nk), 1e-10)
                 assert comps[k].variance == pytest.approx(s2, abs=1e-12)
 

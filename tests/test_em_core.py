@@ -51,7 +51,7 @@ from mogge.model import (
     penalized_loglik,
     posterior_responsibilities,
 )
-from mogge.simulate import default_scenario, sample_dataset
+from mogge.simulate import default_scenario, replicate_seed, sample_dataset
 
 from _oracles import partition_params
 from conftest import random_params, random_tau, sample_from_params
@@ -59,9 +59,9 @@ from conftest import random_params, random_tau, sample_from_params
 PENALTY = PenaltyConfig(lam=1.0, gamma=0.5)
 
 
-def _instance(seed, n=60, p=3):
+def _instance(seed, n=60, p=3, spread=3.0):
     rng = np.random.default_rng(seed)
-    truth = random_params(rng, K=2, p=p, diagonal=True, spread=3.0)
+    truth = random_params(rng, K=2, p=p, diagonal=True, spread=spread)
     data, _ = sample_from_params(rng, truth, n=n)
     return data
 
@@ -80,10 +80,8 @@ def _count_calls(monkeypatch, name):
 
 
 class TestOneEStepPerIteration:
-    """EM-Lasso runs one E-step per trace entry.  ``fit_em`` runs one per
-    entry plus one per rejected SQUAREM extrapolation: every E-step's
-    objective is the next trace entry, or falls below the entry before it
-    and is replaced by the plain step's."""
+    """Both fitters run one E-step per trace entry, and for ``fit_em``
+    each E-step's log-likelihood is the next trace entry."""
 
     @pytest.fixture
     def counter(self, monkeypatch):
@@ -100,17 +98,9 @@ class TestOneEStepPerIteration:
 
         monkeypatch.setattr(em, "_e_step", recorded)
         fit = fit_em(_instance(1), K=2, opts=FitOptions(n_starts=1, seed=3))
-        entries, rejected = iter(fit.loglik_trace.tolist()), []
-        entry, previous = next(entries), None
-        for value in values:
-            if value == entry:
-                previous, entry = entry, next(entries, None)
-            else:
-                assert value < previous
-                rejected.append(value)
-        assert entry is None
         assert fit.n_iter > 1
-        assert counter[0] == len(values) == fit.n_iter + 1 + len(rejected)
+        assert values == fit.loglik_trace.tolist()
+        assert counter[0] == fit.n_iter + 1
 
     def test_fit_em_lasso(self, counter):
         fit = fit_em_lasso(
@@ -130,41 +120,32 @@ def _count_factored(monkeypatch):
         count[0] += int(np.prod(np.shape(a)[:-2]))
         return original(a)
 
-    for module in (model, em):
-        monkeypatch.setattr(module, "_cholesky", counted)
+    monkeypatch.setattr(model, "_cholesky", counted)
     return count
 
 
 class TestOneFactorizationPerCovariance:
     """Each E-step factors each full gating covariance once: K matrices
     with full gating, none with diagonal gating or EM-Lasso, since it
-    takes the 1 x 1 expert covariances (d = 1) as variances.  Each map of
-    a stack to SQUAREM's coordinates in ``fit_em`` factors every full
-    covariance, gating and expert: ``full_per_component * K`` matrices.
-    The stacked validator, run once on the seeded starts of a batch, and
-    the checked components returned at the end factor them once more, so
+    takes the 1 x 1 expert covariances (d = 1) as variances.  The stacked
+    validator, run once on the seeded starts of a batch, and the checked
+    components returned at the end factor every full covariance, gating
+    and expert, once more: ``full_per_component * K`` matrices each.  So
     a single cold start counts ``K * ((full_per_component - 1) * E-steps
-    + full_per_component * (maps + 2))``; EM-Lasso runs no map, so its
-    count is 2K whatever its iterations."""
+    + 2 * full_per_component)``, and EM-Lasso 2K whatever its
+    iterations."""
 
     @pytest.mark.parametrize("diagonal, full_per_component", [(False, 2), (True, 1)])
     def test_fit_em(self, monkeypatch, diagonal, full_per_component):
         data = _instance(1)
         calls = _count_factored(monkeypatch)
-        e_steps, maps = _count_calls(monkeypatch, "_log_joint_matrix"), [0]
-        theta = em._theta
-
-        def counted_theta(s):
-            maps[0] += 1
-            return theta(s)
-
-        monkeypatch.setattr(em, "_theta", counted_theta)
+        e_steps = _count_calls(monkeypatch, "_log_joint_matrix")
         fit = fit_em(
             data, K=2, opts=FitOptions(n_starts=1, seed=3), diagonal_gating=diagonal
         )
-        assert fit.n_iter > 1 and maps[0] > 0
+        assert fit.n_iter > 1 and e_steps[0] == fit.n_iter + 1
         assert calls[0] == 2 * ((full_per_component - 1) * e_steps[0]
-                                + full_per_component * (maps[0] + 2))
+                                + 2 * full_per_component)
 
     def test_fit_em_lasso(self, monkeypatch):
         data = _instance(2)
@@ -253,7 +234,8 @@ def _assert_same_params(a, b):
 class TestNoFork:
     """The loop runs the same steps as the public layer functions: a
     single start equals those functions composed by hand from the same
-    initial parameters, plus, for ``fit_em``, SQUAREM's extrapolation."""
+    initial parameters, and a multi-start ``fit_em`` the best start of
+    plain EM composed from them under the same stopping rule."""
 
     @staticmethod
     def _start(data, opts, diagonal):
@@ -276,29 +258,39 @@ class TestNoFork:
                 experts=tuple(m_step_experts(data, tau, params.experts)),
             )
 
-        def stack(params):  # with a start axis of one
-            return _Stack(*(f[None] for f in _Stack.of(params)))
-
         params = self._start(data, opts, diagonal)
-        theta0, accepted = em._theta(stack(params)), 0
-        for it in range(1, max_iter + 1):
-            if it % 2 or it == max_iter:  # a plain step; theta0 stays the base's
-                params = em_step(params)
-                continue
-            # a cycle from the base point theta0 through x1 = params
-            x2 = em_step(params)
-            theta1, theta2 = em._theta(stack(params)), em._theta(stack(x2))
-            r, v = theta1 - theta0, theta2 - 2.0 * theta1 + theta0
-            alpha = em._step_length(r, v)[:, None]
-            theta_x = theta0 - 2.0 * alpha * r + alpha * alpha * v
-            x = em._from_theta(theta_x, stack(params)).take(0).params()
-            if joint_loglik(data, x) >= joint_loglik(data, params):
-                params, theta0, accepted = x, theta_x, accepted + 1
-            else:
-                params, theta0 = x2, theta2
+        trace = [joint_loglik(data, params)]
+        for _ in range(max_iter):
+            params = em_step(params)
+            trace.append(joint_loglik(data, params))
         assert fit.n_iter == max_iter
-        assert accepted == (max_iter == 3)
+        np.testing.assert_allclose(fit.loglik_trace, trace, rtol=1e-12, atol=0.0)
         _assert_same_params(fit.params, params)
+
+    @pytest.mark.parametrize("replicate", range(5))
+    def test_fit_em_is_the_best_start_of_plain_em(self, replicate):
+        # every start to convergence, from the seeded starts: the best
+        # start's iterations and objective
+        data, _ = sample_dataset(default_scenario(n=300, seed=replicate_seed(13, replicate)))
+        opts = FitOptions(n_starts=4, seed=replicate_seed(31, replicate))
+        fit = fit_em(data, K=2, opts=opts)
+        best = None
+        for seed in start_seeds(opts.seed, opts.n_starts):
+            params = init_params(data, 2, strategy=opts.init_strategy, seed=seed)
+            value = joint_loglik(data, params)
+            for it in range(1, opts.max_iter + 1):
+                tau = posterior_responsibilities(data, params)
+                params = MoggeParams(gating=tuple(m_step_gating(data, tau)),
+                                     experts=tuple(m_step_experts(data, tau, params.experts)))
+                value, previous = joint_loglik(data, params), value
+                if abs(value - previous) / abs(previous) < opts.tol:
+                    break
+            if best is None or value > best[0]:
+                best = (value, it)
+        assert fit.converged
+        assert fit.n_iter == best[1]
+        assert fit.objective == pytest.approx(best[0], rel=1e-12, abs=0.0)
+        assert np.diff(fit.loglik_trace).min() >= -1e-8
 
     @pytest.mark.parametrize("max_iter", [1, 3])
     def test_fit_em_lasso(self, max_iter):
@@ -559,6 +551,64 @@ class TestBatchedStarts:
         for outcome, (_, alone) in zip(out, apart):
             _assert_same_run(outcome, _lone(alone))
 
+    @pytest.mark.parametrize("K, seed", [(4, 11), (5, 3)])
+    def test_a_batch_does_the_work_of_its_starts_alone(self, monkeypatch, K, seed):
+        # K=4, 5 on two-component data: the gating passes (the seeded
+        # starts' too) and the E-steps of a batch are those of its starts
+        # run one at a time, and so are the runs, to the last bit
+        data, _ = sample_dataset(default_scenario(n=60, seed=seed))
+        opts = FitOptions(n_starts=10, seed=seed)
+        moments, e_step, counts, runs = em._gating_moments, em._e_step, [], []
+
+        def counted_moments(sample, T, *args, **kwargs):
+            counts[-1][0] += len(T)  # the starts of the (S, K, n) responsibilities
+            return moments(sample, T, *args, **kwargs)
+
+        def counted_e_step(sample, s, *args):
+            counts[-1][1] += len(s.alpha)
+            return e_step(sample, s, *args)
+
+        def recorded(*args):
+            runs[-1].extend(RUN_EM(*args))
+            return runs[-1][-len(args[1].alpha):]
+
+        monkeypatch.setattr(em, "_gating_moments", counted_moments)
+        monkeypatch.setattr(em, "_e_step", counted_e_step)
+        monkeypatch.setattr(em, "_run_em", recorded)
+        for elements in (em._BATCH_ELEMENTS, 1):
+            monkeypatch.setattr(em, "_BATCH_ELEMENTS", elements)
+            counts.append([0, 0])
+            runs.append([])
+            fit_em(data, K=K, opts=opts)
+        assert counts[0] == counts[1]
+        together, apart = runs
+        assert len(together) == len(apart) == 10
+        assert len({run.n_iter for run in together}) > 1
+        for a, b in zip(together, apart):
+            _assert_same_run(a, b)
+
+    @pytest.mark.parametrize("K, seed, failed", [(4, 1, 6), (5, 0, 6)])
+    def test_many_components_on_four_distinct_rows(self, monkeypatch, batches, K, seed,
+                                                   failed):
+        # K=4, 5 on four distinct rows: some starts collapse midway, the
+        # batch raises, and each of its starts runs alone, as it does in a
+        # batch of one
+        base, _ = sample_dataset(default_scenario(n=300, seed=42))
+        rows = [0, 1, 2, 3] * 3
+        data, opts = DataSet(X=base.X[rows], Y=base.Y[rows]), FitOptions(n_starts=10, seed=seed)
+        together = fit_em(data, K, opts)
+        (args, raised), *rerun = batches
+        assert isinstance(raised, DegenerateComponentError)
+        out = [_lone(o) for _, o in rerun]
+        assert len(out) == 10
+        assert sum(isinstance(o, DegenerateComponentError) for o in out) == failed
+        for i, outcome in enumerate(out):
+            _assert_same_run(outcome, _alone(args, i))
+        monkeypatch.setattr(em, "_BATCH_ELEMENTS", 1)
+        _assert_same_run(fit_em(data, K, opts), together)
+        for outcome, (_, alone) in zip(out, batches[11:], strict=True):
+            _assert_same_run(outcome, _lone(alone))
+
     @pytest.mark.parametrize("fitter", ["em-full", "em-lasso"])
     def test_diagnoses_in_start_order(self, monkeypatch, fitter):
         data, opts = _two_distinct_rows(), FitOptions(n_starts=4, seed=2)
@@ -773,19 +823,22 @@ class TestSeededStarts:
             _assert_same_run(run, alone)
 
 
-def _exact_ridge_fit(X, Y):
-    """Intercepts (d,), coefficients (p, d) and mean residual products
-    (d, d) of the ridge least-squares fit of the rows of ``Y`` on
-    ``[1, X]`` with the ridge ``GRAM_RIDGE`` on the coefficients and none
-    on the intercept: the normal equations solved in exact rational
-    arithmetic, so that no formulation's conditioning enters the reference
-    (an uncentred solve in ``np.longdouble`` at means 1e6 spreads from 0
-    keeps about 7 digits)."""
+def _exact_ridge_fit(X, Y, w=None):
+    """Intercepts (d,), coefficients (p, d) and weighted mean residual
+    products (d, d) of the ridge least-squares fit of the rows of ``Y`` on
+    ``[1, X]``, weighted by ``w`` (all 1 when None), with the ridge
+    ``GRAM_RIDGE`` on the coefficients and none on the intercept: the
+    normal equations solved in exact rational arithmetic, so that no
+    formulation's conditioning enters the reference (an uncentred solve in
+    ``np.longdouble`` at means 1e6 spreads from 0 keeps about 7 digits)."""
     rows = [[Fraction(1)] + [Fraction(v) for v in x] for x in X.tolist()]
     ys = [[Fraction(v) for v in y] for y in Y.tolist()]
+    ws = [Fraction(1)] * len(rows) if w is None else [Fraction(v) for v in w.tolist()]
     m, d, ridge = len(rows[0]), len(ys[0]), Fraction(em.GRAM_RIDGE)
-    M = [[sum(z[i] * z[j] for z in rows) + (ridge if i == j > 0 else 0) for j in range(m)]
-         + [sum(z[i] * y[j] for z, y in zip(rows, ys)) for j in range(d)] for i in range(m)]
+    M = [[sum(c * z[i] * z[j] for c, z in zip(ws, rows)) + (ridge if i == j > 0 else 0)
+          for j in range(m)]
+         + [sum(c * z[i] * y[j] for c, z, y in zip(ws, rows, ys)) for j in range(d)]
+         for i in range(m)]
     for col in range(m):  # Gauss-Jordan; the ridged Gram is positive definite
         for r in range(m):
             if r != col and M[r][col]:
@@ -794,7 +847,8 @@ def _exact_ridge_fit(X, Y):
     coef = [[M[i][m + j] / M[i][i] for j in range(d)] for i in range(m)]
     resid = [[y[j] - sum(z[i] * coef[i][j] for i in range(m)) for j in range(d)]
              for z, y in zip(rows, ys)]
-    Sigma = [[sum(r[i] * r[j] for r in resid) / len(rows) for j in range(d)] for i in range(d)]
+    Sigma = [[sum(c * r[i] * r[j] for c, r in zip(ws, resid)) / sum(ws) for j in range(d)]
+             for i in range(d)]
     return (np.array(coef[0], dtype=float), np.array(coef[1:], dtype=float),
             np.array(Sigma, dtype=float))
 
@@ -1021,9 +1075,9 @@ class TestWorkspace:
                           (x[:2] for x in model._e_step(sample, s)))
         moments = em._gating_moments(sample, T, nk, diagonal, work)
         _assert_same_bits(moments, em._gating_moments(sample, T, nk, diagonal))
-        mu, C = moments[1], moments[3]  # what the experts' Gram matrices come from
-        _assert_same_bits(em._expert_regressions(sample, T, nk, s.B, mu, C, r2),
-                          em._expert_regressions(sample, T, nk, s.B, mu, C))
+        # the experts' solve from the moments in the workspace, and from fresh ones
+        _assert_same_bits(_experts(sample, T, nk, moments),
+                          _experts(sample, T, nk, em._gating_moments(sample, T, nk, diagonal)))
         # fit_em's M-step into NaN-filled buffers, whole and through the
         # leading views of a compacted batch: the bits of its kernels
         # without them, and the E-step's first pass at its result left in
@@ -1032,9 +1086,8 @@ class TestWorkspace:
             view, r2_view = np.full_like(work, np.nan)[:, :m], np.full_like(r2, np.nan)[:m]
             args = (sample, T[:m], nk[:m])
             new = em._ml_m_step(*args, s.take(slice(0, m)), view, r2_view)
-            *gating, C, _ = em._gating_moments(*args, diagonal)
-            _assert_same_bits(new, (*gating, *em._expert_regressions(*args, s.B[:m],
-                                                                      gating[1], C)))
+            *gating, C, D = em._gating_moments(*args, diagonal)
+            _assert_same_bits(new, (*gating, *em._expert_regressions(*args, gating[1], C, D)))
             _assert_hand_off(sample, new, view, r2_view)
 
     def test_lasso_kernels_give_the_same_bits(self):
@@ -1073,8 +1126,7 @@ class TestWorkspace:
                                                                   fitter):
         # every E-step given the hand-off finds in work[0] and r2, bit for
         # bit, the first pass of a fresh E-step at its stack, and gives that
-        # E-step's bits; the E-step after each plain M-step takes it, a
-        # cycle's do not
+        # E-step's bits; the E-step after each M-step takes it
         handed = []
 
         def e_step(sample, s, work=None, r2=None, filled=False):
@@ -1110,8 +1162,10 @@ class TestWorkspace:
         # The (m, K, n) temporaries take about 7/p of that, and numpy's
         # buffered iterator up to 64 KB per broadcast operand of a ufunc,
         # so p and n are large enough for the bound to single out a
-        # (m, K, p, n) allocation.
-        data = _instance(24, n=1000, p=12)
+        # (m, K, p, n) allocation.  The components overlap, so that EM
+        # takes more than five iterations, which it does not on
+        # components as far apart as _instance's default puts them.
+        data = _instance(24, n=1000, p=12, spread=1.0)
         rises, marks = [], []
         masses = em._component_masses
 
@@ -1134,64 +1188,63 @@ class TestWorkspace:
             assert rise < limit
 
 
-def _gram(moments, nk):
-    """The Gram matrices ``C + nk mu mu'`` that ``em._expert_regressions``
-    forms from the means and centred cross-moments of the gating pass
-    ``moments``."""
-    _, mu, _, C, _ = moments
-    return C + nk[..., None, None] * (mu[..., :, None] * mu[..., None, :])
+def _experts(sample, T, nk, moments):
+    """``em._expert_regressions`` from the gating pass ``moments``."""
+    _, mu, _, C, D = moments
+    return em._expert_regressions(sample, T, nk, mu, C, D)
 
 
-def _assert_the_experts_solve_against_them(sample, T, nk, B_prev, moments):
-    """``em._expert_regressions``' coefficients are the solve against
-    ``_gram(moments, nk)`` plus the ridge, to the bit."""
-    a, B, _ = em._expert_regressions(sample, T, nk, B_prev, moments[1], moments[3])
-    rhs = np.swapaxes((T[..., None, :] * (sample.YT - a[..., None])) @ sample.X, -1, -2)
-    ridged = _gram(moments, nk) + em.GRAM_RIDGE * np.eye(sample.X.shape[1])
-    assert np.array_equal(B, np.linalg.solve(ridged, rhs))
-
-
-class TestWeightedGram:
-    """The experts' weighted Gram matrices ``G = X' W X`` are formed from
-    the gating pass, as ``C + nk mu mu'`` from the centred cross-moments
-    ``C`` of the gating covariances: for either layout, with or without the
-    workspace, the same bits, and each entry within
-    ``1e-12 sqrt(G_ii G_jj)`` of the sum over observations taken in
-    extended precision, from 1e-150 to 1e150 and for means 1e6 spreads
-    away from 0; the experts' coefficients solve against these G."""
+class TestExpertSolve:
+    """The experts' weighted least squares solve the centred system of the
+    gating pass, ``(C + GRAM_RIDGE I) B = D Yc'`` with ``Yc = (y - ybar)
+    sqrt(T)`` and ``a = ybar - B'mu``: for either layout, with or without
+    the workspace, the same bits, and against the exact rational fit at
+    soft responsibilities, every entry within 1e-12 of its scale as in
+    :class:`TestSeededAccuracy`, from 1e-150 to 1e150 and for means 1e6
+    spreads away from 0."""
 
     @pytest.mark.parametrize("scale, offset", [
         (1e-150, 0.0), (1e-150, 1e6), (1e-3, 0.0), (1.0, 0.0), (1.0, 1e6),
         (1e3, 1e6), (1e144, 1e6), (1e150, 0.0),
     ])
-    def test_matches_an_extended_precision_sum(self, scale, offset):
+    def test_matches_an_exact_weighted_fit(self, scale, offset):
         rng = np.random.default_rng(41)
         S, K, n, p = 2, 3, 120, 5
-        X = scale * (offset + rng.normal(size=(n, p)) * rng.uniform(0.5, 2.0, size=p))
-        sample = model._Sample.of(DataSet(X=X, Y=rng.normal(size=n)))
+        Z = rng.normal(size=(n, p)) * rng.uniform(0.5, 2.0, size=p)
+        X = scale * (offset + Z)
+        Y = offset + Z @ rng.normal(size=(p, 1)) + rng.normal(size=(n, 1))
+        sample = model._Sample.of(DataSet(X=X, Y=Y))
         T = np.ascontiguousarray(
             np.stack([rng.dirichlet(np.ones(K), size=n).T for _ in range(S)]))
         nk = T.sum(axis=-1)
-        ld = np.longdouble
-        expected = np.einsum("ski,ia,ib->skab", T.astype(ld), X.astype(ld), X.astype(ld))
-        scale_ij = np.sqrt(np.einsum("ska,skb->skab", *[np.diagonal(expected, 0, -2, -1)] * 2))
-        grams = []
-        for diagonal in (False, True):
-            work = np.full((2, S, K, p, n), np.nan)
-            moments = em._gating_moments(sample, T, nk, diagonal, work)
-            G = _gram(moments, nk)
-            assert np.array_equal(G, _gram(em._gating_moments(sample, T, nk, diagonal), nk))
-            assert (np.abs(G - expected) <= 1e-12 * scale_ij).all()
-            _assert_the_experts_solve_against_them(sample, T, nk, np.zeros((S, K, p, 1)),
-                                                   moments)
-            grams.append(G)
-        assert np.array_equal(*grams)
+        fits = [_experts(sample, T, nk, em._gating_moments(sample, T, nk, diagonal, work))
+                for diagonal in (False, True)
+                for work in (None, np.full((2, S, K, p, n), np.nan))]
+        for fit in fits[1:]:
+            _assert_same_bits(fit, fits[0])
+        mu = em._gating_moments(sample, T, nk, False)[1]
+        a, B, Sigma = fits[0]
+        for i in range(S):
+            for k in range(K):
+                a_ref, B_ref, S_ref = _exact_ridge_fit(X, Y, T[i, k])
+                S_ref = em._floor_spd(S_ref)
+                a_scale = T[i, k] @ np.abs(Y) / nk[i, k] + np.abs(mu[i, k]) @ np.abs(B_ref)
+                S_scale = np.sqrt(np.outer(np.diagonal(S_ref), np.diagonal(S_ref)))
+                assert (np.abs(B[i, k] - B_ref) <= 1e-12 * np.abs(B_ref).max(axis=0)).all()
+                assert (np.abs(a[i, k] - a_ref) <= 1e-12 * a_scale).all()
+                assert (np.abs(Sigma[i, k] - S_ref) <= 1e-12 * S_scale).all()
 
     @pytest.mark.parametrize("case", ["full", "d2-K3"])
-    def test_the_experts_solve_against_them(self, case):
-        sample, s, T, nk, diagonal = _workspace_case(case)
-        _assert_the_experts_solve_against_them(
-            sample, T, nk, s.B, em._gating_moments(sample, T, nk, diagonal))
+    def test_the_experts_solve_the_centred_system(self, case):
+        sample, _, T, nk, diagonal = _workspace_case(case)
+        _, mu, _, C, D = em._gating_moments(sample, T, nk, diagonal)
+        a, B, _ = em._expert_regressions(sample, T, nk, mu, C, D)
+        ybar = model._sum_products(T[..., None, :], sample.YT) / nk[..., None]
+        Yc = (sample.YT - ybar[..., None]) * np.sqrt(T)[..., None, :]
+        rhs = D @ np.swapaxes(Yc, -1, -2)
+        assert np.array_equal(B, np.linalg.solve(C + em.GRAM_RIDGE * np.eye(8), rhs))
+        BT = np.swapaxes(B, -1, -2)
+        assert np.array_equal(a, ybar - model._sum_products(BT, mu[..., None, :]))
 
     def test_diagonal_variances_are_those_of_the_full_covariances(self):
         sample, s, T, nk, _ = _workspace_case("full")
@@ -1217,36 +1270,6 @@ def test_full_gating_covariances_are_exactly_symmetric(p, scale):
     for R in covariances:
         assert np.array_equal(R, np.swapaxes(R, -1, -2))
     assert np.array_equal(*covariances)
-
-
-class TestSquaremMap:
-    """SQUAREM's coordinate map: :func:`em._from_theta` cuts ``theta`` into
-    views, the bits of splitting it, and :func:`em._where` hands back one
-    side unchanged when every start takes it."""
-
-    @pytest.mark.parametrize("case", ["full", "diagonal", "d2-K3"])
-    def test_from_theta_gives_the_bits_of_a_split(self, case):
-        _, s, _, _, _ = _workspace_case(case)
-        theta = em._theta(s)
-        cuts = np.cumsum([f[0].size for f in s])[:-1]
-        la, mu, R, a, B, Sigma = (x.reshape(f.shape)
-                                  for x, f in zip(np.split(theta, cuts, axis=1), s))
-        w = np.exp(la - la.max(axis=-1, keepdims=True))
-        R = em._exp_factor(R) if R.ndim > mu.ndim else np.exp(R)
-        expected = (w / w.sum(axis=-1, keepdims=True), mu, R, a, B, em._exp_factor(Sigma))
-        x = em._from_theta(theta, s)
-        _assert_same_bits(x, expected)
-        assert all(np.shares_memory(f, theta) for f in (x.mu, x.a, x.B))
-
-    def test_where_keeps_one_side_whole(self):
-        _, s, _, _, _ = _workspace_case("full")
-        other = em._from_theta(em._theta(s), s)
-        assert em._where(np.ones(3, bool), s, other) is s
-        assert em._where(np.zeros(3, bool), s, other) is other
-        keep = np.array([True, False, True])
-        mixed = em._where(keep, s, other)
-        for x, y, z in zip(mixed, s, other):
-            assert np.array_equal(x[keep], y[keep]) and np.array_equal(x[~keep], z[~keep])
 
 
 class TestRowMajorCopies:
