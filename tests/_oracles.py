@@ -101,20 +101,19 @@ def weighted_moments(X: np.ndarray, w: np.ndarray):
 
 
 def wls_ridge_lstsq(Z: np.ndarray, w: np.ndarray, T: np.ndarray,
-                    ridge: float, intercept: bool = False) -> np.ndarray:
-    """Solve (Z' W Z + ridge I) C = Z' W T by lstsq on the augmented system
-    [sqrt(W) Z; sqrt(ridge) I] C ~ [sqrt(W) T; 0].  With ``intercept``, Z
-    gets a leading column of ones that the ridge leaves out, and the first
-    row of C is the intercept."""
-    if intercept:
-        Z = np.hstack([np.ones((len(Z), 1)), Z])
-    q = Z.shape[1]
+                    ridge: float) -> np.ndarray:
+    """The ridge weighted least squares of T on ``[1, Z]`` with the ridge
+    on the coefficients of Z only: (A' W A + ridge J) C = A' W T, with A =
+    [1, Z] and J the identity without its first diagonal entry, by lstsq
+    on the augmented system [sqrt(W) A; sqrt(ridge) J] C ~ [sqrt(W) T; 0].
+    The first row of C is the intercept."""
+    A = np.hstack([np.ones((len(Z), 1)), Z])
+    q = A.shape[1]
     T = T if T.ndim == 2 else T[:, None]
     sw = np.sqrt(w)[:, None]
     penalty = np.sqrt(ridge) * np.eye(q)
-    if intercept:
-        penalty[0, 0] = 0.0
-    A = np.vstack([sw * Z, penalty])
+    penalty[0, 0] = 0.0
+    A = np.vstack([sw * A, penalty])
     B = np.vstack([sw * T, np.zeros((q, T.shape[1]))])
     C, *_ = np.linalg.lstsq(A, B, rcond=None)
     return C

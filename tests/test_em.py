@@ -285,7 +285,7 @@ class TestMStepExperts:
             for k in range(2):
                 w = T[:, k]
                 nk = w.sum()
-                a, *B = wls_ridge_lstsq(X, w, y, ridge=1e-8, intercept=True)
+                a, *B = wls_ridge_lstsq(X, w, y, ridge=1e-8)
                 B = np.array(B)
                 assert comps[k].intercept == pytest.approx(a, abs=1e-10)
                 assert comps[k].coeffs == pytest.approx(B, abs=1e-10)
