@@ -285,8 +285,8 @@ def test_criterion_6_oracle_equivalence():
                 float(np.max(np.abs(gates[k].mu - mean))),
                 float(np.max(np.abs(gates[k].R - (cov + 1e-10 * np.eye(p))))),
             )
-            a, *B = wls_ridge_lstsq(X, wk, y, ridge=1e-8)
-            B = np.array(B)
+            fit = wls_ridge_lstsq(X, wk, y, ridge=1e-8)
+            a, B = fit[0], fit[1:]  # the intercept row first
             resid = y[:, 0] - a[0] - X @ B[:, 0]
             s2 = max(float(wk @ resid ** 2 / nk), 1e-10)
             worst_mstep = max(

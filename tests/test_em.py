@@ -285,8 +285,8 @@ class TestMStepExperts:
             for k in range(2):
                 w = T[:, k]
                 nk = w.sum()
-                a, *B = wls_ridge_lstsq(X, w, y, ridge=1e-8)
-                B = np.array(B)
+                fit = wls_ridge_lstsq(X, w, y, ridge=1e-8)
+                a, B = fit[0], fit[1:]  # the intercept row first
                 assert comps[k].intercept == pytest.approx(a, abs=1e-10)
                 assert comps[k].coeffs == pytest.approx(B, abs=1e-10)
                 resid = y[:, 0] - a[0] - X @ B[:, 0]

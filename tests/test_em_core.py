@@ -1242,7 +1242,7 @@ class TestExpertSolve:
         ybar = model._sum_products(T[..., None, :], sample.YT) / nk[..., None]
         Yc = (sample.YT - ybar[..., None]) * np.sqrt(T)[..., None, :]
         rhs = D @ np.swapaxes(Yc, -1, -2)
-        assert np.array_equal(B, np.linalg.solve(C + em.GRAM_RIDGE * np.eye(8), rhs))
+        assert np.array_equal(B, np.linalg.solve(C + em.GRAM_RIDGE * np.eye(C.shape[-1]), rhs))
         BT = np.swapaxes(B, -1, -2)
         assert np.array_equal(a, ybar - model._sum_products(BT, mu[..., None, :]))
 
