@@ -49,9 +49,9 @@ from .model import (
 
 INIT_STRATEGIES = ("random-partition", "kmeans-on-x")
 
-# Numerical guards: ridge added to weighted Gram matrices, jitter added to
-# gating covariance updates, and the responsibility mass below which a
-# component counts as degenerate (relative to n).
+# Numerical guards: ridge added to the experts' centred cross-moments,
+# jitter added to gating covariance updates, and the responsibility mass
+# below which a component counts as degenerate (relative to n).
 GRAM_RIDGE = 1e-8
 COV_JITTER = 1e-10
 DEGENERACY_FRACTION = 1e-8
