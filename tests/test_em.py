@@ -293,6 +293,48 @@ class TestMStepExperts:
                 s2 = max(float(w @ resid ** 2 / nk), 1e-10)
                 assert comps[k].variance == pytest.approx(s2, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_previous_experts_are_not_read(self, d):
+        # two unrelated previous expert sets give the same bits
+        rng = np.random.default_rng(18)
+        data = DataSet(X=rng.normal(size=(40, 3)), Y=rng.normal(size=(40, d)))
+        tau = Responsibilities(tau=random_tau(rng, 40, 2))
+        first, second = (
+            m_step_experts(data, tau, random_params(rng, K=2, p=3, d=d).experts)
+            for _ in range(2)
+        )
+        for a, b in zip(first, second):
+            assert np.array_equal(a.intercept, b.intercept)
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert np.array_equal(a.cov, b.cov)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_maximizes_the_expected_expert_loglik(self, d):
+        # the closed form maximizes each expert's responsibility-weighted
+        # Gaussian log-likelihood: no nearby intercept, coefficients or
+        # covariance does better
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(50, 2))
+        Y = X @ rng.normal(size=(2, d)) + rng.normal(size=(50, d))
+        T = random_tau(rng, 50, 2)
+        comps = m_step_experts(DataSet(X=X, Y=Y), Responsibilities(tau=T),
+                               random_params(rng, K=2, p=2, d=d).experts)
+
+        def expected_loglik(w, a, B, S):
+            resid = Y - a - X @ B
+            quad = np.einsum("ij,jk,ik->i", resid, np.linalg.inv(S), resid)
+            logdet = np.linalg.slogdet(S)[1]
+            return -0.5 * w @ (d * np.log(2 * np.pi) + logdet + quad)
+
+        for k, e in enumerate(comps):
+            best = expected_loglik(T[:, k], e.intercept, e.coeffs, e.cov)
+            for _ in range(20):
+                A = rng.normal(size=(d, d))
+                near = (e.intercept + 1e-3 * rng.normal(size=d),
+                        e.coeffs + 1e-3 * rng.normal(size=(2, d)),
+                        e.cov + 1e-3 * A @ A.T)
+                assert expected_loglik(T[:, k], *near) < best
+
 
 class TestFitEm:
     def test_k1_converges_immediately_to_global_mle(self):

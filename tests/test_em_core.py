@@ -269,19 +269,30 @@ class TestNoFork:
 
     @pytest.mark.parametrize("replicate", range(5))
     def test_fit_em_is_the_best_start_of_plain_em(self, replicate):
+        self._check_best_start_of_plain_em(replicate, False)
+
+    @pytest.mark.parametrize("replicate", range(5))
+    def test_fit_em_diagonal_is_the_best_start_of_plain_em(self, replicate):
+        self._check_best_start_of_plain_em(replicate, True)
+
+    @staticmethod
+    def _check_best_start_of_plain_em(replicate, diagonal):
         # every start to convergence, from the seeded starts: the best
         # start's iterations and objective
         data, _ = sample_dataset(default_scenario(n=300, seed=replicate_seed(13, replicate)))
         opts = FitOptions(n_starts=4, seed=replicate_seed(31, replicate))
-        fit = fit_em(data, K=2, opts=opts)
+        fit = fit_em(data, K=2, opts=opts, diagonal_gating=diagonal)
         best = None
         for seed in start_seeds(opts.seed, opts.n_starts):
-            params = init_params(data, 2, strategy=opts.init_strategy, seed=seed)
+            params = init_params(data, 2, strategy=opts.init_strategy, seed=seed,
+                                 diagonal_gating=diagonal)
             value = joint_loglik(data, params)
             for it in range(1, opts.max_iter + 1):
                 tau = posterior_responsibilities(data, params)
-                params = MoggeParams(gating=tuple(m_step_gating(data, tau)),
-                                     experts=tuple(m_step_experts(data, tau, params.experts)))
+                params = MoggeParams(
+                    gating=tuple(m_step_gating(data, tau, diagonal=diagonal)),
+                    experts=tuple(m_step_experts(data, tau, params.experts)),
+                )
                 value, previous = joint_loglik(data, params), value
                 if abs(value - previous) / abs(previous) < opts.tol:
                     break
