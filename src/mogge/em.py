@@ -8,8 +8,10 @@ the centred system of the gating moments, with the ridge ``GRAM_RIDGE``
 on the coefficients and none on the intercepts.  Every iteration is one
 M-step and one E-step, and every trace entry one EM step.  The
 iteration loop and the multi-start driver also run :mod:`mogge.em_lasso`,
-which supplies its own M-step and objective.  Multi-start in batches,
-best objective wins; any start whose components collapse, or whose
+which supplies its own M-step and objective, and the penalties of each
+start, which the loop compacts with the live starts.  Multi-start in
+batches, best objective wins, or several single-start fits in one batch
+(:func:`_single_starts`), each with its own penalties; any start whose components collapse, or whose
 arithmetic overflows, is abandoned and diagnosed rather than
 reinitialized mid-run.  The seeded starts, the arrays of
 :func:`init_params`, are drawn, built from their hard partitions, taken
@@ -352,12 +354,13 @@ def m_step_experts(data: DataSet, tau: Responsibilities,
     return list(map(ExpertComponent, *_expert_regressions(sample, T, nk, mu, C, D)))
 
 
-def _ml_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack, work,
+def _ml_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack, pen, work,
                r2) -> _Stack:
     """:func:`fit_em`'s M-step: the gating pass, which leaves the E-step's
     first pass at its result in ``work`` and hands its means and centred
     moments to the experts, and for d = 1 the experts' residual squares at
-    the result in ``r2``, the E-step's other first pass."""
+    the result in ``r2``, the E-step's other first pass.  There are no
+    penalties: ``pen`` is None."""
     alpha, mu, R, C, D = _gating_moments(sample, T, nk, s.R.ndim == s.mu.ndim, work)
     a, B, Sigma = _expert_regressions(sample, T, nk, mu, C, D)
     if B.shape[-1] == 1:
@@ -388,20 +391,24 @@ class _Run(NamedTuple):
                          loglik=self.loglik)
 
 
-def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
-            m_step: Callable, objective: Callable, carry: tuple | None = None) -> list[_Run]:
+def _run_em(sample: _Sample, s: _Stack, opts: FitOptions, m_step: Callable,
+            objective: Callable, carry: tuple | None = None,
+            pen: np.ndarray | None = None) -> list[_Run]:
     """EM iterations for the starts along the leading axis of ``s``, each
     until its relative objective change drops below ``opts.tol`` or
     ``opts.max_iter`` EM steps follow the initial entry; returns an
     unchecked :class:`_Run` per start, or raises.
 
-    ``m_step(sample, T, nk, s, work, r2)`` returns the next stack, checked
-    once per M-step, from the (S, K, n) responsibilities ``T`` and their
-    (S, K) masses ``nk``, and leaves in ``work[0]`` and, for d = 1, in
-    ``r2`` the E-step's first pass at that stack: the deviations from the
-    gating means and the experts' residual squares; the E-step right after
-    it reads them there (``filled``).
-    ``objective(loglik, s)`` returns the (S,) trace entries.
+    ``pen`` holds each start's penalties, a row per start (the penalized
+    fit's (S, 2) lambdas and gammas), or is None.  It is compacted with
+    the live starts, as the stack is, and passed on as it stands:
+    ``m_step(sample, T, nk, s, pen, work, r2)`` returns the next stack,
+    checked once per M-step, from the (S, K, n) responsibilities ``T`` and
+    their (S, K) masses ``nk``, and leaves in ``work[0]`` and, for d = 1,
+    in ``r2`` the E-step's first pass at that stack: the deviations from
+    the gating means and the experts' residual squares; the E-step right
+    after it reads them there (``filled``).
+    ``objective(loglik, s, pen)`` returns the (S,) trace entries.
     Every decision is taken per start, so a start has the same bits in
     any batch, and a batch raises exactly when a start raises alone.
 
@@ -418,7 +425,7 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
     ``r2[:m]`` (still C-contiguous).
 
     ``carry`` is the (S,) log-likelihoods and (S, K, n) responsibilities
-    of an E-step at ``s`` run before, by the run ``s`` comes from; the
+    of an E-step at ``s`` run before, by the runs ``s`` comes from; the
     initial entries then take them instead of running it again."""
     tol, last = opts.tol, opts.max_iter
     out: list = [None] * len(s.alpha)
@@ -432,9 +439,9 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
         if T is None:  # the initial entries
             loglik, T = _e_step(sample, s, *views) if carry is None else carry
         else:
-            s = m_step(sample, T, _component_masses(T), s, *views)
+            s = m_step(sample, T, _component_masses(T), s, pen, *views)
             loglik, T = _e_step(sample, s, *views, True)
-        for i, (start, value) in enumerate(zip(live, objective(loglik, s).tolist())):
+        for i, (start, value) in enumerate(zip(live, objective(loglik, s, pen).tolist())):
             trace = traces[start]
             trace.append(value)
             converged = it > 0 and abs(value - trace[-2]) / max(
@@ -448,6 +455,7 @@ def _run_em(sample: _Sample, s: _Stack, opts: FitOptions,
         if not all(keep):  # compacting copies every array: about 30 us at S=1
             live = [start for start, kept in zip(live, keep) if kept]
             s, T = s.take(keep), T[keep]
+            pen = None if pen is None else pen[keep]
     return out
 
 
@@ -497,34 +505,79 @@ def _seeded(sample: _Sample, K: int, opts: FitOptions, diagonal_gating: bool) ->
 
 
 @np.errstate(over="raise", invalid="raise")
-def _multistart(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
-                objective: Callable, starts: list, accept: Callable = _Run.result) -> tuple:
-    """The start and ``accept(run)`` of the best run (the first with the
-    largest objective) of ``starts``: checked stacks without a start axis,
-    earlier :class:`_Run` s, which start from their stacks (a lone one
-    from its last E-step too), or exceptions.  The stacks run through
+def _outcomes(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
+              objective: Callable, starts: list, pens: list) -> list:
+    """Per start of ``starts``, checked stacks without a start axis,
+    earlier :class:`_Run` s, which start from their stacks, or exceptions,
+    its unchecked run or its exception.  The stacks run through
     :func:`_run_em` in the batches of :func:`_batched`, stacked there
-    along a start axis, and a start that fails alone (a degenerate
-    component, a failed covariance check or factorization, an overflow or
-    invalid operation; underflow is routine) keeps its exception.  The
-    runs go to ``accept`` best first until one passes, and every start
-    left with an exception is a diagnosis if none does."""
-    lone = len(starts) == 1 and isinstance(starts[0], _Run)
-    carry = (np.array([starts[0].loglik]), starts[0].T[None]) if lone else None
-    outcomes = {start: s.s if isinstance(s, _Run) else s for start, s in enumerate(starts)}
-    ready = [start for start, s in outcomes.items() if isinstance(s, _Stack)]
-    outcomes.update(zip(ready, _batched(
-        lambda stacks: _run_em(sample, _stacked(stacks), opts, m_step, objective, carry),
-        [outcomes[start] for start in ready], K, sample)))
+    along a start axis with their penalties, the rows of ``pens`` (each
+    None for the unpenalized fit), and a start that fails alone (a
+    degenerate component, a failed covariance check or factorization, an
+    overflow or invalid operation; underflow is routine) keeps its
+    exception.  A batch of earlier runs only, a lone one or several,
+    takes their last E-steps as its initial ones."""
+    def run(batch):
+        starts, pens = zip(*batch)
+        carry = None
+        if all(isinstance(start, _Run) for start in starts):
+            carry = (np.array([start.loglik for start in starts]),
+                     np.stack([start.T for start in starts]))
+        stacks = [start.s if isinstance(start, _Run) else start for start in starts]
+        return _run_em(sample, _stacked(stacks), opts, m_step, objective, carry,
+                       None if pens[0] is None else np.stack(pens))
+
+    outcomes = list(starts)
+    ready = [i for i, start in enumerate(starts) if not isinstance(start, BaseException)]
+    for i, outcome in zip(ready, _batched(run, [(starts[i], pens[i]) for i in ready], K,
+                                          sample)):
+        outcomes[i] = outcome
+    return outcomes
+
+
+@np.errstate(over="raise", invalid="raise")
+def _best(outcomes: list, accept: Callable = _Run.result) -> tuple:
+    """The start and ``accept(run)`` of the best run (the first with the
+    largest objective) of ``outcomes``, runs or exceptions, one per start.
+    The runs go to ``accept`` best first until one passes, and every
+    start left with an exception is a diagnosis of the
+    :class:`~mogge.model.FitFailedError` raised if none does."""
+    outcomes = dict(enumerate(outcomes))
     runs = {start: run for start, run in outcomes.items() if isinstance(run, _Run)}
     for start in sorted(runs, key=lambda start: (-runs[start].objective, start)):
         try:
             return start, accept(runs[start])
         except _START_FAILURES as exc:
             outcomes[start] = exc
-    raise FitFailedError(f"all {len(starts)} starts failed", diagnoses=[
+    raise FitFailedError(f"all {len(outcomes)} starts failed", diagnoses=[
         f"start {start}: {type(exc).__name__}: {exc}" for start, exc in outcomes.items()
     ])
+
+
+def _multistart(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
+                objective: Callable, starts: list, accept: Callable = _Run.result,
+                pen=None) -> tuple:
+    """:func:`_best` of the :func:`_outcomes` of ``starts``, which share
+    the penalties ``pen``."""
+    return _best(_outcomes(sample, K, opts, m_step, objective, starts,
+                           [pen] * len(starts)), accept)
+
+
+def _single_starts(sample: _Sample, K: int, opts: FitOptions, m_step: Callable,
+                   objective: Callable, starts: list, pens: list,
+                   accept: Callable = _Run.result) -> list:
+    """Per start of ``starts`` with its penalties in ``pens``, the outcome
+    of a fit with it as its only start: ``accept`` of its run, which
+    :func:`_multistart` would return as start 0's, or the
+    :class:`~mogge.model.FitFailedError` it would raise.  The starts run
+    together in the batches of :func:`_outcomes`."""
+    out = []
+    for outcome in _outcomes(sample, K, opts, m_step, objective, starts, pens):
+        try:
+            out.append(_best([outcome], accept)[1])
+        except FitFailedError as exc:
+            out.append(exc)
+    return out
 
 
 def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
@@ -536,5 +589,5 @@ def fit_em(data: DataSet, K: int, opts: FitOptions | None = None,
     fails a :class:`~mogge.model.FitFailedError` carries all diagnoses.
     """
     opts, K, sample = opts or FitOptions(), _integral("K", K), _Sample.of(data)
-    return _multistart(sample, K, opts, _ml_m_step, lambda loglik, s: loglik,
+    return _multistart(sample, K, opts, _ml_m_step, lambda loglik, s, pen: loglik,
                        _seeded(sample, K, opts, diagonal_gating))[1]

@@ -35,7 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import FitOptions, FitResult, _component_masses, _integral, _multistart, _seeded
+from .em import (
+    FitOptions,
+    FitResult,
+    _component_masses,
+    _integral,
+    _multistart,
+    _seeded,
+    _single_starts,
+)
 from .model import (
     VARIANCE_FLOOR,
     DataSet,
@@ -93,9 +101,10 @@ def _soft_threshold(u: np.ndarray, eta) -> np.ndarray:
 
 
 def _gating_means(X: np.ndarray, T: np.ndarray, nk: np.ndarray, R_prev: np.ndarray,
-                  gamma: float) -> np.ndarray:
+                  gamma) -> np.ndarray:
     """Stacked soft-threshold gating means (K, p) from the (K, n)
-    responsibilities ``T``, lagged variances ``R_prev``."""
+    responsibilities ``T``, lagged variances ``R_prev`` and ``gamma``, a
+    number or an array broadcasting against them."""
     return _soft_threshold(_dot(T, X), gamma * R_prev) / nk[..., None]
 
 
@@ -195,11 +204,11 @@ def _active_set(G: np.ndarray, c: np.ndarray, eta: float, beta: np.ndarray,
 
 
 def _expert_coeffs(sample: _Sample, T: np.ndarray, b0: np.ndarray, sigma2: np.ndarray,
-                   beta: np.ndarray, lam: float,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   beta: np.ndarray, lam, out: np.ndarray | None = None) -> np.ndarray:
     """Lasso coefficients (K, p) of the experts weighted by ``T`` (K, n),
     from ``beta`` (K, p) with the lagged intercepts ``b0`` and variances
-    ``sigma2`` (K,): the certified step, and the active-set rounds from
+    ``sigma2`` (K,) and ``lam``, a number or an array broadcasting against
+    them: the certified step, and the active-set rounds from
     ``beta`` for the experts it does not certify.  Each ``G_jj`` gets the
     ridge ``p * eps * G_jj``, or 1 where it is 0: column j of G is 0 there,
     and coordinate j of the minimizer 0 whatever the ridge.  The (K, p, n)
@@ -304,34 +313,47 @@ def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
 
 
 def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
-                  penalty: PenaltyConfig, out: np.ndarray, r2: np.ndarray) -> _Stack:
+                  pen: np.ndarray, work: np.ndarray, r2: np.ndarray) -> _Stack:
     """Closed-form mixing weights, soft-threshold gating means, floored
     gating variances, then for all experts of the (S, K) stack at once the
     lasso coefficients (certified step, active-set rounds where it fails)
-    and the intercepts and variances.  The (K, p, n) temporaries of the
-    coefficients and of the variances are written into ``out``, one after
-    the other: ``out`` ends holding the squared deviations of X from the
-    new gating means, and ``r2`` (K, n) the experts' residual squares, the
-    E-step's first pass at the result."""
-    mu = _gating_means(sample.X, T, nk, s.R, penalty.gamma)
-    beta = _expert_coeffs(sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0],
-                          penalty.lam, out)
+    and the intercepts and variances, each start with its own penalties,
+    the row ``(lam, gamma)`` of ``pen`` (S, 2).  The (K, p, n) temporaries
+    of the coefficients and of the variances are written into ``work[0]``,
+    one after the other: it ends holding the squared deviations of X from
+    the new gating means, and ``r2`` (K, n) the experts' residual squares,
+    the E-step's first pass at the result."""
+    lam, gamma = pen[:, :1], pen[:, 1:]  # (S, 1): every product is elementwise
+    mu = _gating_means(sample.X, T, nk, s.R, gamma[..., None])
+    beta = _expert_coeffs(sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0], lam,
+                          work[0])
     b0, sigma2 = _intercepts_variances(sample, T, nk, beta, r2)
     return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu,
-                  _gating_variances(sample.XT, T, nk, mu, out),
+                  _gating_variances(sample.XT, T, nk, mu, work[0]),
                   b0[..., None], beta[..., None], sigma2[..., None, None])
+
+
+def _lasso_objective(loglik: np.ndarray, s: _Stack, pen: np.ndarray) -> np.ndarray:
+    """The penalized objective of each start, with its row of ``pen``."""
+    return _penalize(loglik, s, pen[:, 0], pen[:, 1])
 
 
 def _fit_lasso(sample: _Sample, K: int, penalty: PenaltyConfig, opts: FitOptions,
                starts: list, **accept) -> tuple:
-    """:func:`~mogge.em._multistart` of ``starts`` with the lasso M-step and objective."""
-    return _multistart(
-        sample, K, opts,
-        lambda sample, T, nk, s, work, r2: _lasso_m_step(sample, T, nk, s, penalty, work[0],
-                                                         r2),
-        lambda loglik, s: _penalize(loglik, s, penalty.lam, penalty.gamma),
-        starts, **accept,
-    )
+    """:func:`~mogge.em._multistart` of ``starts`` with the lasso M-step and
+    objective at ``penalty``."""
+    return _multistart(sample, K, opts, _lasso_m_step, _lasso_objective, starts,
+                       pen=np.array([penalty.lam, penalty.gamma]), **accept)
+
+
+def _fit_lasso_rows(sample: _Sample, K: int, penalties: list, opts: FitOptions,
+                    starts: list, **accept) -> list:
+    """Per penalty of ``penalties`` and start of ``starts``, the run
+    :func:`_fit_lasso` returns or the failure it raises with that start
+    alone: the fits run together, in the batches of
+    :func:`~mogge.em._outcomes`."""
+    return _single_starts(sample, K, opts, _lasso_m_step, _lasso_objective, starts,
+                          [np.array([p.lam, p.gamma]) for p in penalties], **accept)
 
 
 def fit_em_lasso(data: DataSet, K: int, penalty: PenaltyConfig,

@@ -724,8 +724,10 @@ def penalized_loglik(data: DataSet, params: MoggeParams,
     return float(_penalize(_e_step(_Sample.of(data), s)[0], s, lam, gamma))
 
 
-def _penalize(loglik: np.ndarray, s: _Stack, lam: float, gamma: float) -> np.ndarray:
-    """``loglik`` minus the L1 penalty on expert coefficients and gating means."""
+def _penalize(loglik: np.ndarray, s: _Stack, lam, gamma) -> np.ndarray:
+    """``loglik`` minus the L1 penalty on expert coefficients and gating
+    means; ``lam`` and ``gamma`` are numbers, or (S,) arrays for a stack of
+    S starts, one penalty each."""
     return loglik - lam * np.abs(s.B).sum((-3, -2, -1)) - gamma * np.abs(s.mu).sum((-2, -1))
 
 

@@ -4,13 +4,17 @@ The criterion is the unpenalized joint log-likelihood evaluated at the
 penalized estimate minus ``df * log(n) / 2``, where ``df`` counts every
 free parameter whose estimate is nonzero (mixing weights, nonzero gating
 means, diagonal gating variances, nonzero expert coefficients, expert
-intercepts and variances).  The grid is swept per K in decreasing
-(lambda, gamma) order with warm starts along the chain; the first, most
-heavily penalized point of each K gets the full multi-start treatment.
-The chain driver, shared with ``lasso-path``, builds the seeded starts
-once per K, carries each point's unchecked run to the next, checks its
-stack with the stacked validator and counts ``df`` on it; only the
-selected row builds a :class:`~mogge.em.FitResult`.
+intercepts and variances).  The warm grid of each K is one chain over
+decreasing lambda at the smallest gamma, whose first point, (lambda_max,
+gamma_min), alone gets the full multi-start treatment, and then one
+batch of warm single-start fits per further gamma, in increasing order,
+each from the same lambda at the previous gamma: 11 sequential steps for
+a 6 x 6 grid instead of 36.  The rows come out in decreasing (lambda,
+gamma) order either way.  The chain driver, shared with ``lasso-path``,
+builds the seeded starts once per K, carries each point's unchecked run
+to the next, checks its stack with the stacked validator and counts
+``df`` on it; only the selected row builds a
+:class:`~mogge.em.FitResult`.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import FitOptions, FitResult, _integral, _seeded
-from .em_lasso import PenaltyConfig, _fit_lasso
+from .em import FitOptions, FitResult, _integral, _Run, _seeded
+from .em_lasso import PenaltyConfig, _fit_lasso, _fit_lasso_rows
 from .metrics import match_components
 from .model import (
     DataSet,
@@ -138,6 +142,50 @@ def _selection_order(rows: list[SelectionRow]) -> int:
     return min(candidates)[4]
 
 
+def _prepared(data: DataSet, K: int, pairs, opts: FitOptions) -> tuple:
+    """The sample, the seeded starts and the penalties of the (lambda,
+    gamma) ``pairs`` of one K, every penalty checked before the starts are
+    built."""
+    if data.d != 1:
+        raise UnsupportedConfigError("penalized fitting requires d = 1")
+    penalties = [PenaltyConfig(lam=lam, gamma=gamma) for lam, gamma in pairs]
+    sample = _Sample.of(data)
+    return sample, _seeded(sample, K, opts, True), penalties
+
+
+def _checked(run: _Run) -> _Run:
+    """``run``, once its stack passes the stacked validator."""
+    run.s.check()
+    return run
+
+
+def _point(sample: _Sample, K: int, penalty: PenaltyConfig, opts: FitOptions, starts: list,
+           prev: _Run | None = None):
+    """The checked run of the fit of ``starts`` at ``penalty``, or its
+    failure; a winner other than start 0, the warm start ``prev`` when
+    there is one, is relabeled toward it."""
+    try:
+        start, run = _fit_lasso(sample, K, penalty, opts, starts, accept=_checked)
+    except FitFailedError as exc:
+        return exc
+    if start > 0 and prev is not None:
+        order = match_components(prev.s.params(), run.s.params())
+        run = run._replace(s=run.s.take(order), T=run.T[order])
+    return run
+
+
+def _walk(sample: _Sample, K: int, seeded: list, penalties: list, opts: FitOptions,
+          warm: bool, refit: bool):
+    """:func:`_chain` of the prepared ``sample``, ``seeded`` and ``penalties``."""
+    prev = None
+    for penalty in penalties:
+        starts = seeded if prev is None else ([prev] + seeded if refit else [prev])
+        run = _point(sample, K, penalty, opts, starts, prev)
+        if warm and isinstance(run, _Run):
+            prev = run
+        yield penalty.lam, penalty.gamma, run
+
+
 def _chain(data: DataSet, K: int, pairs, opts: FitOptions, warm: bool, refit: bool):
     """Fit the (lambda, gamma) ``pairs`` of one K in order; yields each pair
     with its checked, unbuilt :class:`~mogge.em._Run` or its failure.  The
@@ -147,57 +195,85 @@ def _chain(data: DataSet, K: int, pairs, opts: FitOptions, warm: bool, refit: bo
     none or, with ``refit``, at every point, and a seeded winner is
     relabeled toward it.  Without ``refit`` the run starts alone, from its
     last E-step instead of running that E-step again."""
-    if data.d != 1:
-        raise UnsupportedConfigError("penalized fitting requires d = 1")
-    penalties = [PenaltyConfig(lam=lam, gamma=gamma) for lam, gamma in pairs]
-    sample = _Sample.of(data)
-    seeded, prev = _seeded(sample, K, opts, True), None
-    for penalty in penalties:
-        starts = seeded if prev is None else ([prev] + seeded if refit else [prev])
-        try:
-            start, run = _fit_lasso(sample, K, penalty, opts, starts,
-                                    accept=lambda run: run.s.check() or run)  # check(): None
-        except FitFailedError as exc:
-            yield penalty.lam, penalty.gamma, exc
-            continue
-        if start > 0 and prev is not None:
-            order = match_components(prev.s.params(), run.s.params())
-            run = run._replace(s=run.s.take(order), T=run.T[order])
-        if warm:
-            prev = run
-        yield penalty.lam, penalty.gamma, run
+    sample, seeded, penalties = _prepared(data, K, pairs, opts)
+    yield from _walk(sample, K, seeded, penalties, opts, warm, refit)
+
+
+def _warm_grid(data: DataSet, K: int, lambdas, gammas, opts: FitOptions):
+    """The warm walk of one K over the grid ``lambdas`` x ``gammas``;
+    yields each pair with its run or failure, as :func:`_chain` does.
+
+    First the chain over lambda, decreasing, at the smallest gamma: its
+    first point runs the seeded starts, each later one starts alone from
+    the last good point's run.  Then each further gamma, increasing, is
+    one batch of single-start fits, one per lambda, which
+    :func:`~mogge.em_lasso._fit_lasso_rows` runs together: each starts
+    from the last good run of its lambda, which is the one at the
+    previous gamma unless that failed, or, with none, from the one its
+    chain point started from; a lambda with neither runs the seeded
+    starts.  So a 6 x 6 grid takes 11 sequential steps, not 36: a lambda
+    step moves the experts, whose intercepts lag, through many
+    iterations, a gamma step through few, so the chain takes the lambda
+    steps and the batches the gamma steps."""
+    lams = sorted(lambdas, reverse=True)
+    sample, seeded, penalties = _prepared(
+        data, K, [(lam, gamma) for gamma in sorted(gammas) for lam in lams], opts)
+    source, last = {}, None  # per lambda, the run its next point starts from
+    for lam, gamma, run in _walk(sample, K, seeded, penalties[:len(lams)], opts,
+                                 warm=True, refit=False):
+        source[lam] = last = run if isinstance(run, _Run) else last
+        yield lam, gamma, run
+    for lo in range(len(lams), len(penalties), len(lams)):
+        batch = penalties[lo:lo + len(lams)]
+        warm = [penalty for penalty in batch if source[penalty.lam] is not None]
+        runs = dict(zip(warm, _fit_lasso_rows(sample, K, warm, opts,
+                                              [source[penalty.lam] for penalty in warm],
+                                              accept=_checked)))
+        for penalty in batch:
+            run = runs[penalty] if penalty in runs else _point(sample, K, penalty, opts,
+                                                               seeded)
+            if isinstance(run, _Run):
+                source[penalty.lam] = run
+            yield penalty.lam, penalty.gamma, run
 
 
 def grid_search(data: DataSet, grid: GridSpec, opts: FitOptions | None = None,
                 warm_start: bool = True) -> SelectionTable:
     """Fit every (K, lambda, gamma) triplet and select the max-BIC one.
 
-    With ``warm_start`` (the default) each K sweeps its penalty pairs in
-    decreasing (lambda, gamma) order, starting every fit from the
-    previous point's solution; only the first point per K runs the full
-    multi-start.  ``warm_start=False`` refits every point cold.  Rows are
-    checked by the stacked validator; only the selected one builds its
-    result, ``best_fit``.  Triplets whose fits raise
+    With ``warm_start`` (the default) each K walks its grid as
+    :func:`_warm_grid` does: a chain over decreasing lambda at the
+    smallest gamma, whose first point alone runs the full multi-start,
+    then one batch of warm single-start fits per further gamma, in
+    increasing order, each from the same lambda at the previous gamma.
+    ``warm_start=False`` refits every point cold.  Either way the rows
+    come out in decreasing (lambda, gamma) order per K.  Rows are checked
+    by the stacked validator; only the selected one builds its result,
+    ``best_fit``.  Triplets whose fits raise
     :class:`~mogge.model.FitFailedError` (kept as ``failure``) or do not
     converge get ``converged=False`` and are not selected; if none is
     left, the error is raised from the first failure.
     """
+    opts = opts or FitOptions()
     pairs = sorted(((lam, gamma) for lam in grid.lambdas for gamma in grid.gammas),
                    key=lambda t: (-t[0], -t[1]))
-    rows: list[SelectionRow] = []
+    place = {pair: i for i, pair in enumerate(pairs)}  # a pair's row within its K
+    rows: list = [None] * (len(grid.Ks) * len(pairs))
     best = None  # (selection key, run) of the best row so far
     logn_half = math.log(data.n) / 2.0
-    for K in grid.Ks:
-        for lam, gamma, run in _chain(data, K, pairs, opts or FitOptions(),
-                                      warm=warm_start, refit=False):
+    for base, K in zip(range(0, len(rows), len(pairs)), grid.Ks):
+        walk = (_warm_grid(data, K, grid.lambdas, grid.gammas, opts) if warm_start
+                else _chain(data, K, pairs, opts, warm=False, refit=False))
+        for lam, gamma, run in walk:
+            i = base + place[lam, gamma]
             if isinstance(run, FitFailedError):
-                rows.append(SelectionRow(K, lam, gamma, float("nan"), 0, float("nan"),
-                                         False, failure=run))
+                rows[i] = SelectionRow(K, lam, gamma, float("nan"), 0, float("nan"), False,
+                                       failure=run)
                 continue
             df = _df(run.s)
-            rows.append(SelectionRow(K, lam, gamma, run.loglik, df,
-                                     run.loglik - df * logn_half, run.converged))
-            key = _selection_key(len(rows) - 1, rows[-1])
+            rows[i] = SelectionRow(K, lam, gamma, run.loglik, df, run.loglik - df * logn_half,
+                                   run.converged)
+            key = _selection_key(i, rows[i])
             if key is not None and (best is None or key < best[0]):
                 best = key, run
     return SelectionTable(tuple(rows), _selection_order(rows), best[1].result())

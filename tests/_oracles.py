@@ -405,9 +405,15 @@ def kkt_residuals_gate(X, tau_k, mu, nu2, gamma):
 
 def grid_search_per_row(data, grid, opts, warm_start=True):
     """The grid search as one public fit per row: ``fit_em_lasso`` on each
-    (K, lambda, gamma) triplet in decreasing penalty order, warm-started
-    from the last fit that did not fail, ``count_df`` on the checked
-    parameters, and the max-BIC row by ``_selection_order``."""
+    (K, lambda, gamma) triplet, ``count_df`` on the checked parameters,
+    the rows in decreasing penalty order, and the max-BIC row by
+    ``_selection_order``.  Cold, every row runs the seeded starts.  Warm,
+    each row is warm-started from its source, the parameters of an
+    earlier row that did not fail: at the smallest gamma, the rows form a
+    chain over decreasing lambda, each from the last chain row before it;
+    at every further gamma, in increasing order, each row starts from the
+    last row of its lambda, or, with none, from its chain row's source;
+    a row with no source at all runs the seeded starts."""
     from mogge.em_lasso import PenaltyConfig, fit_em_lasso
     from mogge.model import FitFailedError
     from mogge.selection import SelectionRow, SelectionTable, _selection_order, count_df
@@ -416,24 +422,30 @@ def grid_search_per_row(data, grid, opts, warm_start=True):
     logn_half = math.log(data.n) / 2.0
     pairs = sorted(((lam, gamma) for lam in grid.lambdas for gamma in grid.gammas),
                    key=lambda t: (-t[0], -t[1]))
+    lambdas, gammas = sorted(grid.lambdas, reverse=True), sorted(grid.gammas)
     for K in grid.Ks:
-        prev_params = None
-        for lam, gamma in pairs:
-            penalty = PenaltyConfig(lam=lam, gamma=gamma)
-            try:
-                fit = fit_em_lasso(data, K, penalty, opts,
-                                   warm_start=prev_params if warm_start else None)
-            except FitFailedError as exc:
-                rows.append(SelectionRow(K, lam, gamma, float("nan"), 0, float("nan"),
-                                         False, failure=exc))
-                fits.append(None)
-                continue
-            df = count_df(fit.params)
-            rows.append(SelectionRow(K, lam, gamma, fit.loglik, df,
-                                     fit.loglik - df * logn_half, fit.converged))
-            fits.append(fit)
-            if warm_start:
-                prev_params = fit.params
+        done, source, chain = {}, {}, None
+        for gamma in gammas:
+            for lam in lambdas:
+                if gamma == gammas[0]:
+                    source[lam] = chain
+                try:
+                    fit = fit_em_lasso(data, K, PenaltyConfig(lam=lam, gamma=gamma), opts,
+                                       warm_start=source[lam] if warm_start else None)
+                except FitFailedError as exc:
+                    done[lam, gamma] = SelectionRow(K, lam, gamma, float("nan"), 0,
+                                                    float("nan"), False, failure=exc), None
+                    continue
+                df = count_df(fit.params)
+                done[lam, gamma] = SelectionRow(K, lam, gamma, fit.loglik, df,
+                                                fit.loglik - df * logn_half,
+                                                fit.converged), fit
+                source[lam] = fit.params
+                if gamma == gammas[0]:
+                    chain = fit.params
+        for pair in pairs:
+            rows.append(done[pair][0])
+            fits.append(done[pair][1])
     selected = _selection_order(rows)
     return SelectionTable(rows=tuple(rows), selected=selected, best_fit=fits[selected])
 

@@ -33,7 +33,9 @@ the true ones, ``objective`` the fit's best objective (for ``select``,
 of its selected fit) and ``labels`` the first 12 hex digits of the
 sha256 of the Bayes labels renumbered in order of first appearance, so
 that equal partitions under any labeling print the same digits; a failed
-fit prints its type instead.
+fit prints its type instead.  A ``select`` line goes on with the
+selected row's ``<lambda> <gamma> <df> <bic>``, so that two trees'
+selections diff input by input too.
 
 Two source trees give the same bits (or the same answers) on these fits
 exactly when they print the same bit lines (or answers lines): point
@@ -122,9 +124,10 @@ def digests(seed: int) -> tuple[dict[str, str], list[str]]:
     datasets = [data for data, _ in inputs]
     out, lines = {}, []
 
-    def listed(name, fits):
-        lines.extend(_per_input(name, r, *inp, fit)
-                     for r, (inp, fit) in enumerate(zip(inputs, fits)))
+    def listed(name, fits, tails=None):
+        lines.extend(_per_input(name, r, *inp, fit) + tail
+                     for r, (inp, fit, tail) in enumerate(zip(
+                         inputs, fits, tails or [""] * len(fits))))
         return fits
 
     for layout, diagonal in LAYOUTS:
@@ -135,7 +138,9 @@ def digests(seed: int) -> tuple[dict[str, str], list[str]]:
     tables = [mogge.grid_search(data, grid, opts=mogge.FitOptions(
         n_starts=5, seed=mogge.replicate_seed(seed, r)))
         for r, data in enumerate(datasets[:SELECT_INPUTS])]
-    listed("select", [table.best_fit for table in tables])
+    listed("select", [table.best_fit for table in tables], [
+        f" {row.lam!r} {row.gamma!r} {row.df} {row.bic!r}"
+        for row in (table.selected_row for table in tables)])
     out["select"] = bit_digest(*tables)
     out["select-answers"] = answers_digest(map(_select_answers, datasets, tables))
     k45 = [listed(f"k45-K{K}-{layout}", _fits(inputs, seed, K, diagonal))

@@ -51,6 +51,25 @@ def _assert_same_fit(a, b):
 GRID = GridSpec(Ks=(1, 2, 3), lambdas=(0.0, 4.0, 8.0), gammas=(0.0, 4.0))
 
 
+def _failing_at(how="check", **penalty):
+    """A lasso M-step that fails every start whose penalties match
+    ``penalty`` (``lam``, ``gamma`` or both): with ``how="check"`` it
+    returns their expert variances below the floor, so that they fail
+    their checks, with ``how="raise"`` it raises while any of them is in
+    the batch.  The other starts keep their bits."""
+    real_step, column = em_lasso._lasso_m_step, {"lam": 0, "gamma": 1}
+
+    def failing(sample, T, nk, s, pen, *buffers):
+        hit = np.all([pen[:, column[k]] == v for k, v in penalty.items()], axis=0)
+        if how == "raise" and hit.any():
+            raise FloatingPointError("injected")
+        new = real_step(sample, T, nk, s, pen, *buffers)
+        return new._replace(Sigma=np.where(hit[:, None, None, None], 0.1 * VARIANCE_FLOOR,
+                                           new.Sigma))
+
+    return failing
+
+
 class TestChainEqualsOneFitPerRow:
     @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -79,15 +98,7 @@ class TestChainEqualsOneFitPerRow:
     def test_a_row_failing_its_check(self, monkeypatch):
         # the M-step of one row returns expert variances below the floor:
         # that row fails its check, and the next row starts from the one before
-        real_step = em_lasso._lasso_m_step
-
-        def floored(sample, T, nk, s, penalty, *buffers):
-            new = real_step(sample, T, nk, s, penalty, *buffers)
-            if penalty.lam == 4.0:
-                return new._replace(Sigma=np.full_like(new.Sigma, 0.1 * VARIANCE_FLOOR))
-            return new
-
-        monkeypatch.setattr(em_lasso, "_lasso_m_step", floored)
+        monkeypatch.setattr(em_lasso, "_lasso_m_step", _failing_at(lam=4.0))
         real_fit, calls = selection._fit_lasso, []
 
         def recorded(*args, **kwargs):
@@ -111,6 +122,46 @@ class TestChainEqualsOneFitPerRow:
         monkeypatch.setattr(selection, "_fit_lasso", real_fit)
         oracle = grid_search_per_row(data, grid, opts)
         assert [_row_bits(r) for r in table.rows] == [_row_bits(r) for r in oracle.rows]
+
+    @pytest.mark.parametrize("how, error", [("check", "NotPositiveDefiniteError"),
+                                            ("raise", "FloatingPointError")])
+    def test_a_batched_row_failing(self, monkeypatch, how, error):
+        # the row (4, 2) of a batch fails its check, or raises inside the
+        # batch, which then runs each of its rows alone: it keeps the
+        # failure of a fit with one start, the other rows of its batch
+        # their bits, and the row (4, 3) starts from (4, 1)
+        monkeypatch.setattr(em_lasso, "_lasso_m_step", _failing_at(how, lam=4.0, gamma=2.0))
+        real_rows, batches = selection._fit_lasso_rows, []
+
+        def recorded(sample, K, penalties, opts, starts, **kwargs):
+            out = real_rows(sample, K, penalties, opts, starts, **kwargs)
+            batches.append(([(p.lam, p.gamma) for p in penalties], starts, out))
+            return out
+
+        monkeypatch.setattr(selection, "_fit_lasso_rows", recorded)
+        runs = _count(monkeypatch, "_run_em")
+        data, opts = _instance(3), FitOptions(n_starts=3, seed=3, max_iter=200)
+        grid = GridSpec(Ks=(2,), lambdas=(0.0, 4.0, 8.0), gammas=(1.0, 2.0, 3.0))
+        table = grid_search(data, grid, opts=opts)
+        assert [pairs for pairs, _, _ in batches] == [
+            [(8.0, g), (4.0, g), (0.0, g)] for g in (2.0, 3.0)]
+        # the chain's three points and the two batches, the first again one row at a time
+        assert len(runs) == 3 + 2 + (3 if how == "raise" else 0)
+        failed = table.rows[4]
+        assert (failed.lam, failed.gamma) == (4.0, 2.0)
+        assert not failed.converged and np.isnan(failed.bic)
+        assert str(failed.failure) == "all 1 starts failed"
+        assert len(failed.failure.diagnoses) == 1
+        assert failed.failure.diagnoses[0].startswith(f"start 0: {error}: ")
+        assert batches[0][2][1] is failed.failure
+        assert batches[1][1][1] is batches[0][1][1]  # (4, 3) from (4, 1)
+        assert sum(r.converged for r in table.rows) == 8
+
+        monkeypatch.setattr(selection, "_fit_lasso_rows", real_rows)
+        oracle = grid_search_per_row(data, grid, opts)
+        assert [_row_bits(r) for r in table.rows] == [_row_bits(r) for r in oracle.rows]
+        assert table.selected == oracle.selected
+        _assert_same_fit(table.best_fit, oracle.best_fit)
 
     def test_only_the_selected_row_builds_its_result(self, monkeypatch):
         data, built = _instance(4), [0]
@@ -143,15 +194,15 @@ def _corrupt(data, fields):
 
 
 def _without_carry(monkeypatch):
-    """Make the chain run the first E-step of every warm start again: the
+    """Make the grid run the first E-step of every warm start again: the
     fits get the stack of each earlier run in its place."""
-    real = selection._fit_lasso
+    for name in ("_fit_lasso", "_fit_lasso_rows"):
+        def uncarried(sample, K, penalty, opts, starts, real=getattr(selection, name),
+                      **kwargs):
+            starts = [s.s if isinstance(s, em._Run) else s for s in starts]
+            return real(sample, K, penalty, opts, starts, **kwargs)
 
-    def uncarried(sample, K, penalty, opts, starts, **kwargs):
-        starts = [s.s if isinstance(s, em._Run) else s for s in starts]
-        return real(sample, K, penalty, opts, starts, **kwargs)
-
-    monkeypatch.setattr(selection, "_fit_lasso", uncarried)
+        monkeypatch.setattr(selection, name, uncarried)
 
 
 def _count(monkeypatch, name):
@@ -167,33 +218,38 @@ def _count(monkeypatch, name):
 
 
 class TestChainCarry:
-    """A warm start, the earlier run given as the only start, takes its
-    first E-step from that run: one E-step fewer per warm row, and the
-    same bits."""
+    """A warm start, an earlier run given as a start of its own, takes its
+    first E-step from that run: a batch of warm starts only, a chain
+    point's lone one or the warm rows of a grid's batch, runs one E-step
+    fewer, and the same bits."""
 
     @pytest.mark.parametrize("Ks, n, values", [
         ((2,), 300, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)),
         ((1, 2, 3), 100, (0.0, 4.0, 8.0)),
     ], ids=["6x6-grid", "three-K"])
-    def test_e_steps_fall_by_the_warm_rows(self, monkeypatch, Ks, n, values):
+    def test_e_steps_fall_by_the_warm_batches(self, monkeypatch, Ks, n, values):
         data, _ = sample_dataset(default_scenario(n=n, seed=3))
         grid, opts = GridSpec(Ks=Ks, lambdas=values, gammas=values), FitOptions(
             n_starts=5, seed=3)
-        real, warm_rows = selection._fit_lasso, []
+        warm_rows, warm_batches = [], []
+        for name in ("_fit_lasso", "_fit_lasso_rows"):
+            def recorded(*args, real=getattr(selection, name), **kwargs):
+                warm = [isinstance(start, em._Run) for start in args[4]]
+                warm_rows.extend(warm)
+                warm_batches.append(all(warm))
+                return real(*args, **kwargs)
 
-        def recorded(*args, **kwargs):
-            warm_rows.append(isinstance(args[4][0], em._Run))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(selection, "_fit_lasso", recorded)
+            monkeypatch.setattr(selection, name, recorded)
         e_steps = _count(monkeypatch, "_e_step")
         carried = grid_search(data, grid, opts=opts)
-        with_carry, warm = len(e_steps), sum(warm_rows)
+        with_carry, warm, batches = len(e_steps), sum(warm_rows), sum(warm_batches)
         _without_carry(monkeypatch)
         del e_steps[:]
         plain = grid_search(data, grid, opts=opts)
         assert warm == len(Ks) * (len(values) ** 2 - 1)
-        assert len(e_steps) - with_carry == warm
+        # per K, the chain's warm points and one batch per further gamma
+        assert batches == len(Ks) * 2 * (len(values) - 1)
+        assert len(e_steps) - with_carry == batches
         assert [_row_bits(r) for r in carried.rows] == [_row_bits(r) for r in plain.rows]
         assert carried.selected == plain.selected
         _assert_same_fit(carried.best_fit, plain.best_fit)

@@ -59,6 +59,16 @@ from conftest import random_params, random_tau, sample_from_params
 PENALTY = PenaltyConfig(lam=1.0, gamma=0.5)
 
 
+def _pen(S, penalty=PENALTY):
+    """The (S, 2) penalties of S starts that share ``penalty``."""
+    return np.tile([penalty.lam, penalty.gamma], (S, 1))
+
+
+def _rows(pen, index):
+    """Rows ``index`` of the penalties ``pen``, which may be None."""
+    return None if pen is None else pen[index]
+
+
 def _instance(seed, n=60, p=3, spread=3.0):
     rng = np.random.default_rng(seed)
     truth = random_params(rng, K=2, p=p, diagonal=True, spread=spread)
@@ -465,12 +475,16 @@ def batches(monkeypatch):
 
 
 def _alone(args, i):
-    """The outcome of start i of a recorded batch, run as a batch of one:
-    its run, or the start failure it raises."""
-    sample, s, *rest = args
+    """The outcome of start i of a recorded batch, run as a batch of one,
+    with its own carry and penalties: its run, or the start failure it
+    raises."""
+    sample, s, opts, m_step, objective, carry, pen = args
+    one = slice(i, i + 1)
     with np.errstate(over="raise", invalid="raise"):
         try:
-            (out,) = RUN_EM(sample, s.take(slice(i, i + 1)), *rest)
+            (out,) = RUN_EM(sample, s.take(one), opts, m_step, objective,
+                            None if carry is None else tuple(x[one] for x in carry),
+                            _rows(pen, one))
         except em._START_FAILURES as exc:
             return exc
     return out
@@ -672,13 +686,118 @@ class TestBatchedStarts:
         _, T = model._e_step(sample, s)
         nk = T.sum(axis=-1)
         work, r2 = np.empty((*s.mu.shape, data.n)), np.empty((*s.alpha.shape, data.n))
-        batch = em_lasso._lasso_m_step(sample, T, nk, s, PENALTY, work, r2)
+        batch = em_lasso._lasso_m_step(sample, T, nk, s, _pen(3), work[None], r2)
         for i in range(3):
-            alone = em_lasso._lasso_m_step(sample, T[[i]], nk[[i]], s.take([i]), PENALTY,
-                                           work[:1], r2[:1])
+            alone = em_lasso._lasso_m_step(sample, T[[i]], nk[[i]], s.take([i]), _pen(1),
+                                           work[None, :1], r2[:1])
             for x, y in zip(batch, alone):
                 assert np.array_equal(x[i], y[0])
         assert batch.B[1, 0, 1, 0] == 0.0  # the rounds drop it
+
+
+# six starts, each with penalties of its own: lam and gamma apart, zero,
+# and penalties that zero every coefficient and mean
+SIX_PENALTIES = [PenaltyConfig(lam=lam, gamma=gamma) for lam, gamma in (
+    (0.0, 0.0), (1.0, 0.5), (3.0, 0.0), (0.0, 4.0), (7.5, 2.25), (1e4, 1e4))]
+
+
+def _scalar_lasso(penalty):
+    """The lasso M-step and objective of one start with the scalar
+    penalties ``penalty``, composed from the kernels as the fit ran them
+    before penalties had a start axis: the reference for a start alone."""
+    def m_step(sample, T, nk, s, pen, work, r2):
+        mu = em_lasso._gating_means(sample.X, T, nk, s.R, penalty.gamma)
+        beta = em_lasso._expert_coeffs(sample, T, s.a[..., 0], s.Sigma[..., 0, 0],
+                                       s.B[..., 0], penalty.lam, work[0])
+        b0, sigma2 = em_lasso._intercepts_variances(sample, T, nk, beta, r2)
+        return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu,
+                      em_lasso._gating_variances(sample.XT, T, nk, mu, work[0]),
+                      b0[..., None], beta[..., None], sigma2[..., None, None])
+
+    def objective(loglik, s, pen):
+        return model._penalize(loglik, s, penalty.lam, penalty.gamma)
+
+    return m_step, objective
+
+
+def _six_starts(data, seed=0):
+    """Six seeded stacks of ``data`` with diagonal gating, along a start axis."""
+    return _Stack(*map(np.stack, zip(*(
+        _Stack.of(init_params(data, 2, seed=seed + i, diagonal_gating=True))
+        for i in range(6)))))
+
+
+class TestPenaltiesOnTheStartAxis:
+    """Penalties carried as (S, 2) rows beside the stack: a batch of six
+    starts, each with penalties of its own, gives every start the bits of
+    its run alone with scalar penalties, in the M-step, the objective,
+    whole runs, and a start run again alone from its own carry."""
+
+    def test_m_step_and_objective(self):
+        data = _instance(21, n=80)
+        sample, s = model._Sample.of(data), _six_starts(data)
+        loglik, T = model._e_step(sample, s)
+        nk = T.sum(axis=-1)
+        pen = np.array([[p.lam, p.gamma] for p in SIX_PENALTIES])
+        work, r2 = np.empty((1, *s.mu.shape, data.n)), np.empty((*s.alpha.shape, data.n))
+        batch = em_lasso._lasso_m_step(sample, T, nk, s, pen, work, r2)
+        objective = em_lasso._lasso_objective(loglik, s, pen)
+        assert len(set(objective.tolist())) == 6
+        for i, penalty in enumerate(SIX_PENALTIES):
+            m_step, scalar_objective = _scalar_lasso(penalty)
+            one = slice(i, i + 1)
+            alone = m_step(sample, T[one], nk[one], s.take(one), None, work[:, :1], r2[:1])
+            for x, y in zip(batch, alone, strict=True):
+                assert x[i].tobytes() == y[0].tobytes()
+            assert objective[i] == scalar_objective(loglik[one], s.take(one), None)[0]
+        assert np.count_nonzero(batch.B[5]) == np.count_nonzero(batch.mu[5]) == 0
+
+    def test_whole_runs(self):
+        data, opts = _instance(22, n=80), FitOptions(max_iter=300)
+        sample, s = model._Sample.of(data), _six_starts(data, seed=10)
+        pen = np.array([[p.lam, p.gamma] for p in SIX_PENALTIES])
+        with np.errstate(over="raise", invalid="raise"):
+            runs = RUN_EM(sample, s, opts, em_lasso._lasso_m_step, em_lasso._lasso_objective,
+                          None, pen)
+            assert len({run.n_iter for run in runs}) > 1  # the penalties leave at different times
+            for i, penalty in enumerate(SIX_PENALTIES):
+                (alone,) = RUN_EM(sample, s.take(slice(i, i + 1)), opts,
+                                  *_scalar_lasso(penalty))
+                _assert_same_run(runs[i], alone)
+
+    def test_a_start_run_again_alone_from_its_own_carry(self, monkeypatch, batches):
+        # six earlier runs start a batch at new penalties; the start at
+        # (7.5, 2.25) raises in the batch's first M-step, so _batched runs
+        # each start alone, from its own carry and with its own penalties
+        data, opts = _instance(23, n=80), FitOptions(max_iter=300)
+        sample = model._Sample.of(data)
+        earlier = RUN_EM(sample, _six_starts(data, seed=20), opts, em_lasso._lasso_m_step,
+                         em_lasso._lasso_objective, None, _pen(6))
+        real_step = em_lasso._lasso_m_step
+
+        def raising(sample, T, nk, s, pen, *buffers):
+            if (pen[:, 0] == 7.5).any():
+                raise FloatingPointError("injected")
+            return real_step(sample, T, nk, s, pen, *buffers)
+
+        out = em._outcomes(sample, 2, opts, raising, em_lasso._lasso_objective, earlier,
+                           [np.array([p.lam, p.gamma]) for p in SIX_PENALTIES])
+        (args, raised), *rerun = batches
+        assert isinstance(raised, FloatingPointError) and len(args[1].alpha) == 6
+        assert [len(a[1].alpha) for a, _ in rerun] == [1] * 6
+        assert [type(o).__name__ for o in out] == ["_Run"] * 4 + ["FloatingPointError", "_Run"]
+        for i, ((rerun_args, _), penalty) in enumerate(zip(rerun, SIX_PENALTIES)):
+            carry = rerun_args[5]
+            assert carry[0].tolist() == [earlier[i].loglik]
+            assert carry[1].tobytes() == earlier[i].T[None].tobytes()
+            assert rerun_args[6].tolist() == [[penalty.lam, penalty.gamma]]
+            if i == 4:
+                continue
+            with np.errstate(over="raise", invalid="raise"):
+                (alone,) = RUN_EM(sample, em._stacked([earlier[i].s]), opts,
+                                  *_scalar_lasso(penalty),
+                                  (np.array([earlier[i].loglik]), earlier[i].T[None]))
+            _assert_same_run(out[i], alone)
 
 
 def _corrupt_start(field, index, value):
@@ -1096,7 +1215,7 @@ class TestWorkspace:
         for m in (3, 2):
             view, r2_view = np.full_like(work, np.nan)[:, :m], np.full_like(r2, np.nan)[:m]
             args = (sample, T[:m], nk[:m])
-            new = em._ml_m_step(*args, s.take(slice(0, m)), view, r2_view)
+            new = em._ml_m_step(*args, s.take(slice(0, m)), None, view, r2_view)
             *gating, C, D = em._gating_moments(*args, diagonal)
             _assert_same_bits(new, (*gating, *em._expert_regressions(*args, gating[1], C, D)))
             _assert_hand_off(sample, new, view, r2_view)
@@ -1117,7 +1236,7 @@ class TestWorkspace:
         mu = em_lasso._gating_means(sample.X, T, nk, s.R, PENALTY.gamma)
         beta = em_lasso._expert_coeffs(*args)
         b0, sigma2 = em_lasso._intercepts_variances(sample, T, nk, beta)
-        _assert_same_bits(em_lasso._lasso_m_step(sample, T, nk, s, PENALTY, work[0], r2),
+        _assert_same_bits(em_lasso._lasso_m_step(sample, T, nk, s, _pen(len(T)), work, r2),
                           (nk / nk.sum(axis=-1, keepdims=True), mu,
                            em_lasso._gating_variances(sample.XT, T, nk, mu),
                            b0[..., None], beta[..., None], sigma2[..., None, None]))
@@ -1128,8 +1247,8 @@ class TestWorkspace:
         # leading views of a compacted batch
         for m in (3, 2):
             view, r2_view = np.full_like(work, np.nan)[:, :m], np.full_like(r2, np.nan)[:m]
-            new = em_lasso._lasso_m_step(sample, T[:m], nk[:m], s.take(slice(0, m)), PENALTY,
-                                         view[0], r2_view)
+            new = em_lasso._lasso_m_step(sample, T[:m], nk[:m], s.take(slice(0, m)),
+                                         _pen(m), view, r2_view)
             _assert_hand_off(sample, new, view, r2_view)
 
     @pytest.mark.parametrize("fitter", sorted(FITTERS))

@@ -768,8 +768,9 @@ class TestActiveSet:
         def certified(sample, T, b0, sigma2, beta, lam, out=None):
             coeffs = real(sample, T, b0, sigma2, beta, lam, out)
             G, c = ridged_gram(sample.X, T, sample.YT[0], b0)
+            eta = lam * sigma2  # lam is one start's or (S, 1), a penalty per start
             for i in np.ndindex(T.shape[:-1]):
-                assert lasso_certified(G[i], c[i], lam * sigma2[i], coeffs[i])
+                assert lasso_certified(G[i], c[i], eta[i], coeffs[i])
                 checked.append(i)
             return coeffs
 
@@ -994,6 +995,7 @@ class TestMonotoneTraces:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_row_of_a_warm_grid(self, monkeypatch, seed):
+        # the chain's points, one fit each, and the rows of the batches
         traces = []
 
         def recorded(*args, **kwargs):
@@ -1001,8 +1003,14 @@ class TestMonotoneTraces:
             traces.append(run.trace)
             return start, run
 
-        real_fit = selection._fit_lasso
+        def recorded_rows(*args, **kwargs):
+            runs = real_rows(*args, **kwargs)
+            traces.extend(run.trace for run in runs)
+            return runs
+
+        real_fit, real_rows = selection._fit_lasso, selection._fit_lasso_rows
         monkeypatch.setattr(selection, "_fit_lasso", recorded)
+        monkeypatch.setattr(selection, "_fit_lasso_rows", recorded_rows)
         data, _ = sample_dataset(default_scenario(n=300, seed=seed))
         values = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
         grid_search(data, GridSpec(Ks=(2,), lambdas=values, gammas=values),

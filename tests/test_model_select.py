@@ -160,19 +160,26 @@ class TestGridSearch:
 
     def test_row_loglik_is_the_fits_own(self, monkeypatch):
         data = small_instance(seed=6)
-        real_fit = selection._fit_lasso
-        fits = []
+        real_fit, real_rows = selection._fit_lasso, selection._fit_lasso_rows
+        fits = {}  # (lam, gamma): run, from the chain's fits and the batches' rows
 
-        def recorded(*args, **kwargs):
-            fits.append(real_fit(*args, **kwargs))
-            return fits[-1]
+        def recorded(sample, K, penalty, *args, **kwargs):
+            start, fits[penalty.lam, penalty.gamma] = real_fit(sample, K, penalty, *args,
+                                                               **kwargs)
+            return start, fits[penalty.lam, penalty.gamma]
+
+        def recorded_rows(sample, K, penalties, *args, **kwargs):
+            runs = real_rows(sample, K, penalties, *args, **kwargs)
+            fits.update(((p.lam, p.gamma), run) for p, run in zip(penalties, runs))
+            return runs
 
         monkeypatch.setattr(selection, "_fit_lasso", recorded)
+        monkeypatch.setattr(selection, "_fit_lasso_rows", recorded_rows)
         grid = GridSpec(Ks=(2,), lambdas=(0.0, 4.0), gammas=(0.0, 4.0))
         table = grid_search(data, grid, opts=FitOptions(n_starts=2, seed=0))
         assert len(fits) == len(table.rows)
-        for row, (_, run) in zip(table.rows, fits):
-            assert row.loglik == joint_loglik(data, run.s.params())
+        for row in table.rows:
+            assert row.loglik == joint_loglik(data, fits[row.lam, row.gamma].s.params())
 
     def test_nested_grids_never_lower_selected_bic_cold(self):
         data = small_instance(seed=7)
