@@ -279,6 +279,22 @@ def _component_masses(T: np.ndarray) -> np.ndarray:
     return nk
 
 
+def _centred(sample: _Sample, T: np.ndarray, mu: np.ndarray,
+             work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The cross-moments ``C = D D'`` (K, p, p) of the root-weighted
+    deviations ``D = (x - mu) sqrt(tau)`` (K, p, n) of the columns of X
+    from ``mu`` (K, p) under the (K, n) responsibilities ``T``, and ``D``.
+    ``work`` ends holding the deviations ``x - mu`` in ``work[0]`` and
+    ``D`` in ``work[-1]``, over them when it holds one buffer; without
+    it ``D`` is the one (K, p, n) array allocated."""
+    diff = _into(np.subtract, sample.XT, mu[..., None], None if work is None else work[0])
+    # weighted by the root of T, then times its own transpose: numpy's
+    # matmul runs syrk there, half the work of a general product, and
+    # copies one triangle over the other, so C is exactly symmetric
+    D = np.multiply(diff, np.sqrt(T)[..., None, :], out=diff if work is None else work[-1])
+    return _dot(D, np.swapaxes(D, -1, -2)), D
+
+
 def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray, diagonal: bool,
                     work: np.ndarray | None = None,
                     jitter: float = COV_JITTER) -> tuple[np.ndarray, ...]:
@@ -295,19 +311,24 @@ def _gating_moments(sample: _Sample, T: np.ndarray, nk: np.ndarray, diagonal: bo
     the deviations from the new means, squared in place if ``diagonal``;
     without it ``D`` is the one (K, p, n) array allocated."""
     mu = _dot(T, sample.X) / nk[..., None]
-    diff = _into(np.subtract, sample.XT, mu[..., None], None if work is None else work[0])
-    # weighted by the root of T, then times its own transpose: numpy's
-    # matmul runs syrk there, half the work of a general product, and
-    # copies one triangle over the other, so C is exactly symmetric
-    D = np.multiply(diff, np.sqrt(T)[..., None, :], out=diff if work is None else work[1])
-    C = _dot(D, np.swapaxes(D, -1, -2))
+    C, D = _centred(sample, T, mu, work)
     if diagonal:
         R = np.diagonal(C, 0, -2, -1) / nk[..., None] + jitter
         if work is not None:
-            diff *= diff
+            work[0] *= work[0]
     else:
         R = C / nk[..., None, None] + jitter * _identity(mu.shape[-1])
     return nk / nk.sum(axis=-1, keepdims=True), mu, R, C, D
+
+
+def _centred_responses(sample: _Sample, T: np.ndarray, nk: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The weighted means ``ybar`` (K, d) of the responses under the (K, n)
+    responsibilities ``T`` with sums ``nk``, and the root-weighted
+    centred responses ``Yc = (y - ybar) sqrt(tau)`` (K, d, n)."""
+    ybar = _sum_products(T[..., None, :], sample.YT) / nk[..., None]
+    Yc = sample.YT - ybar[..., None]
+    Yc *= np.sqrt(T)[..., None, :]
+    return ybar, Yc
 
 
 def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray, mu: np.ndarray,
@@ -323,9 +344,7 @@ def _expert_regressions(sample: _Sample, T: np.ndarray, nk: np.ndarray, mu: np.n
     means; the intercepts (K, d) are ``ybar - B'mu``, and the covariances
     (K, d, d) the mean products of the rooted residuals ``E = Yc - B'D``,
     floored by :func:`_floor_spd`."""
-    ybar = _sum_products(T[..., None, :], sample.YT) / nk[..., None]
-    Yc = sample.YT - ybar[..., None]
-    Yc *= np.sqrt(T)[..., None, :]
+    ybar, Yc = _centred_responses(sample, T, nk)
     B = np.linalg.solve(C + GRAM_RIDGE * _identity(C.shape[-1]), _dot(D, np.swapaxes(Yc, -1, -2)))
     BT = np.swapaxes(B, -1, -2)
     E = Yc - BT @ D

@@ -6,11 +6,17 @@ own M-step, kernels only, and the penalized objective.  The M-step keeps the
 closed-form mixing-weight update and replaces the mean/coefficient updates
 with maximizers of the penalized Q-functions: one soft-threshold per gating
 mean, by the unchecked kernel of :func:`soft_threshold`, and for the expert
-coefficients the exact minimizer of a weighted lasso, solved on the weighted
-Gram matrix of the predictors, formed once per call for all experts of all starts.
-The lasso is solved by the active-set method of Osborne, Presnell and
-Turlach (2000), warm-started from the incoming coefficients as in the
-feature-sign search of Lee, Battle, Raina and Ng (2007).  Round one is
+coefficients the exact minimizer of a weighted lasso with the intercept
+profiled out by weighted centring (Friedman, Hastie and Tibshirani,
+2010), solved on the centred moments that :func:`mogge.em.fit_em`'s
+gating pass forms for its experts (the cross-moments of the
+root-weighted deviations from the weighted means), once per call for
+all experts of all starts.  The intercept is then the weighted mean of
+the residuals, so that coefficients and intercept jointly maximize the
+expert's penalized Q-function.  The lasso is solved by the active-set
+method of Osborne, Presnell and Turlach (2000), warm-started from the
+incoming coefficients as in the feature-sign search of Lee, Battle,
+Raina and Ng (2007).  Round one is
 the minimizer on the support and signs of the incoming coefficients,
 one batched linear solve for all experts, kept when the KKT conditions
 certify it; only the experts it does not certify go on, one at a time,
@@ -22,9 +28,8 @@ that does not within ``64 p`` rounds fails its start.  Each diagonal
 entry ``G_jj`` of the Gram matrix carries the ridge ``p * eps * G_jj``,
 below the rounding of a well-conditioned solve at any scale of each
 column, so that every active block is positive definite.  Thresholds use
-the lagged variances (previous EM iteration), and the expert intercept
-stays lagged inside the coefficient update; both are refreshed once per
-EM iteration afterwards.  Zero coefficients are stored as exact ``0.0``
+the lagged variances (previous EM iteration), refreshed once per EM
+iteration afterwards.  Zero coefficients are stored as exact ``0.0``
 so that downstream degrees-of-freedom and zero-recovery computations can
 test equality.
 """
@@ -38,6 +43,8 @@ import numpy as np
 from .em import (
     FitOptions,
     FitResult,
+    _centred,
+    _centred_responses,
     _component_masses,
     _integral,
     _multistart,
@@ -100,12 +107,12 @@ def _soft_threshold(u: np.ndarray, eta) -> np.ndarray:
     return np.sign(u) * np.maximum(np.abs(u) - eta, 0.0) + 0.0
 
 
-def _gating_means(X: np.ndarray, T: np.ndarray, nk: np.ndarray, R_prev: np.ndarray,
-                  gamma) -> np.ndarray:
-    """Stacked soft-threshold gating means (K, p) from the (K, n)
-    responsibilities ``T``, lagged variances ``R_prev`` and ``gamma``, a
+def _gating_means(TX: np.ndarray, nk: np.ndarray, R_prev: np.ndarray, gamma) -> np.ndarray:
+    """Stacked soft-threshold gating means (K, p) from the weighted sums
+    ``TX = T X`` (K, p) of the predictors under the responsibilities ``T``,
+    their masses ``nk``, the lagged variances ``R_prev`` and ``gamma``, a
     number or an array broadcasting against them."""
-    return _soft_threshold(_dot(T, X), gamma * R_prev) / nk[..., None]
+    return _soft_threshold(TX, gamma * R_prev) / nk[..., None]
 
 
 def _gating_variances(XT: np.ndarray, T: np.ndarray, nk: np.ndarray,
@@ -203,22 +210,31 @@ def _active_set(G: np.ndarray, c: np.ndarray, eta: float, beta: np.ndarray,
         "rounds")
 
 
-def _expert_coeffs(sample: _Sample, T: np.ndarray, b0: np.ndarray, sigma2: np.ndarray,
-                   beta: np.ndarray, lam, out: np.ndarray | None = None) -> np.ndarray:
+def _expert_coeffs(sample: _Sample, T: np.ndarray, nk: np.ndarray, m: np.ndarray,
+                   sigma2: np.ndarray, beta: np.ndarray, lam,
+                   work: np.ndarray | None = None) -> np.ndarray:
     """Lasso coefficients (K, p) of the experts weighted by ``T`` (K, n),
-    from ``beta`` (K, p) with the lagged intercepts ``b0`` and variances
-    ``sigma2`` (K,) and ``lam``, a number or an array broadcasting against
-    them: the certified step, and the active-set rounds from
-    ``beta`` for the experts it does not certify.  Each ``G_jj`` gets the
-    ridge ``p * eps * G_jj``, or 1 where it is 0: column j of G is 0 there,
-    and coordinate j of the minimizer 0 whatever the ridge.  The (K, p, n)
-    factor ``X' W`` is written into ``out`` when given."""
-    X, XT, YT = sample
-    p = X.shape[1]
-    G = _dot(_into(np.multiply, XT, T[..., None, :], out), X)  # X' W X, (K, p, p)
+    with masses ``nk`` and weighted predictor means ``m = T X / nk``
+    (K, p), from ``beta`` (K, p) with the lagged variances ``sigma2`` (K,)
+    and ``lam``, a number or an array broadcasting against them: the
+    certified step, and the active-set rounds from ``beta`` for the
+    experts it does not certify.
+
+    The intercept is profiled out: the lasso is posed on the centred
+    moments of :func:`~mogge.em._centred`, the Gram matrix ``G = D D'`` of
+    the root-weighted deviations ``D = (x - m) sqrt(tau)`` and ``c = D
+    Yc'`` with the root-weighted centred responses ``Yc = (y - ybar)
+    sqrt(tau)``.  Its minimizer ``b`` and the intercept ``ybar - m'b``
+    minimize ``0.5 sum_i tau_i (y_i - b0 - x_i'b)^2 + lam sigma2 |b|_1``
+    jointly, the intercept unpenalized.  Each ``G_jj`` gets the ridge
+    ``p * eps * G_jj``, or 1 where it is 0: column j of G is 0 there, and
+    coordinate j of the minimizer 0 whatever the ridge.  ``D`` is written
+    into ``work[0]`` when given."""
+    G, D = _centred(sample, T, m, work)
+    p = G.shape[-1]
     diagonal = G.reshape(-1, p * p)[:, ::p + 1]  # a view into G, one row per expert
     diagonal += np.where(diagonal > 0.0, diagonal * (p * 2.0 ** -52), 1.0)  # 2 ** -52: eps
-    c = _dot(T * (YT[0] - b0[..., None]), X)  # X' W (y - b0)
+    c = _dot(D, np.swapaxes(_centred_responses(sample, T, nk)[1], -1, -2))[..., 0]
     eta = lam * sigma2
     coeffs, certified = _certified_step(G, c, eta, beta)
     if not certified.all():
@@ -258,7 +274,7 @@ def ca_update_gating_means(data: DataSet, tau: Responsibilities,
         raise UnsupportedConfigError("gating means update requires diagonal covariances")
     R_prev = np.stack([g.R for g in gating_prev])
     T = np.ascontiguousarray(tau.tau.T)
-    return list(_gating_means(data.X, T, _component_masses(T), R_prev, gamma))
+    return list(_gating_means(_dot(T, data.X), _component_masses(T), R_prev, gamma))
 
 
 def update_gating_variances(data: DataSet, tau: Responsibilities,
@@ -275,13 +291,18 @@ def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
     """Solve one expert's weighted lasso problem exactly.
 
     Minimizes ``0.5 * sum_i w_i (y_i - b0 - x_i' beta)^2 + lam * sigma2 * |beta|_1``
-    with the lagged intercept ``b0`` and variance ``sigma2``, through the
-    weighted Gram matrix ``G = X' W X`` and ``c = X' W (y - b0)``, formed
-    once per call (the covariance updates of Friedman, Hastie and
-    Tibshirani, 2010), with the ridge ``p * eps * G_jj`` on each diagonal
-    entry of G.  First the exact minimizer on the support and signs of
-    the incoming coefficients, ``G_AA beta_A = c_A - lam sigma2 s_A`` and
-    zero off A, returned as is when the KKT conditions certify it (signs
+    over ``beta`` and the unpenalized intercept ``b0`` jointly, with the
+    lagged variance ``sigma2``, and returns ``beta``.  The intercept is
+    profiled out by weighted centring: the lasso is solved on the weighted
+    Gram matrix ``G = Xc' W Xc`` of the predictors centred at their
+    weighted means and ``c = Xc' W (y - ybar)``, formed once per call (the
+    covariance updates of Friedman, Hastie and Tibshirani, 2010), with the
+    ridge ``p * eps * G_jj`` on each diagonal entry of G, and
+    :func:`update_expert_intercept_variance` of the result gives the
+    intercept ``ybar - m' beta``.  ``expert_prev.intercept`` is not read,
+    which the signature keeps.  First the exact minimizer on the support
+    and signs of the incoming coefficients, ``G_AA beta_A = c_A - lam
+    sigma2 s_A`` and zero off A, returned as is when the KKT conditions certify it (signs
     kept, ``|c_j - G_j' beta| <= lam sigma2`` off A).  Otherwise the
     active-set rounds of Osborne, Presnell and Turlach (2000) from the
     incoming coefficients, until the same conditions certify the result
@@ -295,9 +316,9 @@ def ca_update_expert_coeffs(data: DataSet, tau_k: np.ndarray,
     if data.d != 1 or expert_prev.d != 1:
         raise UnsupportedConfigError("expert coefficient update requires d = 1")
     T = np.ascontiguousarray(tau_k, dtype=float)[None]
-    _component_masses(T)  # raises for a negligible column
-    return _expert_coeffs(_Sample.of(data), T, expert_prev.intercept, expert_prev.cov[0],
-                          expert_prev.beta[None], lam)[0]
+    sample, nk = _Sample.of(data), _component_masses(T)  # raises for a negligible column
+    return _expert_coeffs(sample, T, nk, _dot(T, sample.X) / nk[..., None],
+                          expert_prev.cov[0], expert_prev.beta[None], lam)[0]
 
 
 def update_expert_intercept_variance(data: DataSet, tau_k: np.ndarray,
@@ -316,17 +337,21 @@ def _lasso_m_step(sample: _Sample, T: np.ndarray, nk: np.ndarray, s: _Stack,
                   pen: np.ndarray, work: np.ndarray, r2: np.ndarray) -> _Stack:
     """Closed-form mixing weights, soft-threshold gating means, floored
     gating variances, then for all experts of the (S, K) stack at once the
-    lasso coefficients (certified step, active-set rounds where it fails)
-    and the intercepts and variances, each start with its own penalties,
-    the row ``(lam, gamma)`` of ``pen`` (S, 2).  The (K, p, n) temporaries
-    of the coefficients and of the variances are written into ``work[0]``,
-    one after the other: it ends holding the squared deviations of X from
-    the new gating means, and ``r2`` (K, n) the experts' residual squares,
-    the E-step's first pass at the result."""
+    lasso coefficients with the intercept profiled out (certified step,
+    active-set rounds where it fails) and the intercepts and variances,
+    each start with its own penalties, the row ``(lam, gamma)`` of ``pen``
+    (S, 2).  The weighted sums ``T X`` give both the gating means and the
+    weighted means the experts are centred at.  The (K, p, n) temporaries,
+    the experts' root-weighted deviations and then the squared deviations
+    of the gating variances, are written into ``work[0]``, one after the
+    other: it ends holding the squared deviations of X from the new gating
+    means, and ``r2`` (K, n) the experts' residual squares, the E-step's
+    first pass at the result."""
     lam, gamma = pen[:, :1], pen[:, 1:]  # (S, 1): every product is elementwise
-    mu = _gating_means(sample.X, T, nk, s.R, gamma[..., None])
-    beta = _expert_coeffs(sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0], lam,
-                          work[0])
+    TX = _dot(T, sample.X)
+    mu = _gating_means(TX, nk, s.R, gamma[..., None])
+    beta = _expert_coeffs(sample, T, nk, TX / nk[..., None], s.Sigma[..., 0, 0], s.B[..., 0],
+                          lam, work)
     b0, sigma2 = _intercepts_variances(sample, T, nk, beta, r2)
     return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu,
                   _gating_variances(sample.XT, T, nk, mu, work[0]),

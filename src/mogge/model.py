@@ -57,10 +57,13 @@ in the first buffer and the residual squares ``((y - B'x) - a) ** 2`` in
 ``r2``, and that E-step reads them there (``filled``) instead of
 computing them again.  In :func:`~mogge.em.fit_em`'s M-step the gating
 pass also hands the experts the centred cross-moments ``C`` of its
-covariances (the root-weighted deviations times their own transpose),
-from which they form their weighted Gram matrices ``X' W X`` as
-``C + n_k mu mu'``, so X is weighted once per M-step; for diagonal
-covariances that pass then squares the deviations in place.
+covariances (the root-weighted deviations ``D`` times their own
+transpose) and ``D``, on which they solve their centred least squares,
+so X is weighted once per M-step; for diagonal covariances that pass
+then squares the deviations in place.  The penalized M-step forms the
+same centred moments about the unthresholded weighted means for its
+expert lasso, ``D`` in the first buffer, before it writes the squared
+deviations from its gating means there.
 
 Component layout conventions:
 

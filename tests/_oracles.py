@@ -4,6 +4,9 @@ Everything here deliberately avoids the code paths under test: densities go
 through explicit inverses / arbitrary-precision arithmetic, weighted least
 squares goes through an augmented lstsq, and the weighted lasso goes through
 a bound-constrained quasi-Newton solve on the positive/negative split.  The
+expert lasso is the joint problem over the coefficients and an
+unpenalized intercept, which each oracle carries as a variable of its own
+rather than profiling it out by centring, as the library does.  The
 grid search runs as one checked public fit per row, the loop that the
 warm-chain driver replaced.
 """
@@ -120,57 +123,62 @@ def wls_ridge_lstsq(Z: np.ndarray, w: np.ndarray, T: np.ndarray,
 
 
 def weighted_lasso_reference(X: np.ndarray, y: np.ndarray, w: np.ndarray,
-                             intercept: float, sigma2: float, lam: float,
-                             beta0=None) -> np.ndarray:
-    """Minimize 0.5 * sum_i w_i (y_i - intercept - x_i'b)^2 + lam*sigma2*|b|_1
-    with L-BFGS-B on the split b = b_plus - b_minus, both nonnegative."""
+                             sigma2: float, lam: float, beta0=None) -> np.ndarray:
+    """Minimize 0.5 * sum_i w_i (y_i - b0 - x_i'b)^2 + lam*sigma2*|b|_1 over
+    b and the unpenalized intercept b0 jointly, with L-BFGS-B on b0 and the
+    split b = b_plus - b_minus, both nonnegative; returns b."""
     n, p = X.shape
-    r0 = y - intercept
     eta = lam * sigma2
 
     def objective(z):
-        b = z[:p] - z[p:]
-        r = r0 - X @ b
-        f = 0.5 * float(r @ (w * r)) + eta * float(np.sum(z))
+        b = z[1:p + 1] - z[p + 1:]
+        r = y - z[0] - X @ b
+        f = 0.5 * float(r @ (w * r)) + eta * float(np.sum(z[1:]))
         g_b = -X.T @ (w * r)
-        grad = np.concatenate([g_b + eta, -g_b + eta])
+        grad = np.concatenate([[-float(w @ r)], g_b + eta, -g_b + eta])
         return f, grad
 
-    z0 = np.zeros(2 * p)
+    z0 = np.zeros(2 * p + 1)
     if beta0 is not None:
-        z0[:p] = np.maximum(beta0, 0.0)
-        z0[p:] = np.maximum(-np.asarray(beta0), 0.0)
+        z0[1:p + 1] = np.maximum(beta0, 0.0)
+        z0[p + 1:] = np.maximum(-np.asarray(beta0), 0.0)
     res = minimize(
         objective, z0, jac=True, method="L-BFGS-B",
-        bounds=[(0.0, None)] * (2 * p),
+        bounds=[(None, None)] + [(0.0, None)] * (2 * p),
         options={"maxiter": 50000, "ftol": 1e-18, "gtol": 1e-12},
     )
-    return res.x[:p] - res.x[p:]
+    return res.x[1:p + 1] - res.x[p + 1:]
 
 
-def ca_sweeps_residual_form(X, y, w, intercept, sigma2, lam, beta0,
-                            sweeps: int) -> np.ndarray:
-    """Exactly ``sweeps`` cyclic coordinate-ascent passes on the weighted
-    lasso, each coordinate from the partial residual in O(n) work.
+def ca_sweeps_residual_form(X, y, w, sigma2, lam, beta0, sweeps: int) -> np.ndarray:
+    """Exactly ``sweeps`` cyclic passes over the coefficients of the
+    weighted lasso with an unpenalized intercept, each coordinate from the
+    partial residual in O(n) work: each step minimizes over that
+    coefficient and the intercept together, by a soft-threshold on the
+    coordinate's column centred at its weighted mean, and then sets the
+    intercept to the weighted mean of what is left.
 
     Residual-form arithmetic with its own soft-threshold and no stopping
     rule: the loop the Gram-form update replaced.  Columns whose weighted
-    squared norm is zero are forced to 0.
+    squared deviation from their weighted mean is zero are forced to 0.
     """
     beta = np.array(beta0, dtype=float)
     eta = lam * sigma2
-    wXsq = w @ (X * X)
+    s = float(np.sum(w))
+    intercept = 0.0
+    r = y - X @ beta
     for _ in range(sweeps):
-        r = y - intercept - X @ beta
         for j in range(X.shape[1]):
-            if wXsq[j] <= 0.0:
-                r += beta[j] * X[:, j]
+            partial = r + intercept + beta[j] * X[:, j]  # y less the other coefficients
+            xc = X[:, j] - float(w @ X[:, j]) / s
+            denom = float(w @ (xc * xc))
+            if denom <= 0.0:
                 beta[j] = 0.0
-                continue
-            num = X[:, j] @ (w * r) + beta[j] * wXsq[j]
-            new = np.sign(num) * max(abs(num) - eta, 0.0) / wXsq[j] + 0.0
-            r += (beta[j] - new) * X[:, j]
-            beta[j] = new
+            else:
+                num = float(xc @ (w * partial))
+                beta[j] = np.sign(num) * max(abs(num) - eta, 0.0) / denom + 0.0
+            intercept = float(w @ (partial - beta[j] * X[:, j])) / s
+            r = partial - intercept - beta[j] * X[:, j]
     return beta
 
 
@@ -206,19 +214,35 @@ def coordinate_ascent(G, c, nk, sigma2, eta, beta, ca_max_iter, ca_tol) -> np.nd
     return beta
 
 
-def ridged_gram(X, T, y, b0):
-    """``G = X' W X`` with the ridge ``p * eps * G_jj`` on each diagonal
-    entry (1 where ``G_jj`` is 0), and ``c = X' W (y - b0)``, for the
-    experts of weights ``T`` (..., n) and intercepts ``b0`` (...): the
-    problems the library's expert update solves, formed with the products
-    it forms them with, so with the same bits."""
-    T, b0 = np.asarray(T, dtype=float), np.asarray(b0, dtype=float)
+def centred_gram(X, y, w):
+    """The unpenalized part of the weighted lasso with a free intercept,
+    the intercept profiled out: ``G = Xc' W Xc`` and ``c = Xc' W (y -
+    ybar)``, with X and y centred at their weighted means."""
+    s = float(np.sum(w))
+    Xc = X - w @ X / s
+    return Xc.T @ (w[:, None] * Xc), Xc.T @ (w * (y - float(w @ y) / s))
+
+
+def ridged_gram(X, T, y):
+    """:func:`centred_gram` of the experts of weights ``T`` (..., n), with
+    the ridge ``p * eps * G_jj`` on each diagonal entry of G (1 where
+    ``G_jj`` is 0): the problems the library's expert update solves,
+    formed with the products it forms them with, so with the same bits:
+    root-weighted deviations ``D = (x - m) sqrt(tau)`` from the weighted
+    means ``m``, ``G = D D'`` and ``c = D Yc'`` with the root-weighted
+    centred responses ``Yc = (y - ybar) sqrt(tau)``."""
+    T = np.asarray(T, dtype=float)
     p = X.shape[1]
-    G = (np.ascontiguousarray(X.T) * T[..., None, :]) @ X
+    nk = T.sum(axis=-1)
+    root = np.sqrt(T)[..., None, :]
+    D = (np.ascontiguousarray(X.T) - ((T @ X) / nk[..., None])[..., None]) * root
+    G = D @ np.swapaxes(D, -1, -2)
     diagonal = np.diagonal(G, axis1=-2, axis2=-1)
     G[..., np.arange(p), np.arange(p)] += np.where(
         diagonal > 0.0, p * np.finfo(float).eps * diagonal, 1.0)
-    return G, (T * (y - b0[..., None])) @ X
+    ybar = np.einsum("...n,...n->...", T[..., None, :], y[None]) / nk[..., None]
+    Yc = (y[None] - ybar[..., None]) * root
+    return G, (D @ np.swapaxes(Yc, -1, -2))[..., 0]
 
 
 def lasso_certified(G, c, eta, x, rounding=0.0) -> bool:
@@ -350,14 +374,18 @@ def ari_pair_counting(true_labels, est_labels) -> float:
     return (a - expected) / (max_index - expected)
 
 
-def kkt_residuals_expert(X, y, tau_k, beta, intercept, sigma2, lam):
-    """Subgradient residuals of the weighted lasso at beta.
+def kkt_residuals_expert(X, y, tau_k, beta, sigma2, lam):
+    """Subgradient residuals of the weighted lasso with an unpenalized
+    intercept at beta, and at the intercept that minimizes it given beta,
+    the weighted mean of ``y - X beta``, where the intercept's own
+    condition holds exactly.
 
     For each coordinate: 0 when the condition holds exactly; otherwise the
     distance to the admissible subgradient set.
     """
     p = X.shape[1]
     out = np.zeros(p)
+    intercept = float(tau_k @ (y - X @ beta)) / float(np.sum(tau_k))
     r_full = y - intercept - X @ beta
     for j in range(p):
         r_j = r_full + beta[j] * X[:, j]
@@ -370,22 +398,21 @@ def kkt_residuals_expert(X, y, tau_k, beta, intercept, sigma2, lam):
     return out
 
 
-def exact_weighted_lasso_on_active_set(X, y, w, intercept, sigma2, lam, beta_ca):
+def exact_weighted_lasso_on_active_set(X, y, w, sigma2, lam, beta_ca):
     """Exact subproblem solution restricted to a CA solution's sign pattern.
 
-    Solves the stationarity system on the active set; returns None when the
-    solve flips a sign (pattern invalid).
+    Solves the stationarity system of the unpenalized intercept and the
+    active coefficients together, on the columns ``[1, X_A]``; returns the
+    coefficients, or None when the solve flips a sign (pattern invalid).
     """
     active = np.flatnonzero(beta_ca != 0.0)
     beta = np.zeros(X.shape[1])
-    if active.size:
-        signs = np.sign(beta_ca[active])
-        XA = X[:, active]
-        G = XA.T @ (w[:, None] * XA)
-        rhs = XA.T @ (w * (y - intercept)) - lam * sigma2 * signs
-        beta[active] = np.linalg.solve(G, rhs)
-        if np.any(np.sign(beta[active]) != signs):
-            return None
+    signs = np.sign(beta_ca[active])
+    A = np.column_stack([np.ones(len(y)), X[:, active]])
+    rhs = A.T @ (w * y) - lam * sigma2 * np.concatenate([[0.0], signs])
+    beta[active] = np.linalg.solve(A.T @ (w[:, None] * A), rhs)[1:]
+    if np.any(np.sign(beta[active]) != signs):
+        return None
     return beta
 
 

@@ -192,9 +192,10 @@ def test_criterion_5_kkt_certification():
     beta_k and mu_k satisfies its subgradient condition within 1e-6.
 
     The converged state defines one last M-step subproblem per block; the
-    gating-mean solutions are checked directly, and the coordinate-ascent
-    expert solutions are checked both against the subgradient conditions of
-    the exact active-set solve and for closeness to it.
+    gating-mean solutions are checked directly, and the expert solutions,
+    of the lasso with a free unpenalized intercept, are checked both
+    against the subgradient conditions of the exact active-set solve and
+    for closeness to it.
     """
     rng = np.random.default_rng(MASTER_SEED + 5)
     worst = 0.0
@@ -218,14 +219,11 @@ def test_criterion_5_kkt_certification():
             w = tau.tau[:, k]
             beta = ca_update_expert_coeffs(data, w, e, lam)
             exact = exact_weighted_lasso_on_active_set(
-                data.X, data.y1, w, float(e.intercept[0]), e.variance, lam, beta
+                data.X, data.y1, w, e.variance, lam, beta
             )
             assert exact is not None  # sign pattern is stable
             worst_ca_gap = max(worst_ca_gap, float(np.max(np.abs(beta - exact))))
-            res = kkt_residuals_expert(
-                data.X, data.y1, w, exact,
-                float(e.intercept[0]), e.variance, lam,
-            )
+            res = kkt_residuals_expert(data.X, data.y1, w, exact, e.variance, lam)
             worst = max(worst, float(np.max(res)))
     ok = worst < 1e-6 and worst_ca_gap < 1e-6
     _report(
@@ -237,8 +235,9 @@ def test_criterion_5_kkt_certification():
 
 
 def test_criterion_6_oracle_equivalence():
-    """Coordinate ascent matches an independent weighted-lasso solver
-    within 1e-5 on 20 instances; closed-form M-steps match weighted-moment
+    """The expert lasso update matches an independent solver of the
+    weighted lasso with a free unpenalized intercept within 1e-5 on 20
+    instances; closed-form M-steps match weighted-moment
     and WLS oracles within 1e-10 on 20 instances."""
     rng = np.random.default_rng(MASTER_SEED + 6)
     worst_lasso = 0.0
@@ -257,9 +256,7 @@ def test_criterion_6_oracle_equivalence():
         )
         lam = rng.uniform(0.1, 2.0)
         beta = ca_update_expert_coeffs(data, w, prev, lam=lam)
-        ref = weighted_lasso_reference(
-            X, y, w, float(prev.intercept[0]), prev.variance, lam
-        )
+        ref = weighted_lasso_reference(X, y, w, prev.variance, lam)
         worst_lasso = max(worst_lasso, float(np.max(np.abs(beta - ref))))
 
     worst_mstep = 0.0

@@ -356,18 +356,29 @@ class TestLassoPath:
     def test_a_failing_warm_start_leaves_the_cold_starts(self, small_data, tmp_path,
                                                         monkeypatch):
         # the warm start of each point after the first cannot be factored in
-        # its first E-step; the point is then the best of its cold starts
-        real_fit = selection._fit_lasso
+        # its first E-step; the point is then the best of its cold starts.
+        # The warm start is handed over as its bare stack, without the run's
+        # last E-step: run alone from that carry it would never factor the
+        # negated variances, and would run to the end
+        real_fit, real_outcomes, first = selection._fit_lasso, em._outcomes, []
 
         def broken(sample, K, penalty, opts, starts, **kwargs):
-            starts = [s._replace(s=s.s._replace(Sigma=-s.s.Sigma))
-                      if isinstance(s, em._Run) else s for s in starts]
+            starts = [s.s._replace(Sigma=-s.s.Sigma) if isinstance(s, em._Run) else s
+                      for s in starts]
             return real_fit(sample, K, penalty, opts, starts, **kwargs)
 
+        def recorded(*args):
+            outcomes = real_outcomes(*args)
+            first.append(outcomes[0])
+            return outcomes
+
         monkeypatch.setattr(selection, "_fit_lasso", broken)
+        monkeypatch.setattr(em, "_outcomes", recorded)
         out = tmp_path / "broken"
         assert run("lasso-path", "--data", str(small_data), *self.PATH,
                    "--out-dir", str(out)) == 0
+        assert len(first) == 3 and isinstance(first[0], em._Run)
+        assert all(isinstance(start, np.linalg.LinAlgError) for start in first[1:])
         points = json.loads((out / "path_params.json").read_text())
         assert [pt["lambda"] for pt in points] == [10.0, 5.0, 0.0]
         data, _ = dataio.read_dataset_csv(small_data)

@@ -706,9 +706,10 @@ def _scalar_lasso(penalty):
     penalties ``penalty``, composed from the kernels as the fit ran them
     before penalties had a start axis: the reference for a start alone."""
     def m_step(sample, T, nk, s, pen, work, r2):
-        mu = em_lasso._gating_means(sample.X, T, nk, s.R, penalty.gamma)
-        beta = em_lasso._expert_coeffs(sample, T, s.a[..., 0], s.Sigma[..., 0, 0],
-                                       s.B[..., 0], penalty.lam, work[0])
+        TX = model._dot(T, sample.X)
+        mu = em_lasso._gating_means(TX, nk, s.R, penalty.gamma)
+        beta = em_lasso._expert_coeffs(sample, T, nk, TX / nk[..., None], s.Sigma[..., 0, 0],
+                                       s.B[..., 0], penalty.lam, work)
         b0, sigma2 = em_lasso._intercepts_variances(sample, T, nk, beta, r2)
         return _Stack(nk / nk.sum(axis=-1, keepdims=True), mu,
                       em_lasso._gating_variances(sample.XT, T, nk, mu, work[0]),
@@ -1225,15 +1226,16 @@ class TestWorkspace:
         # one buffer, as the loop shapes it for the penalized fit
         work = np.full((1, *s.mu.shape, sample.XT.shape[1]), np.nan)
         r2 = np.full((*s.alpha.shape, sample.XT.shape[1]), np.nan)
-        args = (sample, T, s.a[..., 0], s.Sigma[..., 0, 0], s.B[..., 0], PENALTY.lam)
-        assert np.array_equal(em_lasso._expert_coeffs(*args, work[0]),
+        TX = model._dot(T, sample.X)
+        args = (sample, T, nk, TX / nk[..., None], s.Sigma[..., 0, 0], s.B[..., 0], PENALTY.lam)
+        assert np.array_equal(em_lasso._expert_coeffs(*args, work),
                               em_lasso._expert_coeffs(*args))
         assert np.array_equal(em_lasso._gating_variances(sample.XT, T, nk, s.mu, work[0]),
                               em_lasso._gating_variances(sample.XT, T, nk, s.mu))
         _assert_same_bits(em_lasso._intercepts_variances(sample, T, nk, s.B[..., 0], r2),
                           em_lasso._intercepts_variances(sample, T, nk, s.B[..., 0]))
         # the M-step through the buffers: the bits of its kernels without them
-        mu = em_lasso._gating_means(sample.X, T, nk, s.R, PENALTY.gamma)
+        mu = em_lasso._gating_means(TX, nk, s.R, PENALTY.gamma)
         beta = em_lasso._expert_coeffs(*args)
         b0, sigma2 = em_lasso._intercepts_variances(sample, T, nk, beta)
         _assert_same_bits(em_lasso._lasso_m_step(sample, T, nk, s, _pen(len(T)), work, r2),

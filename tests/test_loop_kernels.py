@@ -30,10 +30,10 @@ from _oracles import bit_digest, floor_one_by_one, mahalanobis_three_branch
 GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)  # the paper's 6 x 6 penalty grid
 
 
-def _routed_gating_means(X, T, nk, R_prev, gamma):
+def _routed_gating_means(TX, nk, R_prev, gamma):
     """The gating means through the checked public ``soft_threshold``, the
     path the lasso M-step took before it called the kernel."""
-    return em_lasso.soft_threshold(T @ X, gamma * R_prev) / nk[..., None]
+    return em_lasso.soft_threshold(TX, gamma * R_prev) / nk[..., None]
 
 
 def _guard(monkeypatch) -> tuple[list, list]:
